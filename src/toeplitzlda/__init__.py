@@ -21,22 +21,19 @@ from .blockmat import (
     BlockCov,
     BlockDims,
     BlockToeplitzCov,
-    Layout,
     apply_taper,
     block_diagonal_average,
-    flatten_epoch,
     free_parameter_count,
-    permute_layout,
     to_dense,
 )
 from .btsolve import SolveReport, block_levinson_solve, block_toeplitz_matmul, dense_solve
 from .covest import (
     ClassStats,
     class_means,
+    estimate_covariance,
     ledoit_wolf_gamma,
     sample_covariance,
     shrink,
-    toeplitz_tapered_cov,
 )
 from .dataio import (
     Epochs,
@@ -49,7 +46,6 @@ from .dataio import (
 from .errors import (
     DataFormatError,
     GroupSizeError,
-    LayoutError,
     ShapeError,
     SolveBreakdownError,
     SolveError,
@@ -81,8 +77,6 @@ __all__ = [
     "FeatureConfig",
     "FeatureMatrix",
     "GroupSizeError",
-    "Layout",
-    "LayoutError",
     "LdaModel",
     "NoiseModel",
     "ShapeError",
@@ -101,15 +95,14 @@ __all__ = [
     "default_noise_model",
     "dense_solve",
     "draw_subsets",
+    "estimate_covariance",
     "extract_features",
     "fit",
-    "flatten_epoch",
     "free_parameter_count",
     "generate_noise",
     "inject_erp",
     "ledoit_wolf_gamma",
     "load_model",
-    "permute_layout",
     "read_dataset",
     "run_benchmark",
     "sample_covariance",
@@ -117,7 +110,6 @@ __all__ = [
     "shrink",
     "split_train_val",
     "to_dense",
-    "toeplitz_tapered_cov",
     "true_covariance",
     "write_dataset",
     "write_report",

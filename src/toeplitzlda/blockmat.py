@@ -1,42 +1,32 @@
 """Block-structured matrices for spatiotemporal covariance.
 
 An epoch with ``n_channels`` channels and ``n_times`` samples flattens to a
-vector of dimension ``D = n_channels * n_times``.  Two layouts exist:
-
-* channel-prime: ``x[t * n_channels + c] = epoch[c, t]`` (channels cycle
-  fastest).  In this layout a ``D x D`` covariance matrix is an
-  ``n_times x n_times`` grid of ``n_channels x n_channels`` blocks whose
-  block ``(i, j)`` is the cross-channel covariance between time samples
-  ``i`` and ``j``.
-* time-prime: ``x[c * n_times + t] = epoch[c, t]`` (time cycles fastest).
-
-All covariance operations in this package work on the channel-prime layout;
-``permute_layout`` converts between the two.
+channel-prime vector of dimension ``D = n_channels * n_times``:
+``x[t * n_channels + c] = epoch[c, t]`` (channels cycle fastest).  A
+``D x D`` covariance matrix is then an ``n_times x n_times`` grid of
+``n_channels x n_channels`` blocks whose block ``(i, j)`` is the
+cross-channel covariance between time samples ``i`` and ``j``.
 
 For stationary data the block grid is block-Toeplitz: block ``(i, j)``
 depends only on the lag ``d = j - i``, with ``C_{-d} = C_d^T``.  The compact
 ``BlockToeplitzCov`` type stores one block per non-negative lag
 (``n_times * n_channels**2`` values) instead of the full ``D x D`` matrix.
+
+``BlockCov(dims, data)`` copies and symmetry-checks its input.  The
+functions of this package that build a fresh, exactly symmetric ``D x D``
+array wrap it with ``_owned_cov`` instead, which makes it read-only in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import LayoutError, ShapeError
+from .errors import ShapeError
 
 #: Relative tolerance for the symmetry check on covariance data.
 SYMMETRY_RTOL = 1e-10
-
-
-class Layout(str, Enum):
-    """Flattening order of an epoch into a vector."""
-
-    CHANNEL_PRIME = "channel_prime"
-    TIME_PRIME = "time_prime"
 
 
 @dataclass(frozen=True)
@@ -83,23 +73,31 @@ class BlockCov:
     """Dense symmetric ``D x D`` covariance with block metadata.
 
     ``data`` is copied and made read-only.  Symmetry is validated to
-    ``SYMMETRY_RTOL`` (relative to the largest entry).
+    ``SYMMETRY_RTOL`` (relative to the largest entry).  Package functions
+    return instances built by ``_owned_cov``, which skips both.
     """
 
     dims: BlockDims
     data: np.ndarray
-    layout: Layout = Layout.CHANNEL_PRIME
 
     def __post_init__(self):
         d = self.dims.size
         a = _frozen_array(self.data, (d, d), "covariance data")
         _check_symmetric(a, "covariance data")
         object.__setattr__(self, "data", a)
-        object.__setattr__(self, "layout", Layout(self.layout))
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        """Cross-channel block for the time-sample pair ``(i, j)``, 0-based."""
-        return block_at(self, i, j)
+
+def _owned_cov(dims: BlockDims, data: np.ndarray) -> BlockCov:
+    """Wrap a fresh, exactly symmetric ``(D, D)`` float64 array as a BlockCov.
+
+    For arrays built inside the package: ``data`` is made read-only in place
+    instead of being copied and checked.
+    """
+    data.setflags(write=False)
+    cov = object.__new__(BlockCov)
+    object.__setattr__(cov, "dims", dims)
+    object.__setattr__(cov, "data", data)
+    return cov
 
 
 @dataclass(frozen=True)
@@ -127,71 +125,9 @@ class BlockToeplitzCov:
         a.setflags(write=False)
         object.__setattr__(self, "lag_blocks", a)
 
-    @property
-    def layout(self) -> Layout:
-        return Layout.CHANNEL_PRIME
-
-
-def flatten_epoch(epoch: np.ndarray, layout: Layout, dims: BlockDims | None = None) -> np.ndarray:
-    """Flatten an ``(n_channels, n_times)`` epoch into a vector.
-
-    Channel-prime order interleaves channels within each time sample;
-    time-prime order concatenates whole channel time courses.
-    """
-    epoch = np.asarray(epoch, dtype=np.float64)
-    if epoch.ndim != 2:
-        raise ShapeError(f"epoch must be 2-D (channels x times), got shape {epoch.shape}")
-    if dims is not None and epoch.shape != (dims.n_channels, dims.n_times):
-        raise ShapeError(
-            f"epoch has shape {epoch.shape}, expected "
-            f"({dims.n_channels}, {dims.n_times})"
-        )
-    layout = Layout(layout)
-    if layout is Layout.CHANNEL_PRIME:
-        return epoch.T.reshape(-1).copy()
-    return epoch.reshape(-1).copy()
-
-
-def _layout_permutation(dims: BlockDims, from_layout: Layout, to_layout: Layout) -> np.ndarray:
-    """Gather indices ``idx`` such that ``converted = x[idx]``."""
-    nc, nt = dims.n_channels, dims.n_times
-    if from_layout is Layout.CHANNEL_PRIME:
-        # target index c*nt + t reads source index t*nc + c
-        return np.arange(dims.size).reshape(nt, nc).T.reshape(-1)
-    return np.arange(dims.size).reshape(nc, nt).T.reshape(-1)
-
-
-def permute_layout(
-    x: np.ndarray, dims: BlockDims, from_layout: Layout, to_layout: Layout
-) -> np.ndarray:
-    """Reorder a vector or square matrix between the two layouts.
-
-    The conversion is a pure permutation, so applying it twice with the
-    layouts swapped returns the input exactly.
-    """
-    from_layout, to_layout = Layout(from_layout), Layout(to_layout)
-    x = np.asarray(x, dtype=np.float64)
-    d = dims.size
-    if x.ndim == 1:
-        if x.shape != (d,):
-            raise ShapeError(f"vector has shape {x.shape}, expected ({d},)")
-        if from_layout is to_layout:
-            return x.copy()
-        return x[_layout_permutation(dims, from_layout, to_layout)]
-    if x.ndim == 2:
-        if x.shape != (d, d):
-            raise ShapeError(f"matrix has shape {x.shape}, expected ({d}, {d})")
-        if from_layout is to_layout:
-            return x.copy()
-        idx = _layout_permutation(dims, from_layout, to_layout)
-        return x[np.ix_(idx, idx)]
-    raise ShapeError(f"expected a vector or a square matrix, got shape {x.shape}")
-
 
 def block_at(cov: BlockCov, i: int, j: int) -> np.ndarray:
-    """Cross-channel block ``(i, j)`` of a channel-prime covariance, 0-based."""
-    if cov.layout is not Layout.CHANNEL_PRIME:
-        raise LayoutError("block_at requires a channel-prime covariance")
+    """Cross-channel block ``(i, j)`` of a covariance, 0-based."""
     nc, nt = cov.dims.n_channels, cov.dims.n_times
     if not (0 <= i < nt and 0 <= j < nt):
         raise ShapeError(f"block index ({i}, {j}) out of range for n_times={nt}")
@@ -206,8 +142,6 @@ def block_diagonal_average(cov: BlockCov) -> BlockToeplitzCov:
     exactly idempotent on inputs that are already block-Toeplitz.  The lag-0
     result is symmetrized as ``(M + M^T) / 2``.
     """
-    if cov.layout is not Layout.CHANNEL_PRIME:
-        raise LayoutError("block_diagonal_average requires a channel-prime covariance")
     nc, nt = cov.dims.n_channels, cov.dims.n_times
     grid = cov.data.reshape(nt, nc, nt, nc)
     lags = np.empty((nt, nc, nc))
@@ -249,12 +183,11 @@ def apply_taper_dense(cov: BlockCov) -> BlockCov:
     taper weights form a positive semidefinite (Bartlett) matrix, so the
     blockwise product keeps a positive definite input positive definite.
     """
-    if cov.layout is not Layout.CHANNEL_PRIME:
-        raise LayoutError("apply_taper_dense requires a channel-prime covariance")
     nc, nt = cov.dims.n_channels, cov.dims.n_times
     lag = np.abs(np.arange(nt)[:, None] - np.arange(nt)[None, :])
-    weights = np.kron(1.0 - lag / nt, np.ones((nc, nc)))
-    return BlockCov(cov.dims, cov.data * weights, cov.layout)
+    weights = (1.0 - lag / nt)[:, None, :, None]
+    tapered = cov.data.reshape(nt, nc, nt, nc) * weights
+    return _owned_cov(cov.dims, tapered.reshape(cov.dims.size, cov.dims.size))
 
 
 def to_dense(btc: BlockToeplitzCov) -> BlockCov:
@@ -271,7 +204,7 @@ def to_dense(btc: BlockToeplitzCov) -> BlockCov:
         grid[rows, :, rows + d, :] = btc.lag_blocks[d]
         if d > 0:
             grid[rows + d, :, rows, :] = btc.lag_blocks[d].T
-    return BlockCov(btc.dims, grid.reshape(btc.dims.size, btc.dims.size))
+    return _owned_cov(btc.dims, grid.reshape(btc.dims.size, btc.dims.size))
 
 
 def free_parameter_count(dims: BlockDims) -> tuple[int, int]:

@@ -23,13 +23,7 @@ from . import __version__, bench, lda, synth
 from .blockmat import BlockDims
 from .covest import ClassStats
 from .dataio import FeatureConfig, extract_features, read_dataset, write_dataset
-from .errors import (
-    DataFormatError,
-    GroupSizeError,
-    LayoutError,
-    ShapeError,
-    SolveError,
-)
+from .errors import DataFormatError, GroupSizeError, ShapeError, SolveError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -304,7 +298,7 @@ def main(argv=None) -> int:
     except GroupSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, ShapeError, LayoutError) as exc:
+    except (DataFormatError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

@@ -1,15 +1,19 @@
-"""Covariance estimation: centering, shrinkage, and the block-Toeplitz fit.
+"""Covariance estimation: centering, shrinkage, and the structured estimate.
 
 Data matrices are ``D x N_e`` (one flattened channel-prime epoch per
-column).  The estimation pipeline is: center (globally or per class),
-sample covariance with divisor ``N_e - 1``, analytic shrinkage toward the
-scaled identity, then optionally block-diagonal averaging and linear
-tapering to obtain the compact block-Toeplitz estimate.
+column).  ``estimate_covariance`` is the estimation pipeline: center
+(per class or globally), sample covariance with divisor ``N_e - 1``,
+analytic shrinkage toward the scaled identity, then the structure that the
+estimator names in ``ESTIMATORS``: block-diagonal averaging, linear
+tapering, both (the compact block-Toeplitz estimate), or neither.  The
+dense ``D x D`` sample covariance is formed once per estimate, and the
+Ledoit-Wolf intensity works on the smaller of the ``D x D`` and
+``N_e x N_e`` products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,12 +21,23 @@ from .blockmat import (
     BlockCov,
     BlockDims,
     BlockToeplitzCov,
-    Layout,
+    _owned_cov,
     apply_taper,
     apply_taper_dense,
     block_diagonal_average,
 )
 from .errors import ShapeError
+
+#: Structure applied after shrinkage, per estimator: (block-diagonal
+#: averaging, linear tapering).
+_STRUCTURE = {
+    "slda": (False, False),
+    "toeplitz": (True, True),
+    "toeplitz_a1_only": (True, False),
+    "toeplitz_a2_only": (False, True),
+}
+ESTIMATORS = tuple(_STRUCTURE)
+COV_MODES = ("within", "global")
 
 
 @dataclass(frozen=True)
@@ -51,9 +66,13 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class ShrinkageResult:
-    """Shrunk covariance together with the intensity and target scale used."""
+    """Shrunk covariance together with the intensity and target scale used.
 
-    matrix: BlockCov
+    ``matrix`` is dense, except after block-diagonal averaging in
+    :func:`estimate_covariance`, which returns the compact form.
+    """
+
+    matrix: BlockCov | BlockToeplitzCov
     gamma: float
     nu: float
 
@@ -111,9 +130,7 @@ def center(x, means=None, labels=None) -> np.ndarray:
     return x - stats.means[labels].T
 
 
-def sample_covariance(
-    centered, dims: BlockDims, layout: Layout = Layout.CHANNEL_PRIME
-) -> BlockCov:
+def sample_covariance(centered, dims: BlockDims) -> BlockCov:
     """Sample covariance of centered data with divisor ``N_e - 1``."""
     xc = _as_data_matrix(centered)
     d, n = xc.shape
@@ -121,31 +138,44 @@ def sample_covariance(
         raise ShapeError(f"data dimension {d} does not match dims.size {dims.size}")
     if n < 2:
         raise ShapeError(f"need at least 2 epochs for a covariance, got {n}")
-    s = xc @ xc.T / (n - 1)
-    s = (s + s.T) / 2.0
-    return BlockCov(dims, s, layout)
+    s = xc @ xc.T
+    s /= n - 1
+    # (S + S^T) / 2 in place: exactly symmetric whatever the product's rounding.
+    s += s.T
+    s /= 2.0
+    return _owned_cov(dims, s)
 
 
 def ledoit_wolf_gamma(centered) -> float:
     """Analytic shrinkage intensity toward the scaled identity.
 
-    Standard Ledoit-Wolf estimate computed from centered data: the ratio of
-    the summed variance of the sample covariance entries to the squared
-    distance between the sample covariance and its scaled-identity target,
-    clipped to [0, 1].
+    Standard Ledoit-Wolf estimate computed from centered data ``xc``: the
+    summed variance of the entries of ``S = xc xc^T / n`` over the squared
+    distance ``delta`` between ``S`` and its target ``mu I`` (``mu =
+    trace(S) / D``), clipped to [0, 1].  Both terms depend on ``S`` only
+    through its spectrum, which ``M``, the smaller of ``xc^T xc / n`` and
+    ``xc xc^T / n`` (size ``m``), shares up to ``D - m`` zero eigenvalues:
+
+    * ``delta = (||M - mu I_m||_F^2 + (D - m) mu^2) / D``
+    * ``beta = (sum_k ||x_k||^4 / n - ||M||_F^2) / (D n)``
+
+    so with ``N_e < D`` no ``D x D`` matrix is formed.
     """
     xc = _as_data_matrix(centered)
     d, n = xc.shape
     if n < 2:
         raise ShapeError(f"need at least 2 epochs, got {n}")
-    emp = xc @ xc.T / n
-    emp = (emp + emp.T) / 2.0
-    mu = np.trace(emp) / d
-    delta = ((emp - mu * np.eye(d)) ** 2).sum() / d
+    gram = xc.T @ xc if n < d else xc @ xc.T
+    gram /= n
+    m = gram.shape[0]
+    mu = np.trace(gram) / d
+    gram_sq = np.vdot(gram, gram)
+    gram.flat[:: m + 1] -= mu
+    delta = (np.vdot(gram, gram) + (d - m) * mu * mu) / d
     if delta <= 0.0:
         return 0.0
-    x2 = xc * xc
-    beta = ((x2 @ x2.T) / n - emp * emp).sum() / (d * n)
+    norms = np.einsum("ij,ij->j", xc, xc)
+    beta = (np.vdot(norms, norms) / n - gram_sq) / (d * n)
     beta = min(max(beta, 0.0), delta)
     return float(beta / delta)
 
@@ -168,66 +198,48 @@ def shrink(s: BlockCov, gamma: float | None = None, centered=None) -> ShrinkageR
     nu = float(np.trace(s.data) / d)
     out = (1.0 - gamma) * s.data
     out.flat[:: d + 1] += gamma * nu
-    return ShrinkageResult(BlockCov(s.dims, out, s.layout), gamma, nu)
+    return ShrinkageResult(_owned_cov(s.dims, out), gamma, nu)
 
 
-def within_class_cov(x, labels, dims: BlockDims) -> BlockCov:
-    """Pooled within-class covariance: class-center, then sample covariance.
-
-    Uses the common divisor ``N_e - 1`` on the pooled centered data, so the
-    result is invariant to class-mean shifts.
-    """
-    x = _as_data_matrix(x)
-    if x.shape[1] < 3:
-        raise ShapeError(
-            f"need at least 3 epochs for a within-class covariance, got {x.shape[1]}"
-        )
-    return sample_covariance(center(x, labels=labels), dims)
-
-
-def global_cov(x, dims: BlockDims) -> BlockCov:
-    """Covariance around the global mean, ignoring any labels."""
-    return sample_covariance(center(x), dims)
-
-
-def toeplitz_tapered_cov(
+def estimate_covariance(
     x,
     dims: BlockDims,
-    mode: str = "within",
+    estimator: str = "toeplitz",
+    cov_mode: str = "within",
     labels=None,
     gamma: float | None = None,
-    stationarity: bool = True,
-    taper: bool = True,
-) -> BlockToeplitzCov | BlockCov:
-    """Structured covariance estimate from raw epochs.
+) -> ShrinkageResult:
+    """Shrunk covariance of raw epochs in the structure ``estimator`` names.
 
-    Pipeline: center per ``mode`` ('within' centers by class and requires
-    labels, 'global' centers by the overall mean), sample covariance,
-    shrinkage (analytic intensity unless ``gamma`` is given), then the
-    structural steps selected by the flags:
+    Pipeline: center per ``cov_mode`` ('within' centers by class and
+    requires labels, 'global' centers by the overall mean), sample
+    covariance, shrinkage (analytic intensity unless ``gamma`` is given),
+    then the estimator's structure:
 
-    * ``stationarity`` and ``taper`` (default): block-diagonal averaging
-      followed by linear tapering; returns the compact
-      :class:`BlockToeplitzCov`.
-    * ``stationarity`` only: averaging without tapering (compact form; the
+    * ``slda``: the dense shrunk covariance itself.
+    * ``toeplitz``: block-diagonal averaging followed by linear tapering;
+      the compact :class:`BlockToeplitzCov`.
+    * ``toeplitz_a1_only``: averaging without tapering (compact form; the
       result may be indefinite for small ``N_e``).
-    * ``taper`` only: blockwise tapering of the dense shrunk covariance;
-      returns a dense :class:`BlockCov`.
-    * neither: the dense shrunk covariance itself.
+    * ``toeplitz_a2_only``: blockwise tapering of the dense shrunk
+      covariance; a dense :class:`BlockCov`.
     """
-    if mode not in ("within", "global"):
-        raise ValueError(f"mode must be 'within' or 'global', got {mode!r}")
-    if mode == "within":
-        if labels is None:
-            raise ValueError("mode='within' requires labels")
-        xc = center(x, labels=labels)
-    else:
-        xc = center(x)
-    s = sample_covariance(xc, dims)
-    shrunk = shrink(s, gamma, xc).matrix
-    if stationarity:
-        btc = block_diagonal_average(shrunk)
-        return apply_taper(btc) if taper else btc
+    if estimator not in ESTIMATORS:
+        raise ValueError(
+            f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}"
+        )
+    if cov_mode not in COV_MODES:
+        raise ValueError(
+            f"unknown cov_mode {cov_mode!r}; expected one of {COV_MODES}"
+        )
+    if cov_mode == "within" and labels is None:
+        raise ValueError("cov_mode='within' requires labels")
+    xc = center(x, labels=labels if cov_mode == "within" else None)
+    shrunk = shrink(sample_covariance(xc, dims), gamma, xc)
+    average, taper = _STRUCTURE[estimator]
+    cov = shrunk.matrix
+    if average:
+        cov = block_diagonal_average(cov)
     if taper:
-        return apply_taper_dense(shrunk)
-    return shrunk
+        cov = apply_taper(cov) if average else apply_taper_dense(cov)
+    return replace(shrunk, matrix=cov)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockmat import BlockDims, Layout
+from .blockmat import BlockDims
 from .errors import DataFormatError, ShapeError
 
 FORMAT_VERSION = 1
@@ -165,7 +165,6 @@ class FeatureMatrix:
 
     data: np.ndarray
     dims: BlockDims
-    layout: Layout = Layout.CHANNEL_PRIME
 
     def __post_init__(self):
         data = np.array(self.data, dtype=np.float64, order="C")
@@ -176,7 +175,6 @@ class FeatureMatrix:
             )
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "layout", Layout(self.layout))
 
     @property
     def n_epochs(self) -> int:

@@ -9,12 +9,10 @@ class ShapeError(ToeplitzLdaError, ValueError):
     """An array's dimensions do not match the declared block structure."""
 
 
-class LayoutError(ToeplitzLdaError, ValueError):
-    """An operation received data in the wrong memory layout."""
-
-
 class DataFormatError(ToeplitzLdaError, ValueError):
-    """A dataset directory or model file is malformed or inconsistent."""
+    """Input data is malformed: a bad dataset directory or model file, or
+    non-finite values passed to a fit or a score.
+    """
 
 
 class GroupSizeError(ToeplitzLdaError, ValueError):

@@ -5,7 +5,8 @@ bias is ``-w^T (mu_nontarget + mu_target) / 2``, so the decision boundary
 passes through the midpoint of the class means and ``decision_values`` is
 positive on the target side.
 
-``estimator`` selects the covariance model:
+``Sigma`` comes from :func:`covest.estimate_covariance`; ``estimator``
+selects its structure:
 
 * ``slda`` -- dense shrinkage-regularized sample covariance.
 * ``toeplitz`` -- block-diagonal averaging plus linear tapering; solved in
@@ -19,6 +20,9 @@ positive on the target side.
 ``cov_mode`` selects the centering: 'within' uses per-class means (needs
 labels), 'global' uses the overall mean, which requires no labels when the
 class means are supplied via ``mean_override``.
+
+``fit`` and ``decision_values`` reject non-finite input with
+:class:`DataFormatError`.
 """
 
 from __future__ import annotations
@@ -31,21 +35,10 @@ from pathlib import Path
 import numpy as np
 
 from . import covest
-from .blockmat import (
-    BlockCov,
-    BlockDims,
-    BlockToeplitzCov,
-    apply_taper,
-    apply_taper_dense,
-    block_diagonal_average,
-    to_dense,
-)
+from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, to_dense
 from .btsolve import SolveReport, block_levinson_solve, dense_solve
-from .covest import ClassStats
+from .covest import COV_MODES, ESTIMATORS, ClassStats
 from .errors import DataFormatError, ShapeError, SolveBreakdownError
-
-ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
-COV_MODES = ("within", "global")
 
 MODEL_FORMAT_VERSION = 1
 
@@ -73,29 +66,16 @@ class LdaModel:
         object.__setattr__(self, "weights", w)
 
 
-def _estimate_covariance(
-    x: np.ndarray,
-    dims: BlockDims,
-    estimator: str,
-    cov_mode: str,
-    labels,
-    gamma: float | None,
-) -> tuple[BlockCov | BlockToeplitzCov, float]:
-    """Shrunk covariance in the structure the estimator asks for."""
-    if cov_mode == "within":
-        centered = covest.center(x, labels=labels)
-    else:
-        centered = covest.center(x)
-    sample = covest.sample_covariance(centered, dims)
-    shrunk = covest.shrink(sample, gamma, centered)
-    if estimator == "slda":
-        return shrunk.matrix, shrunk.gamma
-    if estimator == "toeplitz_a2_only":
-        return apply_taper_dense(shrunk.matrix), shrunk.gamma
-    averaged = block_diagonal_average(shrunk.matrix)
-    if estimator == "toeplitz_a1_only":
-        return averaged, shrunk.gamma
-    return apply_taper(averaged), shrunk.gamma
+def _finite_features(x, dims: BlockDims) -> np.ndarray:
+    """``x`` as a finite ``D x N_e`` float64 matrix, without copying float64 input."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != dims.size:
+        raise ShapeError(
+            f"feature matrix has shape {x.shape}, expected ({dims.size}, n_epochs)"
+        )
+    if not np.isfinite(x).all():
+        raise DataFormatError("feature matrix contains non-finite values")
+    return x
 
 
 def _solve(cov: BlockCov | BlockToeplitzCov, delta: np.ndarray, estimator: str) -> SolveReport:
@@ -127,25 +107,9 @@ def fit(
     computed on a larger dataset) while the covariance still comes from
     ``x``.  ``gamma`` overrides the analytic shrinkage intensity.
     """
-    if estimator not in ESTIMATORS:
-        raise ValueError(
-            f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}"
-        )
-    if cov_mode not in COV_MODES:
-        raise ValueError(
-            f"unknown cov_mode {cov_mode!r}; expected one of {COV_MODES}"
-        )
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"feature matrix must be 2-D (D x N_e), got {x.shape}")
     if dims is None:
         raise ValueError("dims is required")
-    if x.shape[0] != dims.size:
-        raise ShapeError(
-            f"feature dimension {x.shape[0]} does not match dims.size {dims.size}"
-        )
-    if cov_mode == "within" and labels is None:
-        raise ValueError("cov_mode='within' requires labels")
+    x = _finite_features(x, dims)
     if mean_override is None:
         if labels is None:
             raise ValueError("labels are required when mean_override is not given")
@@ -157,8 +121,10 @@ def fit(
                 f"mean_override dimension {stats.means.shape[1]} does not "
                 f"match dims.size {dims.size}"
             )
+        if not np.isfinite(stats.means).all():
+            raise DataFormatError("mean_override contains non-finite class means")
 
-    cov, gamma_used = _estimate_covariance(x, dims, estimator, cov_mode, labels, gamma)
+    shrunk = covest.estimate_covariance(x, dims, estimator, cov_mode, labels, gamma)
     delta = stats.means[1] - stats.means[0]
     if np.linalg.norm(delta) == 0.0:
         warnings.warn(
@@ -172,10 +138,10 @@ def fit(
             dims=dims,
             estimator=estimator,
             cov_mode=cov_mode,
-            gamma=gamma_used,
+            gamma=shrunk.gamma,
             degenerate=True,
         )
-    report = _solve(cov, delta, estimator)
+    report = _solve(shrunk.matrix, delta, estimator)
     w = report.solution
     bias = float(-0.5 * (w @ (stats.means[0] + stats.means[1])))
     return LdaModel(
@@ -184,20 +150,14 @@ def fit(
         dims=dims,
         estimator=estimator,
         cov_mode=cov_mode,
-        gamma=gamma_used,
+        gamma=shrunk.gamma,
         well_conditioned=report.well_conditioned,
     )
 
 
 def decision_values(model: LdaModel, x) -> np.ndarray:
     """Signed scores ``w^T x + b`` for feature columns (positive = target)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != model.dims.size:
-        raise ShapeError(
-            f"feature matrix has shape {x.shape}, expected "
-            f"({model.dims.size}, n_epochs)"
-        )
-    return model.weights @ x + model.bias
+    return model.weights @ _finite_features(x, model.dims) + model.bias
 
 
 def save_model(model: LdaModel, path) -> None:

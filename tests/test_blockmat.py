@@ -1,24 +1,24 @@
-"""Layout, block-diagonal averaging, tapering, and parameter counting."""
+"""Channel-prime layout, block-diagonal averaging, tapering, and parameter counting."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toeplitzlda.blockmat import (
     BlockCov,
     BlockDims,
     BlockToeplitzCov,
-    Layout,
     apply_taper,
     apply_taper_dense,
     block_at,
     block_diagonal_average,
-    flatten_epoch,
     free_parameter_count,
-    permute_layout,
     taper_weight,
     to_dense,
 )
-from toeplitzlda.errors import LayoutError, ShapeError
+from toeplitzlda.dataio import Epochs, all_samples
+from toeplitzlda.errors import ShapeError
 
 
 def random_symmetric(rng, d):
@@ -41,60 +41,28 @@ def random_spd_block_toeplitz(rng, nc, nt, ridge=None):
 
 # ---------------------------------------------------------------- layout
 
+def flatten(epoch):
+    """Channel-prime feature vector of one epoch, through feature extraction."""
+    nc, nt = epoch.shape
+    epochs = Epochs(epoch[None], sfreq=1.0, t0=0.0, channel_names=range(nc))
+    return all_samples(epochs, (0.0, float(nt))).data[:, 0]
+
+
 def test_flatten_channel_prime_interleaves_channels_fastest():
     # epoch rows = channels, columns = time; sample t=0 carries [1, 3]
     epoch = np.array([[1.0, 2.0], [3.0, 4.0]])
-    flat = flatten_epoch(epoch, Layout.CHANNEL_PRIME)
+    flat = flatten(epoch)
     assert flat.tolist() == [1.0, 3.0, 2.0, 4.0]
-
-
-def test_flatten_time_prime_keeps_channel_rows_contiguous():
-    epoch = np.array([[1.0, 2.0], [3.0, 4.0]])
-    flat = flatten_epoch(epoch, Layout.TIME_PRIME)
-    assert flat.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_flatten_matches_index_law():
     rng = np.random.default_rng(0)
     nc, nt = 3, 5
     epoch = rng.standard_normal((nc, nt))
-    flat = flatten_epoch(epoch, Layout.CHANNEL_PRIME)
+    flat = flatten(epoch)
     for c in range(nc):
         for t in range(nt):
             assert flat[t * nc + c] == epoch[c, t]
-
-
-def test_permute_layout_is_involution():
-    rng = np.random.default_rng(1)
-    dims = BlockDims(4, 6)
-    v = rng.standard_normal(dims.size)
-    back = permute_layout(
-        permute_layout(v, dims, Layout.CHANNEL_PRIME, Layout.TIME_PRIME),
-        dims,
-        Layout.TIME_PRIME,
-        Layout.CHANNEL_PRIME,
-    )
-    assert np.array_equal(back, v)
-    m = random_symmetric(rng, dims.size)
-    back_m = permute_layout(
-        permute_layout(m, dims, Layout.CHANNEL_PRIME, Layout.TIME_PRIME),
-        dims,
-        Layout.TIME_PRIME,
-        Layout.CHANNEL_PRIME,
-    )
-    assert np.array_equal(back_m, m)
-
-
-def test_permute_layout_matrix_conjugates_consistently_with_vectors():
-    rng = np.random.default_rng(2)
-    dims = BlockDims(2, 3)
-    m = random_symmetric(rng, dims.size)
-    v = rng.standard_normal(dims.size)
-    mv = m @ v
-    mp = permute_layout(m, dims, Layout.CHANNEL_PRIME, Layout.TIME_PRIME)
-    vp = permute_layout(v, dims, Layout.CHANNEL_PRIME, Layout.TIME_PRIME)
-    mvp = permute_layout(mv, dims, Layout.CHANNEL_PRIME, Layout.TIME_PRIME)
-    assert np.allclose(mp @ vp, mvp, rtol=0, atol=1e-12)
 
 
 def test_block_at_reads_channel_blocks():
@@ -103,16 +71,9 @@ def test_block_at_reads_channel_blocks():
     m = random_symmetric(rng, dims.size)
     cov = BlockCov(dims=dims, data=m)
     assert np.array_equal(block_at(cov, 1, 2), m[2:4, 4:6])
-    assert np.array_equal(cov.block(0, 0), m[0:2, 0:2])
+    assert np.array_equal(block_at(cov, 0, 0), m[0:2, 0:2])
     with pytest.raises(ShapeError):
         block_at(cov, 0, 3)
-
-
-def test_block_at_rejects_time_prime_layout():
-    dims = BlockDims(2, 2)
-    cov = BlockCov(dims=dims, data=np.eye(4), layout=Layout.TIME_PRIME)
-    with pytest.raises(LayoutError):
-        block_at(cov, 0, 0)
 
 
 # ----------------------------------------------------- averaging and taper
@@ -280,11 +241,24 @@ def test_block_cov_rejects_asymmetric_data():
         BlockCov(dims=dims, data=np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@settings(max_examples=50, deadline=None)
+@given(nc=st.integers(1, 3), nt=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_public_block_cov_copies_and_checks_its_input(nc, nt, seed):
+    rng = np.random.default_rng(seed)
+    dims = BlockDims(nc, nt)
+    m = random_symmetric(rng, dims.size)
+    cov = BlockCov(dims=dims, data=m)
+    kept = cov.data.copy()
+    m += 1.0
+    assert np.array_equal(cov.data, kept)
+    assert not cov.data.flags.writeable
+    if dims.size > 1:
+        skewed = m.copy()
+        skewed[0, -1] += 1e-6 * (1.0 + np.abs(m).max())
+        with pytest.raises(ShapeError):
+            BlockCov(dims=dims, data=skewed)
+
+
 def test_block_toeplitz_rejects_wrong_shape():
     with pytest.raises(ShapeError):
         BlockToeplitzCov(dims=BlockDims(2, 2), lag_blocks=np.zeros((3, 2, 2)))
-
-
-def test_flatten_rejects_non_2d_epoch():
-    with pytest.raises(ShapeError):
-        flatten_epoch(np.zeros(4), Layout.CHANNEL_PRIME)

@@ -291,6 +291,23 @@ def test_fit_malformed_means_file_is_data_error(dataset96, tmp_path, capsys):
     assert "malformed" in stderr
 
 
+def test_fit_non_finite_means_file_is_data_error(dataset96, tmp_path, capsys):
+    d = BlockDims(8, 20).size
+    means = [np.zeros(d).tolist(), np.ones(d).tolist()]
+    means[1][3] = float("nan")
+    means_file = tmp_path / "means.json"
+    means_file.write_text(json.dumps({"means": means, "counts": [80, 16]}))
+    model_path = tmp_path / "m.json"
+    code, stdout, stderr = run(
+        capsys, "fit", "--dataset-dir", str(dataset96),
+        "--model-path", str(model_path), "--means-file", str(means_file)
+    )
+    assert code == 2
+    assert "non-finite" in stderr
+    assert stdout == ""
+    assert not model_path.exists()
+
+
 def test_score_dimension_mismatch_is_data_error(dataset96, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     run(capsys, "fit", "--dataset-dir", str(dataset96),

@@ -2,23 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toeplitzlda import covest, synth
 from toeplitzlda.blockmat import (
     BlockCov,
     BlockDims,
+    apply_taper_dense,
     block_diagonal_average,
     to_dense,
 )
 from toeplitzlda.covest import (
     center,
     class_means,
-    global_cov,
+    estimate_covariance,
     ledoit_wolf_gamma,
     sample_covariance,
     shrink,
-    toeplitz_tapered_cov,
-    within_class_cov,
 )
 from toeplitzlda.errors import ShapeError
 
@@ -186,6 +187,26 @@ def test_analytic_gamma_matches_independent_oracle():
         )
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 24),
+    n=st.integers(2, 40),
+    log_scale=st.sampled_from([-50, 0, 50]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=1, n=2, log_scale=0, seed=0)
+@example(d=1, n=2, log_scale=50, seed=1)
+@example(d=20, n=3, log_scale=-50, seed=2)
+@example(d=3, n=40, log_scale=50, seed=3)
+def test_analytic_gamma_matches_oracle_on_either_side_of_n_equals_d(d, n, log_scale, seed):
+    # The intensity is computed from the smaller of the N_e x N_e and D x D
+    # products; the oracle always forms the D x D covariance.
+    rng = np.random.default_rng(seed)
+    mix = rng.standard_normal((d, d)) * rng.uniform(0.1, 3.0, size=d)
+    xc = center(10.0**log_scale * (mix @ rng.standard_normal((d, n))))
+    assert abs(ledoit_wolf_gamma(xc) - brute_force_lw_gamma(xc)) <= 1e-12
+
+
 def test_analytic_gamma_grows_when_samples_shrink():
     # Anisotropic truth: with ample data the sample covariance is trusted
     # (small gamma); starved of data the intensity rises.
@@ -205,7 +226,42 @@ def test_shrink_rejects_gamma_outside_unit_interval():
         shrink(s, 1.5)
 
 
+# ------------------------------------------------------ internal producers
+
+@settings(max_examples=50, deadline=None)
+@given(
+    nc=st.integers(1, 4),
+    nt=st.integers(1, 6),
+    n=st.integers(2, 30),
+    gamma=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_producers_return_read_only_exactly_symmetric_data(nc, nt, n, gamma, seed):
+    dims = BlockDims(nc, nt)
+    rng = np.random.default_rng(seed)
+    xc = center(rng.standard_normal((dims.size, n)) * rng.uniform(0.1, 5.0))
+    sample = sample_covariance(xc, dims)
+    shrunk = shrink(sample, gamma, xc).matrix
+    produced = [
+        sample.data,
+        shrunk.data,
+        apply_taper_dense(shrunk).data,
+        to_dense(block_diagonal_average(shrunk)).data,
+    ]
+    for a in produced:
+        assert not a.flags.writeable
+        assert np.array_equal(a, a.T)
+
+
 # ------------------------------------------------------- class covariances
+
+def within_class_cov(x, labels, dims):
+    return sample_covariance(center(x, labels=labels), dims)
+
+
+def global_cov(x, dims):
+    return sample_covariance(center(x), dims)
+
 
 def test_within_class_cov_of_per_class_constants_is_zero():
     x = np.array([[1.0, 1.0, 5.0, 5.0], [2.0, 2.0, -3.0, -3.0]])
@@ -215,13 +271,17 @@ def test_within_class_cov_of_per_class_constants_is_zero():
 
 
 def test_within_class_cov_equals_sample_cov_of_class_centered_data():
+    # Oracle: subtract each class mean by hand, then the double-loop sum.
     rng = np.random.default_rng(9)
     dims = BlockDims(2, 3)
     x = rng.standard_normal((6, 15))
     labels = (np.arange(15) % 3 == 0).astype(int)
+    manual = x.copy()
+    for cls in (0, 1):
+        manual[:, labels == cls] -= x[:, labels == cls].mean(axis=1)[:, None]
     w = within_class_cov(x, labels, dims)
-    expect = sample_covariance(center(x, labels=labels), dims)
-    assert np.array_equal(w.data, expect.data)
+    expect = brute_force_covariance(manual)
+    assert np.abs(w.data - expect).max() < 1e-12 * np.abs(expect).max()
 
 
 def test_within_class_cov_ignores_injected_mean_shift():
@@ -270,12 +330,16 @@ def test_global_cov_decomposes_into_within_plus_mean_shift_term():
 
 
 def test_global_cov_on_single_class_equals_within_centering():
+    # Both classes share one mean, so global and class centering coincide.
     rng = np.random.default_rng(12)
     dims = BlockDims(2, 2)
-    x = rng.standard_normal((4, 9))
+    half = rng.standard_normal((4, 5))
+    x = np.concatenate([half, 2.0 * half], axis=1)
+    x[:, 5:] -= x[:, 5:].mean(axis=1)[:, None] - half.mean(axis=1)[:, None]
+    labels = np.repeat([0, 1], 5)
     g = global_cov(x, dims)
-    expect = sample_covariance(center(x), dims)
-    assert np.array_equal(g.data, expect.data)
+    w = within_class_cov(x, labels, dims)
+    assert np.allclose(g.data, w.data, rtol=0, atol=1e-14)
 
 
 def test_global_cov_of_precentered_input_is_stable_under_recentering():
@@ -305,7 +369,7 @@ def test_structured_estimate_approaches_true_covariance():
     epochs = synth.generate_noise(model, 4000, dims, seed=0)
     x = flatten_epochs(epochs)
     labels = (np.arange(4000) % 6 == 0).astype(int)
-    est = toeplitz_tapered_cov(x, dims, mode="within", labels=labels)
+    est = estimate_covariance(x, dims, "toeplitz", "within", labels).matrix
     true = synth.true_covariance(model, dims)
     err = np.linalg.norm(
         to_dense(est).data - to_dense(true).data
@@ -318,7 +382,7 @@ def test_structured_estimate_single_time_sample_is_shrunk_spatial_cov():
     dims = BlockDims(4, 1)
     x = rng.standard_normal((4, 50))
     labels = (np.arange(50) % 2).astype(int)
-    est = toeplitz_tapered_cov(x, dims, mode="within", labels=labels)
+    est = estimate_covariance(x, dims, "toeplitz", "within", labels).matrix
     xc = center(x, labels=labels)
     expect = shrink(sample_covariance(xc, dims), None, xc)
     assert np.allclose(
@@ -337,7 +401,7 @@ def test_ablation_variants_produce_three_distinct_matrices():
     shrunk = shrink(sample_covariance(xc, dims), None, xc)
     averaged = to_dense(block_diagonal_average(shrunk.matrix)).data
     tapered_only = covest.apply_taper_dense(shrunk.matrix).data
-    both = to_dense(toeplitz_tapered_cov(x, dims, mode="within", labels=labels)).data
+    both = to_dense(estimate_covariance(x, dims, "toeplitz", "within", labels).matrix).data
     assert not np.allclose(averaged, tapered_only)
     assert not np.allclose(averaged, both)
     assert not np.allclose(tapered_only, both)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toeplitzlda import synth
-from toeplitzlda.blockmat import BlockDims, Layout, flatten_epoch
+from toeplitzlda.blockmat import BlockDims
 from toeplitzlda.dataio import (
     Epochs,
     FeatureConfig,
@@ -147,11 +147,8 @@ def test_full_window_is_the_flatten_identity():
     epochs = small_epochs(nc=3, nt=6, sfreq=40.0, t0=0.1)
     fm = all_samples(epochs, (0.1, 0.1 + 6 / 40.0))
     assert fm.dims == epochs.dims
-    assert fm.layout == Layout.CHANNEL_PRIME
     for e in range(epochs.n_epochs):
-        assert np.array_equal(
-            fm.data[:, e], flatten_epoch(epochs.data[e], Layout.CHANNEL_PRIME)
-        )
+        assert np.array_equal(fm.data[:, e], epochs.data[e].T.ravel())
 
 
 def test_all_samples_rejects_bad_windows():

@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toeplitzlda import covest, lda, synth
-from toeplitzlda.blockmat import BlockDims, to_dense
+from toeplitzlda.blockmat import (
+    BlockDims,
+    apply_taper,
+    apply_taper_dense,
+    block_diagonal_average,
+    to_dense,
+)
 from toeplitzlda.btsolve import dense_solve
 from toeplitzlda.covest import ClassStats
 from toeplitzlda.errors import DataFormatError, ShapeError
@@ -56,7 +64,7 @@ def test_boundary_passes_through_class_mean_midpoint():
 def test_toeplitz_weights_solve_the_structured_system():
     x, labels, dims = labeled_features(2, 4, 60, seed=1)
     model = fit(x, labels, dims=dims, estimator="toeplitz")
-    cov = covest.toeplitz_tapered_cov(x, dims, mode="within", labels=labels)
+    cov = covest.estimate_covariance(x, dims, "toeplitz", "within", labels).matrix
     stats = covest.class_means(x, labels)
     delta = stats.means[1] - stats.means[0]
     oracle = dense_solve(to_dense(cov), delta)
@@ -114,6 +122,48 @@ def test_estimators_agree_given_ample_stationary_data():
         w_t = fit(x, labels, dims=dims, estimator="toeplitz").weights
         cos = w_s @ w_t / (np.linalg.norm(w_s) * np.linalg.norm(w_t))
         assert cos >= 0.99
+
+
+def stage_by_stage_covariance(x, labels, dims, estimator, cov_mode):
+    """Dense oracle: each stage of the estimator run by hand."""
+    xc = covest.center(x, labels=labels if cov_mode == "within" else None)
+    shrunk = covest.shrink(covest.sample_covariance(xc, dims), None, xc).matrix
+    if estimator == "slda":
+        return shrunk.data
+    if estimator == "toeplitz_a2_only":
+        return apply_taper_dense(shrunk).data
+    averaged = block_diagonal_average(shrunk)
+    if estimator == "toeplitz":
+        averaged = apply_taper(averaged)
+    return to_dense(averaged).data
+
+
+@pytest.mark.parametrize("cov_mode", lda.COV_MODES)
+@pytest.mark.parametrize("estimator", lda.ESTIMATORS)
+@settings(max_examples=25, deadline=None)
+@given(
+    nc=st.integers(1, 3),
+    nt=st.integers(1, 6),
+    n=st.integers(4, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pipeline_weights_match_the_stage_by_stage_dense_oracle(
+    estimator, cov_mode, nc, nt, n, seed
+):
+    dims = BlockDims(nc, nt)
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % 2
+    shift = np.outer(rng.standard_normal(dims.size), labels)
+    x = rng.standard_normal((dims.size, n)) + 0.5 * shift
+    cov = stage_by_stage_covariance(x, labels, dims, estimator, cov_mode)
+    # A cosine of 1 - 1e-10 allows a relative error near 1e-5, which any
+    # solver reaches on a system this well conditioned.
+    assume(np.linalg.cond(cov) < 1e8)
+    stats = covest.class_means(x, labels)
+    oracle = np.linalg.solve(cov, stats.means[1] - stats.means[0])
+    w = fit(x, labels, dims=dims, estimator=estimator, cov_mode=cov_mode).weights
+    cos = w @ oracle / (np.linalg.norm(w) * np.linalg.norm(oracle))
+    assert cos >= 1.0 - 1e-10
 
 
 def test_global_and_within_agree_without_shrinkage():
@@ -251,6 +301,26 @@ def test_fit_validates_inputs():
         fit(x, None, dims=dims, cov_mode="global",
             mean_override=ClassStats(means=np.zeros((2, 5)),
                                      counts=np.array([5, 5])))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_and_scoring_reject_non_finite_input(bad):
+    x, labels, dims = labeled_features(2, 3, 24, seed=11)
+    for estimator in ("slda", "toeplitz"):
+        poisoned = x.copy()
+        poisoned[4, 7] = bad
+        with pytest.raises(DataFormatError, match="non-finite"):
+            fit(poisoned, labels, dims=dims, estimator=estimator)
+    stats = covest.class_means(x, labels)
+    means = stats.means.copy()
+    means[1, 0] = bad
+    with pytest.raises(DataFormatError, match="non-finite"):
+        fit(x, labels, dims=dims, mean_override=ClassStats(means, stats.counts))
+    model = fit(x, labels, dims=dims)
+    poisoned = x.copy()
+    poisoned[0, 0] = bad
+    with pytest.raises(DataFormatError, match="non-finite"):
+        decision_values(model, poisoned)
 
 
 def test_decision_values_validate_shape():
