@@ -2,10 +2,14 @@
 
 ``block_levinson_solve`` solves ``T x = b`` where ``T`` is the symmetric
 positive definite dense expansion of a :class:`BlockToeplitzCov`, without
-ever forming ``T``.  It runs a symmetric block Levinson recursion over the
-``n_times`` block rows, carrying forward and backward solves of the leading
-block minors, for a cost of O(n_times^2) block operations instead of the
-O(n_times^3) of a dense factorization.  All right-hand-side columns are
+ever forming ``T``.  It runs the multichannel Levinson–Whittle recursion
+(Whittle 1963; Akaike 1973): step ``m`` extends a forward and a backward
+predictor of the leading ``m``-block minor by one block with a few GEMMs
+over the stacked lag blocks, for O(n_times^2) block operations instead of
+the O(n_times^3) of a dense factorization.  The leading ``(m+1)``-block
+minor is positive definite exactly when the ``m``-block one and the two new
+prediction-error covariances are, so the Cholesky factorizations that the
+next step needs also detect breakdown.  All right-hand-side columns are
 solved in one pass.
 
 ``dense_solve`` is the Cholesky-based reference path for dense covariance
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .blockmat import BlockCov, BlockToeplitzCov
 from .errors import ShapeError, SolveBreakdownError, SolveError
@@ -52,22 +57,6 @@ def _as_rhs(b, d: int) -> tuple[np.ndarray, bool]:
     return b, squeeze
 
 
-def _check_step_pd(first_block: np.ndarray, order: int) -> None:
-    """Positive definiteness test for one recursion step's Schur complement.
-
-    The first block of the forward solve is the inverse Schur complement of
-    the leading minor; its Cholesky factorization fails exactly when the
-    minor sequence stops being positive definite.
-    """
-    sym = (first_block + first_block.T) / 2.0
-    if not np.isfinite(sym).all():
-        raise SolveBreakdownError(order)
-    try:
-        np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        raise SolveBreakdownError(order) from None
-
-
 def block_toeplitz_matmul(btc: BlockToeplitzCov, x: np.ndarray) -> np.ndarray:
     """Product of the dense expansion of ``btc`` with ``x``, lag by lag."""
     d = btc.dims.size
@@ -83,6 +72,16 @@ def block_toeplitz_matmul(btc: BlockToeplitzCov, x: np.ndarray) -> np.ndarray:
     return y[:, 0] if squeeze else y
 
 
+def _cholesky(v: np.ndarray, order: int) -> np.ndarray:
+    """Lower Cholesky factor of a prediction-error covariance of the leading
+    ``order``-block minor; given that the smaller minors are positive
+    definite, it fails exactly when this one is not."""
+    factor, info = dpotrf(v, lower=1)
+    if info != 0 or not np.isfinite(v).all():
+        raise SolveBreakdownError(order)
+    return factor
+
+
 def block_levinson_solve(btc: BlockToeplitzCov, b) -> SolveReport:
     """Solve the symmetric block-Toeplitz system defined by ``btc``.
 
@@ -93,52 +92,41 @@ def block_levinson_solve(btc: BlockToeplitzCov, b) -> SolveReport:
     d = btc.dims.size
     b, squeeze = _as_rhs(b, d)
     nc, nt = btc.dims.n_channels, btc.dims.n_times
-    n_rhs = b.shape[1]
     lags = btc.lag_blocks
-    lags_t = np.swapaxes(lags, 1, 2)
-    y = b.reshape(nt, nc, n_rhs)
-    eye = np.eye(nc)
+    y = b.reshape(nt, nc, -1)
+    # The last m blocks of ``row`` are [L[m]^T ... L[1]^T]: block row m of
+    # the dense matrix, left of the diagonal.
+    row = lags[:0:-1].transpose(2, 0, 1).reshape(nc, (nt - 1) * nc)
 
-    _check_step_pd(lags[0], 1)
-    fwd = np.empty((nt, nc, nc))
-    bwd = np.empty((nt, nc, nc))
-    x = np.empty((nt, nc, n_rhs))
-    c0_inv = np.linalg.solve(lags[0], eye)
-    fwd[0] = c0_inv
-    bwd[0] = c0_inv
-    x[0] = np.linalg.solve(lags[0], y[0])
+    # The forward predictor (first block I) fills from the top and the
+    # backward one (last block I) from the bottom, so that each step only
+    # writes the blocks that change; the unwritten ones are zero.
+    fwd = np.eye(d, nc)
+    bwd = np.eye(d, nc, nc - d)
+    v_f = v_b = lags[0]
+    chol_f = chol_b = _cholesky(lags[0], 1)
+    x = np.zeros_like(b)
+    x[:nc] = dpotrs(chol_b, y[0], lower=1)[0]
 
-    for nu in range(1, nt):
-        eps_f = np.einsum("dij,djk->ik", lags_t[1 : nu + 1], fwd[nu - 1 :: -1])
-        eps_b = np.einsum("dij,djk->ik", lags[1 : nu + 1], bwd[:nu])
-        eps_x = np.einsum("dij,djk->ik", lags_t[1 : nu + 1], x[nu - 1 :: -1])
-        try:
-            coef_f = np.linalg.solve(eye - eps_b @ eps_f, eye)
-            coef_b = np.linalg.solve(eye - eps_f @ eps_b, eye)
-        except np.linalg.LinAlgError:
-            raise SolveBreakdownError(nu + 1) from None
-        cross_f = -eps_f @ coef_f
-        cross_b = -eps_b @ coef_b
+    for m in range(1, nt):
+        row_m = row[:, (nt - 1 - m) * nc :]
+        delta = row_m @ fwd[: m * nc]
+        k_f = dpotrs(chol_b, delta, lower=1)[0]
+        k_b = dpotrs(chol_f, delta.T, lower=1)[0]
+        # Each predictor update reads the other predictor before it changes.
+        fwd_step = bwd[(nt - m) * nc :] @ k_f
+        bwd[(nt - m - 1) * nc : (nt - 1) * nc] -= fwd[: m * nc] @ k_b
+        fwd[nc : (m + 1) * nc] -= fwd_step
+        v_f = v_f - delta.T @ k_f
+        v_b = v_b - delta @ k_b
+        chol_f = _cholesky(v_f, m + 1)
+        chol_b = _cholesky(v_b, m + 1)
+        err = y[m] - row_m @ x[: m * nc]
+        corr = dpotrs(chol_b, err, lower=1)[0]
+        x[: (m + 1) * nc] += bwd[(nt - m - 1) * nc :] @ corr
 
-        fwd_scaled = fwd[:nu] @ coef_f
-        fwd_cross = bwd[:nu] @ cross_f
-        bwd_scaled = bwd[:nu] @ coef_b
-        bwd_cross = fwd[:nu] @ cross_b
-
-        fwd[:nu] = fwd_scaled
-        fwd[nu] = 0.0
-        fwd[1 : nu + 1] += fwd_cross
-        bwd[:nu] = bwd_cross
-        bwd[nu] = 0.0
-        bwd[1 : nu + 1] += bwd_scaled
-        _check_step_pd(fwd[0], nu + 1)
-
-        x[nu] = 0.0
-        x[: nu + 1] += bwd[: nu + 1] @ (y[nu] - eps_x)
-
-    solution = x.reshape(d, n_rhs)
-    residual = float(np.linalg.norm(block_toeplitz_matmul(btc, solution) - b))
-    solution = solution[:, 0] if squeeze else solution
+    residual = float(np.linalg.norm(block_toeplitz_matmul(btc, x) - b))
+    solution = x[:, 0] if squeeze else x
     return SolveReport(solution, "levinson", residual, True)
 
 

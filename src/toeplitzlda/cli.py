@@ -153,13 +153,13 @@ def cmd_bench(args) -> int:
 
 
 def _load_means_file(path) -> ClassStats:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
         means = np.asarray(raw["means"], dtype=np.float64)
         counts = np.asarray(raw["counts"], dtype=np.int64)
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"means file {path} is malformed: {exc}")
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or ragged
+        raise DataFormatError(f"means file {path} is malformed: {exc!r}") from exc
     return ClassStats(means=means, counts=counts)
 
 

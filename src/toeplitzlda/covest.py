@@ -133,6 +133,10 @@ def center(x, means=None, labels=None) -> np.ndarray:
 def sample_covariance(centered, dims: BlockDims) -> BlockCov:
     """Sample covariance of centered data with divisor ``N_e - 1``."""
     xc = _as_data_matrix(centered)
+    # On one C- or F-contiguous buffer numpy computes xc @ xc.T with SYRK and
+    # mirrors a triangle, so S is exactly symmetric; a strided view goes to GEMM.
+    if not (xc.flags.c_contiguous or xc.flags.f_contiguous):
+        xc = np.ascontiguousarray(xc)
     d, n = xc.shape
     if d != dims.size:
         raise ShapeError(f"data dimension {d} does not match dims.size {dims.size}")
@@ -140,9 +144,6 @@ def sample_covariance(centered, dims: BlockDims) -> BlockCov:
         raise ShapeError(f"need at least 2 epochs for a covariance, got {n}")
     s = xc @ xc.T
     s /= n - 1
-    # (S + S^T) / 2 in place: exactly symmetric whatever the product's rounding.
-    s += s.T
-    s /= 2.0
     return _owned_cov(dims, s)
 
 

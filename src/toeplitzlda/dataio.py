@@ -125,14 +125,22 @@ def read_dataset(directory) -> Epochs:
     meta_path = directory / "meta.json"
     if not meta_path.is_file():
         raise DataFormatError(f"missing meta.json in {directory}")
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    version = meta.get("format_version")
+    try:
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        version = meta.get("format_version")
+    except (AttributeError, ValueError) as exc:  # not a JSON object
+        raise DataFormatError(f"malformed meta.json in {directory}: {exc!r}") from exc
     if version != FORMAT_VERSION:
         raise DataFormatError(
             f"unsupported format version {version!r}, expected {FORMAT_VERSION}"
         )
-    shape = (meta["n_epochs"], meta["n_channels"], meta["n_times"])
+    try:
+        shape = (meta["n_epochs"], meta["n_channels"], meta["n_times"])
+        sfreq, t0 = float(meta["sfreq"]), float(meta["t0"])
+        channel_names = tuple(meta["channel_names"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"malformed meta.json in {directory}: {exc!r}") from exc
     raw = (directory / "data.bin").read_bytes()
     expected = int(np.prod(shape)) * 8
     if len(raw) != expected:
@@ -151,11 +159,7 @@ def read_dataset(directory) -> Epochs:
             )
         labels = np.frombuffer(raw_labels, dtype=np.uint8)
     return Epochs(
-        data=data,
-        sfreq=float(meta["sfreq"]),
-        t0=float(meta["t0"]),
-        channel_names=tuple(meta["channel_names"]),
-        labels=labels,
+        data=data, sfreq=sfreq, t0=t0, channel_names=channel_names, labels=labels
     )
 
 

@@ -26,9 +26,9 @@ class SolveError(ToeplitzLdaError):
 class SolveBreakdownError(SolveError):
     """The block Levinson recursion hit a non-positive-definite leading minor.
 
-    ``order`` is the number of leading block rows in the failing minor
-    (1-based count, i.e. the recursion step at which the factorization of
-    the Schur complement failed).
+    A forward or backward prediction-error covariance failed to Cholesky-
+    factor (or was not finite).  ``order`` is the number of leading block
+    rows in the first minor that is not positive definite (1-based).
     """
 
     def __init__(self, order: int, message: str | None = None):

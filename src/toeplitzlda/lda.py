@@ -184,9 +184,12 @@ def save_model(model: LdaModel, path) -> None:
 
 def load_model(path) -> LdaModel:
     """Read a model written by :func:`save_model`."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = payload.get("format_version")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        version = payload.get("format_version")
+    except (AttributeError, ValueError) as exc:  # not a JSON object
+        raise DataFormatError(f"malformed model file {path}: {exc!r}") from exc
     if version != MODEL_FORMAT_VERSION:
         raise DataFormatError(
             f"unsupported model format version {version!r}, "
@@ -196,13 +199,16 @@ def load_model(path) -> LdaModel:
         raise DataFormatError(f"unknown estimator {payload.get('estimator')!r}")
     if payload.get("cov_mode") not in COV_MODES:
         raise DataFormatError(f"unknown cov_mode {payload.get('cov_mode')!r}")
-    return LdaModel(
-        weights=np.array(payload["weights"], dtype=np.float64),
-        bias=float(payload["bias"]),
-        dims=BlockDims(int(payload["n_channels"]), int(payload["n_times"])),
-        estimator=payload["estimator"],
-        cov_mode=payload["cov_mode"],
-        gamma=float(payload["gamma"]),
-        well_conditioned=bool(payload.get("well_conditioned", True)),
-        degenerate=bool(payload.get("degenerate", False)),
-    )
+    try:
+        return LdaModel(
+            weights=np.array(payload["weights"], dtype=np.float64),
+            bias=float(payload["bias"]),
+            dims=BlockDims(int(payload["n_channels"]), int(payload["n_times"])),
+            estimator=payload["estimator"],
+            cov_mode=payload["cov_mode"],
+            gamma=float(payload["gamma"]),
+            well_conditioned=bool(payload.get("well_conditioned", True)),
+            degenerate=bool(payload.get("degenerate", False)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"malformed model file {path}: {exc!r}") from exc

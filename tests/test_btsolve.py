@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toeplitzlda.blockmat import BlockCov, BlockDims, BlockToeplitzCov, to_dense
 from toeplitzlda.btsolve import (
@@ -23,6 +25,13 @@ def random_spd_block_toeplitz(rng, nc, nt, ridge=0.5):
         lags[d] = r[d] * (mix @ mix.T)
     lags[0] += ridge * np.eye(nc)
     return BlockToeplitzCov(dims=dims, lag_blocks=lags)
+
+
+def random_lags(rng, nc, nt):
+    """Random lag blocks: asymmetric for lags >= 1, symmetric at lag 0."""
+    lags = rng.standard_normal((nt, nc, nc))
+    lags[0] = (lags[0] + lags[0].T) / 2.0
+    return lags
 
 
 def scalar_toeplitz(first_row):
@@ -84,6 +93,27 @@ def test_levinson_matches_dense_oracle(nc, nt):
     rel = np.linalg.norm(report.solution - oracle) / np.linalg.norm(oracle)
     assert rel <= 1e-8
     assert report.residual_norm <= 1e-8 * (1.0 + np.linalg.norm(b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nc=st.integers(1, 5),
+    nt=st.integers(1, 12),
+    n_rhs=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_levinson_matches_dense_oracle_with_asymmetric_lags(nc, nt, n_rhs, seed):
+    # Symmetric lags cannot tell L[d] from L[d]^T; these can.
+    rng = np.random.default_rng(seed)
+    lags = random_lags(rng, nc, nt)
+    eig = np.linalg.eigvalsh(to_dense(BlockToeplitzCov(BlockDims(nc, nt), lags)).data)
+    # Diagonal loading to a condition number of at most about 2e3.
+    lags[0] += (10.0 ** rng.uniform(-3, 0) * np.abs(eig).max() - eig[0]) * np.eye(nc)
+    btc = BlockToeplitzCov(dims=BlockDims(nc, nt), lag_blocks=lags)
+    b = rng.standard_normal((btc.dims.size, n_rhs))
+    report = block_levinson_solve(btc, b)
+    oracle = np.linalg.solve(to_dense(btc).data, b)
+    assert np.linalg.norm(report.solution - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 
 def test_levinson_many_seeds():
@@ -149,6 +179,51 @@ def test_breakdown_on_non_positive_first_block():
     with pytest.raises(SolveBreakdownError) as excinfo:
         block_levinson_solve(btc, np.ones(2))
     assert excinfo.value.order == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nc=st.integers(2, 4),
+    nt=st.integers(1, 8),
+    pick=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_breakdown_order_is_first_non_pd_leading_minor(nc, nt, pick, seed):
+    # Shift lag 0 so that minors 1..k-1 stay positive definite and minor k
+    # is indefinite, each by a clear margin.
+    rng = np.random.default_rng(seed)
+    lags = random_lags(rng, nc, nt)
+    dense = to_dense(BlockToeplitzCov(BlockDims(nc, nt), lags)).data
+    # Smallest eigenvalue of each leading m-block minor, m = 1..nt.
+    mins = [np.linalg.eigvalsh(dense[: m * nc, : m * nc])[0] for m in range(1, nt + 1)]
+    k = pick % nt
+    upper = mins[k - 1] if k else mins[0] + 1.0
+    assume(upper - mins[k] > 1e-6 * np.linalg.norm(dense, 2))
+    lags[0] -= (upper + mins[k]) / 2.0 * np.eye(nc)
+    btc = BlockToeplitzCov(dims=BlockDims(nc, nt), lag_blocks=lags)
+    dense = to_dense(btc).data
+
+    def is_pd(m):
+        try:
+            np.linalg.cholesky(dense[: m * nc, : m * nc])
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    expected = next(m for m in range(1, nt + 1) if not is_pd(m))
+    with pytest.raises(SolveBreakdownError) as excinfo:
+        block_levinson_solve(btc, np.ones(btc.dims.size))
+    assert excinfo.value.order == expected
+
+
+@pytest.mark.parametrize("lag", [0, 1, 3])
+def test_nan_lag_block_is_a_breakdown_not_a_nan_solution(lag):
+    lags = random_spd_block_toeplitz(np.random.default_rng(7), 2, 5).lag_blocks.copy()
+    lags[lag, 1, 0] = np.nan
+    btc = BlockToeplitzCov(dims=BlockDims(2, 5), lag_blocks=lags)
+    with pytest.raises(SolveBreakdownError) as excinfo:
+        block_levinson_solve(btc, np.ones(btc.dims.size))
+    assert excinfo.value.order == lag + 1
 
 
 def test_levinson_rejects_wrong_rhs_length():

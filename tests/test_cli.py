@@ -291,6 +291,68 @@ def test_fit_malformed_means_file_is_data_error(dataset96, tmp_path, capsys):
     assert "malformed" in stderr
 
 
+@pytest.mark.parametrize(
+    "content",
+    ['{"means": [[0.0, 1.0], [0.0]], "counts": [80, 16]}', '{"means": [[0.0'],
+    ids=["ragged_means", "invalid_json"],
+)
+def test_fit_unparseable_means_file_is_data_error(dataset96, tmp_path, capsys, content):
+    means_file = tmp_path / "means.json"
+    means_file.write_text(content)
+    code, _, stderr = run(
+        capsys, "fit", "--dataset-dir", str(dataset96),
+        "--model-path", str(tmp_path / "m.json"),
+        "--means-file", str(means_file)
+    )
+    assert code == 2
+    assert "malformed" in stderr
+
+
+def _copy_dataset(src, dst):
+    dst.mkdir()
+    for name in ("data.bin", "labels.bin", "meta.json"):
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst
+
+
+def test_meta_json_not_json_is_data_error(dataset96, tmp_path, capsys):
+    ds = _copy_dataset(dataset96, tmp_path / "ds")
+    (ds / "meta.json").write_text("{not json")
+    code, _, stderr = run(
+        capsys, "fit", "--dataset-dir", str(ds), "--model-path", str(tmp_path / "m.json")
+    )
+    assert code == 2
+    assert "meta.json" in stderr
+
+
+def test_meta_json_without_n_times_is_data_error(dataset96, tmp_path, capsys):
+    ds = _copy_dataset(dataset96, tmp_path / "ds")
+    meta = json.loads((ds / "meta.json").read_text())
+    del meta["n_times"]
+    (ds / "meta.json").write_text(json.dumps(meta))
+    code, _, stderr = run(
+        capsys, "fit", "--dataset-dir", str(ds), "--model-path", str(tmp_path / "m.json")
+    )
+    assert code == 2
+    assert "n_times" in stderr
+
+
+def test_score_model_without_weights_is_data_error(dataset96, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    run(capsys, "fit", "--dataset-dir", str(dataset96),
+        "--model-path", str(model_path))
+    payload = json.loads(model_path.read_text())
+    del payload["weights"]
+    model_path.write_text(json.dumps(payload))
+    code, stdout, stderr = run(
+        capsys, "score", "--dataset-dir", str(dataset96),
+        "--model-path", str(model_path)
+    )
+    assert code == 2
+    assert "weights" in stderr
+    assert stdout == ""
+
+
 def test_fit_non_finite_means_file_is_data_error(dataset96, tmp_path, capsys):
     d = BlockDims(8, 20).size
     means = [np.zeros(d).tolist(), np.ones(d).tolist()]

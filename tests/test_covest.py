@@ -253,6 +253,16 @@ def test_producers_return_read_only_exactly_symmetric_data(nc, nt, n, gamma, see
         assert np.array_equal(a, a.T)
 
 
+def test_sample_covariance_of_strided_view_is_exactly_symmetric():
+    # A column-strided view of this size makes numpy's product asymmetric
+    # in the last bits; the producer must still hand out an exact S = S^T.
+    dims = BlockDims(30, 10)
+    xc = center(np.random.default_rng(5).standard_normal((dims.size, 10)))[:, ::2]
+    s = sample_covariance(xc, dims).data
+    assert np.array_equal(s, s.T)
+    assert np.array_equal(s, sample_covariance(xc.copy(), dims).data)
+
+
 # ------------------------------------------------------- class covariances
 
 def within_class_cov(x, labels, dims):
