@@ -12,7 +12,8 @@ depends only on the lag ``d = j - i``, with ``C_{-d} = C_d^T``.  The compact
 ``BlockToeplitzCov`` type stores one block per non-negative lag
 (``n_times * n_channels**2`` values) instead of the full ``D x D`` matrix.
 
-``BlockCov(dims, data)`` copies and symmetry-checks its input.  The
+``BlockCov(dims, data)`` and ``BlockToeplitzCov(dims, lag_blocks)`` copy
+their input and reject non-finite entries and asymmetry.  The
 functions of this package that build a fresh, exactly symmetric ``D x D``
 array wrap it with ``_owned_cov`` instead, which makes it read-only in place.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DataFormatError, ShapeError
 
 #: Relative tolerance for the symmetry check on covariance data.
 SYMMETRY_RTOL = 1e-10
@@ -49,11 +50,13 @@ class BlockDims:
         return self.n_channels * self.n_times
 
 
-def _frozen_array(values, shape=None, name="array") -> np.ndarray:
+def _finite_array(values, shape, name) -> np.ndarray:
+    """``values`` copied to a C-ordered float64 array of ``shape``, all finite."""
     a = np.array(values, dtype=np.float64, order="C")
-    if shape is not None and a.shape != shape:
+    if a.shape != shape:
         raise ShapeError(f"{name} has shape {a.shape}, expected {shape}")
-    a.setflags(write=False)
+    if not np.isfinite(a).all():
+        raise DataFormatError(f"{name} contains non-finite values")
     return a
 
 
@@ -72,9 +75,10 @@ def _check_symmetric(a: np.ndarray, what: str) -> None:
 class BlockCov:
     """Dense symmetric ``D x D`` covariance with block metadata.
 
-    ``data`` is copied and made read-only.  Symmetry is validated to
-    ``SYMMETRY_RTOL`` (relative to the largest entry).  Package functions
-    return instances built by ``_owned_cov``, which skips both.
+    ``data`` is copied and made read-only.  Non-finite entries raise
+    :class:`DataFormatError`; symmetry is validated to ``SYMMETRY_RTOL``
+    (relative to the largest entry).  Package functions return instances
+    built by ``_owned_cov``, which skips the copy and both checks.
     """
 
     dims: BlockDims
@@ -82,8 +86,9 @@ class BlockCov:
 
     def __post_init__(self):
         d = self.dims.size
-        a = _frozen_array(self.data, (d, d), "covariance data")
+        a = _finite_array(self.data, (d, d), "covariance data")
         _check_symmetric(a, "covariance data")
+        a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
 
@@ -105,9 +110,10 @@ class BlockToeplitzCov:
     """Compact block-Toeplitz covariance: one block per non-negative lag.
 
     ``lag_blocks[d]`` is the cross-channel covariance block at temporal lag
-    ``d`` (block ``(i, i+d)`` of the dense matrix).  The lag-0 block is
-    validated to be symmetric and then symmetrized exactly so that round
-    trips through ``to_dense`` / ``block_diagonal_average`` are bit-exact.
+    ``d`` (block ``(i, i+d)`` of the dense matrix).  Non-finite entries at
+    any lag raise :class:`DataFormatError`.  The lag-0 block is validated to
+    be symmetric and then symmetrized exactly so that round trips through
+    ``to_dense`` / ``block_diagonal_average`` are bit-exact.
     """
 
     dims: BlockDims
@@ -115,11 +121,7 @@ class BlockToeplitzCov:
 
     def __post_init__(self):
         nc, nt = self.dims.n_channels, self.dims.n_times
-        a = np.array(self.lag_blocks, dtype=np.float64, order="C")
-        if a.shape != (nt, nc, nc):
-            raise ShapeError(
-                f"lag_blocks has shape {a.shape}, expected {(nt, nc, nc)}"
-            )
+        a = _finite_array(self.lag_blocks, (nt, nc, nc), "lag_blocks")
         _check_symmetric(a[0], "lag-0 block")
         a[0] = (a[0] + a[0].T) / 2.0
         a.setflags(write=False)

@@ -1,14 +1,14 @@
 """Covariance estimation: centering, shrinkage, and the structured estimate.
 
 Data matrices are ``D x N_e`` (one flattened channel-prime epoch per
-column).  ``estimate_covariance`` is the estimation pipeline: center
-(per class or globally), sample covariance with divisor ``N_e - 1``,
-analytic shrinkage toward the scaled identity, then the structure that the
-estimator names in ``ESTIMATORS``: block-diagonal averaging, linear
-tapering, both (the compact block-Toeplitz estimate), or neither.  The
-dense ``D x D`` sample covariance is formed once per estimate, and the
-Ledoit-Wolf intensity works on the smaller of the ``D x D`` and
-``N_e x N_e`` products.
+column).  ``estimate_covariance`` is the estimation pipeline on data that
+the caller has already centered (``lda.fit`` centers with :func:`center`):
+sample covariance with divisor ``N_e - 1``, analytic shrinkage toward the
+scaled identity, then the structure that the estimator names in
+``ESTIMATORS``: block-diagonal averaging, linear tapering, both (the compact
+block-Toeplitz estimate), or neither.  The dense ``D x D`` sample covariance
+is formed once per estimate, and the Ledoit-Wolf intensity works on the
+smaller of the ``D x D`` and ``N_e x N_e`` products.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ _STRUCTURE = {
     "toeplitz_a2_only": (False, True),
 }
 ESTIMATORS = tuple(_STRUCTURE)
-COV_MODES = ("within", "global")
 
 
 @dataclass(frozen=True)
@@ -110,21 +109,13 @@ def class_means(x, labels) -> ClassStats:
 def center(x, means=None, labels=None) -> np.ndarray:
     """Subtract a mean assignment from every column.
 
-    With ``labels`` given, each column is centered by its class mean (either
-    supplied via ``means`` as :class:`ClassStats` or estimated from the
-    data).  Without labels a single global mean vector is used.
+    With ``labels`` given, each column is centered by its class mean, taken
+    from ``means`` when it is a :class:`ClassStats` and estimated from the
+    data otherwise.  Without labels the data's overall mean is used.
     """
     x = _as_data_matrix(x)
     if labels is None:
-        if means is None:
-            mu = x.mean(axis=1)
-        else:
-            mu = np.asarray(means, dtype=np.float64)
-            if mu.shape != (x.shape[0],):
-                raise ShapeError(
-                    f"global mean has shape {mu.shape}, expected ({x.shape[0]},)"
-                )
-        return x - mu[:, None]
+        return x - x.mean(axis=1)[:, None]
     labels = _check_labels(labels, x.shape[1])
     stats = means if isinstance(means, ClassStats) else class_means(x, labels)
     return x - stats.means[labels].T
@@ -203,19 +194,16 @@ def shrink(s: BlockCov, gamma: float | None = None, centered=None) -> ShrinkageR
 
 
 def estimate_covariance(
-    x,
+    centered,
     dims: BlockDims,
     estimator: str = "toeplitz",
-    cov_mode: str = "within",
-    labels=None,
     gamma: float | None = None,
 ) -> ShrinkageResult:
-    """Shrunk covariance of raw epochs in the structure ``estimator`` names.
+    """Shrunk covariance of centered epochs in the structure ``estimator`` names.
 
-    Pipeline: center per ``cov_mode`` ('within' centers by class and
-    requires labels, 'global' centers by the overall mean), sample
-    covariance, shrinkage (analytic intensity unless ``gamma`` is given),
-    then the estimator's structure:
+    Pipeline: sample covariance of ``centered`` (see :func:`center`),
+    shrinkage (analytic intensity unless ``gamma`` is given), then the
+    estimator's structure:
 
     * ``slda``: the dense shrunk covariance itself.
     * ``toeplitz``: block-diagonal averaging followed by linear tapering;
@@ -229,13 +217,7 @@ def estimate_covariance(
         raise ValueError(
             f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}"
         )
-    if cov_mode not in COV_MODES:
-        raise ValueError(
-            f"unknown cov_mode {cov_mode!r}; expected one of {COV_MODES}"
-        )
-    if cov_mode == "within" and labels is None:
-        raise ValueError("cov_mode='within' requires labels")
-    xc = center(x, labels=labels if cov_mode == "within" else None)
+    xc = _as_data_matrix(centered)
     shrunk = shrink(sample_covariance(xc, dims), gamma, xc)
     average, taper = _STRUCTURE[estimator]
     cov = shrunk.matrix

@@ -11,7 +11,7 @@ class ShapeError(ToeplitzLdaError, ValueError):
 
 class DataFormatError(ToeplitzLdaError, ValueError):
     """Input data is malformed: a bad dataset directory or model file, or
-    non-finite values passed to a fit or a score.
+    non-finite values passed to a fit, a score or a covariance constructor.
     """
 
 

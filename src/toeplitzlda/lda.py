@@ -17,9 +17,14 @@ selects its structure:
 * ``toeplitz_a2_only`` -- blockwise tapering of the dense shrunk covariance
   (no averaging).
 
-``cov_mode`` selects the centering: 'within' uses per-class means (needs
-labels), 'global' uses the overall mean, which requires no labels when the
-class means are supplied via ``mean_override``.
+``fit`` owns the class statistics: it computes the data's class means at
+most once and centers the data before estimating ``Sigma``.  ``cov_mode``
+selects the centering: 'within' uses per-class means (needs labels),
+'global' uses the overall mean, which requires no labels when the class
+means are supplied via ``mean_override``.  The centered data is divided by
+a power of two that brings its largest entry into [0.5, 1), which is exact,
+so the fit is scale-equivariant: ``fit(a x)`` has weights ``w(x) / a``, bit
+for bit when ``a`` is a power of two.
 
 ``fit`` and ``decision_values`` reject non-finite input with
 :class:`DataFormatError`.
@@ -37,10 +42,11 @@ import numpy as np
 from . import covest
 from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, to_dense
 from .btsolve import SolveReport, block_levinson_solve, dense_solve
-from .covest import COV_MODES, ESTIMATORS, ClassStats
+from .covest import ESTIMATORS, ClassStats
 from .errors import DataFormatError, ShapeError, SolveBreakdownError
 
 MODEL_FORMAT_VERSION = 1
+COV_MODES = ("within", "global")
 
 
 @dataclass(frozen=True)
@@ -109,41 +115,47 @@ def fit(
     """
     if dims is None:
         raise ValueError("dims is required")
+    if cov_mode not in COV_MODES:
+        raise ValueError(f"unknown cov_mode {cov_mode!r}; expected one of {COV_MODES}")
     x = _finite_features(x, dims)
-    if mean_override is None:
-        if labels is None:
-            raise ValueError("labels are required when mean_override is not given")
-        stats = covest.class_means(x, labels)
-    else:
-        stats = mean_override
-        if stats.means.shape[1] != dims.size:
+    if mean_override is not None:
+        if mean_override.means.shape[1] != dims.size:
             raise ShapeError(
-                f"mean_override dimension {stats.means.shape[1]} does not "
+                f"mean_override dimension {mean_override.means.shape[1]} does not "
                 f"match dims.size {dims.size}"
             )
-        if not np.isfinite(stats.means).all():
+        if not np.isfinite(mean_override.means).all():
             raise DataFormatError("mean_override contains non-finite class means")
+    own = None
+    if mean_override is None or cov_mode == "within":
+        if labels is None:
+            raise ValueError(
+                "labels are required unless mean_override is given with cov_mode='global'"
+            )
+        own = covest.class_means(x, labels)
+    stats = own if mean_override is None else mean_override
 
-    shrunk = covest.estimate_covariance(x, dims, estimator, cov_mode, labels, gamma)
+    xc = covest.center(x, own, labels) if cov_mode == "within" else covest.center(x)
+    # Scaling by 2**-exp is exact; it keeps the covariance and the
+    # Ledoit-Wolf sums from overflowing or underflowing at any data scale.
+    exp = int(np.frexp(max(xc.max(initial=0.0), -xc.min(initial=0.0)))[1])
+    np.ldexp(xc, -exp, out=xc)
+    shrunk = covest.estimate_covariance(xc, dims, estimator, gamma)
+    del xc
     delta = stats.means[1] - stats.means[0]
-    if np.linalg.norm(delta) == 0.0:
+    degenerate = not delta.any()
+    if degenerate:
         warnings.warn(
             "identical class means: returning a degenerate model with zero weights",
             RuntimeWarning,
             stacklevel=2,
         )
-        return LdaModel(
-            weights=np.zeros(dims.size),
-            bias=0.0,
-            dims=dims,
-            estimator=estimator,
-            cov_mode=cov_mode,
-            gamma=shrunk.gamma,
-            degenerate=True,
-        )
-    report = _solve(shrunk.matrix, delta, estimator)
-    w = report.solution
-    bias = float(-0.5 * (w @ (stats.means[0] + stats.means[1])))
+        w, bias, well_conditioned = np.zeros(dims.size), 0.0, True
+    else:
+        report = _solve(shrunk.matrix, np.ldexp(delta, -exp, out=delta), estimator)
+        w = np.ldexp(report.solution, -exp)
+        bias = float(-0.5 * (w @ (stats.means[0] + stats.means[1])))
+        well_conditioned = report.well_conditioned
     return LdaModel(
         weights=w,
         bias=bias,
@@ -151,7 +163,8 @@ def fit(
         estimator=estimator,
         cov_mode=cov_mode,
         gamma=shrunk.gamma,
-        well_conditioned=report.well_conditioned,
+        well_conditioned=well_conditioned,
+        degenerate=degenerate,
     )
 
 

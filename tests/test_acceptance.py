@@ -181,7 +181,7 @@ def test_c3_structured_estimator_beats_shrinkage_at_half_dimension_samples():
         x = np.stack([e.T.ravel() for e in ep.data], axis=1)
         xc = covest.center(x)
         shrunk = covest.shrink(covest.sample_covariance(xc, dims), None, xc)
-        structured = covest.estimate_covariance(x, dims, cov_mode="global").matrix
+        structured = covest.estimate_covariance(xc, dims).matrix
         err_structured = np.linalg.norm(to_dense(structured).data - truth)
         err_shrunk = np.linalg.norm(shrunk.matrix.data - truth)
         wins += err_structured < err_shrunk

@@ -18,7 +18,7 @@ from toeplitzlda.blockmat import (
     to_dense,
 )
 from toeplitzlda.dataio import Epochs, all_samples
-from toeplitzlda.errors import ShapeError
+from toeplitzlda.errors import DataFormatError, ShapeError
 
 
 def random_symmetric(rng, d):
@@ -262,3 +262,23 @@ def test_public_block_cov_copies_and_checks_its_input(nc, nt, seed):
 def test_block_toeplitz_rejects_wrong_shape():
     with pytest.raises(ShapeError):
         BlockToeplitzCov(dims=BlockDims(2, 2), lag_blocks=np.zeros((3, 2, 2)))
+
+
+# The symmetry check alone lets NaN through (``nan > tol`` is False), and
+# to_dense / block_toeplitz_matmul would carry it into every product.
+
+@pytest.mark.parametrize(("lag", "bad"), [(0, np.nan), (1, np.nan), (3, np.nan), (2, np.inf)])
+def test_block_toeplitz_rejects_non_finite_lag_blocks(lag, bad):
+    btc = random_spd_block_toeplitz(np.random.default_rng(7), 2, 5)
+    lags = btc.lag_blocks.copy()
+    lags[lag, 1, 0] = bad
+    with pytest.raises(DataFormatError, match="non-finite"):
+        BlockToeplitzCov(dims=btc.dims, lag_blocks=lags)
+
+
+def test_block_cov_rejects_non_finite_data():
+    btc = random_spd_block_toeplitz(np.random.default_rng(7), 2, 5)
+    data = to_dense(btc).data.copy()
+    data[3, 1] = data[1, 3] = np.nan
+    with pytest.raises(DataFormatError, match="non-finite"):
+        BlockCov(dims=btc.dims, data=data)

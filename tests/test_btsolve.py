@@ -216,16 +216,6 @@ def test_breakdown_order_is_first_non_pd_leading_minor(nc, nt, pick, seed):
     assert excinfo.value.order == expected
 
 
-@pytest.mark.parametrize("lag", [0, 1, 3])
-def test_nan_lag_block_is_a_breakdown_not_a_nan_solution(lag):
-    lags = random_spd_block_toeplitz(np.random.default_rng(7), 2, 5).lag_blocks.copy()
-    lags[lag, 1, 0] = np.nan
-    btc = BlockToeplitzCov(dims=BlockDims(2, 5), lag_blocks=lags)
-    with pytest.raises(SolveBreakdownError) as excinfo:
-        block_levinson_solve(btc, np.ones(btc.dims.size))
-    assert excinfo.value.order == lag + 1
-
-
 def test_levinson_rejects_wrong_rhs_length():
     btc = scalar_toeplitz([2.0, 1.0])
     with pytest.raises(ShapeError):

@@ -379,7 +379,7 @@ def test_structured_estimate_approaches_true_covariance():
     epochs = synth.generate_noise(model, 4000, dims, seed=0)
     x = flatten_epochs(epochs)
     labels = (np.arange(4000) % 6 == 0).astype(int)
-    est = estimate_covariance(x, dims, "toeplitz", "within", labels).matrix
+    est = estimate_covariance(center(x, labels=labels), dims, "toeplitz").matrix
     true = synth.true_covariance(model, dims)
     err = np.linalg.norm(
         to_dense(est).data - to_dense(true).data
@@ -392,8 +392,8 @@ def test_structured_estimate_single_time_sample_is_shrunk_spatial_cov():
     dims = BlockDims(4, 1)
     x = rng.standard_normal((4, 50))
     labels = (np.arange(50) % 2).astype(int)
-    est = estimate_covariance(x, dims, "toeplitz", "within", labels).matrix
     xc = center(x, labels=labels)
+    est = estimate_covariance(xc, dims, "toeplitz").matrix
     expect = shrink(sample_covariance(xc, dims), None, xc)
     assert np.allclose(
         est.lag_blocks[0], expect.matrix.data, rtol=0, atol=1e-14
@@ -411,7 +411,7 @@ def test_ablation_variants_produce_three_distinct_matrices():
     shrunk = shrink(sample_covariance(xc, dims), None, xc)
     averaged = to_dense(block_diagonal_average(shrunk.matrix)).data
     tapered_only = covest.apply_taper_dense(shrunk.matrix).data
-    both = to_dense(estimate_covariance(x, dims, "toeplitz", "within", labels).matrix).data
+    both = to_dense(estimate_covariance(xc, dims, "toeplitz").matrix).data
     assert not np.allclose(averaged, tapered_only)
     assert not np.allclose(averaged, both)
     assert not np.allclose(tapered_only, both)

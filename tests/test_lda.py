@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toeplitzlda import covest, lda, synth
@@ -64,7 +64,8 @@ def test_boundary_passes_through_class_mean_midpoint():
 def test_toeplitz_weights_solve_the_structured_system():
     x, labels, dims = labeled_features(2, 4, 60, seed=1)
     model = fit(x, labels, dims=dims, estimator="toeplitz")
-    cov = covest.estimate_covariance(x, dims, "toeplitz", "within", labels).matrix
+    xc = covest.center(x, labels=labels)
+    cov = covest.estimate_covariance(xc, dims, "toeplitz").matrix
     stats = covest.class_means(x, labels)
     delta = stats.means[1] - stats.means[0]
     oracle = dense_solve(to_dense(cov), delta)
@@ -219,6 +220,26 @@ def test_mean_override_allows_unlabeled_global_fit():
     assert np.isfinite(model.weights).all()
 
 
+@pytest.mark.parametrize(
+    ("cov_mode", "override", "expected"),
+    [("within", False, 1), ("within", True, 1), ("global", False, 1), ("global", True, 0)],
+)
+def test_fit_computes_class_means_at_most_once(monkeypatch, cov_mode, override, expected):
+    x, labels, dims = labeled_features(2, 3, 36, seed=6)
+    stats = covest.class_means(x, labels) if override else None
+    calls = []
+    real = covest.class_means
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(covest, "class_means", counting)
+    fit(x, labels if expected else None, dims=dims, cov_mode=cov_mode,
+        mean_override=stats)
+    assert len(calls) == expected
+
+
 def test_averaging_without_taper_flags_indefinite_fallback():
     # Eight epochs in 32 dimensions: plain block-diagonal averaging goes
     # indefinite, the fit falls back to a dense symmetric solve and says so.
@@ -231,6 +252,40 @@ def test_averaging_without_taper_flags_indefinite_fallback():
     assert np.isfinite(model_a1.weights).all()
     model_full = fit(x, labels, dims=dims, estimator="toeplitz")
     assert model_full.well_conditioned
+
+
+# ------------------------------------------------------ scale equivariance
+
+SCALE_DATA = labeled_features(4, 5, 60, seed=0)
+
+
+@pytest.mark.parametrize("estimator", ["toeplitz", "slda"])
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-600, 600))
+def test_power_of_two_scaling_scales_weights_exactly(estimator, k):
+    x, labels, dims = SCALE_DATA
+    alpha = 2.0**k
+    base = fit(x, labels, dims=dims, estimator=estimator)
+    scaled = fit(alpha * x, labels, dims=dims, estimator=estimator)
+    assert np.array_equal(scaled.weights, base.weights / alpha)
+    assert scaled.bias == base.bias
+    assert scaled.gamma == base.gamma
+
+
+# 10**-200 underflows and 10**200 overflows a covariance formed at the data's
+# own scale: a zero-weight "degenerate" model and a NaN shrinkage intensity.
+@pytest.mark.parametrize("estimator", ["toeplitz", "slda"])
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-150, 150))
+@example(k=-200)
+@example(k=200)
+def test_decimal_scaling_keeps_weight_direction(estimator, k):
+    x, labels, dims = SCALE_DATA
+    base = fit(x, labels, dims=dims, estimator=estimator)
+    scaled = fit(x * 10.0**k, labels, dims=dims, estimator=estimator)
+    # Normalized by the largest entry first: |w| ~ 10**200 would overflow the norm.
+    u, v = (w / np.abs(w).max() for w in (scaled.weights, base.weights))
+    assert u @ v / (np.linalg.norm(u) * np.linalg.norm(v)) >= 1.0 - 1e-12
 
 
 def test_gamma_override_is_recorded():
@@ -297,6 +352,9 @@ def test_fit_validates_inputs():
         fit(x, None, dims=dims, cov_mode="within")
     with pytest.raises(ValueError, match="labels"):
         fit(x, None, dims=dims, cov_mode="global")
+    stats = ClassStats(means=np.zeros((2, 4)), counts=np.array([5, 5]))
+    with pytest.raises(ValueError, match="labels"):
+        fit(x, None, dims=dims, cov_mode="within", mean_override=stats)
     with pytest.raises(ShapeError):
         fit(x, None, dims=dims, cov_mode="global",
             mean_override=ClassStats(means=np.zeros((2, 5)),
