@@ -4,8 +4,8 @@ stdout carries machine-readable output only (JSON, or CSV for ``score``);
 progress and diagnostics go to stderr.  Exit codes: 0 success, 1 usage
 error, 2 data/shape mismatch, 3 numerical failure.
 
-The run seed comes from ``--seed`` when given, else from the
-``TOEPLITZLDA_SEED`` environment variable, else 0.
+``synth`` and ``bench`` take the run seed from ``--seed``, else from the
+``TOEPLITZLDA_SEED`` environment variable, else 0; ``fit`` and ``score`` take none.
 """
 
 from __future__ import annotations
@@ -271,14 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
         help='JSON {"means": [[...],[...]], "counts": [n0,n1]} overriding class means',
     )
     _add_feature_flags(p)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("score", help="apply a saved model to a dataset")
     p.add_argument("--dataset-dir", required=True)
     p.add_argument("--model-path", required=True)
     _add_feature_flags(p)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_score)
 
     return parser

@@ -1,14 +1,13 @@
 """Covariance estimation: centering, shrinkage, and the structured estimate.
 
 Data matrices are ``D x N_e`` (one flattened channel-prime epoch per
-column).  ``estimate_covariance`` is the estimation pipeline on data that
-the caller has already centered (``lda.fit`` centers with :func:`center`):
-sample covariance with divisor ``N_e - 1``, analytic shrinkage toward the
-scaled identity, then the structure that the estimator names in
-``ESTIMATORS``: block-diagonal averaging, linear tapering, both (the compact
-block-Toeplitz estimate), or neither.  The dense ``D x D`` sample covariance
-is formed once per estimate, and the Ledoit-Wolf intensity works on the
-smaller of the ``D x D`` and ``N_e x N_e`` products.
+column).  ``estimate_covariance`` turns centered data into the shrunk
+covariance (divisor ``N_e - 1``, analytic shrinkage toward the scaled
+identity) in the structure an estimator of ``ESTIMATORS`` names.  Only
+``slda`` and ``toeplitz_a2_only`` form the dense ``D x D`` sample covariance;
+``toeplitz`` and ``toeplitz_a1_only`` build their lag blocks from the data,
+one product per lag.  The Ledoit-Wolf intensity works on the smaller of the
+``D x D`` and ``N_e x N_e`` products.
 """
 
 from __future__ import annotations
@@ -22,21 +21,11 @@ from .blockmat import (
     BlockDims,
     BlockToeplitzCov,
     _owned_cov,
-    apply_taper,
     apply_taper_dense,
-    block_diagonal_average,
 )
 from .errors import ShapeError
 
-#: Structure applied after shrinkage, per estimator: (block-diagonal
-#: averaging, linear tapering).
-_STRUCTURE = {
-    "slda": (False, False),
-    "toeplitz": (True, True),
-    "toeplitz_a1_only": (True, False),
-    "toeplitz_a2_only": (False, True),
-}
-ESTIMATORS = tuple(_STRUCTURE)
+ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
 
 
 @dataclass(frozen=True)
@@ -65,10 +54,10 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class ShrinkageResult:
-    """Shrunk covariance together with the intensity and target scale used.
+    """Shrunk covariance with its intensity and ``nu = trace(S) / D``.
 
-    ``matrix`` is dense, except after block-diagonal averaging in
-    :func:`estimate_covariance`, which returns the compact form.
+    ``matrix`` is the compact :class:`BlockToeplitzCov` for the averaged
+    estimators of :func:`estimate_covariance`, else a dense :class:`BlockCov`.
     """
 
     matrix: BlockCov | BlockToeplitzCov
@@ -81,6 +70,29 @@ def _as_data_matrix(x) -> np.ndarray:
     if x.ndim != 2:
         raise ShapeError(f"data matrix must be 2-D (D x N_e), got shape {x.shape}")
     return x
+
+
+def _covariance_data(centered, dims: BlockDims) -> np.ndarray:
+    """``centered`` as a ``D x N_e`` matrix with ``D = dims.size`` and ``N_e >= 2``."""
+    xc = _as_data_matrix(centered)
+    d, n = xc.shape
+    if d != dims.size:
+        raise ShapeError(f"data dimension {d} does not match dims.size {dims.size}")
+    if n < 2:
+        raise ShapeError(f"need at least 2 epochs for a covariance, got {n}")
+    return xc
+
+
+def _intensity(gamma: float | None, centered) -> float:
+    """``gamma``, or the Ledoit-Wolf intensity of ``centered`` if None; in [0, 1]."""
+    if gamma is None:
+        if centered is None:
+            raise ValueError("either gamma or the centered data must be given")
+        gamma = ledoit_wolf_gamma(centered)
+    gamma = float(gamma)
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+    return gamma
 
 
 def _check_labels(labels, n_epochs: int) -> np.ndarray:
@@ -110,31 +122,28 @@ def center(x, means=None, labels=None) -> np.ndarray:
     """Subtract a mean assignment from every column.
 
     With ``labels`` given, each column is centered by its class mean, taken
-    from ``means`` when it is a :class:`ClassStats` and estimated from the
-    data otherwise.  Without labels the data's overall mean is used.
+    from ``means`` (a :class:`ClassStats`) or estimated from the data.
+    Without labels the data's overall mean is used.  Any other ``means``, or
+    ``means`` without labels, raises ``ValueError``.
     """
+    if means is not None and (labels is None or not isinstance(means, ClassStats)):
+        raise ValueError("means must be a ClassStats given together with labels")
     x = _as_data_matrix(x)
     if labels is None:
         return x - x.mean(axis=1)[:, None]
-    labels = _check_labels(labels, x.shape[1])
-    stats = means if isinstance(means, ClassStats) else class_means(x, labels)
-    return x - stats.means[labels].T
+    stats = class_means(x, labels) if means is None else means
+    return x - stats.means[_check_labels(labels, x.shape[1])].T
 
 
 def sample_covariance(centered, dims: BlockDims) -> BlockCov:
     """Sample covariance of centered data with divisor ``N_e - 1``."""
-    xc = _as_data_matrix(centered)
+    xc = _covariance_data(centered, dims)
     # On one C- or F-contiguous buffer numpy computes xc @ xc.T with SYRK and
     # mirrors a triangle, so S is exactly symmetric; a strided view goes to GEMM.
     if not (xc.flags.c_contiguous or xc.flags.f_contiguous):
         xc = np.ascontiguousarray(xc)
-    d, n = xc.shape
-    if d != dims.size:
-        raise ShapeError(f"data dimension {d} does not match dims.size {dims.size}")
-    if n < 2:
-        raise ShapeError(f"need at least 2 epochs for a covariance, got {n}")
     s = xc @ xc.T
-    s /= n - 1
+    s /= xc.shape[1] - 1
     return _owned_cov(dims, s)
 
 
@@ -179,13 +188,7 @@ def shrink(s: BlockCov, gamma: float | None = None, centered=None) -> ShrinkageR
     from ``centered`` (the data the covariance came from).  The returned
     matrix is ``(1 - gamma) S + gamma nu I``; its trace equals ``trace(S)``.
     """
-    if gamma is None:
-        if centered is None:
-            raise ValueError("either gamma or the centered data must be given")
-        gamma = ledoit_wolf_gamma(centered)
-    gamma = float(gamma)
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+    gamma = _intensity(gamma, centered)
     d = s.dims.size
     nu = float(np.trace(s.data) / d)
     out = (1.0 - gamma) * s.data
@@ -201,28 +204,36 @@ def estimate_covariance(
 ) -> ShrinkageResult:
     """Shrunk covariance of centered epochs in the structure ``estimator`` names.
 
-    Pipeline: sample covariance of ``centered`` (see :func:`center`),
-    shrinkage (analytic intensity unless ``gamma`` is given), then the
-    estimator's structure:
-
-    * ``slda``: the dense shrunk covariance itself.
-    * ``toeplitz``: block-diagonal averaging followed by linear tapering;
-      the compact :class:`BlockToeplitzCov`.
-    * ``toeplitz_a1_only``: averaging without tapering (compact form; the
-      result may be indefinite for small ``N_e``).
-    * ``toeplitz_a2_only``: blockwise tapering of the dense shrunk
-      covariance; a dense :class:`BlockCov`.
+    With ``S`` the sample covariance of ``centered``, the shrunk covariance is
+    ``(1 - gamma) S + gamma nu I`` (see :func:`shrink`).  ``slda`` returns it
+    dense and ``toeplitz_a2_only`` tapers it blockwise.  The averaged
+    estimators return the compact :class:`BlockToeplitzCov`: with ``R_d`` the
+    sum of the ``n_times - d`` blocks ``(i, i + d)`` of ``S``, lag ``d`` is
+    ``(1 - gamma) R_d / n_d``, plus ``gamma nu I`` at lag 0.  Averaging alone
+    (``toeplitz_a1_only``, may be indefinite) has ``n_d = n_times - d``;
+    tapering it by ``1 - d / n_times`` makes ``n_d = n_times`` (``toeplitz``).
+    Shrinking commutes with averaging, so these two build ``R_d`` from the
+    data, one product per lag, and never form ``S``.
     """
     if estimator not in ESTIMATORS:
-        raise ValueError(
-            f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}"
-        )
-    xc = _as_data_matrix(centered)
-    shrunk = shrink(sample_covariance(xc, dims), gamma, xc)
-    average, taper = _STRUCTURE[estimator]
-    cov = shrunk.matrix
-    if average:
-        cov = block_diagonal_average(cov)
-    if taper:
-        cov = apply_taper(cov) if average else apply_taper_dense(cov)
-    return replace(shrunk, matrix=cov)
+        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+    if estimator in ("slda", "toeplitz_a2_only"):
+        xc = _as_data_matrix(centered)
+        shrunk = shrink(sample_covariance(xc, dims), gamma, xc)
+        if estimator == "slda":
+            return shrunk
+        return replace(shrunk, matrix=apply_taper_dense(shrunk.matrix))
+    xc = _covariance_data(centered, dims)
+    gamma = _intensity(gamma, xc)
+    nc, nt, n = dims.n_channels, dims.n_times, xc.shape[1]
+    # Column t * N_e + e of z is epoch e at time t, so (N_e - 1) R_d is the
+    # product of the first and the last (nt - d) * N_e columns of z.
+    z = xc.reshape(nt, nc, n).transpose(1, 0, 2).reshape(nc, nt * n)
+    lags = np.empty((nt, nc, nc))
+    for d in range(nt):
+        lags[d] = z[:, : (nt - d) * n] @ z[:, d * n :].T
+    nu = float(np.trace(lags[0]) / (n - 1) / dims.size)
+    divisor = np.full(nt, nt) if estimator == "toeplitz" else np.arange(nt, 0, -1)
+    lags *= ((1.0 - gamma) / ((n - 1) * divisor))[:, None, None]
+    lags[0].flat[:: nc + 1] += gamma * nu
+    return ShrinkageResult(BlockToeplitzCov(dims, lags), gamma, nu)

@@ -133,9 +133,10 @@ def fit(
                 "labels are required unless mean_override is given with cov_mode='global'"
             )
         own = covest.class_means(x, labels)
+        labels = np.asarray(labels, dtype=np.int64)  # checked by class_means
     stats = own if mean_override is None else mean_override
 
-    xc = covest.center(x, own, labels) if cov_mode == "within" else covest.center(x)
+    xc = x - own.means[labels].T if cov_mode == "within" else covest.center(x)
     # Scaling by 2**-exp is exact; it keeps the covariance and the
     # Ledoit-Wolf sums from overflowing or underflowing at any data scale.
     exp = int(np.frexp(max(xc.max(initial=0.0), -xc.min(initial=0.0)))[1])

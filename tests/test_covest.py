@@ -9,6 +9,7 @@ from toeplitzlda import covest, synth
 from toeplitzlda.blockmat import (
     BlockCov,
     BlockDims,
+    apply_taper,
     apply_taper_dense,
     block_diagonal_average,
     to_dense,
@@ -95,6 +96,19 @@ def test_global_vs_class_centering_differ_by_class_mean_offsets():
 def test_center_rejects_label_length_mismatch():
     with pytest.raises(ShapeError):
         center(np.zeros((2, 4)), labels=np.array([0, 1]))
+
+
+def test_center_rejects_means_it_would_ignore():
+    x = np.arange(12.0).reshape(3, 4)
+    labels = np.array([0, 1, 0, 1])
+    stats = class_means(x, labels)
+    with pytest.raises(ValueError, match="labels"):
+        center(x, stats)
+    with pytest.raises(ValueError, match="labels"):
+        center(x, x.mean(axis=1))
+    with pytest.raises(ValueError, match="ClassStats"):
+        center(x, stats.means, labels)
+    assert np.array_equal(center(x, stats, labels), center(x, labels=labels))
 
 
 # ------------------------------------------------------ sample covariance
@@ -417,6 +431,62 @@ def test_ablation_variants_produce_three_distinct_matrices():
     assert not np.allclose(tapered_only, both)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    nc=st.integers(1, 5),
+    nt=st.integers(1, 24),
+    n=st.integers(2, 40),
+    gamma=st.one_of(st.none(), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nc=1, nt=1, n=2, gamma=None, layout="C", seed=0)
+@example(nc=5, nt=24, n=3, gamma=None, layout="F", seed=1)
+@example(nc=2, nt=3, n=40, gamma=None, layout="strided", seed=2)
+def test_averaged_estimators_match_the_dense_pipeline(nc, nt, n, gamma, layout, seed):
+    # The lag path never forms S; the oracle shrinks S, averages its block
+    # diagonals and (for `toeplitz`) tapers them.
+    dims = BlockDims(nc, nt)
+    rng = np.random.default_rng(seed)
+    x = center(rng.standard_normal((dims.size, n)) * 10.0 ** rng.uniform(-3, 3))
+    xc = {
+        "C": x,
+        "F": np.asfortranarray(x),
+        "strided": np.repeat(x, 2, axis=1)[:, ::2],
+    }[layout]
+    s = sample_covariance(xc, dims)
+    shrunk = shrink(s, gamma, xc)
+    averaged = block_diagonal_average(shrunk.matrix)
+    oracles = {"toeplitz": apply_taper(averaged), "toeplitz_a1_only": averaged}
+    for estimator, oracle in oracles.items():
+        est = estimate_covariance(xc, dims, estimator, gamma)
+        assert est.gamma == shrunk.gamma
+        assert abs(est.nu - shrunk.nu) <= 1e-14 * shrunk.nu
+        err = np.abs(est.matrix.lag_blocks - oracle.lag_blocks).max()
+        assert err <= 1e-12 * np.abs(s.data).max()
+
+
+@pytest.mark.parametrize(
+    ("shape", "gamma", "error"),
+    [
+        ((6, 5), None, ShapeError),
+        ((4, 1), None, ShapeError),
+        ((4,), None, ShapeError),
+        ((4, 5), -0.1, ValueError),
+        ((4, 5), 1.5, ValueError),
+        ((4, 5), np.nan, ValueError),
+    ],
+    ids=["wrong-D", "one-epoch", "1-D", "gamma-below-0", "gamma-above-1", "gamma-nan"],
+)
+def test_dense_and_lag_paths_raise_the_same_errors(shape, gamma, error):
+    messages = set()
+    for estimator in covest.ESTIMATORS:
+        with pytest.raises(error) as info:
+            estimate_covariance(np.ones(shape), BlockDims(2, 2), estimator, gamma)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
 def test_tapered_average_with_shrinkage_is_positive_definite():
     # Small-sample case where plain averaging goes indefinite but the
     # tapered version stays factorizable.
@@ -427,7 +497,7 @@ def test_tapered_average_with_shrinkage_is_positive_definite():
     xc = center(x)
     shrunk = shrink(sample_covariance(xc, dims), None, xc)
     assert shrunk.gamma > 0.0
-    tapered = covest.apply_taper(block_diagonal_average(shrunk.matrix))
+    tapered = apply_taper(block_diagonal_average(shrunk.matrix))
     np.linalg.cholesky(to_dense(tapered).data)  # must not raise
 
 

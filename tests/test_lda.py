@@ -1,5 +1,7 @@
 """Discriminant fitting, scoring, and model serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -238,6 +240,42 @@ def test_fit_computes_class_means_at_most_once(monkeypatch, cov_mode, override, 
     fit(x, labels if expected else None, dims=dims, cov_mode=cov_mode,
         mean_override=stats)
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("override", [False, True])
+def test_within_class_fit_checks_the_labels_once(monkeypatch, override):
+    x, labels, dims = labeled_features(2, 3, 36, seed=6)
+    stats = covest.class_means(x, labels) if override else None
+    calls = []
+    real = covest._check_labels
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(covest, "_check_labels", counting)
+    fit(x, labels, dims=dims, cov_mode="within", mean_override=stats)
+    assert len(calls) == 1
+
+
+def test_long_window_toeplitz_fit_forms_no_dense_covariance():
+    # D = 8 * 1024 = 8192: one D x D float64 matrix would take 512 MiB.  The
+    # lag-block estimate needs D x N_e copies, the Levinson solve D x 8 stacks.
+    dims = BlockDims(8, 1024)
+    rng = np.random.default_rng(0)
+    labels = np.arange(48) % 2
+    x = rng.standard_normal((dims.size, 48)) + 0.5 * np.outer(
+        rng.standard_normal(dims.size), labels
+    )
+    tracemalloc.start()
+    try:
+        model = fit(x, labels, dims=dims, estimator="toeplitz")
+        scores = decision_values(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert scores[labels == 1].mean() > scores[labels == 0].mean()
 
 
 def test_averaging_without_taper_flags_indefinite_fallback():
