@@ -1,4 +1,4 @@
-"""Package acceptance: ten end-to-end checks, one summary line each.
+"""Package acceptance: eleven end-to-end checks, one summary line each.
 
 Every check prints `[C#] PASS/FAIL - detail` directly to the terminal
 (capture is suspended for that line, so the lines always show up in plain
@@ -339,6 +339,43 @@ def test_c7_solver_scaling_and_compact_storage():
         f"log-log time slope over n_times 64..512: recursion {slope_lev:.2f} "
         f"(need <= 2.5), dense {slope_dense:.2f} (need >= 2.5); compact "
         f"storage n_times*n_channels^2 exact: {storage_ok}",
+    )
+
+
+# C11 times the structured estimate the same way.  At 8 channels every size
+# from 128 samples up is on the FFT side of `covest._fft_pays`, whose lag
+# sums cost O(n_times log n_times); per-lag products would give a slope of 2.
+_C11_TIMINGS = """
+import json, sys, time
+import numpy as np
+from toeplitzlda import covest
+from toeplitzlda.blockmat import BlockDims
+
+def timed(fn):
+    start = time.process_time()
+    fn()
+    return time.process_time() - start
+
+nc, n_epochs = 8, 48
+t_est = []
+for nt in json.loads(sys.argv[1]):
+    dims = BlockDims(nc, nt)
+    xc = covest.center(np.random.default_rng(nt).standard_normal((dims.size, n_epochs)))
+    t_est.append(min(timed(lambda: covest.estimate_covariance(xc, dims, "toeplitz"))
+                     for _ in range(7)))
+print(json.dumps({"t_est": t_est}))
+"""
+
+
+def test_c11_lag_estimate_time_scaling():
+    sizes = (128, 256, 512, 1024)
+    t_est = _single_blas_thread_run(_C11_TIMINGS, json.dumps(sizes))["t_est"]
+    slope = float(np.polyfit(np.log(sizes), np.log(t_est), 1)[0])
+    _report(
+        "C11",
+        slope <= 1.5,
+        f"log-log time slope of the toeplitz covariance estimate over "
+        f"n_times 128..1024 at 8 channels, N_e = 48: {slope:.2f} (need <= 1.5)",
     )
 
 

@@ -1,5 +1,7 @@
 """Centering, sample covariance, shrinkage, and the structured estimator."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -438,17 +440,25 @@ def test_ablation_variants_produce_three_distinct_matrices():
     n=st.integers(2, 40),
     gamma=st.one_of(st.none(), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     layout=st.sampled_from(["C", "F", "strided"]),
+    log2_scale=st.sampled_from([-150, 0, 150]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(nc=1, nt=1, n=2, gamma=None, layout="C", seed=0)
-@example(nc=5, nt=24, n=3, gamma=None, layout="F", seed=1)
-@example(nc=2, nt=3, n=40, gamma=None, layout="strided", seed=2)
-def test_averaged_estimators_match_the_dense_pipeline(nc, nt, n, gamma, layout, seed):
+@example(nc=1, nt=1, n=2, gamma=None, layout="C", log2_scale=0, seed=0)
+@example(nc=5, nt=24, n=3, gamma=None, layout="F", log2_scale=0, seed=1)
+@example(nc=2, nt=3, n=40, gamma=None, layout="strided", log2_scale=0, seed=2)
+@example(nc=4, nt=24, n=40, gamma=None, layout="C", log2_scale=150, seed=3)
+@example(nc=4, nt=24, n=40, gamma=None, layout="C", log2_scale=-150, seed=4)
+def test_averaged_estimators_match_the_dense_pipeline(
+    nc, nt, n, gamma, layout, log2_scale, seed
+):
     # The lag path never forms S; the oracle shrinks S, averages its block
-    # diagonals and (for `toeplitz`) tapers them.
+    # diagonals and (for `toeplitz`) tapers them.  Both lag-sum kernels run
+    # on every example.  Data at 2**+-150 puts the fourth powers that the
+    # Ledoit-Wolf intensity sums at 2**+-600, near the ends of the float range.
     dims = BlockDims(nc, nt)
     rng = np.random.default_rng(seed)
     x = center(rng.standard_normal((dims.size, n)) * 10.0 ** rng.uniform(-3, 3))
+    x *= 2.0**log2_scale
     xc = {
         "C": x,
         "F": np.asfortranarray(x),
@@ -458,12 +468,30 @@ def test_averaged_estimators_match_the_dense_pipeline(nc, nt, n, gamma, layout, 
     shrunk = shrink(s, gamma, xc)
     averaged = block_diagonal_average(shrunk.matrix)
     oracles = {"toeplitz": apply_taper(averaged), "toeplitz_a1_only": averaged}
-    for estimator, oracle in oracles.items():
-        est = estimate_covariance(xc, dims, estimator, gamma)
-        assert est.gamma == shrunk.gamma
-        assert abs(est.nu - shrunk.nu) <= 1e-14 * shrunk.nu
-        err = np.abs(est.matrix.lag_blocks - oracle.lag_blocks).max()
-        assert err <= 1e-12 * np.abs(s.data).max()
+    for use_fft in (False, True):
+        with mock.patch.object(covest, "_fft_pays", lambda nc, nt: use_fft):
+            for estimator, oracle in oracles.items():
+                est = estimate_covariance(xc, dims, estimator, gamma)
+                assert est.gamma == shrunk.gamma
+                assert abs(est.nu - shrunk.nu) <= 1e-14 * shrunk.nu
+                err = np.abs(est.matrix.lag_blocks - oracle.lag_blocks).max()
+                assert err <= 1e-12 * np.abs(s.data).max()
+
+
+@pytest.mark.parametrize(
+    ("nc", "nt", "kernel"),
+    [
+        (8, 20, "_lag_sums_direct"),  # perfbench sweep-cli
+        (31, 100, "_lag_sums_fft"),  # perfbench fit-paper
+        (8, 512, "_lag_sums_fft"),  # perfbench fit-long
+    ],
+)
+def test_lag_sum_kernel_follows_the_size_rule(nc, nt, kernel):
+    dims = BlockDims(nc, nt)
+    xc = center(np.random.default_rng(0).standard_normal((dims.size, 4)))
+    with mock.patch.object(covest, kernel, wraps=getattr(covest, kernel)) as spy:
+        estimate_covariance(xc, dims, "toeplitz")
+    assert spy.call_count == 1
 
 
 @pytest.mark.parametrize(

@@ -259,23 +259,25 @@ def test_within_class_fit_checks_the_labels_once(monkeypatch, override):
 
 
 def test_long_window_toeplitz_fit_forms_no_dense_covariance():
-    # D = 8 * 1024 = 8192: one D x D float64 matrix would take 512 MiB.  The
-    # lag-block estimate needs D x N_e copies, the Levinson solve D x 8 stacks.
-    dims = BlockDims(8, 1024)
-    rng = np.random.default_rng(0)
-    labels = np.arange(48) % 2
-    x = rng.standard_normal((dims.size, 48)) + 0.5 * np.outer(
-        rng.standard_normal(dims.size), labels
-    )
-    tracemalloc.start()
-    try:
-        model = fit(x, labels, dims=dims, estimator="toeplitz")
-        scores = decision_values(model, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-    assert scores[labels == 1].mean() > scores[labels == 0].mean()
+    # At 8 x 2048, D = 16384: one D x D float64 matrix would take 2 GiB.  The
+    # lag-block estimate needs the centered D x N_e copy plus chunk buffers
+    # below its size, the Levinson solve D x 8 stacks.
+    for n_times in (1024, 2048):
+        dims = BlockDims(8, n_times)
+        rng = np.random.default_rng(0)
+        labels = np.arange(48) % 2
+        x = rng.standard_normal((dims.size, 48)) + 0.5 * np.outer(
+            rng.standard_normal(dims.size), labels
+        )
+        tracemalloc.start()
+        try:
+            model = fit(x, labels, dims=dims, estimator="toeplitz")
+            scores = decision_values(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * x.nbytes, f"n_times {n_times}: peak {peak / 2**20:.1f} MiB"
+        assert scores[labels == 1].mean() > scores[labels == 0].mean()
 
 
 def test_averaging_without_taper_flags_indefinite_fallback():
@@ -397,6 +399,21 @@ def test_fit_validates_inputs():
         fit(x, None, dims=dims, cov_mode="global",
             mean_override=ClassStats(means=np.zeros((2, 5)),
                                      counts=np.array([5, 5])))
+
+
+def test_labels_must_be_exactly_zero_or_one():
+    x = np.random.default_rng(0).standard_normal((4, 6))
+    dims = BlockDims(2, 2)
+    fractional = [0.5, 1.7, 0.2, 1.9, 0, 1]  # int64 truncation would give 0/1
+    with pytest.raises(ShapeError, match="labels"):
+        covest.class_means(x, fractional)
+    with pytest.raises(ShapeError, match="labels"):
+        fit(x, fractional, dims=dims)
+    ints = np.array([0, 1, 0, 1, 0, 1])
+    expected = fit(x, ints, dims=dims)
+    for labels in (ints.astype(bool), ints.astype(np.uint8), ints.astype(float)):
+        assert np.array_equal(covest.class_means(x, labels).counts, [3, 3])
+        assert np.array_equal(fit(x, labels, dims=dims).weights, expected.weights)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
