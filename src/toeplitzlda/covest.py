@@ -13,6 +13,7 @@ the ``D x D`` and ``N_e x N_e`` products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -162,7 +163,11 @@ def ledoit_wolf_gamma(centered) -> float:
     * ``delta = (||M - mu I_m||_F^2 + (D - m) mu^2) / D``
     * ``beta = (sum_k ||x_k||^4 / n - ||M||_F^2) / (D n)``
 
-    so with ``N_e < D`` no ``D x D`` matrix is formed.
+    so with ``N_e < D`` no ``D x D`` matrix is formed.  ``beta`` and
+    ``delta`` are fourth powers of the data, so ``M`` and the ``||x_k||^2``
+    are first scaled by the power of two that brings the largest
+    ``||x_k||^2``, which bounds every entry of ``M``, to [0.5, 1).  That leaves the scale-free ratio unchanged bit for bit, and
+    makes it the same at every data scale at which ``M`` is finite.
     """
     xc = _as_data_matrix(centered)
     d, n = xc.shape
@@ -170,6 +175,12 @@ def ledoit_wolf_gamma(centered) -> float:
         raise ShapeError(f"need at least 2 epochs, got {n}")
     gram = xc.T @ xc if n < d else xc @ xc.T
     gram /= n
+    norms = np.einsum("ij,ij->j", xc, xc)
+    # M is positive semidefinite, so its largest entry is on its diagonal,
+    # which is at most trace(M) = mean_k ||x_k||^2 (or ||x_k||^2 / n itself).
+    exponent = -math.frexp(norms.max())[1]
+    np.ldexp(gram, exponent, out=gram)
+    np.ldexp(norms, exponent, out=norms)
     m = gram.shape[0]
     mu = np.trace(gram) / d
     gram_sq = np.vdot(gram, gram)
@@ -177,7 +188,6 @@ def ledoit_wolf_gamma(centered) -> float:
     delta = (np.vdot(gram, gram) + (d - m) * mu * mu) / d
     if delta <= 0.0:
         return 0.0
-    norms = np.einsum("ij,ij->j", xc, xc)
     beta = (np.vdot(norms, norms) / n - gram_sq) / (d * n)
     beta = min(max(beta, 0.0), delta)
     return float(beta / delta)

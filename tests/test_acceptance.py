@@ -1,4 +1,4 @@
-"""Package acceptance: eleven end-to-end checks, one summary line each.
+"""Package acceptance: twelve end-to-end checks, one summary line each.
 
 Every check prints `[C#] PASS/FAIL - detail` directly to the terminal
 (capture is suspended for that line, so the lines always show up in plain
@@ -376,6 +376,44 @@ def test_c11_lag_estimate_time_scaling():
         slope <= 1.5,
         f"log-log time slope of the toeplitz covariance estimate over "
         f"n_times 128..1024 at 8 channels, N_e = 48: {slope:.2f} (need <= 1.5)",
+    )
+
+
+# C12 times the residual product that ends every Levinson solve.  As an FFT
+# circular convolution it costs O(n_channels^2 n_times log n_times); a loop
+# of per-lag products would give a slope of 2.
+_C12_TIMINGS = """
+import json, sys, time
+import numpy as np
+from toeplitzlda import synth
+from toeplitzlda.blockmat import BlockDims
+from toeplitzlda.btsolve import block_toeplitz_matmul
+
+def timed(fn):
+    start = time.process_time()
+    fn()
+    return time.process_time() - start
+
+nc = 8
+t_mul = []
+for nt in json.loads(sys.argv[1]):
+    dims = BlockDims(nc, nt)
+    btc = synth.true_covariance(synth.default_noise_model(dims), dims)
+    x = np.random.default_rng(nt).standard_normal(dims.size)
+    t_mul.append(min(timed(lambda: block_toeplitz_matmul(btc, x)) for _ in range(7)))
+print(json.dumps({"t_mul": t_mul}))
+"""
+
+
+def test_c12_residual_product_time_scaling():
+    sizes = (128, 256, 512, 1024)
+    t_mul = _single_blas_thread_run(_C12_TIMINGS, json.dumps(sizes))["t_mul"]
+    slope = float(np.polyfit(np.log(sizes), np.log(t_mul), 1)[0])
+    _report(
+        "C12",
+        slope <= 1.5,
+        f"log-log time slope of the block-Toeplitz product over n_times "
+        f"128..1024 at 8 channels: {slope:.2f} (need <= 1.5)",
     )
 
 

@@ -223,6 +223,21 @@ def test_analytic_gamma_matches_oracle_on_either_side_of_n_equals_d(d, n, log_sc
     assert abs(ledoit_wolf_gamma(xc) - brute_force_lw_gamma(xc)) <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [(12, 30), (30, 12)])
+def test_analytic_gamma_is_scale_free_over_the_float_range(shape):
+    # The intensity sums fourth powers of the data; unscaled they overflow
+    # from about 2**255 and underflow below about 2**-255.
+    rng = np.random.default_rng(9)
+    xc = center(np.geomspace(0.1, 10.0, shape[0])[:, None] * rng.standard_normal(shape))
+    gamma = ledoit_wolf_gamma(xc)
+    assert 0.0 < gamma < 1.0
+    for k in (-300, 300):
+        assert ledoit_wolf_gamma(xc * 2.0**k) == gamma
+    dims = BlockDims(shape[0], 1)
+    for estimator in covest.ESTIMATORS:
+        assert estimate_covariance(xc * 2.0**300, dims, estimator).gamma == gamma
+
+
 def test_analytic_gamma_grows_when_samples_shrink():
     # Anisotropic truth: with ample data the sample covariance is trusted
     # (small gamma); starved of data the intensity rises.
@@ -440,21 +455,21 @@ def test_ablation_variants_produce_three_distinct_matrices():
     n=st.integers(2, 40),
     gamma=st.one_of(st.none(), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     layout=st.sampled_from(["C", "F", "strided"]),
-    log2_scale=st.sampled_from([-150, 0, 150]),
+    log2_scale=st.sampled_from([-300, 0, 300]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(nc=1, nt=1, n=2, gamma=None, layout="C", log2_scale=0, seed=0)
 @example(nc=5, nt=24, n=3, gamma=None, layout="F", log2_scale=0, seed=1)
 @example(nc=2, nt=3, n=40, gamma=None, layout="strided", log2_scale=0, seed=2)
-@example(nc=4, nt=24, n=40, gamma=None, layout="C", log2_scale=150, seed=3)
-@example(nc=4, nt=24, n=40, gamma=None, layout="C", log2_scale=-150, seed=4)
+@example(nc=4, nt=24, n=40, gamma=None, layout="C", log2_scale=300, seed=3)
+@example(nc=4, nt=24, n=40, gamma=None, layout="C", log2_scale=-300, seed=4)
 def test_averaged_estimators_match_the_dense_pipeline(
     nc, nt, n, gamma, layout, log2_scale, seed
 ):
     # The lag path never forms S; the oracle shrinks S, averages its block
     # diagonals and (for `toeplitz`) tapers them.  Both lag-sum kernels run
-    # on every example.  Data at 2**+-150 puts the fourth powers that the
-    # Ledoit-Wolf intensity sums at 2**+-600, near the ends of the float range.
+    # on every example.  Data at 2**+-300 puts S at 2**+-600 and the fourth
+    # powers that the Ledoit-Wolf intensity sums beyond the float range.
     dims = BlockDims(nc, nt)
     rng = np.random.default_rng(seed)
     x = center(rng.standard_normal((dims.size, n)) * 10.0 ** rng.uniform(-3, 3))
