@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lda, rng
-from .covest import class_means
+from .covest import _check_labels, class_means
 from .dataio import FeatureConfig, extract_features, read_dataset
 from .errors import GroupSizeError, ShapeError, ToeplitzLdaError
 
@@ -47,17 +47,11 @@ def auc(scores, labels) -> float:
     exactly, including in floating point.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.ndim != 1 or scores.shape != labels.shape:
-        raise ShapeError(
-            f"scores and labels must be matching 1-D arrays, got "
-            f"{scores.shape} and {labels.shape}"
-        )
+    if scores.ndim != 1:
+        raise ShapeError(f"scores must be a 1-D array, got shape {scores.shape}")
     if not np.isfinite(scores).all():
         raise ValueError("scores contain non-finite values")
-    labels = labels.astype(np.int64)
-    if not np.isin(labels, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
+    labels = _check_labels(labels, scores.size)
     pos = labels == 1
     n_t = int(pos.sum())
     n_n = labels.size - n_t
@@ -105,7 +99,7 @@ def draw_subsets(
     classes are present.  Draw ``k`` for a given size depends only on
     ``(seed, size, k)``.
     """
-    labels = np.asarray(labels).astype(np.int64)
+    labels = _check_labels(labels, np.size(labels))
     n = labels.size
     if not 1 <= size <= n:
         raise ShapeError(f"subset size {size} out of range for {n} epochs")

@@ -14,9 +14,8 @@ solved in one pass.  The residual of the solution is checked with
 ``block_toeplitz_matmul``, an FFT product over a block-circulant embedding of
 the lag blocks in O(n_channels^2 n_times log n_times).
 
-``dense_solve`` is the Cholesky-based reference path for dense covariance
-matrices; with ``allow_indefinite=True`` it falls back to a symmetric
-indefinite factorization and flags the report as ill-conditioned.
+``dense_solve`` solves a dense symmetric positive definite system with the
+same LAPACK Cholesky routines the recursion uses.
 
 Notation: ``L[d]`` is the lag-``d`` block, so the dense matrix has block
 ``(i, j)`` equal to ``L[j-i]`` above the diagonal and ``L[i-j]^T`` below.
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -42,7 +40,7 @@ class SolveReport:
 
     ``residual_norm`` is ``||A @ solution - b||_F`` computed after the
     solve.  ``well_conditioned`` is False when a positive definite
-    factorization failed and an indefinite fallback produced the solution.
+    factorization failed and an indefinite solve produced the solution.
     """
 
     solution: np.ndarray
@@ -148,32 +146,20 @@ def block_levinson_solve(btc: BlockToeplitzCov, b) -> SolveReport:
     return SolveReport(solution, "levinson", residual, True)
 
 
-def dense_solve(cov: BlockCov, b, allow_indefinite: bool = False) -> SolveReport:
-    """Cholesky solve of a dense symmetric system.
+def dense_solve(cov: BlockCov, b) -> SolveReport:
+    """Cholesky solve of a dense symmetric positive definite system.
 
-    When the matrix is not positive definite this raises
-    :class:`SolveError`, unless ``allow_indefinite`` is set, in which case a
-    symmetric indefinite factorization is used and the report is flagged
-    ``well_conditioned=False``.
+    Raises :class:`SolveError` when the matrix is not positive definite or
+    the solution is not finite (a NaN diagonal can factor without error).
     """
     d = cov.dims.size
     b, squeeze = _as_rhs(b, d)
-    well_conditioned = True
-    try:
-        factor = scipy.linalg.cho_factor(cov.data, lower=True)
-        solution = scipy.linalg.cho_solve(factor, b)
-    except np.linalg.LinAlgError as exc:
-        if not allow_indefinite:
-            raise SolveError(
-                f"dense factorization failed: {exc}"
-            ) from exc
-        well_conditioned = False
-        try:
-            solution = scipy.linalg.solve(cov.data, b, assume_a="sym")
-        except np.linalg.LinAlgError as exc2:
-            raise SolveError(
-                f"symmetric indefinite solve failed: {exc2}"
-            ) from exc2
+    factor, info = dpotrf(cov.data, lower=1, clean=0)
+    if info != 0:
+        raise SolveError(f"dense Cholesky factorization failed (dpotrf info {info})")
+    solution = dpotrs(factor, b, lower=1)[0]
+    if not np.isfinite(solution).all():
+        raise SolveError("dense Cholesky solve gave a non-finite solution")
     residual = float(np.linalg.norm(cov.data @ solution - b))
     solution = solution[:, 0] if squeeze else solution
-    return SolveReport(solution, "dense", residual, well_conditioned)
+    return SolveReport(solution, "dense", residual, True)

@@ -49,7 +49,7 @@ class Epochs:
                 f"epoch data must be 3-D (epochs, channels, times), got {data.shape}"
             )
         if not np.isfinite(data).all():
-            raise DataFormatError("epoch data contains non-finite values")
+            raise DataFormatError("epoch data contains NaN or inf values")
         if self.sfreq <= 0:
             raise ShapeError(f"sfreq must be positive, got {self.sfreq}")
         names = tuple(str(n) for n in self.channel_names)
@@ -59,13 +59,15 @@ class Epochs:
             )
         labels = self.labels
         if labels is not None:
-            labels = np.array(labels, dtype=np.uint8)
+            labels = np.asarray(labels)
             if labels.shape != (data.shape[0],):
                 raise ShapeError(
                     f"labels have shape {labels.shape}, expected ({data.shape[0]},)"
                 )
+            # Check before the cast: uint8 would wrap or truncate bad values.
             if not np.isin(labels, (0, 1)).all():
                 raise DataFormatError("labels must be 0 (non-target) or 1 (target)")
+            labels = labels.astype(np.uint8)
             labels.setflags(write=False)
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -137,6 +139,9 @@ def read_dataset(directory) -> Epochs:
         )
     try:
         shape = (meta["n_epochs"], meta["n_channels"], meta["n_times"])
+        for name, n in zip(("n_epochs", "n_channels", "n_times"), shape):
+            if type(n) is not int or n < 0:  # bool is an int subclass
+                raise TypeError(f"{name} must be a non-negative integer, got {n!r}")
         sfreq, t0 = float(meta["sfreq"]), float(meta["t0"])
         channel_names = tuple(meta["channel_names"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -148,8 +153,6 @@ def read_dataset(directory) -> Epochs:
             f"data.bin holds {len(raw)} bytes, expected {expected} for shape {shape}"
         )
     data = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    if np.isnan(data).any():
-        raise DataFormatError("data.bin contains NaN values")
     labels = None
     if meta.get("has_labels"):
         raw_labels = (directory / "labels.bin").read_bytes()

@@ -34,16 +34,17 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from . import covest
 from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, to_dense
 from .btsolve import SolveReport, block_levinson_solve, dense_solve
 from .covest import ESTIMATORS, ClassStats
-from .errors import DataFormatError, ShapeError, SolveBreakdownError
+from .errors import DataFormatError, ShapeError, SolveBreakdownError, SolveError
 
 MODEL_FORMAT_VERSION = 1
 COV_MODES = ("within", "global")
@@ -85,17 +86,23 @@ def _finite_features(x, dims: BlockDims) -> np.ndarray:
 
 
 def _solve(cov: BlockCov | BlockToeplitzCov, delta: np.ndarray, estimator: str) -> SolveReport:
-    if isinstance(cov, BlockToeplitzCov):
-        if estimator == "toeplitz_a1_only":
-            # Averaging without tapering may produce an indefinite matrix;
-            # fall back to a dense indefinite solve instead of failing.
-            try:
-                return block_levinson_solve(cov, delta)
-            except SolveBreakdownError:
-                report = dense_solve(to_dense(cov), delta, allow_indefinite=True)
-                return replace(report, well_conditioned=False)
+    if not isinstance(cov, BlockToeplitzCov):
+        return dense_solve(cov, delta)
+    try:
         return block_levinson_solve(cov, delta)
-    return dense_solve(cov, delta)
+    except SolveBreakdownError:
+        if estimator != "toeplitz_a1_only":
+            raise
+    # Averaging without tapering may produce an indefinite matrix, which the
+    # breakdown has just shown: solve it densely with a symmetric indefinite
+    # factorization and flag the model instead of failing.
+    dense = to_dense(cov).data
+    try:
+        solution = scipy.linalg.solve(dense, delta, assume_a="sym")
+    except np.linalg.LinAlgError as exc:
+        raise SolveError(f"symmetric indefinite solve failed: {exc}") from exc
+    residual = float(np.linalg.norm(dense @ solution - delta))
+    return SolveReport(solution, "dense", residual, False)
 
 
 def fit(

@@ -18,8 +18,8 @@ from toeplitzlda.bench import (
     write_report,
 )
 from toeplitzlda.blockmat import BlockDims
-from toeplitzlda.dataio import write_dataset
-from toeplitzlda.errors import GroupSizeError, ShapeError
+from toeplitzlda.dataio import Epochs, write_dataset
+from toeplitzlda.errors import DataFormatError, GroupSizeError, ShapeError
 
 
 def pairwise_auc(scores, labels):
@@ -63,6 +63,18 @@ def test_auc_rejects_bad_inputs():
         auc([1.0, 2.0], [0, 2])
     with pytest.raises(ShapeError):
         auc([1.0, 2.0, 3.0], [0, 1])
+
+
+@pytest.mark.parametrize("bad", [[0.5, 1.7, 0.2, 1.0], [-1, 1, 0, 0], [256, 0, 1, 0]])
+def test_labels_are_checked_before_the_cast(bad):
+    # A cast first would truncate 0.5 and 1.7 to 0 and 1, and wrap or
+    # overflow -1 and 256.
+    with pytest.raises(ShapeError, match="labels"):
+        auc([0.1, 0.2, 0.3, 0.4], bad)
+    with pytest.raises(ShapeError, match="labels"):
+        draw_subsets(bad, 2, 1, seed=0, stratified=False)
+    with pytest.raises(DataFormatError, match="labels"):
+        Epochs(np.zeros((4, 1, 2)), 1.0, 0.0, ("a",), labels=bad)
 
 
 # --------------------------------------------------------------- split

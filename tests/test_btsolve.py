@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toeplitzlda import btsolve
+from toeplitzlda import btsolve, covest, lda
 from toeplitzlda.blockmat import BlockCov, BlockDims, BlockToeplitzCov, to_dense
 from toeplitzlda.btsolve import (
     block_levinson_solve,
@@ -262,11 +262,29 @@ def test_dense_solve_rejects_indefinite_by_default():
 
 
 def test_dense_solve_indefinite_fallback_solves_and_flags():
+    # dense_solve itself only takes the Cholesky path; the dense indefinite
+    # fallback belongs to the toeplitz_a1_only solve in lda._solve, which
+    # takes it after the Levinson breakdown on [[1,2],[2,1]].
     # [[1,2],[2,1]]^-1 = [[-1/3, 2/3], [2/3, -1/3]]
-    cov = BlockCov(dims=BlockDims(1, 2), data=np.array([[1.0, 2.0], [2.0, 1.0]]))
-    report = dense_solve(cov, np.array([1.0, 0.0]), allow_indefinite=True)
+    btc = scalar_toeplitz([1.0, 2.0])
+    report = lda._solve(btc, np.array([1.0, 0.0]), "toeplitz_a1_only")
     assert np.allclose(report.solution, [-1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
+    assert report.method == "dense"
     assert not report.well_conditioned
+    assert report.residual_norm < 1e-12
+    with pytest.raises(SolveBreakdownError):
+        lda._solve(btc, np.array([1.0, 0.0]), "toeplitz")
+
+
+def test_dense_solve_rejects_non_finite_covariance():
+    # sample_covariance skips the finiteness check of the BlockCov constructor;
+    # dpotrf can factor a NaN diagonal without error, so the solve must catch it.
+    dims = BlockDims(2, 2)
+    centered = np.random.default_rng(3).standard_normal((dims.size, 6))
+    centered[1, 2] = np.nan
+    cov = covest.sample_covariance(centered, dims)
+    with pytest.raises(SolveError):
+        dense_solve(cov, np.ones(dims.size))
 
 
 def test_dense_solve_rejects_wrong_rhs_length():

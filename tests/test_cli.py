@@ -337,6 +337,18 @@ def test_meta_json_without_n_times_is_data_error(dataset96, tmp_path, capsys):
     assert "n_times" in stderr
 
 
+def test_meta_json_string_size_is_data_error(dataset96, tmp_path, capsys):
+    ds = _copy_dataset(dataset96, tmp_path / "ds")
+    meta = json.loads((ds / "meta.json").read_text())
+    meta["n_epochs"] = str(meta["n_epochs"])
+    (ds / "meta.json").write_text(json.dumps(meta))
+    code, _, stderr = run(
+        capsys, "fit", "--dataset-dir", str(ds), "--model-path", str(tmp_path / "m.json")
+    )
+    assert code == 2
+    assert "n_epochs" in stderr
+
+
 def test_score_model_without_weights_is_data_error(dataset96, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     run(capsys, "fit", "--dataset-dir", str(dataset96),

@@ -94,6 +94,18 @@ def test_nan_payload_is_rejected(tmp_path):
         read_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("field", ["n_epochs", "n_channels", "n_times"])
+@pytest.mark.parametrize("value", ["2", 2.5, True, -1])
+def test_size_fields_must_be_non_negative_integers(tmp_path, field, value):
+    # One epoch, channel and sample, so that True (read as 1) would match.
+    write_dataset(small_epochs(n_epochs=1, nc=1, nt=1), tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta[field] = value
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DataFormatError, match=f"{field} must be a non-negative integer"):
+        read_dataset(tmp_path)
+
+
 def test_unknown_format_version_is_rejected(tmp_path):
     write_dataset(small_epochs(), tmp_path)
     meta = json.loads((tmp_path / "meta.json").read_text())

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -280,16 +281,36 @@ def test_long_window_toeplitz_fit_forms_no_dense_covariance():
         assert scores[labels == 1].mean() > scores[labels == 0].mean()
 
 
-def test_averaging_without_taper_flags_indefinite_fallback():
+def test_averaging_without_taper_flags_indefinite_fallback(monkeypatch):
     # Eight epochs in 32 dimensions: plain block-diagonal averaging goes
     # indefinite, the fit falls back to a dense symmetric solve and says so.
+    # The breakdown has already shown the matrix is not positive definite, so
+    # the fallback is one symmetric indefinite solve of the dense expansion,
+    # never the Cholesky of dense_solve.
     dims = BlockDims(4, 8)
     noise = synth.generate_noise(synth.default_noise_model(dims), 8, dims, seed=9)
     x = flatten_epochs(noise)
     labels = (np.arange(8) % 2).astype(np.uint8)
+    calls = []
+    real = lda.dense_solve
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lda, "dense_solve", spy)
     model_a1 = fit(x, labels, dims=dims, estimator="toeplitz_a1_only")
     assert not model_a1.well_conditioned
-    assert np.isfinite(model_a1.weights).all()
+    assert calls == []
+    # The oracle runs the fit's steps by hand: centre, prescale, estimate, solve.
+    xc = covest.center(x, labels=labels)
+    exp = int(np.frexp(np.abs(xc).max())[1])
+    xc = np.ldexp(xc, -exp)
+    cov = covest.estimate_covariance(xc, dims, "toeplitz_a1_only").matrix
+    stats = covest.class_means(x, labels)
+    delta = np.ldexp(stats.means[1] - stats.means[0], -exp)
+    oracle = scipy.linalg.solve(to_dense(cov).data, delta, assume_a="sym")
+    assert np.array_equal(model_a1.weights, np.ldexp(oracle, -exp))
     model_full = fit(x, labels, dims=dims, estimator="toeplitz")
     assert model_full.well_conditioned
 
