@@ -32,12 +32,15 @@ SYMMETRY_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class BlockDims:
-    """Channel/time block dimensions of flattened epochs."""
+    """Channel/time block dimensions of flattened epochs: integers >= 1."""
 
     n_channels: int
     n_times: int
 
     def __post_init__(self):
+        for n in (self.n_channels, self.n_times):
+            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+                raise ShapeError(f"block dimensions must be integers, got {n!r}")
         if self.n_channels < 1 or self.n_times < 1:
             raise ShapeError(
                 f"block dimensions must be >= 1, got "

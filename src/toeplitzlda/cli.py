@@ -156,10 +156,14 @@ def _load_means_file(path) -> ClassStats:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        means = np.asarray(raw["means"], dtype=np.float64)
-        counts = np.asarray(raw["counts"], dtype=np.int64)
+        means, counts = np.asarray(raw["means"]), np.asarray(raw["counts"])
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or ragged
         raise DataFormatError(f"means file {path} is malformed: {exc!r}") from exc
+    # numpy reads true and false next to numbers as 1 and 0; ClassStats
+    # rejects every other value that a cast would change.
+    entries = (np.array(raw[key], dtype=object).flat for key in ("means", "counts"))
+    if any(type(v) is bool for part in entries for v in part):
+        raise DataFormatError(f"means file {path}: true or false as a class mean or count")
     return ClassStats(means=means, counts=counts)
 
 

@@ -4,30 +4,28 @@ Data matrices are ``D x N_e`` (one flattened channel-prime epoch per
 column).  ``estimate_covariance`` turns centered data into the shrunk
 covariance (divisor ``N_e - 1``, analytic shrinkage toward the scaled
 identity) in the structure an estimator of ``ESTIMATORS`` names.  Only
-``slda`` and ``toeplitz_a2_only`` form the dense ``D x D`` sample covariance;
+``slda`` and ``toeplitz_a2_only`` form the dense ``D x D`` sample covariance,
+and they shrink (and taper) it in the buffer the product lands in;
 ``toeplitz`` and ``toeplitz_a1_only`` build their lag blocks from the data:
 one product per lag on short windows, a cross-spectrum summed over chunks
 of epochs on long ones.  The Ledoit-Wolf intensity works on the smaller of
-the ``D x D`` and ``N_e x N_e`` products.
+the ``D x D`` and ``N_e x N_e`` products.  ``sample_covariance`` and
+``shrink`` (then ``blockmat.apply_taper_dense``) run the dense estimate
+stage by stage, each stage on a fresh copy: no fit calls them, so they are
+its independent reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 import scipy.fftpack
 
-from .blockmat import (
-    BlockCov,
-    BlockDims,
-    BlockToeplitzCov,
-    _owned_cov,
-    apply_taper_dense,
-)
-from .errors import ShapeError
+from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, _owned_cov
+from .errors import DataFormatError, ShapeError
 
 ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
 
@@ -37,15 +35,23 @@ class ClassStats:
     """Per-class mean vectors and epoch counts.
 
     Row ``k`` of ``means`` is the mean of class ``k`` (0 = non-target,
-    1 = target).
+    1 = target).  Means that are not real numbers, or counts that are not
+    non-negative integers, raise :class:`DataFormatError` instead of being
+    cast.
     """
 
     means: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self):
-        means = np.array(self.means, dtype=np.float64)
-        counts = np.array(self.counts, dtype=np.int64)
+        means, counts = np.asarray(self.means), np.asarray(self.counts)
+        if means.dtype.kind not in "iuf":
+            raise DataFormatError(f"class means must be real numbers, got {means.dtype}")
+        if counts.dtype.kind not in "iu" or (counts < 0).any():
+            raise DataFormatError(
+                f"class counts must be non-negative integers, got {counts.tolist()!r}"
+            )
+        means, counts = means.astype(np.float64), counts.astype(np.int64)
         if means.ndim != 2 or means.shape[0] != 2:
             raise ShapeError(f"class means must have shape (2, D), got {means.shape}")
         if counts.shape != (2,):
@@ -121,20 +127,16 @@ def class_means(x, labels) -> ClassStats:
     return ClassStats(means, counts)
 
 
-def center(x, means=None, labels=None) -> np.ndarray:
-    """Subtract a mean assignment from every column.
+def center(x, labels=None) -> np.ndarray:
+    """Subtract a mean from every column.
 
-    With ``labels`` given, each column is centered by its class mean, taken
-    from ``means`` (a :class:`ClassStats`) or estimated from the data.
-    Without labels the data's overall mean is used.  Any other ``means``, or
-    ``means`` without labels, raises ``ValueError``.
+    With ``labels`` given, each column is centered by the data's mean of its
+    class; without labels, by the data's overall mean.
     """
-    if means is not None and (labels is None or not isinstance(means, ClassStats)):
-        raise ValueError("means must be a ClassStats given together with labels")
     x = _as_data_matrix(x)
     if labels is None:
         return x - x.mean(axis=1)[:, None]
-    stats = class_means(x, labels) if means is None else means
+    stats = class_means(x, labels)
     return x - stats.means[_check_labels(labels, x.shape[1])].T
 
 
@@ -286,9 +288,13 @@ def estimate_covariance(
 
     With ``S`` the sample covariance of ``centered``, the shrunk covariance is
     ``(1 - gamma) S + gamma nu I`` (see :func:`shrink`).  ``slda`` returns it
-    dense and ``toeplitz_a2_only`` tapers it blockwise.  The averaged
-    estimators return the compact :class:`BlockToeplitzCov`: with ``R_d`` the
-    sum of the ``n_times - d`` blocks ``(i, i + d)`` of ``S``, lag ``d`` is
+    dense and ``toeplitz_a2_only`` tapers it blockwise (see
+    :func:`blockmat.apply_taper_dense`).  These two shrink and taper ``S`` in
+    the buffer it is computed in, step by step in the order of
+    ``sample_covariance -> shrink (-> apply_taper_dense)``, so they hold one
+    ``D x D`` array and equal that chain bit for bit.  The averaged estimators
+    return the compact :class:`BlockToeplitzCov`: with ``R_d`` the sum of the
+    ``n_times - d`` blocks ``(i, i + d)`` of ``S``, lag ``d`` is
     ``(1 - gamma) R_d / n_d``, plus ``gamma nu I`` at lag 0.  Averaging alone
     (``toeplitz_a1_only``, may be indefinite) has ``n_d = n_times - d``;
     tapering it by ``1 - d / n_times`` makes ``n_d = n_times`` (``toeplitz``).
@@ -300,15 +306,23 @@ def estimate_covariance(
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
-    if estimator in ("slda", "toeplitz_a2_only"):
-        xc = _as_data_matrix(centered)
-        shrunk = shrink(sample_covariance(xc, dims), gamma, xc)
-        if estimator == "slda":
-            return shrunk
-        return replace(shrunk, matrix=apply_taper_dense(shrunk.matrix))
     xc = _covariance_data(centered, dims)
     gamma = _intensity(gamma, xc)
     nc, nt, n = dims.n_channels, dims.n_times, xc.shape[1]
+    if estimator in ("slda", "toeplitz_a2_only"):
+        # The steps of sample_covariance, shrink and apply_taper_dense, in place.
+        if not (xc.flags.c_contiguous or xc.flags.f_contiguous):
+            xc = np.ascontiguousarray(xc)
+        s = xc @ xc.T
+        s /= n - 1
+        nu = float(np.trace(s) / dims.size)
+        s *= 1.0 - gamma
+        s.flat[:: dims.size + 1] += gamma * nu
+        if estimator == "toeplitz_a2_only":
+            lag = np.abs(np.arange(nt)[:, None] - np.arange(nt)[None, :])
+            grid = s.reshape(nt, nc, nt, nc)  # a view: block (i, j) is grid[i, :, j]
+            grid *= (1.0 - lag / nt)[:, None, :, None]
+        return ShrinkageResult(_owned_cov(dims, s), gamma, nu)
     x3 = xc.reshape(nt, nc, n)  # a view: epoch e at time t is x3[t, :, e]
     lags = _lag_sums_fft(x3) if _fft_pays(nc, nt) else _lag_sums_direct(x3)
     nu = float(np.trace(lags[0]) / (n - 1) / dims.size)

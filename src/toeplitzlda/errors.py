@@ -31,11 +31,9 @@ class SolveBreakdownError(SolveError):
     rows in the first minor that is not positive definite (1-based).
     """
 
-    def __init__(self, order: int, message: str | None = None):
+    def __init__(self, order: int):
         self.order = order
-        if message is None:
-            message = (
-                f"block Levinson recursion broke down at step {order}: the "
-                f"leading {order}-block minor is not positive definite"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"block Levinson recursion broke down at step {order}: the "
+            f"leading {order}-block minor is not positive definite"
+        )

@@ -33,6 +33,7 @@ for bit when ``a`` is a power of two.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,12 +96,15 @@ def _solve(cov: BlockCov | BlockToeplitzCov, delta: np.ndarray, estimator: str) 
             raise
     # Averaging without tapering may produce an indefinite matrix, which the
     # breakdown has just shown: solve it densely with a symmetric indefinite
-    # factorization and flag the model instead of failing.
+    # factorization and flag the model instead of failing.  The lag blocks
+    # are finite, so only the solution needs a scan.
     dense = to_dense(cov).data
     try:
-        solution = scipy.linalg.solve(dense, delta, assume_a="sym")
+        solution = scipy.linalg.solve(dense, delta, assume_a="sym", check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"symmetric indefinite solve failed: {exc}") from exc
+    if not np.isfinite(solution).all():
+        raise SolveError("symmetric indefinite solve gave a non-finite solution")
     residual = float(np.linalg.norm(dense @ solution - delta))
     return SolveReport(solution, "dense", residual, False)
 
@@ -143,7 +147,19 @@ def fit(
         labels = np.asarray(labels, dtype=np.int64)  # checked by class_means
     stats = own if mean_override is None else mean_override
 
-    xc = x - own.means[labels].T if cov_mode == "within" else covest.center(x)
+    if cov_mode == "within":
+        # Each column minus its own class mean, without an N_e x D gather of
+        # the means: all columns minus the larger class's mean, then the
+        # smaller class's columns again from x, through one copy of them.
+        small = int(own.counts[1] < own.counts[0])
+        xc = x - own.means[1 - small][:, None]
+        cols = labels == small
+        part = x[:, cols]
+        part -= own.means[small][:, None]
+        xc[:, cols] = part
+        del cols, part
+    else:
+        xc = covest.center(x)
     # Scaling by 2**-exp is exact; it keeps the covariance and the
     # Ledoit-Wolf sums from overflowing or underflowing at any data scale.
     exp = int(np.frexp(max(xc.max(initial=0.0), -xc.min(initial=0.0)))[1])
@@ -204,7 +220,11 @@ def save_model(model: LdaModel, path) -> None:
 
 
 def load_model(path) -> LdaModel:
-    """Read a model written by :func:`save_model`."""
+    """Read a model written by :func:`save_model`.
+
+    Each field must already hold the JSON type and range that
+    :func:`save_model` writes; nothing is cast into it.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -220,16 +240,45 @@ def load_model(path) -> LdaModel:
         raise DataFormatError(f"unknown estimator {payload.get('estimator')!r}")
     if payload.get("cov_mode") not in COV_MODES:
         raise DataFormatError(f"unknown cov_mode {payload.get('cov_mode')!r}")
+
+    def field(key, kind, ok, default=None):
+        value = payload.get(key, default)
+        if not ok(value):
+            raise DataFormatError(
+                f"model file {path}: {key} must be {kind}, got {value!r:.60}"
+            )
+        return value
+
+    def number(v):  # JSON true and false load as bool, not int
+        return type(v) in (int, float)
+
+    def finite(v):
+        return number(v) and -math.inf < v < math.inf
+
+    def integer(v):
+        return type(v) is int
+
+    def boolean(v):
+        return type(v) is bool
+
+    weights = field("weights", "a list of finite numbers",
+                    lambda v: type(v) is list and all(map(finite, v)))
+    n_channels = field("n_channels", "a JSON integer", integer)
+    n_times = field("n_times", "a JSON integer", integer)
+    gamma = field("gamma", "a number in [0, 1]", lambda v: number(v) and 0 <= v <= 1)
+    bias = field("bias", "a finite number", finite)
+    well_conditioned = field("well_conditioned", "a JSON boolean", boolean, True)
+    degenerate = field("degenerate", "a JSON boolean", boolean, False)
     try:
         return LdaModel(
-            weights=np.array(payload["weights"], dtype=np.float64),
-            bias=float(payload["bias"]),
-            dims=BlockDims(int(payload["n_channels"]), int(payload["n_times"])),
+            weights=np.array(weights, dtype=np.float64),
+            bias=float(bias),
+            dims=BlockDims(n_channels, n_times),
             estimator=payload["estimator"],
             cov_mode=payload["cov_mode"],
-            gamma=float(payload["gamma"]),
-            well_conditioned=bool(payload.get("well_conditioned", True)),
-            degenerate=bool(payload.get("degenerate", False)),
+            gamma=float(gamma),
+            well_conditioned=well_conditioned,
+            degenerate=degenerate,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:  # an integer beyond float, or a bad size
         raise DataFormatError(f"malformed model file {path}: {exc!r}") from exc

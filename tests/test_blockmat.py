@@ -41,6 +41,19 @@ def random_spd_block_toeplitz(rng, nc, nt, ridge=None):
 
 # ---------------------------------------------------------------- layout
 
+@pytest.mark.parametrize(
+    ("n_channels", "n_times"),
+    [(2.5, 3), (2, 3.0), (True, 3), (2, "3")],
+)
+def test_block_dims_take_only_integers(n_channels, n_times):
+    with pytest.raises(ShapeError, match="integers"):
+        BlockDims(n_channels, n_times)
+
+
+def test_block_dims_accept_numpy_integers():
+    assert BlockDims(np.int64(2), np.int32(3)).size == 6
+
+
 def flatten(epoch):
     """Channel-prime feature vector of one epoch, through feature extraction."""
     nc, nt = epoch.shape

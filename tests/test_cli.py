@@ -308,6 +308,50 @@ def test_fit_unparseable_means_file_is_data_error(dataset96, tmp_path, capsys, c
     assert "malformed" in stderr
 
 
+@pytest.mark.parametrize(
+    ("means", "counts"),
+    [
+        ([[0.0] * 160, [1.0] * 160], [0.5, -3]),
+        ([[0.0] * 160, [1.0] * 160], [True, 16]),
+        ([["0.0"] * 160, ["1.0"] * 160], [80, 16]),
+    ],
+    ids=["fractional-counts", "bool-counts", "string-means"],
+)
+def test_fit_means_file_values_needing_a_cast_are_data_errors(
+    dataset96, tmp_path, capsys, means, counts
+):
+    means_file = tmp_path / "means.json"
+    means_file.write_text(json.dumps({"means": means, "counts": counts}))
+    code, _, stderr = run(
+        capsys, "fit", "--dataset-dir", str(dataset96),
+        "--model-path", str(tmp_path / "m.json"),
+        "--means-file", str(means_file)
+    )
+    assert code == 2
+    assert "class" in stderr
+
+
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [("gamma", 7.0), ("n_channels", 8.0), ("well_conditioned", "no")],
+)
+def test_score_model_values_needing_a_cast_are_data_errors(
+    dataset96, tmp_path, capsys, key, value
+):
+    model_path = tmp_path / "m.json"
+    assert run(capsys, "fit", "--dataset-dir", str(dataset96),
+               "--model-path", str(model_path))[0] == 0
+    payload = json.loads(model_path.read_text())
+    payload[key] = value
+    model_path.write_text(json.dumps(payload))
+    code, _, stderr = run(
+        capsys, "score", "--dataset-dir", str(dataset96),
+        "--model-path", str(model_path)
+    )
+    assert code == 2
+    assert key in stderr
+
+
 def _copy_dataset(src, dst):
     dst.mkdir()
     for name in ("data.bin", "labels.bin", "meta.json"):

@@ -1,5 +1,6 @@
 """Discriminant fitting, scoring, and model serialization."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toeplitzlda import covest, lda, synth
+from toeplitzlda import blockmat, covest, lda, synth
 from toeplitzlda.blockmat import (
     BlockDims,
     apply_taper,
@@ -18,7 +19,7 @@ from toeplitzlda.blockmat import (
 )
 from toeplitzlda.btsolve import dense_solve
 from toeplitzlda.covest import ClassStats
-from toeplitzlda.errors import DataFormatError, ShapeError
+from toeplitzlda.errors import DataFormatError, ShapeError, SolveError
 from toeplitzlda.lda import decision_values, fit, load_model, save_model
 
 
@@ -170,6 +171,38 @@ def test_pipeline_weights_match_the_stage_by_stage_dense_oracle(
     assert cos >= 1.0 - 1e-10
 
 
+DENSE_REFERENCE = (
+    "sample_covariance",
+    "shrink",
+    "apply_taper_dense",
+    "block_diagonal_average",
+    "apply_taper",
+)
+
+
+@pytest.mark.parametrize("cov_mode", lda.COV_MODES)
+@pytest.mark.parametrize("estimator", lda.ESTIMATORS)
+def test_fit_runs_none_of_the_dense_reference_stages(monkeypatch, estimator, cov_mode):
+    # Those stages each return a fresh D x D; they are the oracle above, so a
+    # fit that ran them would be checked against itself.
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module in (covest, blockmat, lda):
+        for name in DENSE_REFERENCE:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    x, labels, dims = labeled_features(3, 5, 42, seed=12)
+    fit(x, labels, dims=dims, estimator=estimator, cov_mode=cov_mode)
+    assert calls == []
+
+
 def test_global_and_within_agree_without_shrinkage():
     # With gamma pinned to zero the global-mean covariance differs from the
     # within-class one by a multiple of delta delta^T, which cannot rotate
@@ -281,16 +314,20 @@ def test_long_window_toeplitz_fit_forms_no_dense_covariance():
         assert scores[labels == 1].mean() > scores[labels == 0].mean()
 
 
+def indefinite_fit_data():
+    """Eight epochs of 4 x 8 on which `toeplitz_a1_only` falls back."""
+    dims = BlockDims(4, 8)
+    noise = synth.generate_noise(synth.default_noise_model(dims), 8, dims, seed=9)
+    return flatten_epochs(noise), (np.arange(8) % 2).astype(np.uint8), dims
+
+
 def test_averaging_without_taper_flags_indefinite_fallback(monkeypatch):
     # Eight epochs in 32 dimensions: plain block-diagonal averaging goes
     # indefinite, the fit falls back to a dense symmetric solve and says so.
     # The breakdown has already shown the matrix is not positive definite, so
     # the fallback is one symmetric indefinite solve of the dense expansion,
     # never the Cholesky of dense_solve.
-    dims = BlockDims(4, 8)
-    noise = synth.generate_noise(synth.default_noise_model(dims), 8, dims, seed=9)
-    x = flatten_epochs(noise)
-    labels = (np.arange(8) % 2).astype(np.uint8)
+    x, labels, dims = indefinite_fit_data()
     calls = []
     real = lda.dense_solve
 
@@ -313,6 +350,32 @@ def test_averaging_without_taper_flags_indefinite_fallback(monkeypatch):
     assert np.array_equal(model_a1.weights, np.ldexp(oracle, -exp))
     model_full = fit(x, labels, dims=dims, estimator="toeplitz")
     assert model_full.well_conditioned
+
+
+def test_indefinite_fallback_does_not_rescan_its_matrix(monkeypatch):
+    # The dense expansion comes from validated lag blocks: a finite scan of
+    # it would only cost a D x D bool array.
+    x, labels, dims = indefinite_fit_data()
+    calls = []
+    real = scipy.linalg.solve
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve", spy)
+    model = fit(x, labels, dims=dims, estimator="toeplitz_a1_only")
+    assert not model.well_conditioned
+    assert [kw.get("check_finite") for kw in calls] == [False]
+
+
+def test_indefinite_fallback_rejects_a_non_finite_solution(monkeypatch):
+    x, labels, dims = indefinite_fit_data()
+    monkeypatch.setattr(
+        scipy.linalg, "solve", lambda a, b, **kwargs: np.full_like(b, np.nan)
+    )
+    with pytest.raises(SolveError, match="non-finite"):
+        fit(x, labels, dims=dims, estimator="toeplitz_a1_only")
 
 
 # ------------------------------------------------------ scale equivariance
@@ -379,8 +442,6 @@ def test_load_rejects_bad_payloads(tmp_path):
     model = fit(x, labels, dims=dims)
     path = tmp_path / "model.json"
     save_model(model, path)
-    import json
-
     payload = json.loads(path.read_text())
     payload["format_version"] = 2
     path.write_text(json.dumps(payload))
@@ -390,6 +451,42 @@ def test_load_rejects_bad_payloads(tmp_path):
     payload["estimator"] = "mystery"
     path.write_text(json.dumps(payload))
     with pytest.raises(DataFormatError, match="estimator"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [
+        ("weights", ["0.5", 1.0]),
+        ("weights", [float("nan"), 1.0]),
+        ("weights", "0.5"),
+        ("n_channels", 1.0),
+        ("n_channels", "1"),
+        ("n_channels", True),
+        ("n_times", 2.7),
+        ("gamma", 7.0),
+        ("gamma", "0.5"),
+        ("gamma", float("nan")),
+        ("gamma", True),
+        ("bias", "0.25"),
+        ("bias", float("inf")),
+        ("bias", None),
+        ("well_conditioned", "no"),
+        ("well_conditioned", 0),
+        ("degenerate", "yes"),
+        ("degenerate", 1),
+    ],
+)
+def test_load_rejects_values_it_would_have_to_cast(tmp_path, key, value):
+    # save_model writes JSON integers, numbers and booleans; a file holding
+    # anything else is malformed, not something to cast into shape.
+    x, labels, dims = labeled_features(1, 2, 12, seed=9)
+    path = tmp_path / "model.json"
+    save_model(fit(x, labels, dims=dims), path)
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataFormatError, match=key):
         load_model(path)
 
 
