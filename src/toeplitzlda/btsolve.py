@@ -10,8 +10,8 @@ the O(n_times^3) of a dense factorization.  The leading ``(m+1)``-block
 minor is positive definite exactly when the ``m``-block one and the two new
 prediction-error covariances are, so the Cholesky factorizations that the
 next step needs also detect breakdown.  All right-hand-side columns are
-solved in one pass.  The residual of the solution is checked with
-``block_toeplitz_matmul``, an FFT product over a block-circulant embedding of
+solved in one pass.  ``block_toeplitz_matmul`` multiplies by the dense
+expansion without forming it, by FFT over a block-circulant embedding of
 the lag blocks in O(n_channels^2 n_times log n_times).
 
 ``dense_solve`` solves a dense symmetric positive definite system with the
@@ -36,16 +36,15 @@ from .errors import ShapeError, SolveBreakdownError, SolveError
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution of one linear system plus diagnostics.
+    """Solution of one linear system and the route that produced it.
 
-    ``residual_norm`` is ``||A @ solution - b||_F`` computed after the
-    solve.  ``well_conditioned`` is False when a positive definite
-    factorization failed and an indefinite solve produced the solution.
+    ``method`` names the solver, ``"levinson"`` or ``"dense"``.
+    ``well_conditioned`` is False when a positive definite factorization
+    failed and an indefinite solve produced the solution.
     """
 
     solution: np.ndarray
     method: str
-    residual_norm: float
     well_conditioned: bool
 
 
@@ -141,9 +140,8 @@ def block_levinson_solve(btc: BlockToeplitzCov, b) -> SolveReport:
         corr = dpotrs(chol_b, err, lower=1)[0]
         x[: (m + 1) * nc] += bwd[(nt - m - 1) * nc :] @ corr
 
-    residual = float(np.linalg.norm(block_toeplitz_matmul(btc, x) - b))
     solution = x[:, 0] if squeeze else x
-    return SolveReport(solution, "levinson", residual, True)
+    return SolveReport(solution, "levinson", True)
 
 
 def dense_solve(cov: BlockCov, b) -> SolveReport:
@@ -160,6 +158,5 @@ def dense_solve(cov: BlockCov, b) -> SolveReport:
     solution = dpotrs(factor, b, lower=1)[0]
     if not np.isfinite(solution).all():
         raise SolveError("dense Cholesky solve gave a non-finite solution")
-    residual = float(np.linalg.norm(cov.data @ solution - b))
     solution = solution[:, 0] if squeeze else solution
-    return SolveReport(solution, "dense", residual, True)
+    return SolveReport(solution, "dense", True)

@@ -105,8 +105,7 @@ def _solve(cov: BlockCov | BlockToeplitzCov, delta: np.ndarray, estimator: str) 
         raise SolveError(f"symmetric indefinite solve failed: {exc}") from exc
     if not np.isfinite(solution).all():
         raise SolveError("symmetric indefinite solve gave a non-finite solution")
-    residual = float(np.linalg.norm(dense @ solution - delta))
-    return SolveReport(solution, "dense", residual, False)
+    return SolveReport(solution, "dense", False)
 
 
 def fit(
@@ -148,16 +147,10 @@ def fit(
     stats = own if mean_override is None else mean_override
 
     if cov_mode == "within":
-        # Each column minus its own class mean, without an N_e x D gather of
-        # the means: all columns minus the larger class's mean, then the
-        # smaller class's columns again from x, through one copy of them.
-        small = int(own.counts[1] < own.counts[0])
-        xc = x - own.means[1 - small][:, None]
-        cols = labels == small
-        part = x[:, cols]
-        part -= own.means[small][:, None]
-        xc[:, cols] = part
-        del cols, part
+        # Each column minus its own class mean: the D x 2 means times the
+        # 2 x N_e one-hot class indicator, in a buffer laid out like x.
+        xc = np.matmul(own.means.T, np.eye(2)[:, labels], out=np.empty_like(x))
+        np.subtract(x, xc, out=xc)
     else:
         xc = covest.center(x)
     # Scaling by 2**-exp is exact; it keeps the covariance and the

@@ -379,9 +379,10 @@ def test_c11_lag_estimate_time_scaling():
     )
 
 
-# C12 times the residual product that ends every Levinson solve.  As an FFT
-# circular convolution it costs O(n_channels^2 n_times log n_times); a loop
-# of per-lag products would give a slope of 2.
+# C12 times the block-Toeplitz product ``block_toeplitz_matmul``, which
+# multiplies by the dense expansion of the lag blocks without forming it.  As
+# an FFT circular convolution it costs O(n_channels^2 n_times log n_times); a
+# loop of per-lag products would give a slope of 2.
 _C12_TIMINGS = """
 import json, sys, time
 import numpy as np

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toeplitzlda import blockmat, covest, lda, synth
+from toeplitzlda import blockmat, btsolve, covest, lda, synth
 from toeplitzlda.blockmat import (
     BlockDims,
     apply_taper,
@@ -184,7 +184,8 @@ DENSE_REFERENCE = (
 @pytest.mark.parametrize("estimator", lda.ESTIMATORS)
 def test_fit_runs_none_of_the_dense_reference_stages(monkeypatch, estimator, cov_mode):
     # Those stages each return a fresh D x D; they are the oracle above, so a
-    # fit that ran them would be checked against itself.
+    # fit that ran them would be checked against itself.  Nor does a fit
+    # multiply by its block-Toeplitz estimate: nothing reads such a product.
     calls = []
 
     def spy(name, real):
@@ -194,13 +195,46 @@ def test_fit_runs_none_of_the_dense_reference_stages(monkeypatch, estimator, cov
 
         return wrapper
 
-    for module in (covest, blockmat, lda):
-        for name in DENSE_REFERENCE:
+    for module in (covest, blockmat, btsolve, lda):
+        for name in DENSE_REFERENCE + ("block_toeplitz_matmul",):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     x, labels, dims = labeled_features(3, 5, 42, seed=12)
     fit(x, labels, dims=dims, estimator=estimator, cov_mode=cov_mode)
     assert calls == []
+
+
+def column_strided(x):
+    """``x`` as every other column of a C-ordered buffer twice as wide."""
+    wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+    wide[:, ::2] = x
+    return wide[:, ::2]
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray, column_strided])
+def test_within_class_centring_matches_center_bit_for_bit(monkeypatch, layout, flip):
+    # What the fit hands to the estimator is the prescaled class-centred data
+    # of covest.center, in values and in memory order; F-ordered input is
+    # where an output buffer of fixed order would differ.
+    x, labels, dims = labeled_features(3, 5, 42, seed=21)
+    x = layout(x)
+    labels = 1 - labels if flip else labels
+    seen = []
+    real = covest.estimate_covariance
+
+    def spy(xc, *args, **kwargs):
+        seen.append((xc.copy(order="K"), xc.flags.c_contiguous, xc.flags.f_contiguous))
+        return real(xc, *args, **kwargs)
+
+    monkeypatch.setattr(covest, "estimate_covariance", spy)
+    fit(x, labels, dims=dims, estimator="toeplitz")
+    centred = covest.center(x, labels)
+    exp = int(np.frexp(np.abs(centred).max())[1])
+    expected = np.ldexp(centred, -exp)
+    [(got, c_order, f_order)] = seen
+    assert np.array_equal(got, expected)
+    assert (c_order, f_order) == (expected.flags.c_contiguous, expected.flags.f_contiguous)
 
 
 def test_global_and_within_agree_without_shrinkage():
