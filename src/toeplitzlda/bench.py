@@ -3,7 +3,9 @@
 The protocol mirrors a transfer-style evaluation on a labeled dataset:
 
 1. Split the epochs 50/50 into training and validation halves at the
-   epoch-group level (one group = six consecutive epochs with one target).
+   epoch-group level: one group is six consecutive epochs with one target,
+   the fixed 1:5 ratio ``synth.TARGET_RATIO``, so the config echo in
+   ``aggregate.json`` has no group size.
 2. For each subset size and draw, sample a training subset (stratified to
    preserve the 1:5 target ratio by default), fit every configured
    estimator on it, and score the full validation half by AUC.
@@ -31,6 +33,7 @@ from . import lda, rng
 from .covest import _check_labels, class_means
 from .dataio import FeatureConfig, extract_features, read_dataset
 from .errors import GroupSizeError, ShapeError, ToeplitzLdaError
+from .synth import TARGET_RATIO
 
 logger = logging.getLogger(__name__)
 
@@ -65,10 +68,9 @@ def auc(scores, labels) -> float:
     return float(u / (n_t * n_n))
 
 
-def split_train_val(
-    n_epochs: int, seed: int, group_size: int = 6
-) -> tuple[np.ndarray, np.ndarray]:
+def split_train_val(n_epochs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded 50/50 split over whole epoch groups; returns sorted indices."""
+    group_size = sum(TARGET_RATIO)
     if n_epochs % group_size != 0:
         raise GroupSizeError(
             f"n_epochs={n_epochs} is not a multiple of the group size {group_size}"
@@ -90,14 +92,13 @@ def draw_subsets(
     n_draws: int,
     seed: int,
     stratified: bool = True,
-    ratio: tuple[int, int] = (1, 5),
 ) -> list[np.ndarray]:
     """Deterministic training subset draws (indices into ``labels``).
 
-    Stratified mode keeps the target ratio exact, so ``size`` must be a
-    multiple of the group size; plain uniform mode redraws until both
-    classes are present.  Draw ``k`` for a given size depends only on
-    ``(seed, size, k)``.
+    Stratified mode keeps the target ratio ``TARGET_RATIO`` exact, so
+    ``size`` must be a multiple of the group size; plain uniform mode
+    redraws until both classes are present.  Draw ``k`` for a given size
+    depends only on ``(seed, size, k)``.
     """
     labels = _check_labels(labels, np.size(labels))
     n = labels.size
@@ -105,7 +106,7 @@ def draw_subsets(
         raise ShapeError(f"subset size {size} out of range for {n} epochs")
     targets = np.flatnonzero(labels == 1)
     nontargets = np.flatnonzero(labels == 0)
-    group = ratio[0] + ratio[1]
+    group = sum(TARGET_RATIO)
     draws = []
     for k in range(n_draws):
         gen = rng.stream(seed, rng.DRAW_STREAM_BASE + size * (1 << 20) + k)
@@ -115,7 +116,7 @@ def draw_subsets(
                     f"stratified subset size {size} must be a multiple of the "
                     f"group size {group}"
                 )
-            n_t = size // group * ratio[0]
+            n_t = size // group * TARGET_RATIO[0]
             n_n = size - n_t
             if n_t > targets.size or n_n > nontargets.size:
                 raise ShapeError(
@@ -157,7 +158,6 @@ class BenchConfig:
     seed: int = 0
     gamma: float | None = None
     stratified: bool = True
-    group_size: int = 6
     jobs: int = 1
     record_timing: bool = False
 
@@ -208,7 +208,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         raise ShapeError("the benchmark needs a labeled dataset")
     feats = extract_features(epochs, cfg.feature)
     y = epochs.labels.astype(np.int64)
-    train_idx, val_idx = split_train_val(epochs.n_epochs, cfg.seed, cfg.group_size)
+    train_idx, val_idx = split_train_val(epochs.n_epochs, cfg.seed)
     x_train, y_train = feats.data[:, train_idx], y[train_idx]
     x_val, y_val = feats.data[:, val_idx], y[val_idx]
     oracle = class_means(x_train, y_train) if cfg.oracle_means else None

@@ -9,13 +9,12 @@ over the stacked lag blocks, for O(n_times^2) block operations instead of
 the O(n_times^3) of a dense factorization.  The leading ``(m+1)``-block
 minor is positive definite exactly when the ``m``-block one and the two new
 prediction-error covariances are, so the Cholesky factorizations that the
-next step needs also detect breakdown.  All right-hand-side columns are
-solved in one pass.  ``block_toeplitz_matmul`` multiplies by the dense
-expansion without forming it, by FFT over a block-circulant embedding of
-the lag blocks in O(n_channels^2 n_times log n_times).
-
-``dense_solve`` solves a dense symmetric positive definite system with the
-same LAPACK Cholesky routines the recursion uses.
+next step needs also detect breakdown.  ``block_toeplitz_matmul``
+multiplies by the dense expansion without forming it, by FFT over a
+block-circulant embedding of the lag blocks in O(n_channels^2 n_times log
+n_times).  ``dense_solve`` solves a dense symmetric positive definite system
+with the same LAPACK Cholesky routines the recursion uses.  Each of the three
+takes one length-``D`` vector; other shapes raise :class:`ShapeError`.
 
 Notation: ``L[d]`` is the lag-``d`` block, so the dense matrix has block
 ``(i, j)`` equal to ``L[j-i]`` above the diagonal and ``L[i-j]^T`` below.
@@ -36,7 +35,7 @@ from .errors import ShapeError, SolveBreakdownError, SolveError
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution of one linear system and the route that produced it.
+    """Solution vector of one linear system and the route that produced it.
 
     ``method`` names the solver, ``"levinson"`` or ``"dense"``.
     ``well_conditioned`` is False when a positive definite factorization
@@ -48,18 +47,15 @@ class SolveReport:
     well_conditioned: bool
 
 
-def _as_rhs(b, d: int) -> tuple[np.ndarray, bool]:
+def _as_vector(b, d: int) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    if b.ndim != 2 or b.shape[0] != d:
-        raise ShapeError(f"right-hand side has shape {b.shape}, expected ({d}, k)")
-    return b, squeeze
+    if b.shape != (d,):
+        raise ShapeError(f"right-hand side has shape {b.shape}, expected ({d},)")
+    return b
 
 
 def block_toeplitz_matmul(btc: BlockToeplitzCov, x: np.ndarray) -> np.ndarray:
-    """Product of the dense expansion of ``btc`` with ``x``, by FFT.
+    """Product of the dense expansion of ``btc`` with the vector ``x``, by FFT.
 
     The lag blocks are embedded in a block circulant of length ``n >= 2
     n_times - 1``, with ``c[0] = L[0]``, ``c[d] = L[d]^T`` and ``c[n - d] =
@@ -69,7 +65,7 @@ def block_toeplitz_matmul(btc: BlockToeplitzCov, x: np.ndarray) -> np.ndarray:
     scratch.
     """
     d = btc.dims.size
-    x, squeeze = _as_rhs(x, d)
+    x = _as_vector(x, d)
     nc, nt = btc.dims.n_channels, btc.dims.n_times
     lags = btc.lag_blocks
     n = scipy.fft.next_fast_len(2 * nt - 1, real=True)
@@ -78,9 +74,8 @@ def block_toeplitz_matmul(btc: BlockToeplitzCov, x: np.ndarray) -> np.ndarray:
     c[1:nt] = lags[1:].transpose(0, 2, 1)
     c[n - nt + 1 :] = lags[:0:-1]
     spec = scipy.fft.rfft(c, axis=0)
-    spec = spec @ scipy.fft.rfft(x.reshape(nt, nc, -1), n, axis=0)
-    y = scipy.fft.irfft(spec, n, axis=0)[:nt].reshape(d, -1)
-    return y[:, 0] if squeeze else y
+    spec = spec @ scipy.fft.rfft(x.reshape(nt, nc, 1), n, axis=0)
+    return scipy.fft.irfft(spec, n, axis=0)[:nt].reshape(d)
 
 
 def _cholesky(v: np.ndarray, order: int) -> np.ndarray:
@@ -94,17 +89,16 @@ def _cholesky(v: np.ndarray, order: int) -> np.ndarray:
 
 
 def block_levinson_solve(btc: BlockToeplitzCov, b) -> SolveReport:
-    """Solve the symmetric block-Toeplitz system defined by ``btc``.
+    """Solve the symmetric block-Toeplitz system of ``btc`` for the vector ``b``.
 
     Raises :class:`SolveBreakdownError` naming the failing recursion step
     when a leading block minor is singular or indefinite; the caller decides
     whether to retry with a dense indefinite solve.
     """
     d = btc.dims.size
-    b, squeeze = _as_rhs(b, d)
     nc, nt = btc.dims.n_channels, btc.dims.n_times
     lags = btc.lag_blocks
-    y = b.reshape(nt, nc, -1)
+    y = _as_vector(b, d).reshape(nt, nc)
     # The last m blocks of ``row`` are [L[m]^T ... L[1]^T]: block row m of
     # the dense matrix, left of the diagonal.
     row = lags[:0:-1].transpose(2, 0, 1).reshape(nc, (nt - 1) * nc)
@@ -117,7 +111,7 @@ def block_levinson_solve(btc: BlockToeplitzCov, b) -> SolveReport:
     v_f = lags[0].copy()
     v_b = v_f.copy()
     chol_f = chol_b = _cholesky(lags[0], 1)
-    x = np.zeros_like(b)
+    x = np.zeros(d)
     x[:nc] = dpotrs(chol_b, y[0], lower=1)[0]
 
     for m in range(1, nt):
@@ -140,23 +134,24 @@ def block_levinson_solve(btc: BlockToeplitzCov, b) -> SolveReport:
         corr = dpotrs(chol_b, err, lower=1)[0]
         x[: (m + 1) * nc] += bwd[(nt - m - 1) * nc :] @ corr
 
-    solution = x[:, 0] if squeeze else x
-    return SolveReport(solution, "levinson", True)
+    return SolveReport(x, "levinson", True)
 
 
-def dense_solve(cov: BlockCov, b) -> SolveReport:
-    """Cholesky solve of a dense symmetric positive definite system.
-
-    Raises :class:`SolveError` when the matrix is not positive definite or
-    the solution is not finite (a NaN diagonal can factor without error).
-    """
-    d = cov.dims.size
-    b, squeeze = _as_rhs(b, d)
-    factor, info = dpotrf(cov.data, lower=1, clean=0)
+def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> SolveReport:
+    """Cholesky solve of ``a x = b`` from the lower triangle of ``a``, which
+    is factored in place when Fortran-ordered (f2py ignores the write flag)."""
+    factor, info = dpotrf(a, lower=1, overwrite_a=1, clean=0)
     if info != 0:
         raise SolveError(f"dense Cholesky factorization failed (dpotrf info {info})")
     solution = dpotrs(factor, b, lower=1)[0]
     if not np.isfinite(solution).all():
         raise SolveError("dense Cholesky solve gave a non-finite solution")
-    solution = solution[:, 0] if squeeze else solution
     return SolveReport(solution, "dense", True)
+
+
+def dense_solve(cov: BlockCov, b) -> SolveReport:
+    """Cholesky solve of a dense symmetric positive definite system, on a
+    copy of ``cov``.  Raises :class:`SolveError` when the matrix is not
+    positive definite or the solution is not finite (a NaN diagonal can
+    factor without error)."""
+    return _cholesky_solve(cov.data.copy(order="F"), _as_vector(b, cov.dims.size))

@@ -43,7 +43,7 @@ import scipy.linalg
 
 from . import covest
 from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, to_dense
-from .btsolve import SolveReport, block_levinson_solve, dense_solve
+from .btsolve import SolveReport, _cholesky_solve, block_levinson_solve
 from .covest import ESTIMATORS, ClassStats
 from .errors import DataFormatError, ShapeError, SolveBreakdownError, SolveError
 
@@ -88,7 +88,9 @@ def _finite_features(x, dims: BlockDims) -> np.ndarray:
 
 def _solve(cov: BlockCov | BlockToeplitzCov, delta: np.ndarray, estimator: str) -> SolveReport:
     if not isinstance(cov, BlockToeplitzCov):
-        return dense_solve(cov, delta)
+        # S is the fit's own, symmetric and read no more: factor it in place as S.T.
+        cov.data.setflags(write=True)
+        return _cholesky_solve(cov.data.T, delta)
     try:
         return block_levinson_solve(cov, delta)
     except SolveBreakdownError:

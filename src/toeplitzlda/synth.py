@@ -16,7 +16,7 @@ with ``r_s(d) = sum_k f_s[k] f_s[k+d]`` the autocorrelation of source
 Class structure is injected as a pure mean shift: every epoch receives its
 class template, so class-conditional covariances equal the noise covariance.
 Labels are assigned in groups (one group = ``sum(target_ratio)`` epochs,
-with ``target_ratio[0]`` targets placed at seeded random positions).
+with ``target_ratio[0]`` targets at seeded random positions; 1:5 by default).
 
 All randomness is drawn from per-epoch Philox streams keyed by
 ``(seed, epoch_index)`` (see :mod:`toeplitzlda.rng`), making outputs
@@ -43,6 +43,9 @@ DEFAULT_ERP_SCALE = 1.69
 
 DEFAULT_SFREQ = 40.0
 DEFAULT_T0 = 0.1
+
+#: Targets to non-targets in each epoch group, here and in the benchmark.
+TARGET_RATIO = (1, 5)
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ class ErpSpec:
 
     target_template: np.ndarray
     nontarget_template: np.ndarray
-    target_ratio: tuple[int, int] = (1, 5)
+    target_ratio: tuple[int, int] = TARGET_RATIO
 
     def __post_init__(self):
         tgt = np.array(self.target_template, dtype=np.float64)
@@ -189,7 +192,6 @@ def default_erp_spec(
     return ErpSpec(
         target_template=scale * (early + late),
         nontarget_template=scale * early,
-        target_ratio=(1, 5),
     )
 
 

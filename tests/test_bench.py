@@ -304,6 +304,8 @@ def test_write_report_emits_csv_and_json(dataset_dir, tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["cells"] == aggregate(report)["cells"]
     assert payload["config"]["seed"] == 5
+    # The 1:5 epoch group is fixed by synth.TARGET_RATIO, not configured.
+    assert "group_size" not in payload["config"]
 
 
 def test_config_validates_names(dataset_dir):

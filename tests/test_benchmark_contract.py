@@ -1,4 +1,5 @@
-"""The per-layer rows of BENCHMARK.json name functions the package defines.
+"""The per-layer rows of BENCHMARK.json name functions the package defines,
+and an untraced perfbench run is correct and reports the end-to-end metrics.
 
 perfbench traces every public function defined in a package module, plus
 the constructors of ``BlockCov`` and ``BlockToeplitzCov``, and a traced run
@@ -8,14 +9,15 @@ lists.  A listed name that no longer resolves therefore breaks ``--trace 1``.
 
 import importlib
 import json
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 from toeplitzlda import blockmat
 
-SPEC = json.loads(
-    (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text(encoding="utf-8")
-)
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 CONSTRUCTORS = {"blockmat.BlockCov": blockmat.BlockCov,
                 "blockmat.BlockToeplitzCov": blockmat.BlockToeplitzCov}
 
@@ -45,3 +47,19 @@ def test_every_per_layer_name_is_a_traced_function():
     })
     assert names
     assert [name for name in names if not traced(name)] == []
+
+
+def test_perfbench_sweep_run_is_correct():
+    # The smallest workload, with no timed loop.  It runs perfbench's
+    # reference check, which reuses the dense estimate it hands to
+    # dense_solve.  Scratch files go to the git-ignored .perfbench/.
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "sweep-cli",
+         "--seed", "1", "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, stdout=subprocess.PIPE, text=True, timeout=180,
+    )
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in SPEC["end_to_end"])

@@ -348,6 +348,26 @@ def test_long_window_toeplitz_fit_forms_no_dense_covariance():
         assert scores[labels == 1].mean() > scores[labels == 0].mean()
 
 
+@pytest.mark.parametrize("estimator", ["slda", "toeplitz_a2_only"])
+def test_dense_fit_holds_one_dense_covariance(estimator):
+    # At 8 x 128, D = 1024: one D x D float64 matrix is 8 MiB, the D x N_e
+    # data 0.4 MiB.  The solve factors the fit's own estimate in place
+    # instead of a copy of it.
+    dims = BlockDims(8, 128)
+    rng = np.random.default_rng(0)
+    labels = np.arange(48) % 2
+    x = rng.standard_normal((dims.size, 48)) + 0.5 * np.outer(
+        rng.standard_normal(dims.size), labels
+    )
+    tracemalloc.start()
+    try:
+        fit(x, labels, dims=dims, estimator=estimator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * dims.size**2 * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
 def indefinite_fit_data():
     """Eight epochs of 4 x 8 on which `toeplitz_a1_only` falls back."""
     dims = BlockDims(4, 8)
@@ -360,16 +380,16 @@ def test_averaging_without_taper_flags_indefinite_fallback(monkeypatch):
     # indefinite, the fit falls back to a dense symmetric solve and says so.
     # The breakdown has already shown the matrix is not positive definite, so
     # the fallback is one symmetric indefinite solve of the dense expansion,
-    # never the Cholesky of dense_solve.
+    # never the Cholesky of the dense estimators.
     x, labels, dims = indefinite_fit_data()
     calls = []
-    real = lda.dense_solve
+    real = lda._cholesky_solve
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(lda, "dense_solve", spy)
+    monkeypatch.setattr(lda, "_cholesky_solve", spy)
     model_a1 = fit(x, labels, dims=dims, estimator="toeplitz_a1_only")
     assert not model_a1.well_conditioned
     assert calls == []
