@@ -3,8 +3,9 @@
 Classifies multichannel time-series epochs (channel-prime feature layout)
 using a covariance estimator that combines Ledoit-Wolf shrinkage with
 block-diagonal averaging and linear tapering, and solves the resulting
-block-Toeplitz system by a block Levinson recursion instead of forming
-the dense matrix.  Ships a synthetic-data generator and a benchmark
+block-Toeplitz system densely when it is small and by block-circulant
+preconditioned conjugate gradients, without forming the dense matrix, when
+it is large.  Ships a synthetic-data generator and a benchmark
 harness with fully seeded, byte-reproducible outputs.
 """
 
@@ -26,7 +27,13 @@ from .blockmat import (
     free_parameter_count,
     to_dense,
 )
-from .btsolve import SolveReport, block_levinson_solve, block_toeplitz_matmul, dense_solve
+from .btsolve import (
+    SolveReport,
+    block_levinson_solve,
+    block_toeplitz_matmul,
+    block_toeplitz_solve,
+    dense_solve,
+)
 from .covest import (
     ClassStats,
     class_means,
@@ -89,6 +96,7 @@ __all__ = [
     "block_diagonal_average",
     "block_levinson_solve",
     "block_toeplitz_matmul",
+    "block_toeplitz_solve",
     "class_means",
     "decision_values",
     "default_erp_spec",

@@ -200,16 +200,22 @@ def to_dense(btc: BlockToeplitzCov) -> BlockCov:
 
     Block ``(i, j)`` is ``lag_blocks[j - i]`` for ``j >= i`` and
     ``lag_blocks[i - j]^T`` below the diagonal, so the result is exactly
-    symmetric.
+    symmetric.  With the ``2 n_times - 1`` blocks ``[L[nt-1]^T ... L[1]^T,
+    L[0] ... L[nt-1]]`` laid side by side in ``rows``, channel row ``a`` of
+    block row ``i`` is the ``D`` entries of row ``a`` of ``rows`` from block
+    ``nt - 1 - i`` on: one copy from a sliding window fills the one ``D x D``
+    buffer.
     """
     nc, nt = btc.dims.n_channels, btc.dims.n_times
-    grid = np.zeros((nt, nc, nt, nc))
-    for d in range(nt):
-        rows = np.arange(nt - d)
-        grid[rows, :, rows + d, :] = btc.lag_blocks[d]
-        if d > 0:
-            grid[rows + d, :, rows, :] = btc.lag_blocks[d].T
-    return _owned_cov(btc.dims, grid.reshape(btc.dims.size, btc.dims.size))
+    d = btc.dims.size
+    lags = btc.lag_blocks
+    rows = np.empty((nc, 2 * nt - 1, nc))
+    rows[:, : nt - 1] = lags[:0:-1].transpose(2, 0, 1)
+    rows[:, nt - 1 :] = lags.transpose(1, 0, 2)
+    windows = np.lib.stride_tricks.sliding_window_view(rows.reshape(nc, -1), d, axis=1)
+    out = np.empty((d, d))
+    out.reshape(nt, nc, d)[...] = windows[:, ::-nc].transpose(1, 0, 2)
+    return _owned_cov(btc.dims, out)
 
 
 def free_parameter_count(dims: BlockDims) -> tuple[int, int]:

@@ -9,11 +9,14 @@ positive on the target side.
 selects its structure:
 
 * ``slda`` -- dense shrinkage-regularized sample covariance.
-* ``toeplitz`` -- block-diagonal averaging plus linear tapering; solved in
-  compact form by the block Levinson recursion.
+* ``toeplitz`` -- block-diagonal averaging plus linear tapering; solved by
+  :func:`btsolve.block_toeplitz_solve`: one dense Cholesky of the expanded
+  lag blocks on small systems, block-circulant preconditioned conjugate
+  gradients on the compact form on large ones.
 * ``toeplitz_a1_only`` -- averaging without tapering.  The averaged matrix
-  is not guaranteed positive definite; on recursion breakdown the fit
-  retries with a dense symmetric indefinite solve and flags the model.
+  is not guaranteed positive definite, so it always takes the dense route:
+  when the Cholesky of the expanded lag blocks fails, the fit solves a fresh
+  expansion with a symmetric indefinite factorization and flags the model.
 * ``toeplitz_a2_only`` -- blockwise tapering of the dense shrunk covariance
   (no averaging).
 
@@ -43,9 +46,9 @@ import scipy.linalg
 
 from . import covest
 from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, to_dense
-from .btsolve import SolveReport, _cholesky_solve, block_levinson_solve
+from .btsolve import SolveReport, _solve_in_place, block_toeplitz_solve
 from .covest import ESTIMATORS, ClassStats
-from .errors import DataFormatError, ShapeError, SolveBreakdownError, SolveError
+from .errors import DataFormatError, ShapeError, SolveError
 
 MODEL_FORMAT_VERSION = 1
 COV_MODES = ("within", "global")
@@ -88,18 +91,18 @@ def _finite_features(x, dims: BlockDims) -> np.ndarray:
 
 def _solve(cov: BlockCov | BlockToeplitzCov, delta: np.ndarray, estimator: str) -> SolveReport:
     if not isinstance(cov, BlockToeplitzCov):
-        # S is the fit's own, symmetric and read no more: factor it in place as S.T.
-        cov.data.setflags(write=True)
-        return _cholesky_solve(cov.data.T, delta)
+        return _solve_in_place(cov, delta)  # S is the fit's own and read no more
+    if estimator != "toeplitz_a1_only":
+        return block_toeplitz_solve(cov, delta)
+    # Averaging without tapering may produce an indefinite matrix, which a
+    # failed Cholesky shows: then solve a fresh expansion (the first one was
+    # overwritten) with a symmetric indefinite factorization and flag the
+    # model instead of failing.  The lag blocks are finite, so only the
+    # solution needs a scan.
     try:
-        return block_levinson_solve(cov, delta)
-    except SolveBreakdownError:
-        if estimator != "toeplitz_a1_only":
-            raise
-    # Averaging without tapering may produce an indefinite matrix, which the
-    # breakdown has just shown: solve it densely with a symmetric indefinite
-    # factorization and flag the model instead of failing.  The lag blocks
-    # are finite, so only the solution needs a scan.
+        return _solve_in_place(to_dense(cov), delta)
+    except SolveError:
+        pass
     dense = to_dense(cov).data
     try:
         solution = scipy.linalg.solve(dense, delta, assume_a="sym", check_finite=False)

@@ -29,7 +29,7 @@ from toeplitzlda.blockmat import (
     free_parameter_count,
     to_dense,
 )
-from toeplitzlda.btsolve import block_levinson_solve, dense_solve
+from toeplitzlda.btsolve import block_toeplitz_solve, dense_solve
 from toeplitzlda.covest import ClassStats
 from toeplitzlda.dataio import (
     Epochs,
@@ -119,25 +119,30 @@ def _subset_auc(run, estimator, size, n_draws, seed, mean_override=None):
 
 
 def test_c1_block_solver_matches_dense_reference():
+    # The grid spans both routes of block_toeplitz_solve: 8 x 64 takes PCG,
+    # the smaller systems the dense Cholesky.
     start = time.perf_counter()
     grid = [(nc, nt) for nc in (1, 2, 4, 8) for nt in (1, 2, 3, 8, 16, 64)]
     worst = 0.0
+    routes = set()
     for seed in range(50):
         nc, nt = grid[seed % len(grid)]
         rng = np.random.default_rng(seed)
         btc = spd_block_toeplitz(rng, nc, nt)
         b = rng.standard_normal(btc.dims.size)
-        lev = block_levinson_solve(btc, b)
+        report = block_toeplitz_solve(btc, b)
+        routes.add(report.method)
         den = dense_solve(to_dense(btc), b)
-        rel = np.linalg.norm(lev.solution - den.solution) / np.linalg.norm(
+        rel = np.linalg.norm(report.solution - den.solution) / np.linalg.norm(
             den.solution
         )
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start
     _report(
         "C1",
-        worst <= 1e-8 and elapsed < 60.0,
-        f"worst relative error {worst:.2e} over 50 systems "
+        worst <= 1e-8 and elapsed < 60.0 and routes == {"dense", "pcg"},
+        f"worst relative error {worst:.2e} over 50 systems on the "
+        f"{' and '.join(sorted(routes))} routes "
         f"(need <= 1e-8) in {elapsed:.1f}s (need < 60s)",
     )
 
@@ -290,7 +295,7 @@ import json, sys, time
 import numpy as np
 from toeplitzlda import synth
 from toeplitzlda.blockmat import BlockDims, to_dense
-from toeplitzlda.btsolve import block_levinson_solve, dense_solve
+from toeplitzlda.btsolve import block_toeplitz_solve, dense_solve
 
 def timed(fn):
     start = time.process_time()
@@ -298,7 +303,7 @@ def timed(fn):
     return time.process_time() - start
 
 nc = 8
-t_lev, t_dense, storage_ok = [], [], True
+t_block, t_dense, storage_ok = [], [], True
 for nt in json.loads(sys.argv[1]):
     dims = BlockDims(nc, nt)
     btc = synth.true_covariance(synth.default_noise_model(dims), dims)
@@ -306,9 +311,9 @@ for nt in json.loads(sys.argv[1]):
     b = np.random.default_rng(nt).standard_normal(dims.size)
     dense = to_dense(btc)
     reps = 5 if nt <= 256 else 2
-    t_lev.append(min(timed(lambda: block_levinson_solve(btc, b)) for _ in range(reps)))
+    t_block.append(min(timed(lambda: block_toeplitz_solve(btc, b)) for _ in range(reps)))
     t_dense.append(min(timed(lambda: dense_solve(dense, b)) for _ in range(reps)))
-print(json.dumps({"t_lev": t_lev, "t_dense": t_dense, "storage_ok": storage_ok}))
+print(json.dumps({"t_block": t_block, "t_dense": t_dense, "storage_ok": storage_ok}))
 """
 
 
@@ -329,14 +334,14 @@ def _single_blas_thread_run(script: str, *args: str) -> dict:
 def test_c7_solver_scaling_and_compact_storage():
     sizes = (64, 128, 256, 512)
     timings = _single_blas_thread_run(_C7_TIMINGS, json.dumps(sizes))
-    t_lev, t_dense = timings["t_lev"], timings["t_dense"]
+    t_block, t_dense = timings["t_block"], timings["t_dense"]
     storage_ok = timings["storage_ok"]
-    slope_lev = float(np.polyfit(np.log(sizes), np.log(t_lev), 1)[0])
+    slope_block = float(np.polyfit(np.log(sizes), np.log(t_block), 1)[0])
     slope_dense = float(np.polyfit(np.log(sizes), np.log(t_dense), 1)[0])
     _report(
         "C7",
-        slope_lev <= 2.5 and slope_dense >= 2.5 and storage_ok,
-        f"log-log time slope over n_times 64..512: recursion {slope_lev:.2f} "
+        slope_block <= 2.5 and slope_dense >= 2.5 and storage_ok,
+        f"log-log time slope over n_times 64..512: block-Toeplitz solve {slope_block:.2f} "
         f"(need <= 2.5), dense {slope_dense:.2f} (need >= 2.5); compact "
         f"storage n_times*n_channels^2 exact: {storage_ok}",
     )

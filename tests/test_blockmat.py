@@ -1,8 +1,10 @@
 """Channel-prime layout, block-diagonal averaging, tapering, and parameter counting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toeplitzlda.blockmat import (
@@ -202,6 +204,41 @@ def test_to_dense_places_lag_blocks_on_diagonals():
             else:
                 expect = btc.lag_blocks[i - j].T
             assert np.array_equal(block_at(dense, i, j), expect)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nc=st.integers(1, 6), nt=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(nc=1, nt=1, seed=0)
+@example(nc=1, nt=12, seed=1)
+@example(nc=6, nt=1, seed=2)
+def test_to_dense_matches_block_by_block_oracle(nc, nt, seed):
+    # Asymmetric lags tell L[d] from L[d]^T; the gather copies, so the result
+    # is the oracle's bit for bit.
+    rng = np.random.default_rng(seed)
+    lags = rng.standard_normal((nt, nc, nc))
+    lags[0] = (lags[0] + lags[0].T) / 2.0
+    btc = BlockToeplitzCov(dims=BlockDims(nc, nt), lag_blocks=lags)
+    oracle = np.empty((nc * nt, nc * nt))
+    for i in range(nt):
+        for j in range(nt):
+            block = btc.lag_blocks[j - i] if j >= i else btc.lag_blocks[i - j].T
+            oracle[i * nc:(i + 1) * nc, j * nc:(j + 1) * nc] = block
+    assert np.array_equal(to_dense(btc).data, oracle)
+
+
+def test_to_dense_holds_one_dense_matrix():
+    # At 8 x 128, D = 1024: one D x D float64 matrix is 8 MiB; the lag stack
+    # the gather reads is 2 n_times blocks.
+    btc = random_spd_block_toeplitz(np.random.default_rng(11), 8, 128)
+    d = btc.dims.size
+    tracemalloc.start()
+    try:
+        dense = to_dense(btc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense.data.shape == (d, d)
+    assert peak < 1.1 * d * d * 8, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_lag0_block_is_symmetrized_on_construction():

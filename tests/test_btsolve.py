@@ -1,15 +1,17 @@
-"""Block Levinson recursion and dense reference solver."""
+"""The block-Toeplitz solve of the fits, its dense and PCG routes, the
+reference block Levinson recursion and the dense reference solver."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toeplitzlda import covest, lda
+from toeplitzlda import btsolve, covest, lda
 from toeplitzlda.blockmat import BlockCov, BlockDims, BlockToeplitzCov, to_dense
 from toeplitzlda.btsolve import (
     block_levinson_solve,
     block_toeplitz_matmul,
+    block_toeplitz_solve,
     dense_solve,
 )
 from toeplitzlda.errors import ShapeError, SolveBreakdownError, SolveError
@@ -67,6 +69,151 @@ def test_matmul_matches_dense_product(nc, nt, log2_scale, seed):
     assert err <= 1e-13 * np.linalg.norm(dense) * np.linalg.norm(x)
 
 
+# ------------------------------------------------- block-Toeplitz solve
+
+ROUTES = ("dense", "pcg")
+
+
+def on_route(monkeypatch, route):
+    """Send every block_toeplitz_solve down ``route``, whatever the size."""
+    monkeypatch.setattr(btsolve, "_pcg_pays", lambda nc, nt: route == "pcg")
+
+
+def loaded_lags(rng, nc, nt):
+    """Random asymmetric lags, diagonally loaded to a condition number of at
+    most about 2e3."""
+    lags = random_lags(rng, nc, nt)
+    eig = np.linalg.eigvalsh(to_dense(BlockToeplitzCov(BlockDims(nc, nt), lags)).data)
+    lags[0] += (10.0 ** rng.uniform(-3, 0) * np.abs(eig).max() - eig[0]) * np.eye(nc)
+    return lags
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@settings(max_examples=60, deadline=None)
+@given(
+    nc=st.integers(1, 5),
+    nt=st.integers(1, 40),
+    lag_scale=st.sampled_from([-200, 0, 200]),
+    rhs_scale=st.sampled_from([-200, 0, 200]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nc=1, nt=1, lag_scale=0, rhs_scale=0, seed=0)
+@example(nc=5, nt=40, lag_scale=200, rhs_scale=-200, seed=1)
+@example(nc=3, nt=2, lag_scale=-200, rhs_scale=200, seed=2)
+def test_both_routes_match_dense_solve(route, nc, nt, lag_scale, rhs_scale, seed):
+    # Asymmetric lags tell L[d] from L[d]^T in the dense gather and in the
+    # circulant embedding; a relative error of 1e-8 is C1's bound.
+    rng = np.random.default_rng(seed)
+    lags = loaded_lags(rng, nc, nt) * 2.0**lag_scale
+    btc = BlockToeplitzCov(dims=BlockDims(nc, nt), lag_blocks=lags)
+    b = rng.standard_normal(btc.dims.size) * 2.0**rhs_scale
+    with pytest.MonkeyPatch.context() as mp:
+        on_route(mp, route)
+        report = block_toeplitz_solve(btc, b)
+    oracle = dense_solve(to_dense(btc), b).solution
+    assert report.method == route
+    assert report.well_conditioned
+    assert np.linalg.norm(report.solution - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize(
+    ("nc", "nt", "route"),
+    [(8, 20, "dense"), (31, 16, "dense"), (64, 8, "dense"), (8, 64, "pcg"),
+     (2, 256, "pcg"), (16, 32, "pcg")],
+)
+def test_size_rule_picks_the_route(nc, nt, route):
+    btc = random_spd_block_toeplitz(np.random.default_rng(nt), nc, nt)
+    b = np.ones(btc.dims.size)
+    report = block_toeplitz_solve(btc, b)
+    assert report.method == route
+    oracle = dense_solve(to_dense(btc), b).solution
+    assert np.linalg.norm(report.solution - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+
+def test_zero_right_hand_side_gives_zero_on_both_routes(monkeypatch):
+    btc = random_spd_block_toeplitz(np.random.default_rng(3), 3, 5)
+    for route in ROUTES:
+        on_route(monkeypatch, route)
+        report = block_toeplitz_solve(btc, np.zeros(btc.dims.size))
+        assert np.array_equal(report.solution, np.zeros(btc.dims.size))
+
+
+def test_dense_route_factors_its_gather_in_place(monkeypatch):
+    # The route gathers one D x D expansion, and LAPACK factors that buffer
+    # (as its transpose, the same matrix in Fortran order), not a copy of it.
+    btc = random_spd_block_toeplitz(np.random.default_rng(4), 3, 5)
+    gathered, factored = [], []
+    real_gather, real_factor = btsolve.to_dense, btsolve.dpotrf
+
+    def gather(*args):
+        cov = real_gather(*args)
+        gathered.append(cov.data)
+        return cov
+
+    def factor(a, *args, **kwargs):
+        factored.append(a)
+        return real_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(btsolve, "to_dense", gather)
+    monkeypatch.setattr(btsolve, "dpotrf", factor)
+    on_route(monkeypatch, "dense")
+    block_toeplitz_solve(btc, np.ones(btc.dims.size))
+    [data], [a] = gathered, factored
+    assert a.base is data and a.flags.f_contiguous
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_indefinite_system_raises_solve_error(monkeypatch, route):
+    # Its Chan preconditioner is positive definite, so the PCG route finds
+    # the negative curvature; the dense route's Cholesky fails.
+    btc = scalar_toeplitz([1.0, -0.5, 0.6, 0.1, -0.3, -0.1])
+    assert np.linalg.eigvalsh(to_dense(btc).data)[0] < -0.2
+    on_route(monkeypatch, route)
+    with pytest.raises(SolveError, match="curvature" if route == "pcg" else "Cholesky"):
+        block_toeplitz_solve(btc, np.ones(6))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_singular_system_raises_solve_error(monkeypatch, route):
+    # Channel 1 has no variance: every lag block has a zero row and column,
+    # and so has every preconditioner block.
+    lags = random_spd_block_toeplitz(np.random.default_rng(5), 3, 6).lag_blocks.copy()
+    lags[:, 1, :] = 0.0
+    lags[:, :, 1] = 0.0
+    btc = BlockToeplitzCov(dims=BlockDims(3, 6), lag_blocks=lags)
+    on_route(monkeypatch, route)
+    with pytest.raises(SolveError, match="preconditioner" if route == "pcg" else "Cholesky"):
+        block_toeplitz_solve(btc, np.ones(btc.dims.size))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("route", ROUTES)
+def test_overflowing_solution_raises_solve_error(monkeypatch, route):
+    # A tiny system matrix and a huge right-hand side: the solution is beyond
+    # the float range, and neither route may return it.
+    btc = random_spd_block_toeplitz(np.random.default_rng(6), 2, 5)
+    small = BlockToeplitzCov(btc.dims, btc.lag_blocks * 2.0**-1000)
+    on_route(monkeypatch, route)
+    with pytest.raises(SolveError):
+        block_toeplitz_solve(small, np.full(small.dims.size, 2.0**1000))
+
+
+def test_pcg_iteration_cap_raises_solve_error(monkeypatch):
+    btc = random_spd_block_toeplitz(np.random.default_rng(7), 8, 64)
+    b = np.random.default_rng(8).standard_normal(btc.dims.size)
+    assert block_toeplitz_solve(btc, b).method == "pcg"
+    monkeypatch.setattr(btsolve, "_PCG_MAX_ITER", 2)
+    with pytest.raises(SolveError, match="did not converge in 2 iterations"):
+        block_toeplitz_solve(btc, b)
+
+
+def test_block_toeplitz_solve_is_deterministic():
+    btc = random_spd_block_toeplitz(np.random.default_rng(9), 8, 64)
+    b = np.random.default_rng(10).standard_normal(btc.dims.size)
+    assert np.array_equal(block_toeplitz_solve(btc, b).solution,
+                          block_toeplitz_solve(btc, b).solution)
+
+
 # ------------------------------------------------------ levinson solve
 
 def test_identity_system_returns_rhs():
@@ -112,11 +259,7 @@ def test_levinson_matches_dense_oracle(nc, nt):
 def test_levinson_matches_dense_oracle_with_asymmetric_lags(nc, nt, seed):
     # Symmetric lags cannot tell L[d] from L[d]^T; these can.
     rng = np.random.default_rng(seed)
-    lags = random_lags(rng, nc, nt)
-    eig = np.linalg.eigvalsh(to_dense(BlockToeplitzCov(BlockDims(nc, nt), lags)).data)
-    # Diagonal loading to a condition number of at most about 2e3.
-    lags[0] += (10.0 ** rng.uniform(-3, 0) * np.abs(eig).max() - eig[0]) * np.eye(nc)
-    btc = BlockToeplitzCov(dims=BlockDims(nc, nt), lag_blocks=lags)
+    btc = BlockToeplitzCov(dims=BlockDims(nc, nt), lag_blocks=loaded_lags(rng, nc, nt))
     b = rng.standard_normal(btc.dims.size)
     report = block_levinson_solve(btc, b)
     oracle = np.linalg.solve(to_dense(btc).data, b)
@@ -227,14 +370,14 @@ def test_dense_solve_rejects_indefinite_by_default():
 def test_dense_solve_indefinite_fallback_solves_and_flags():
     # dense_solve itself only takes the Cholesky path; the dense indefinite
     # fallback belongs to the toeplitz_a1_only solve in lda._solve, which
-    # takes it after the Levinson breakdown on [[1,2],[2,1]].
+    # takes it after the failed Cholesky of [[1,2],[2,1]].
     # [[1,2],[2,1]]^-1 = [[-1/3, 2/3], [2/3, -1/3]]
     btc = scalar_toeplitz([1.0, 2.0])
     report = lda._solve(btc, np.array([1.0, 0.0]), "toeplitz_a1_only")
     assert np.allclose(report.solution, [-1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
     assert report.method == "dense"
     assert not report.well_conditioned
-    with pytest.raises(SolveBreakdownError):
+    with pytest.raises(SolveError):
         lda._solve(btc, np.array([1.0, 0.0]), "toeplitz")
 
 
@@ -271,10 +414,11 @@ def test_solvers_agree_on_spd_system():
 
 @pytest.mark.parametrize("n_rhs", [1, 2])
 @pytest.mark.parametrize("solver", [
+    block_toeplitz_solve,
     block_levinson_solve,
     block_toeplitz_matmul,
     lambda btc, b: dense_solve(to_dense(btc), b),
-], ids=["levinson", "matmul", "dense"])
+], ids=["block_toeplitz", "levinson", "matmul", "dense"])
 def test_matrix_rhs_is_rejected(solver, n_rhs):
     # Each function takes one right-hand side vector, never a matrix.
     btc = random_spd_block_toeplitz(np.random.default_rng(22), 2, 3)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exit codes, and reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -277,6 +278,29 @@ def test_fit_unlabeled_with_means_file(tmp_path, capsys):
     assert code == 0
     assert last_json(stdout)["cov_mode"] == "global"
     assert model_path.is_file()
+
+
+@pytest.mark.parametrize(("n_times", "sfreq"), [(20, 40.0), (64, 128.0)], ids=["dense", "pcg"])
+def test_singular_unshrunk_fit_is_numerical_error(tmp_path, capsys, n_times, sfreq):
+    # Channel 0 holds only the class label, so without shrinkage the toeplitz
+    # estimate is singular and the class difference is outside its range.
+    # The default window keeps all n_times samples, on either side of the
+    # block-Toeplitz solve's size rule.
+    dims = BlockDims(8, n_times)
+    noise = synth.generate_noise(synth.default_noise_model(dims), 48, dims,
+                                 seed=4, sfreq=sfreq)
+    labels = (np.arange(48) % 2).astype(np.uint8)
+    data = noise.data.copy()
+    data[:, 0, :] = labels[:, None]
+    ds = tmp_path / "singular"
+    write_dataset(dataclasses.replace(noise, data=data, labels=labels), ds)
+    code, _, stderr = run(
+        capsys, "fit", "--dataset-dir", str(ds),
+        "--model-path", str(tmp_path / "m.json"), "--gamma", "0.0"
+    )
+    assert code == 3
+    assert "error" in stderr
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_fit_malformed_means_file_is_data_error(dataset96, tmp_path, capsys):

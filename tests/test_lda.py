@@ -204,6 +204,59 @@ def test_fit_runs_none_of_the_dense_reference_stages(monkeypatch, estimator, cov
     assert calls == []
 
 
+# (n_channels, n_times) on each side of the size rule of block_toeplitz_solve.
+ROUTE_SIZES = {"dense": (3, 5), "pcg": (4, 128)}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_SIZES))
+@pytest.mark.parametrize("estimator", lda.ESTIMATORS)
+def test_no_fit_runs_the_levinson_recursion(monkeypatch, estimator, route):
+    # block_levinson_solve remains only as a reference; the block-Toeplitz
+    # estimates go through block_toeplitz_solve, on the route its size picks.
+    calls, routes = [], []
+    real = btsolve.block_toeplitz_solve
+
+    def solve(*args):
+        report = real(*args)
+        routes.append(report.method)
+        return report
+
+    def levinson(*args):
+        calls.append(args)
+        raise AssertionError("a fit called block_levinson_solve")
+
+    for module in (btsolve, lda):
+        monkeypatch.setattr(module, "block_levinson_solve", levinson, raising=False)
+    monkeypatch.setattr(lda, "block_toeplitz_solve", solve)
+    nc, nt = ROUTE_SIZES[route]
+    x, labels, dims = labeled_features(nc, nt, 42, seed=12)
+    fit(x, labels, dims=dims, estimator=estimator)
+    assert calls == []
+    assert routes == ([route] if estimator == "toeplitz" else [])
+
+
+def label_channel_features(nc, nt, n_epochs=48):
+    """Noise whose channel 0 holds only the class label, at every sample.
+
+    Within each class that channel is constant, so every lag block of the
+    unshrunk estimate has a zero row and column there, while the class mean
+    difference is 1 on it: the difference is outside the covariance's range.
+    """
+    x, labels, dims = labeled_features(nc, nt, n_epochs, seed=3)
+    x.reshape(nt, nc, n_epochs)[:, 0, :] = labels
+    return x, labels, dims
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_SIZES))
+def test_singular_unshrunk_toeplitz_fit_raises_solve_error(route):
+    x, labels, dims = label_channel_features(*ROUTE_SIZES[route])
+    assert btsolve._pcg_pays(dims.n_channels, dims.n_times) == (route == "pcg")
+    with pytest.raises(SolveError):
+        fit(x, labels, dims=dims, estimator="toeplitz", gamma=0.0)
+    # With shrinkage the same data fits.
+    assert np.isfinite(fit(x, labels, dims=dims, estimator="toeplitz").weights).all()
+
+
 def column_strided(x):
     """``x`` as every other column of a C-ordered buffer twice as wide."""
     wide = np.zeros((x.shape[0], 2 * x.shape[1]))
@@ -329,7 +382,7 @@ def test_within_class_fit_checks_the_labels_once(monkeypatch, override):
 def test_long_window_toeplitz_fit_forms_no_dense_covariance():
     # At 8 x 2048, D = 16384: one D x D float64 matrix would take 2 GiB.  The
     # lag-block estimate needs the centered D x N_e copy plus chunk buffers
-    # below its size, the Levinson solve D x 8 stacks.
+    # below its size, the PCG solve a few 8 x 8 blocks per frequency.
     for n_times in (1024, 2048):
         dims = BlockDims(8, n_times)
         rng = np.random.default_rng(0)
@@ -368,6 +421,26 @@ def test_dense_fit_holds_one_dense_covariance(estimator):
     assert peak < 1.25 * dims.size**2 * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_indefinite_fallback_holds_one_dense_matrix_at_a_time():
+    # At 8 x 128 on 8 epochs toeplitz_a1_only falls back: the failed
+    # Cholesky overwrote its D x D expansion, which is freed before the
+    # symmetric indefinite solve gathers a fresh one.
+    dims = BlockDims(8, 128)
+    rng = np.random.default_rng(0)
+    labels = np.arange(8) % 2
+    x = rng.standard_normal((dims.size, 8)) + 0.5 * np.outer(
+        rng.standard_normal(dims.size), labels
+    )
+    tracemalloc.start()
+    try:
+        model = fit(x, labels, dims=dims, estimator="toeplitz_a1_only")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not model.well_conditioned
+    assert peak < 1.25 * dims.size**2 * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
 def indefinite_fit_data():
     """Eight epochs of 4 x 8 on which `toeplitz_a1_only` falls back."""
     dims = BlockDims(4, 8)
@@ -378,21 +451,32 @@ def indefinite_fit_data():
 def test_averaging_without_taper_flags_indefinite_fallback(monkeypatch):
     # Eight epochs in 32 dimensions: plain block-diagonal averaging goes
     # indefinite, the fit falls back to a dense symmetric solve and says so.
-    # The breakdown has already shown the matrix is not positive definite, so
-    # the fallback is one symmetric indefinite solve of the dense expansion,
-    # never the Cholesky of the dense estimators.
+    # toeplitz_a1_only always solves densely: exactly one Cholesky of the
+    # expanded lag blocks, which fails and so shows the matrix is not
+    # positive definite, then one symmetric indefinite solve.
     x, labels, dims = indefinite_fit_data()
     calls = []
-    real = lda._cholesky_solve
+    real_cholesky, real_solve = lda._solve_in_place, scipy.linalg.solve
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def cholesky(*args, **kwargs):
+        try:
+            report = real_cholesky(*args, **kwargs)
+        except SolveError:
+            calls.append("failed Cholesky")
+            raise
+        calls.append("Cholesky")
+        return report
 
-    monkeypatch.setattr(lda, "_cholesky_solve", spy)
+    def solve(*args, **kwargs):
+        calls.append(kwargs.get("assume_a"))
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(lda, "_solve_in_place", cholesky)
+    monkeypatch.setattr(scipy.linalg, "solve", solve)
     model_a1 = fit(x, labels, dims=dims, estimator="toeplitz_a1_only")
+    monkeypatch.undo()
     assert not model_a1.well_conditioned
-    assert calls == []
+    assert calls == ["failed Cholesky", "sym"]
     # The oracle runs the fit's steps by hand: centre, prescale, estimate, solve.
     xc = covest.center(x, labels=labels)
     exp = int(np.frexp(np.abs(xc).max())[1])
