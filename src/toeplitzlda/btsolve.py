@@ -3,7 +3,8 @@
 ``block_toeplitz_solve`` solves ``T x = b`` where ``T`` is the symmetric
 positive definite dense expansion of a :class:`BlockToeplitzCov`; it is the
 solve a fit runs.  It takes one of two routes, by the size of the system
-(``_pcg_pays``), and names it in ``SolveReport.method``:
+(``blockmat._fft_pays``, the rule that also picks the lag-sum kernel of the
+estimate), and names it in ``SolveReport.method``:
 
 * ``"dense"``, on small systems: ``blockmat.to_dense`` fills one ``D x D``
   buffer, which LAPACK Cholesky (``dpotrf``/``dpotrs``) factors in place,
@@ -41,7 +42,7 @@ import scipy.fft
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .blockmat import BlockCov, BlockToeplitzCov, to_dense
+from .blockmat import BlockCov, BlockToeplitzCov, _fft_pays, to_dense
 from .errors import ShapeError, SolveBreakdownError, SolveError
 
 
@@ -197,21 +198,6 @@ _PCG_RTOL = 1e-12
 _PCG_MAX_ITER = 1000
 
 
-def _pcg_pays(n_channels: int, n_times: int) -> bool:
-    """Whether the PCG route beats the dense Cholesky at this size.
-
-    Measured with one BLAS thread (CPU time, min of 5-200 calls, on
-    ``toeplitz`` estimates of 96 epochs of synthetic noise): PCG takes
-    10-30 iterations and at least about 0.6 ms, the dense route grows as
-    ``D^3``.  Dense wins up to ``D = 384`` at 8 channels (1.2 against
-    1.4-2.1 ms) and PCG from ``D = 512`` (8 x 64: 2.3-2.8 against 1.4-2.0
-    ms); 16 x 32, 24 x 24 and 31 x 20 are about even.  Below 16 samples the
-    ``n_channels``-cubed preconditioner blocks dominate, and dense wins even
-    at 128 x 8 (15 against 17-23 ms).
-    """
-    return n_times >= 16 and n_channels * n_times >= 512
-
-
 def _chan_preconditioner(btc: BlockToeplitzCov) -> np.ndarray:
     """Inverse of T. Chan's optimal block circulant, one block per frequency.
 
@@ -283,6 +269,6 @@ def block_toeplitz_solve(btc: BlockToeplitzCov, b) -> SolveReport:
     Raises :class:`SolveError` when the system is not positive definite or
     the solve does not converge."""
     b = _as_vector(b, btc.dims.size)
-    if _pcg_pays(btc.dims.n_channels, btc.dims.n_times):
+    if _fft_pays(btc.dims.n_channels, btc.dims.n_times):
         return _pcg_solve(btc, b)
     return _solve_in_place(to_dense(btc), b)

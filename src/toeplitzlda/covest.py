@@ -8,8 +8,9 @@ identity) in the structure an estimator of ``ESTIMATORS`` names.  Only
 and they shrink (and taper) it in the buffer the product lands in;
 ``toeplitz`` and ``toeplitz_a1_only`` build their lag blocks from the data:
 one product per lag on short windows, a cross-spectrum summed over chunks
-of epochs on long ones.  The Ledoit-Wolf intensity works on the smaller of
-the ``D x D`` and ``N_e x N_e`` products.  ``sample_covariance`` and
+of epochs on long ones (the size rule ``blockmat._fft_pays``).  The
+Ledoit-Wolf intensity works on the smaller of the ``D x D`` and
+``N_e x N_e`` products.  ``sample_covariance`` and
 ``shrink`` (then ``blockmat.apply_taper_dense``) run the dense estimate
 stage by stage, each stage on a fresh copy: no fit calls them, so they are
 its independent reference.
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.fft
 import scipy.fftpack
 
-from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, _owned_cov
+from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, _fft_pays, _owned_cov
 from .errors import DataFormatError, ShapeError
 
 ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
@@ -210,16 +211,6 @@ def shrink(s: BlockCov, gamma: float | None = None, centered=None) -> ShrinkageR
     return ShrinkageResult(_owned_cov(s.dims, out), gamma, nu)
 
 
-def _fft_pays(n_channels: int, n_times: int) -> bool:
-    """Whether :func:`_lag_sums_fft` beats :func:`_lag_sums_direct` at this size.
-
-    Measured with one BLAS thread (CPU time, N_e 24 to 384): the FFT wins
-    from about 100 samples at 2 channels, 64 at 8, 32 at 16 and 16-20 at 31
-    or 64 channels.  Below 16 samples the per-lag products always win.
-    """
-    return n_times >= 16 and n_channels * n_times >= 512
-
-
 def _lag_sums_direct(x3: np.ndarray) -> np.ndarray:
     """``(N_e - 1) R_d`` of ``(n_times, n_channels, N_e)`` epochs, one product per lag.
 
@@ -302,7 +293,8 @@ def estimate_covariance(
     data and never form ``S``: one product per lag on short windows, in
     ``O(N_e D n_channels n_times)`` time, and from the cross-spectrum of
     chunks of epochs on long ones, in ``O(N_e D (log n_times +
-    n_channels))``; :func:`_fft_pays` picks by ``(n_channels, n_times)``.
+    n_channels))``.  ``blockmat._fft_pays`` picks by ``(n_channels, n_times)``,
+    the same rule that picks the solve route of ``btsolve.block_toeplitz_solve``.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")

@@ -50,6 +50,8 @@ class Epochs:
             )
         if not np.isfinite(data).all():
             raise DataFormatError("epoch data contains NaN or inf values")
+        if not (math.isfinite(self.sfreq) and math.isfinite(self.t0)):
+            raise DataFormatError(f"sfreq and t0 must be finite, got {self.sfreq}, {self.t0}")
         if self.sfreq <= 0:
             raise ShapeError(f"sfreq must be positive, got {self.sfreq}")
         names = tuple(str(n) for n in self.channel_names)
@@ -122,7 +124,7 @@ def write_dataset(epochs: Epochs, directory) -> None:
 
 
 def read_dataset(directory) -> Epochs:
-    """Read a dataset directory, validating format version and sizes."""
+    """Read a dataset directory, checking each meta.json value's JSON type before its cast."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
     if not meta_path.is_file():
@@ -142,9 +144,13 @@ def read_dataset(directory) -> Epochs:
         for name, n in zip(("n_epochs", "n_channels", "n_times"), shape):
             if type(n) is not int or n < 0:  # bool is an int subclass
                 raise TypeError(f"{name} must be a non-negative integer, got {n!r}")
-        sfreq, t0 = float(meta["sfreq"]), float(meta["t0"])
-        channel_names = tuple(meta["channel_names"])
-    except (KeyError, TypeError, ValueError) as exc:
+        sfreq, t0, names = meta["sfreq"], meta["t0"], meta["channel_names"]
+        if type(sfreq) not in (int, float) or type(t0) not in (int, float):
+            raise TypeError(f"sfreq and t0 must be JSON numbers, got {sfreq!r}, {t0!r}")
+        if type(names) is not list or not all(type(n) is str for n in names):
+            raise TypeError(f"channel_names must be a list of strings, got {names!r}")
+        sfreq, t0 = float(sfreq), float(t0)  # the checks of Epochs reject NaN and inf
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"malformed meta.json in {directory}: {exc!r}") from exc
     raw = (directory / "data.bin").read_bytes()
     expected = int(np.prod(shape)) * 8
@@ -162,7 +168,7 @@ def read_dataset(directory) -> Epochs:
             )
         labels = np.frombuffer(raw_labels, dtype=np.uint8)
     return Epochs(
-        data=data, sfreq=sfreq, t0=t0, channel_names=channel_names, labels=labels
+        data=data, sfreq=sfreq, t0=t0, channel_names=tuple(names), labels=labels
     )
 
 

@@ -15,8 +15,8 @@ with ``r_s(d) = sum_k f_s[k] f_s[k+d]`` the autocorrelation of source
 
 Class structure is injected as a pure mean shift: every epoch receives its
 class template, so class-conditional covariances equal the noise covariance.
-Labels are assigned in groups (one group = ``sum(target_ratio)`` epochs,
-with ``target_ratio[0]`` targets at seeded random positions; 1:5 by default).
+Labels are assigned in groups of six epochs, one of them a target at a
+seeded random position: the fixed 1:5 ratio ``TARGET_RATIO``.
 
 All randomness is drawn from per-epoch Philox streams keyed by
 ``(seed, epoch_index)`` (see :mod:`toeplitzlda.rng`), making outputs
@@ -104,11 +104,10 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class ErpSpec:
-    """Class templates (mean shifts) and the target/non-target ratio."""
+    """Class templates (mean shifts) of the targets and the non-targets."""
 
     target_template: np.ndarray
     nontarget_template: np.ndarray
-    target_ratio: tuple[int, int] = TARGET_RATIO
 
     def __post_init__(self):
         tgt = np.array(self.target_template, dtype=np.float64)
@@ -118,18 +117,10 @@ class ErpSpec:
                 f"templates must be matching (n_channels, n_times) arrays, "
                 f"got {tgt.shape} and {non.shape}"
             )
-        ratio = (int(self.target_ratio[0]), int(self.target_ratio[1]))
-        if ratio[0] < 1 or ratio[1] < 0:
-            raise ShapeError(f"target_ratio must be (>=1, >=0), got {ratio}")
         tgt.setflags(write=False)
         non.setflags(write=False)
         object.__setattr__(self, "target_template", tgt)
         object.__setattr__(self, "nontarget_template", non)
-        object.__setattr__(self, "target_ratio", ratio)
-
-    @property
-    def group_size(self) -> int:
-        return self.target_ratio[0] + self.target_ratio[1]
 
 
 def _smooth_taps(width: int, length: int) -> np.ndarray:
@@ -254,16 +245,15 @@ def true_covariance(model: NoiseModel, dims: BlockDims) -> BlockToeplitzCov:
 def inject_erp(epochs: Epochs, spec: ErpSpec, seed: int) -> Epochs:
     """Add class templates to noise epochs and assign labels in groups.
 
-    Every consecutive group of ``spec.group_size`` epochs receives exactly
-    ``target_ratio[0]`` target labels at seeded random positions; the epoch
+    Every consecutive group of ``sum(TARGET_RATIO)`` epochs receives exactly
+    ``TARGET_RATIO[0]`` target labels at seeded random positions; the epoch
     count must be a whole number of groups.
     """
-    gs = spec.group_size
+    gs = sum(TARGET_RATIO)
     if epochs.n_epochs % gs != 0:
         raise GroupSizeError(
             f"n_epochs={epochs.n_epochs} is not a multiple of the "
-            f"group size {gs} (target ratio "
-            f"{spec.target_ratio[0]}:{spec.target_ratio[1]})"
+            f"group size {gs} (target ratio {TARGET_RATIO[0]}:{TARGET_RATIO[1]})"
         )
     if spec.target_template.shape != (epochs.n_channels, epochs.n_times):
         raise ShapeError(
@@ -273,7 +263,7 @@ def inject_erp(epochs: Epochs, spec: ErpSpec, seed: int) -> Epochs:
     gen = rng.stream(seed, rng.LABEL_STREAM)
     labels = np.zeros(epochs.n_epochs, dtype=np.uint8)
     for g in range(epochs.n_epochs // gs):
-        pos = gen.permutation(gs)[: spec.target_ratio[0]]
+        pos = gen.permutation(gs)[: TARGET_RATIO[0]]
         labels[g * gs + pos] = 1
     data = epochs.data.copy()
     data[labels == 0] += spec.nontarget_template

@@ -348,7 +348,7 @@ def test_c7_solver_scaling_and_compact_storage():
 
 
 # C11 times the structured estimate the same way.  At 8 channels every size
-# from 128 samples up is on the FFT side of `covest._fft_pays`, whose lag
+# from 128 samples up is on the FFT side of `blockmat._fft_pays`, whose lag
 # sums cost O(n_times log n_times); per-lag products would give a slope of 2.
 _C11_TIMINGS = """
 import json, sys, time

@@ -1,5 +1,6 @@
 """The per-layer rows of BENCHMARK.json name functions the package defines,
-and an untraced perfbench run is correct and reports the end-to-end metrics.
+an untraced perfbench run is correct and reports the end-to-end metrics, and
+a traced one is correct and reports the per-layer metrics.
 
 perfbench traces every public function defined in a package module, plus
 the constructors of ``BlockCov`` and ``BlockToeplitzCov``, and a traced run
@@ -49,17 +50,32 @@ def test_every_per_layer_name_is_a_traced_function():
     assert [name for name in names if not traced(name)] == []
 
 
-def test_perfbench_sweep_run_is_correct():
-    # The smallest workload, with no timed loop.  It runs perfbench's
-    # reference check, which reuses the dense estimate it hands to
-    # dense_solve.  Scratch files go to the git-ignored .perfbench/.
+def perfbench_sweep(trace: int) -> list[str]:
+    """Run the smallest workload with no timed loop; return its metric names.
+
+    The run must exit 0 and be correct with no failed operation.  Scratch
+    files go to the git-ignored .perfbench/.
+    """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "sweep-cli",
-         "--seed", "1", "--seconds", "0", "--trace", "0"],
+         "--seed", "1", "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, stdout=subprocess.PIPE, text=True, timeout=180,
     )
     assert proc.returncode == 0
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    assert sorted(result["metrics"]) == sorted(m["name"] for m in SPEC["end_to_end"])
+    return sorted(result["metrics"])
+
+
+def test_perfbench_sweep_run_is_correct():
+    # It runs perfbench's reference check, which reuses the dense estimate
+    # it hands to dense_solve.
+    assert perfbench_sweep(trace=0) == sorted(m["name"] for m in SPEC["end_to_end"])
+
+
+def test_perfbench_traced_sweep_run_is_correct():
+    # A traced run is correct only if its outputs equal an untraced pass's
+    # and every wrapper is restored, and it reports exactly the listed
+    # per-layer metrics.
+    assert perfbench_sweep(trace=1) == sorted(m["name"] for m in SPEC["per_layer"])

@@ -76,7 +76,7 @@ ROUTES = ("dense", "pcg")
 
 def on_route(monkeypatch, route):
     """Send every block_toeplitz_solve down ``route``, whatever the size."""
-    monkeypatch.setattr(btsolve, "_pcg_pays", lambda nc, nt: route == "pcg")
+    monkeypatch.setattr(btsolve, "_fft_pays", lambda nc, nt: route == "pcg")
 
 
 def loaded_lags(rng, nc, nt):

@@ -417,6 +417,25 @@ def test_meta_json_string_size_is_data_error(dataset96, tmp_path, capsys):
     assert "n_epochs" in stderr
 
 
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [("sfreq", float("nan")), ("sfreq", float("inf")), ("t0", float("nan")),
+     ("sfreq", "40"), ("sfreq", True), ("t0", "0.1")],
+    ids=["sfreq-nan", "sfreq-inf", "t0-nan", "sfreq-string", "sfreq-bool", "t0-string"],
+)
+def test_meta_json_sfreq_and_t0_must_be_finite_numbers(dataset96, tmp_path, capsys, key, value):
+    # json writes NaN and Infinity as bare literals, which json reads back.
+    ds = _copy_dataset(dataset96, tmp_path / "ds")
+    meta = json.loads((ds / "meta.json").read_text())
+    meta[key] = value
+    (ds / "meta.json").write_text(json.dumps(meta))
+    code, _, stderr = run(
+        capsys, "fit", "--dataset-dir", str(ds), "--model-path", str(tmp_path / "m.json")
+    )
+    assert code == 2
+    assert key in stderr
+
+
 def test_score_model_without_weights_is_data_error(dataset96, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     run(capsys, "fit", "--dataset-dir", str(dataset96),

