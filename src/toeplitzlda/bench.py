@@ -20,7 +20,6 @@ enabled, because timings are not reproducible byte-for-byte.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import lda, rng
 from .covest import _check_labels, class_means
-from .dataio import FeatureConfig, extract_features, read_dataset
+from .dataio import FeatureConfig, _write_json, extract_features, read_dataset
 from .errors import GroupSizeError, ShapeError, ToeplitzLdaError
 from .synth import TARGET_RATIO
 
@@ -172,6 +171,14 @@ class BenchConfig:
                 raise ValueError(
                     f"unknown cov_mode {mode!r}; expected one of {lda.COV_MODES}"
                 )
+        for name in ("estimators", "cov_modes", "subset_sizes"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat an entry, got {values}")
+        if self.n_draws < 1 or self.jobs < 1:
+            raise ValueError(
+                f"n_draws and jobs must be at least 1, got {self.n_draws} and {self.jobs}"
+            )
 
 
 @dataclass(frozen=True)
@@ -351,11 +358,7 @@ def report_csv(report: BenchReport) -> str:
 def write_report(report: BenchReport, out_dir) -> tuple[Path, Path]:
     """Write ``report.csv`` and ``aggregate.json``; returns their paths."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "report.csv"
+    csv_path, json_path = out_dir / "report.csv", out_dir / "aggregate.json"
+    _write_json(json_path, aggregate(report))
     csv_path.write_text(report_csv(report), encoding="utf-8")
-    json_path = out_dir / "aggregate.json"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(aggregate(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
     return csv_path, json_path

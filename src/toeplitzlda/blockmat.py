@@ -152,14 +152,6 @@ class BlockToeplitzCov:
         object.__setattr__(self, "lag_blocks", a)
 
 
-def block_at(cov: BlockCov, i: int, j: int) -> np.ndarray:
-    """Cross-channel block ``(i, j)`` of a covariance, 0-based."""
-    nc, nt = cov.dims.n_channels, cov.dims.n_times
-    if not (0 <= i < nt and 0 <= j < nt):
-        raise ShapeError(f"block index ({i}, {j}) out of range for n_times={nt}")
-    return cov.data[i * nc:(i + 1) * nc, j * nc:(j + 1) * nc].copy()
-
-
 def block_diagonal_average(cov: BlockCov) -> BlockToeplitzCov:
     """Average each block diagonal into one lag block (stationarity fit).
 
@@ -182,15 +174,6 @@ def block_diagonal_average(cov: BlockCov) -> BlockToeplitzCov:
     return BlockToeplitzCov(cov.dims, lags)
 
 
-def taper_weight(d: int, n_times: int) -> float:
-    """Linear taper ``1 - |d| / n_times`` for temporal lag ``d``."""
-    if n_times < 1:
-        raise ShapeError(f"n_times must be >= 1, got {n_times}")
-    if abs(d) > n_times:
-        raise ShapeError(f"lag {d} out of range for n_times={n_times}")
-    return 1.0 - abs(d) / n_times
-
-
 def apply_taper(btc: BlockToeplitzCov) -> BlockToeplitzCov:
     """Scale each lag block by the linear taper weight.
 
@@ -205,7 +188,7 @@ def apply_taper(btc: BlockToeplitzCov) -> BlockToeplitzCov:
 def apply_taper_dense(cov: BlockCov) -> BlockCov:
     """Taper a dense covariance blockwise without averaging.
 
-    Block ``(i, j)`` is scaled by ``taper_weight(j - i, n_times)``.  The
+    Block ``(i, j)`` is scaled by ``1 - |j - i| / n_times``.  The
     taper weights form a positive semidefinite (Bartlett) matrix, so the
     blockwise product keeps a positive definite input positive definite.
     """

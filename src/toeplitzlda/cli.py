@@ -22,7 +22,15 @@ import numpy as np
 from . import __version__, bench, lda, synth
 from .blockmat import BlockDims
 from .covest import ClassStats
-from .dataio import FeatureConfig, extract_features, read_dataset, write_dataset
+from .dataio import (
+    FeatureConfig,
+    _json_object,
+    _json_value,
+    _number,
+    extract_features,
+    read_dataset,
+    write_dataset,
+)
 from .errors import DataFormatError, GroupSizeError, ShapeError, SolveError
 
 EXIT_OK = 0
@@ -153,18 +161,14 @@ def cmd_bench(args) -> int:
 
 
 def _load_means_file(path) -> ClassStats:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        means, counts = np.asarray(raw["means"]), np.asarray(raw["counts"])
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or ragged
-        raise DataFormatError(f"means file {path} is malformed: {exc!r}") from exc
-    # numpy reads true and false next to numbers as 1 and 0; ClassStats
-    # rejects every other value that a cast would change.
-    entries = (np.array(raw[key], dtype=object).flat for key in ("means", "counts"))
-    if any(type(v) is bool for part in entries for v in part):
-        raise DataFormatError(f"means file {path}: true or false as a class mean or count")
-    return ClassStats(means=means, counts=counts)
+    what = f"means file {path}"
+    means = _json_value(
+        _json_object(path, what), "means", "two equal-length lists of numbers, one per class",
+        lambda v: type(v) is list and len(v) == 2
+        and all(type(r) is list and len(r) == len(v[0]) and all(map(_number, r)) for r in v),
+        what,
+    )
+    return ClassStats(means=means)
 
 
 def cmd_fit(args) -> int:
@@ -272,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--means-file",
         default=None,
-        help='JSON {"means": [[...],[...]], "counts": [n0,n1]} overriding class means',
+        help='JSON {"means": [[...], [...]]} overriding the non-target and target class means',
     )
     _add_feature_flags(p)
     p.set_defaults(func=cmd_fit)

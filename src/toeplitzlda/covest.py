@@ -33,34 +33,24 @@ ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
 
 @dataclass(frozen=True)
 class ClassStats:
-    """Per-class mean vectors and epoch counts.
+    """Per-class mean vectors.
 
     Row ``k`` of ``means`` is the mean of class ``k`` (0 = non-target,
-    1 = target).  Means that are not real numbers, or counts that are not
-    non-negative integers, raise :class:`DataFormatError` instead of being
-    cast.
+    1 = target).  Means that are not real numbers raise
+    :class:`DataFormatError` instead of being cast.
     """
 
     means: np.ndarray
-    counts: np.ndarray
 
     def __post_init__(self):
-        means, counts = np.asarray(self.means), np.asarray(self.counts)
+        means = np.asarray(self.means)
         if means.dtype.kind not in "iuf":
             raise DataFormatError(f"class means must be real numbers, got {means.dtype}")
-        if counts.dtype.kind not in "iu" or (counts < 0).any():
-            raise DataFormatError(
-                f"class counts must be non-negative integers, got {counts.tolist()!r}"
-            )
-        means, counts = means.astype(np.float64), counts.astype(np.int64)
+        means = means.astype(np.float64)
         if means.ndim != 2 or means.shape[0] != 2:
             raise ShapeError(f"class means must have shape (2, D), got {means.shape}")
-        if counts.shape != (2,):
-            raise ShapeError(f"class counts must have shape (2,), got {counts.shape}")
         means.setflags(write=False)
-        counts.setflags(write=False)
         object.__setattr__(self, "means", means)
-        object.__setattr__(self, "counts", counts)
 
 
 @dataclass(frozen=True)
@@ -118,14 +108,12 @@ def _check_labels(labels, n_epochs: int) -> np.ndarray:
 
 
 def class_means(x, labels) -> ClassStats:
-    """Mean vector and epoch count for each of the two classes."""
+    """Mean vector of each of the two classes."""
     x = _as_data_matrix(x)
     labels = _check_labels(labels, x.shape[1])
-    counts = np.array([(labels == 0).sum(), (labels == 1).sum()])
-    if counts.min() < 1:
+    if not 0 < labels.sum() < labels.size:
         raise ShapeError("both classes must be present with at least one epoch")
-    means = np.stack([x[:, labels == k].mean(axis=1) for k in (0, 1)])
-    return ClassStats(means, counts)
+    return ClassStats(np.stack([x[:, labels == k].mean(axis=1) for k in (0, 1)]))
 
 
 def center(x, labels=None) -> np.ndarray:

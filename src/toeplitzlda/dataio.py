@@ -11,12 +11,21 @@ Dataset directory layout (format version 1):
 Sample ``k`` of an epoch is at time ``t0 + k / sfreq`` seconds.  Times in
 seconds map to sample indices with ``floor((t - t0) * sfreq + 0.5)``, and
 all extraction windows are half-open ``[a, b)``.
+
+The package's JSON files (``meta.json``, the model file, the means file of
+``toeplitzlda fit`` and the benchmark's ``aggregate.json``) follow one set
+of rules, kept here.  ``_write_json`` writes sorted keys, a two-space indent
+and a final newline.  ``_json_object`` reads a file that must hold a JSON
+object, and ``_json_value`` checks one key's JSON type and range before any
+cast, so a bad value raises :class:`DataFormatError` naming the file and
+the key.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,10 +107,55 @@ class Epochs:
         return self.t0 + np.arange(self.n_times) / self.sfreq
 
 
+def _number(value) -> bool:
+    """Whether ``value`` is a JSON number: json loads true and false as bool."""
+    return type(value) in (int, float)
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a JSON number that casts to a finite float."""
+    return _number(value) and -sys.float_info.max <= value <= sys.float_info.max
+
+
+def _json_object(path, what: str) -> dict:
+    """The JSON object held by the file ``path``, which errors call ``what``."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataFormatError(f"missing {what}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise DataFormatError(f"malformed {what}: {exc!r}") from exc
+    if type(payload) is not dict:
+        raise DataFormatError(f"malformed {what}: not a JSON object")
+    return payload
+
+
+def _json_value(payload: dict, key: str, kind: str, ok, what: str, default=None):
+    """``payload[key]``, or ``default`` when absent, if ``ok`` accepts it.
+
+    Anything else raises :class:`DataFormatError` naming ``what``, the key
+    and ``kind``, the JSON type and range the key must hold.
+    """
+    value = payload.get(key, default)
+    if not ok(value):
+        raise DataFormatError(f"malformed {what}: {key} must be {kind}, got {value!r:.60}")
+    return value
+
+
+def _write_json(path, payload) -> None:
+    """Write ``payload`` with sorted keys, a two-space indent and a final newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_dataset(epochs: Epochs, directory) -> None:
     """Write a dataset directory (meta.json, data.bin, optional labels.bin)."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     meta = {
         "format_version": FORMAT_VERSION,
         "n_epochs": epochs.n_epochs,
@@ -113,9 +167,7 @@ def write_dataset(epochs: Epochs, directory) -> None:
         "endianness": "little",
         "has_labels": epochs.labels is not None,
     }
-    with open(directory / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(directory / "meta.json", meta)
     (directory / "data.bin").write_bytes(
         np.ascontiguousarray(epochs.data, dtype="<f8").tobytes()
     )
@@ -124,34 +176,24 @@ def write_dataset(epochs: Epochs, directory) -> None:
 
 
 def read_dataset(directory) -> Epochs:
-    """Read a dataset directory, checking each meta.json value's JSON type before its cast."""
+    """Read a dataset directory, checking every meta.json value before its use."""
     directory = Path(directory)
-    meta_path = directory / "meta.json"
-    if not meta_path.is_file():
-        raise DataFormatError(f"missing meta.json in {directory}")
-    try:
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        version = meta.get("format_version")
-    except (AttributeError, ValueError) as exc:  # not a JSON object
-        raise DataFormatError(f"malformed meta.json in {directory}: {exc!r}") from exc
-    if version != FORMAT_VERSION:
-        raise DataFormatError(
-            f"unsupported format version {version!r}, expected {FORMAT_VERSION}"
-        )
-    try:
-        shape = (meta["n_epochs"], meta["n_channels"], meta["n_times"])
-        for name, n in zip(("n_epochs", "n_channels", "n_times"), shape):
-            if type(n) is not int or n < 0:  # bool is an int subclass
-                raise TypeError(f"{name} must be a non-negative integer, got {n!r}")
-        sfreq, t0, names = meta["sfreq"], meta["t0"], meta["channel_names"]
-        if type(sfreq) not in (int, float) or type(t0) not in (int, float):
-            raise TypeError(f"sfreq and t0 must be JSON numbers, got {sfreq!r}, {t0!r}")
-        if type(names) is not list or not all(type(n) is str for n in names):
-            raise TypeError(f"channel_names must be a list of strings, got {names!r}")
-        sfreq, t0 = float(sfreq), float(t0)  # the checks of Epochs reject NaN and inf
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataFormatError(f"malformed meta.json in {directory}: {exc!r}") from exc
+    what = f"meta.json in {directory}"
+    meta = _json_object(directory / "meta.json", what)
+    _json_value(meta, "format_version", str(FORMAT_VERSION),
+                lambda v: type(v) is int and v == FORMAT_VERSION, what)
+    _json_value(meta, "endianness", '"little"', lambda v: v == "little", what)
+    shape = tuple(
+        _json_value(meta, key, "a non-negative integer",
+                    lambda v: type(v) is int and v >= 0, what)
+        for key in ("n_epochs", "n_channels", "n_times")
+    )
+    sfreq, t0 = (float(_json_value(meta, key, "a finite number", _finite, what))
+                 for key in ("sfreq", "t0"))
+    names = _json_value(meta, "channel_names", "a list of strings",
+                        lambda v: type(v) is list and all(type(n) is str for n in v), what)
+    has_labels = _json_value(meta, "has_labels", "a JSON boolean",
+                             lambda v: type(v) is bool, what)
     raw = (directory / "data.bin").read_bytes()
     expected = int(np.prod(shape)) * 8
     if len(raw) != expected:
@@ -160,7 +202,7 @@ def read_dataset(directory) -> Epochs:
         )
     data = np.frombuffer(raw, dtype="<f8").reshape(shape)
     labels = None
-    if meta.get("has_labels"):
+    if has_labels:
         raw_labels = (directory / "labels.bin").read_bytes()
         if len(raw_labels) != shape[0]:
             raise DataFormatError(

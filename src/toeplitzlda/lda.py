@@ -35,11 +35,8 @@ for bit when ``a`` is a power of two.
 
 from __future__ import annotations
 
-import json
-import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -48,6 +45,7 @@ from . import covest
 from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, to_dense
 from .btsolve import SolveReport, _solve_in_place, block_toeplitz_solve
 from .covest import ESTIMATORS, ClassStats
+from .dataio import _finite, _json_object, _json_value, _number, _write_json
 from .errors import DataFormatError, ShapeError, SolveError
 
 MODEL_FORMAT_VERSION = 1
@@ -197,7 +195,7 @@ def decision_values(model: LdaModel, x) -> np.ndarray:
 
 def save_model(model: LdaModel, path) -> None:
     """Write the model as JSON; floats round-trip exactly."""
-    payload = {
+    _write_json(path, {
         "format_version": MODEL_FORMAT_VERSION,
         "n_channels": model.dims.n_channels,
         "n_times": model.dims.n_times,
@@ -208,75 +206,40 @@ def save_model(model: LdaModel, path) -> None:
         "weights": model.weights.tolist(),
         "well_conditioned": model.well_conditioned,
         "degenerate": model.degenerate,
-    }
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_model(path) -> LdaModel:
     """Read a model written by :func:`save_model`.
 
-    Each field must already hold the JSON type and range that
+    Each key must already hold the JSON type and range that
     :func:`save_model` writes; nothing is cast into it.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        version = payload.get("format_version")
-    except (AttributeError, ValueError) as exc:  # not a JSON object
-        raise DataFormatError(f"malformed model file {path}: {exc!r}") from exc
-    if version != MODEL_FORMAT_VERSION:
-        raise DataFormatError(
-            f"unsupported model format version {version!r}, "
-            f"expected {MODEL_FORMAT_VERSION}"
-        )
-    if payload.get("estimator") not in ESTIMATORS:
-        raise DataFormatError(f"unknown estimator {payload.get('estimator')!r}")
-    if payload.get("cov_mode") not in COV_MODES:
-        raise DataFormatError(f"unknown cov_mode {payload.get('cov_mode')!r}")
-
-    def field(key, kind, ok, default=None):
-        value = payload.get(key, default)
-        if not ok(value):
-            raise DataFormatError(
-                f"model file {path}: {key} must be {kind}, got {value!r:.60}"
-            )
-        return value
-
-    def number(v):  # JSON true and false load as bool, not int
-        return type(v) in (int, float)
-
-    def finite(v):
-        return number(v) and -math.inf < v < math.inf
-
-    def integer(v):
-        return type(v) is int
-
-    def boolean(v):
-        return type(v) is bool
-
-    weights = field("weights", "a list of finite numbers",
-                    lambda v: type(v) is list and all(map(finite, v)))
-    n_channels = field("n_channels", "a JSON integer", integer)
-    n_times = field("n_times", "a JSON integer", integer)
-    gamma = field("gamma", "a number in [0, 1]", lambda v: number(v) and 0 <= v <= 1)
-    bias = field("bias", "a finite number", finite)
-    well_conditioned = field("well_conditioned", "a JSON boolean", boolean, True)
-    degenerate = field("degenerate", "a JSON boolean", boolean, False)
-    try:
-        return LdaModel(
-            weights=np.array(weights, dtype=np.float64),
-            bias=float(bias),
-            dims=BlockDims(n_channels, n_times),
-            estimator=payload["estimator"],
-            cov_mode=payload["cov_mode"],
-            gamma=float(gamma),
-            well_conditioned=well_conditioned,
-            degenerate=degenerate,
-        )
-    except (OverflowError, ValueError) as exc:  # an integer beyond float, or a bad size
-        raise DataFormatError(f"malformed model file {path}: {exc!r}") from exc
+    what = f"model file {path}"
+    payload = _json_object(path, what)
+    _json_value(payload, "format_version", str(MODEL_FORMAT_VERSION),
+                lambda v: type(v) is int and v == MODEL_FORMAT_VERSION, what)
+    dims = BlockDims(*(
+        _json_value(payload, key, "a positive JSON integer",
+                    lambda v: type(v) is int and v > 0, what)
+        for key in ("n_channels", "n_times")
+    ))
+    weights = _json_value(
+        payload, "weights", f"a list of {dims.size} finite numbers",
+        lambda v: type(v) is list and len(v) == dims.size and all(map(_finite, v)), what
+    )
+    return LdaModel(
+        weights=np.array(weights, dtype=np.float64),
+        bias=float(_json_value(payload, "bias", "a finite number", _finite, what)),
+        dims=dims,
+        estimator=_json_value(payload, "estimator", f"one of {ESTIMATORS}",
+                              lambda v: v in ESTIMATORS, what),
+        cov_mode=_json_value(payload, "cov_mode", f"one of {COV_MODES}",
+                             lambda v: v in COV_MODES, what),
+        gamma=float(_json_value(payload, "gamma", "a number in [0, 1]",
+                                lambda v: _number(v) and 0 <= v <= 1, what)),
+        well_conditioned=_json_value(payload, "well_conditioned", "a JSON boolean",
+                                     lambda v: type(v) is bool, what, True),
+        degenerate=_json_value(payload, "degenerate", "a JSON boolean",
+                               lambda v: type(v) is bool, what, False),
+    )

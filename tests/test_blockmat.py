@@ -13,14 +13,14 @@ from toeplitzlda.blockmat import (
     BlockToeplitzCov,
     apply_taper,
     apply_taper_dense,
-    block_at,
     block_diagonal_average,
     free_parameter_count,
-    taper_weight,
     to_dense,
 )
 from toeplitzlda.dataio import Epochs, all_samples
 from toeplitzlda.errors import DataFormatError, ShapeError
+
+from dense_reference import block_at, taper_weight
 
 
 def random_symmetric(rng, d):

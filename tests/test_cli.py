@@ -17,6 +17,10 @@ from toeplitzlda.lda import load_model
 SHA_DATA_48_SEED0 = "5beeb9ae0847d893f04ebcf6f5dbe3efd182ef2e3b2685aa77789df05c4b34fc"
 SHA_LABELS_48_SEED0 = "53ba78be6d6b6b15321560353ce8c895f48774e470aa8b5d8d675d7bcb7bae55"
 SHA_REPORT_CSV = "6753283aea8351c7af6ea14deeba0983071fd06bce20d9e644ab2ea87bffdcb0"
+SHA_META_48_SEED0 = "1efcc6c4998b7ba3b4b4ee727dcc882ea1df805ac96d481c47001b5e9184bc83"
+# aggregate.json of the SHA_REPORT_CSV run, with the dataset at the relative
+# path "ds" (the config echo holds the dataset path).
+SHA_AGGREGATE_JSON = "a28eca6f7d727002448f73b2e9e9a4765c7369349df8b6c4d71a73bb5ac777d8"
 
 
 def sha256(path):
@@ -54,6 +58,7 @@ def test_synth_writes_frozen_dataset(tmp_path, capsys):
     assert code == 0
     assert sha256(out / "data.bin") == SHA_DATA_48_SEED0
     assert sha256(out / "labels.bin") == SHA_LABELS_48_SEED0
+    assert sha256(out / "meta.json") == SHA_META_48_SEED0
     payload = last_json(stdout)
     assert payload["sha256_data"] == SHA_DATA_48_SEED0
     assert payload["seed"] == 0
@@ -139,6 +144,40 @@ def test_bench_is_byte_identical_across_job_counts(dataset96, tmp_path, capsys):
         "--sizes", "6,12", "--draws", "2", "--seed", "5", "--jobs", "4")
     assert (one / "report.csv").read_bytes() == (many / "report.csv").read_bytes()
     assert (one / "aggregate.json").read_bytes() == (many / "aggregate.json").read_bytes()
+
+
+def test_bench_writes_frozen_aggregate(dataset96, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _copy_dataset(dataset96, tmp_path / "ds")
+    code, _, _ = run(
+        capsys, "bench", "--dataset-dir", "ds", "--out-dir", "rep",
+        "--sizes", "6,12,24", "--draws", "3", "--seed", "5"
+    )
+    assert code == 0
+    assert sha256(tmp_path / "rep" / "report.csv") == SHA_REPORT_CSV
+    assert sha256(tmp_path / "rep" / "aggregate.json") == SHA_AGGREGATE_JSON
+
+
+@pytest.mark.parametrize(
+    ("flag", "value", "named"),
+    [
+        ("--estimators", "slda,slda", "estimators"),
+        ("--cov-modes", "within,global,within", "cov_modes"),
+        ("--sizes", "6,6", "subset_sizes"),
+        ("--jobs", "0", "jobs"),
+        ("--draws", "0", "n_draws"),
+    ],
+    ids=["repeated-estimator", "repeated-cov-mode", "repeated-size", "no-jobs", "no-draws"],
+)
+def test_bench_rejects_a_degenerate_grid(dataset96, tmp_path, capsys, flag, value, named):
+    code, stdout, stderr = run(
+        capsys, "bench", "--dataset-dir", str(dataset96),
+        "--out-dir", str(tmp_path / "rep"), "--draws", "2", flag, value
+    )
+    assert code == 1
+    assert named in stderr
+    assert stdout == ""
+    assert not (tmp_path / "rep").exists()
 
 
 def test_bench_unknown_estimator_is_usage_error(dataset96, tmp_path, capsys):
@@ -333,19 +372,15 @@ def test_fit_unparseable_means_file_is_data_error(dataset96, tmp_path, capsys, c
 
 
 @pytest.mark.parametrize(
-    ("means", "counts"),
-    [
-        ([[0.0] * 160, [1.0] * 160], [0.5, -3]),
-        ([[0.0] * 160, [1.0] * 160], [True, 16]),
-        ([["0.0"] * 160, ["1.0"] * 160], [80, 16]),
-    ],
-    ids=["fractional-counts", "bool-counts", "string-means"],
+    "means",
+    [[["0.0"] * 160, ["1.0"] * 160]],
+    ids=["string-means"],
 )
 def test_fit_means_file_values_needing_a_cast_are_data_errors(
-    dataset96, tmp_path, capsys, means, counts
+    dataset96, tmp_path, capsys, means
 ):
     means_file = tmp_path / "means.json"
-    means_file.write_text(json.dumps({"means": means, "counts": counts}))
+    means_file.write_text(json.dumps({"means": means}))
     code, _, stderr = run(
         capsys, "fit", "--dataset-dir", str(dataset96),
         "--model-path", str(tmp_path / "m.json"),

@@ -1,11 +1,13 @@
-"""Dataset directory format and feature extraction windows."""
+"""Dataset directory format, the package's JSON rules, and feature extraction windows."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toeplitzlda import synth
+from toeplitzlda import dataio, synth
 from toeplitzlda.blockmat import BlockDims
 from toeplitzlda.dataio import (
     Epochs,
@@ -125,6 +127,48 @@ def test_unknown_format_version_is_rejected(tmp_path):
     meta["format_version"] = 99
     (tmp_path / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(DataFormatError, match="version"):
+        read_dataset(tmp_path)
+
+
+# A value of the wrong JSON type for every key that write_dataset writes.
+WRONG_JSON_TYPE = {
+    "format_version": "1",
+    "n_epochs": "4",
+    "n_channels": 2.0,
+    "n_times": None,
+    "sfreq": "40",
+    "t0": [0.1],
+    "channel_names": {"c00": 0, "c01": 1},
+    "endianness": 1,
+    "has_labels": "false",
+}
+
+
+@pytest.mark.parametrize("key", sorted(WRONG_JSON_TYPE))
+def test_every_meta_key_is_checked_before_use(tmp_path, key):
+    write_dataset(small_epochs(), tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert sorted(meta) == sorted(WRONG_JSON_TYPE)
+    meta[key] = WRONG_JSON_TYPE[key]
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DataFormatError, match=key):
+        read_dataset(tmp_path)
+    del meta[key]
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DataFormatError, match=key):
+        read_dataset(tmp_path)
+
+
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [("endianness", "big"), ("has_labels", 0), ("has_labels", "no")],
+)
+def test_endianness_and_has_labels_take_only_their_written_values(tmp_path, key, value):
+    write_dataset(small_epochs(labels=np.array([0, 1, 0, 1])), tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta[key] = value
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DataFormatError, match=key):
         read_dataset(tmp_path)
 
 
@@ -321,3 +365,34 @@ def test_epoch_times_axis():
 def test_feature_matrix_validates_row_count():
     with pytest.raises(ShapeError):
         FeatureMatrix(data=np.zeros((5, 3)), dims=BlockDims(2, 3))
+
+
+# ------------------------------------------------------------ JSON rules
+
+JSON_IO = {"load", "loads", "dump", "dumps"}
+
+
+def _json_uses(tree):
+    """(top-level definition, json name) for each json read or write in a module."""
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "json" and node.attr in JSON_IO):
+                yield name, node.attr
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                yield name, "from json import"
+            elif isinstance(node, ast.alias) and node.name == "json" and node.asname:
+                yield name, "import json as"
+
+
+def test_only_dataio_reads_or_writes_json():
+    # The one exception is the CLI's machine-readable line on stdout.
+    uses = [
+        (path.stem, name, what)
+        for path in sorted(Path(dataio.__file__).parent.glob("*.py"))
+        for name, what in _json_uses(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert ("dataio", "_json_object", "load") in uses
+    assert ("dataio", "_write_json", "dump") in uses
+    assert [use for use in uses if use[0] != "dataio"] == [("cli", "_emit", "dump")]

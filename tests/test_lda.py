@@ -1,5 +1,6 @@
 """Discriminant fitting, scoring, and model serialization."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -20,7 +21,7 @@ from toeplitzlda.blockmat import (
 from toeplitzlda.btsolve import dense_solve
 from toeplitzlda.covest import ClassStats
 from toeplitzlda.errors import DataFormatError, ShapeError, SolveError
-from toeplitzlda.lda import decision_values, fit, load_model, save_model
+from toeplitzlda.lda import LdaModel, decision_values, fit, load_model, save_model
 
 
 def flatten_epochs(epochs):
@@ -346,7 +347,7 @@ def test_identical_class_means_yield_degenerate_model():
     x = rng.standard_normal((4, 20))
     labels = (np.arange(20) % 2).astype(np.uint8)
     same = np.ones((2, 4))
-    override = ClassStats(means=same, counts=np.array([10, 10]))
+    override = ClassStats(means=same)
     with pytest.warns(RuntimeWarning, match="identical class means"):
         model = fit(x, labels, dims=dims, mean_override=override)
     assert model.degenerate
@@ -357,10 +358,7 @@ def test_identical_class_means_yield_degenerate_model():
 
 def test_mean_override_supplies_the_solved_difference():
     x, labels, dims = labeled_features(2, 3, 36, seed=5)
-    override = ClassStats(
-        means=np.stack([np.zeros(dims.size), np.ones(dims.size)]),
-        counts=np.array([30, 6]),
-    )
+    override = ClassStats(means=np.stack([np.zeros(dims.size), np.ones(dims.size)]))
     model = fit(x, labels, dims=dims, estimator="slda", gamma=1.0,
                 mean_override=override)
     xc = covest.center(x, labels=labels)
@@ -609,6 +607,29 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(decision_values(back, x), decision_values(model, x))
 
 
+# The file save_model wrote for this model before the package's JSON writers
+# were merged into one.
+SHA_HAND_BUILT_MODEL = "df74ea152738414cd2061002d69a6482ed0a461f994cca7c11a5b78165706222"
+
+
+def test_saved_model_bytes_are_frozen(tmp_path):
+    model = LdaModel(
+        weights=np.array([0.5, -1.25, 3e-7, 1 / 3, -0.0, 2.0**-60]),
+        bias=0.1,
+        dims=BlockDims(2, 3),
+        estimator="toeplitz",
+        cov_mode="global",
+        gamma=0.25,
+        well_conditioned=False,
+    )
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SHA_HAND_BUILT_MODEL
+    back = load_model(path)
+    assert np.array_equal(back.weights, model.weights)
+    assert (back.bias, back.gamma, back.well_conditioned) == (0.1, 0.25, False)
+
+
 def test_load_rejects_bad_payloads(tmp_path):
     x, labels, dims = labeled_features(1, 2, 12, seed=9)
     model = fit(x, labels, dims=dims)
@@ -682,13 +703,12 @@ def test_fit_validates_inputs():
         fit(x, None, dims=dims, cov_mode="within")
     with pytest.raises(ValueError, match="labels"):
         fit(x, None, dims=dims, cov_mode="global")
-    stats = ClassStats(means=np.zeros((2, 4)), counts=np.array([5, 5]))
+    stats = ClassStats(means=np.zeros((2, 4)))
     with pytest.raises(ValueError, match="labels"):
         fit(x, None, dims=dims, cov_mode="within", mean_override=stats)
     with pytest.raises(ShapeError):
         fit(x, None, dims=dims, cov_mode="global",
-            mean_override=ClassStats(means=np.zeros((2, 5)),
-                                     counts=np.array([5, 5])))
+            mean_override=ClassStats(means=np.zeros((2, 5))))
 
 
 def test_labels_must_be_exactly_zero_or_one():
@@ -702,7 +722,8 @@ def test_labels_must_be_exactly_zero_or_one():
     ints = np.array([0, 1, 0, 1, 0, 1])
     expected = fit(x, ints, dims=dims)
     for labels in (ints.astype(bool), ints.astype(np.uint8), ints.astype(float)):
-        assert np.array_equal(covest.class_means(x, labels).counts, [3, 3])
+        assert np.array_equal(covest.class_means(x, labels).means,
+                              covest.class_means(x, ints).means)
         assert np.array_equal(fit(x, labels, dims=dims).weights, expected.weights)
 
 
@@ -718,7 +739,7 @@ def test_fit_and_scoring_reject_non_finite_input(bad):
     means = stats.means.copy()
     means[1, 0] = bad
     with pytest.raises(DataFormatError, match="non-finite"):
-        fit(x, labels, dims=dims, mean_override=ClassStats(means, stats.counts))
+        fit(x, labels, dims=dims, mean_override=ClassStats(means))
     model = fit(x, labels, dims=dims)
     poisoned = x.copy()
     poisoned[0, 0] = bad
