@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lda, rng
+from .blockmat import _finite_array
 from .covest import _check_labels, class_means
 from .dataio import FeatureConfig, _write_json, extract_features, read_dataset
 from .errors import GroupSizeError, ShapeError, ToeplitzLdaError
@@ -48,11 +49,7 @@ def auc(scores, labels) -> float:
     comparison count ``(#(target > non-target) + 0.5 #(ties)) / (n_t n_n)``
     exactly, including in floating point.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ShapeError(f"scores must be a 1-D array, got shape {scores.shape}")
-    if not np.isfinite(scores).all():
-        raise ValueError("scores contain non-finite values")
+    scores = _finite_array(scores, (None,), "scores")
     labels = _check_labels(labels, scores.size)
     pos = labels == 1
     n_t = int(pos.sum())
@@ -97,7 +94,9 @@ def draw_subsets(
     Stratified mode keeps the target ratio ``TARGET_RATIO`` exact, so
     ``size`` must be a multiple of the group size; plain uniform mode
     redraws until both classes are present.  Draw ``k`` for a given size
-    depends only on ``(seed, size, k)``.
+    depends only on ``(seed, size, k)``.  A size out of range or, in
+    stratified mode, off the group grid or beyond a class pool raises
+    :class:`ShapeError` before the first draw.
     """
     labels = _check_labels(labels, np.size(labels))
     n = labels.size
@@ -106,22 +105,23 @@ def draw_subsets(
     targets = np.flatnonzero(labels == 1)
     nontargets = np.flatnonzero(labels == 0)
     group = sum(TARGET_RATIO)
+    if stratified:
+        if size % group != 0:
+            raise ShapeError(
+                f"stratified subset size {size} must be a multiple of the "
+                f"group size {group}"
+            )
+        n_t = size // group * TARGET_RATIO[0]
+        n_n = size - n_t
+        if n_t > targets.size or n_n > nontargets.size:
+            raise ShapeError(
+                f"cannot draw {n_t} targets / {n_n} non-targets from pools "
+                f"of {targets.size} / {nontargets.size}"
+            )
     draws = []
     for k in range(n_draws):
         gen = rng.stream(seed, rng.DRAW_STREAM_BASE + size * (1 << 20) + k)
         if stratified:
-            if size % group != 0:
-                raise ShapeError(
-                    f"stratified subset size {size} must be a multiple of the "
-                    f"group size {group}"
-                )
-            n_t = size // group * TARGET_RATIO[0]
-            n_n = size - n_t
-            if n_t > targets.size or n_n > nontargets.size:
-                raise ShapeError(
-                    f"cannot draw {n_t} targets / {n_n} non-targets from pools "
-                    f"of {targets.size} / {nontargets.size}"
-                )
             idx = np.concatenate(
                 [
                     gen.choice(targets, n_t, replace=False),
@@ -179,6 +179,14 @@ class BenchConfig:
             raise ValueError(
                 f"n_draws and jobs must be at least 1, got {self.n_draws} and {self.jobs}"
             )
+        # A draw needs both classes, so one epoch is never enough.
+        group = sum(TARGET_RATIO)
+        for size in self.subset_sizes:
+            if size < 2 or (self.stratified and size % group != 0):
+                raise ValueError(
+                    f"subset_sizes must be at least 2, and multiples of the group "
+                    f"size {group} with stratified draws, got {size}"
+                )
 
 
 @dataclass(frozen=True)

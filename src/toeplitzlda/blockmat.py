@@ -12,10 +12,14 @@ depends only on the lag ``d = j - i``, with ``C_{-d} = C_d^T``.  The compact
 ``BlockToeplitzCov`` type stores one block per non-negative lag
 (``n_times * n_channels**2`` values) instead of the full ``D x D`` matrix.
 
+``_finite_array`` is the package's one rule for a caller's float array:
+every public function and constructor that reads one takes it through
+``_finite_array``, which rejects non-real dtypes (bool, complex, str,
+object) before any cast, a shape that does not match, and NaN or +-inf.
 ``BlockCov(dims, data)`` and ``BlockToeplitzCov(dims, lag_blocks)`` copy
-their input and reject non-finite entries and asymmetry.  The
-functions of this package that build a fresh, exactly symmetric ``D x D``
-array wrap it with ``_owned_cov`` instead, which makes it read-only in place.
+its result and also reject asymmetry.  The functions of this package that
+build a fresh, exactly symmetric ``D x D`` array wrap it with ``_owned_cov``
+instead, which makes it read-only in place.
 """
 
 from __future__ import annotations
@@ -74,13 +78,24 @@ def _fft_pays(n_channels: int, n_times: int) -> bool:
     return n_times >= 16 and n_channels * n_times >= 512
 
 
-def _finite_array(values, shape, name) -> np.ndarray:
-    """``values`` copied to a C-ordered float64 array of ``shape``, all finite."""
-    a = np.array(values, dtype=np.float64, order="C")
-    if a.shape != shape:
-        raise ShapeError(f"{name} has shape {a.shape}, expected {shape}")
+def _finite_array(values, shape: tuple, name: str) -> np.ndarray:
+    """``values`` as a float64 array of ``shape``, all finite.
+
+    ``None`` in ``shape`` matches any length.  Only integer and floating
+    dtypes are read: any other (bool, complex, str, object) raises
+    :class:`DataFormatError` before a cast could drop or invent a value, as
+    does NaN or +-inf; a shape mismatch raises :class:`ShapeError`.  Errors
+    name the array ``name``.  float64 input is returned without a copy.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        raise DataFormatError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+        expected = ", ".join("*" if n is None else str(n) for n in shape)
+        raise ShapeError(f"{name} has shape {a.shape}, expected ({expected})")
+    a = a.astype(np.float64, copy=False)
     if not np.isfinite(a).all():
-        raise DataFormatError(f"{name} contains non-finite values")
+        raise DataFormatError(f"{name} contains non-finite values (NaN or inf)")
     return a
 
 
@@ -99,8 +114,8 @@ def _check_symmetric(a: np.ndarray, what: str) -> None:
 class BlockCov:
     """Dense symmetric ``D x D`` covariance with block metadata.
 
-    ``data`` is copied and made read-only.  Non-finite entries raise
-    :class:`DataFormatError`; symmetry is validated to ``SYMMETRY_RTOL``
+    ``data`` is read by ``_finite_array``, copied and made read-only;
+    symmetry is validated to ``SYMMETRY_RTOL``
     (relative to the largest entry).  Package functions return instances
     built by ``_owned_cov``, which skips the copy and both checks.
     """
@@ -110,7 +125,7 @@ class BlockCov:
 
     def __post_init__(self):
         d = self.dims.size
-        a = _finite_array(self.data, (d, d), "covariance data")
+        a = _finite_array(self.data, (d, d), "covariance data").copy()
         _check_symmetric(a, "covariance data")
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
@@ -134,8 +149,8 @@ class BlockToeplitzCov:
     """Compact block-Toeplitz covariance: one block per non-negative lag.
 
     ``lag_blocks[d]`` is the cross-channel covariance block at temporal lag
-    ``d`` (block ``(i, i+d)`` of the dense matrix).  Non-finite entries at
-    any lag raise :class:`DataFormatError`.  The lag-0 block is validated to
+    ``d`` (block ``(i, i+d)`` of the dense matrix); it is read by
+    ``_finite_array`` and copied.  The lag-0 block is validated to
     be symmetric and then symmetrized exactly so that round trips through
     ``to_dense`` / ``block_diagonal_average`` are bit-exact.
     """
@@ -145,7 +160,7 @@ class BlockToeplitzCov:
 
     def __post_init__(self):
         nc, nt = self.dims.n_channels, self.dims.n_times
-        a = _finite_array(self.lag_blocks, (nt, nc, nc), "lag_blocks")
+        a = _finite_array(self.lag_blocks, (nt, nc, nc), "lag_blocks").copy()
         _check_symmetric(a[0], "lag-0 block")
         a[0] = (a[0] + a[0].T) / 2.0
         a.setflags(write=False)

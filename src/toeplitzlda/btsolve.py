@@ -26,8 +26,8 @@ Cholesky, on a copy.  ``block_levinson_solve`` runs the multichannel
 Levinson–Whittle recursion (Whittle 1963; Akaike 1973) in ``O(n_times^2)``
 block operations, raising :class:`SolveBreakdownError` at the first leading
 block minor that is not positive definite; it remains only as a reference
-that no fit calls.  Each of these takes one length-``D`` vector; other
-shapes raise :class:`ShapeError`.
+that no fit calls.  Each of these takes one finite length-``D`` vector,
+read by ``blockmat._finite_array``.
 
 Notation: ``L[d]`` is the lag-``d`` block, so the dense matrix has block
 ``(i, j)`` equal to ``L[j-i]`` above the diagonal and ``L[i-j]^T`` below.
@@ -42,8 +42,8 @@ import scipy.fft
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .blockmat import BlockCov, BlockToeplitzCov, _fft_pays, to_dense
-from .errors import ShapeError, SolveBreakdownError, SolveError
+from .blockmat import BlockCov, BlockToeplitzCov, _fft_pays, _finite_array, to_dense
+from .errors import SolveBreakdownError, SolveError
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,6 @@ class SolveReport:
     solution: np.ndarray
     method: str
     well_conditioned: bool
-
-
-def _as_vector(b, d: int) -> np.ndarray:
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (d,):
-        raise ShapeError(f"right-hand side has shape {b.shape}, expected ({d},)")
-    return b
 
 
 def _lag_spectrum(btc: BlockToeplitzCov) -> tuple[np.ndarray, int]:
@@ -100,7 +93,7 @@ def block_toeplitz_matmul(btc: BlockToeplitzCov, x: np.ndarray) -> np.ndarray:
     n_times)`` time and ``O(n_times n_channels^2)`` scratch.
     """
     d = btc.dims.size
-    x = _as_vector(x, d)
+    x = _finite_array(x, (d,), "x")
     spec, n = _lag_spectrum(btc)
     return _spectral_product(spec, n, x.reshape(btc.dims.n_times, -1)).reshape(d)
 
@@ -125,7 +118,7 @@ def block_levinson_solve(btc: BlockToeplitzCov, b) -> SolveReport:
     d = btc.dims.size
     nc, nt = btc.dims.n_channels, btc.dims.n_times
     lags = btc.lag_blocks
-    y = _as_vector(b, d).reshape(nt, nc)
+    y = _finite_array(b, (d,), "b").reshape(nt, nc)
     # The last m blocks of ``row`` are [L[m]^T ... L[1]^T]: block row m of
     # the dense matrix, left of the diagonal.
     row = lags[:0:-1].transpose(2, 0, 1).reshape(nc, (nt - 1) * nc)
@@ -181,7 +174,7 @@ def dense_solve(cov: BlockCov, b) -> SolveReport:
     copy of ``cov``.  Raises :class:`SolveError` when the matrix is not
     positive definite or the solution is not finite (a NaN diagonal can
     factor without error)."""
-    return _cholesky_solve(cov.data.copy(order="F"), _as_vector(b, cov.dims.size))
+    return _cholesky_solve(cov.data.copy(order="F"), _finite_array(b, (cov.dims.size,), "b"))
 
 
 def _solve_in_place(cov: BlockCov, b: np.ndarray) -> SolveReport:
@@ -205,8 +198,9 @@ def _chan_preconditioner(btc: BlockToeplitzCov) -> np.ndarray:
     L[k]^T + k L[n_times - k]) / n_times`` (the first block column) is the
     nearest to ``T`` in the Frobenius norm; it is positive definite when
     ``T`` is.  Its real FFT holds the Hermitian blocks it acts by at each
-    frequency; each is Cholesky-factored, and its inverse formed from the
-    factor.  A block that fails to factor raises :class:`SolveError`.
+    frequency.  Each is Cholesky-factored as the test of positive
+    definiteness, which raises :class:`SolveError` for a block that fails,
+    and then inverted.
     """
     nt = btc.dims.n_times
     lags = btc.lag_blocks
@@ -214,12 +208,12 @@ def _chan_preconditioner(btc: BlockToeplitzCov) -> np.ndarray:
     c = lags.transpose(0, 2, 1) * (nt - k)
     c[1:] += lags[:0:-1] * k[1:]
     c /= nt
+    blocks = scipy.fft.rfft(c, axis=0)
     try:
-        factor = np.linalg.cholesky(scipy.fft.rfft(c, axis=0))
+        np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"block circulant preconditioner is not positive definite: {exc}") from exc
-    inv = np.linalg.inv(factor)
-    return inv.conj().transpose(0, 2, 1) @ inv
+    return np.linalg.inv(blocks)
 
 
 def _pcg_solve(btc: BlockToeplitzCov, b: np.ndarray) -> SolveReport:
@@ -268,7 +262,7 @@ def block_toeplitz_solve(btc: BlockToeplitzCov, b) -> SolveReport:
     block-circulant preconditioner on large ones (see the module notes).
     Raises :class:`SolveError` when the system is not positive definite or
     the solve does not converge."""
-    b = _as_vector(b, btc.dims.size)
+    b = _finite_array(b, (btc.dims.size,), "b")
     if _fft_pays(btc.dims.n_channels, btc.dims.n_times):
         return _pcg_solve(btc, b)
     return _solve_in_place(to_dense(btc), b)

@@ -157,6 +157,10 @@ def cmd_bench(args) -> int:
     if n_failed and n_ok == 0:
         print("error: every benchmark cell failed", file=sys.stderr)
         return EXIT_NUMERICAL
+    if n_ok == 0:
+        print(f"error: every subset size exceeds the training split of {report.n_train} "
+              "epochs; no cell ran", file=sys.stderr)
+        return EXIT_DATA
     return EXIT_OK
 
 

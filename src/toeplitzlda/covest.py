@@ -25,8 +25,8 @@ import numpy as np
 import scipy.fft
 import scipy.fftpack
 
-from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, _fft_pays, _owned_cov
-from .errors import DataFormatError, ShapeError
+from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, _fft_pays, _finite_array, _owned_cov
+from .errors import ShapeError
 
 ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
 
@@ -36,19 +36,14 @@ class ClassStats:
     """Per-class mean vectors.
 
     Row ``k`` of ``means`` is the mean of class ``k`` (0 = non-target,
-    1 = target).  Means that are not real numbers raise
-    :class:`DataFormatError` instead of being cast.
+    1 = target).  ``means`` is read by ``blockmat._finite_array`` (a
+    ``(2, D)`` array of finite real numbers) and copied.
     """
 
     means: np.ndarray
 
     def __post_init__(self):
-        means = np.asarray(self.means)
-        if means.dtype.kind not in "iuf":
-            raise DataFormatError(f"class means must be real numbers, got {means.dtype}")
-        means = means.astype(np.float64)
-        if means.ndim != 2 or means.shape[0] != 2:
-            raise ShapeError(f"class means must have shape (2, D), got {means.shape}")
+        means = _finite_array(self.means, (2, None), "class means").copy()
         means.setflags(write=False)
         object.__setattr__(self, "means", means)
 
@@ -66,21 +61,11 @@ class ShrinkageResult:
     nu: float
 
 
-def _as_data_matrix(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"data matrix must be 2-D (D x N_e), got shape {x.shape}")
-    return x
-
-
-def _covariance_data(centered, dims: BlockDims) -> np.ndarray:
-    """``centered`` as a ``D x N_e`` matrix with ``D = dims.size`` and ``N_e >= 2``."""
-    xc = _as_data_matrix(centered)
-    d, n = xc.shape
-    if d != dims.size:
-        raise ShapeError(f"data dimension {d} does not match dims.size {dims.size}")
-    if n < 2:
-        raise ShapeError(f"need at least 2 epochs for a covariance, got {n}")
+def _covariance_data(centered, size: int | None) -> np.ndarray:
+    """``centered`` as a finite ``size x N_e`` matrix (any size if None), ``N_e >= 2``."""
+    xc = _finite_array(centered, (size, None), "centered")
+    if xc.shape[1] < 2:
+        raise ShapeError(f"need at least 2 epochs for a covariance, got {xc.shape[1]}")
     return xc
 
 
@@ -102,14 +87,14 @@ def _check_labels(labels, n_epochs: int) -> np.ndarray:
         raise ShapeError(
             f"labels have shape {labels.shape}, expected ({n_epochs},)"
         )
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ShapeError("labels must be 0 (non-target) or 1 (target)")
     return labels.astype(np.int64)
 
 
 def class_means(x, labels) -> ClassStats:
     """Mean vector of each of the two classes."""
-    x = _as_data_matrix(x)
+    x = _finite_array(x, (None, None), "x")
     labels = _check_labels(labels, x.shape[1])
     if not 0 < labels.sum() < labels.size:
         raise ShapeError("both classes must be present with at least one epoch")
@@ -122,7 +107,7 @@ def center(x, labels=None) -> np.ndarray:
     With ``labels`` given, each column is centered by the data's mean of its
     class; without labels, by the data's overall mean.
     """
-    x = _as_data_matrix(x)
+    x = _finite_array(x, (None, None), "x")
     if labels is None:
         return x - x.mean(axis=1)[:, None]
     stats = class_means(x, labels)
@@ -131,7 +116,7 @@ def center(x, labels=None) -> np.ndarray:
 
 def sample_covariance(centered, dims: BlockDims) -> BlockCov:
     """Sample covariance of centered data with divisor ``N_e - 1``."""
-    xc = _covariance_data(centered, dims)
+    xc = _covariance_data(centered, dims.size)
     # On one C- or F-contiguous buffer numpy computes xc @ xc.T with SYRK and
     # mirrors a triangle, so S is exactly symmetric; a strided view goes to GEMM.
     if not (xc.flags.c_contiguous or xc.flags.f_contiguous):
@@ -160,10 +145,8 @@ def ledoit_wolf_gamma(centered) -> float:
     ``||x_k||^2``, which bounds every entry of ``M``, to [0.5, 1).  That leaves the scale-free ratio unchanged bit for bit, and
     makes it the same at every data scale at which ``M`` is finite.
     """
-    xc = _as_data_matrix(centered)
+    xc = _covariance_data(centered, None)
     d, n = xc.shape
-    if n < 2:
-        raise ShapeError(f"need at least 2 epochs, got {n}")
     gram = xc.T @ xc if n < d else xc @ xc.T
     gram /= n
     norms = np.einsum("ij,ij->j", xc, xc)
@@ -286,7 +269,7 @@ def estimate_covariance(
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
-    xc = _covariance_data(centered, dims)
+    xc = _covariance_data(centered, dims.size)
     gamma = _intensity(gamma, xc)
     nc, nt, n = dims.n_channels, dims.n_times, xc.shape[1]
     if estimator in ("slda", "toeplitz_a2_only"):

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockmat import BlockDims
+from .blockmat import BlockDims, _finite_array
 from .errors import DataFormatError, ShapeError
 
 FORMAT_VERSION = 1
@@ -41,8 +41,9 @@ FORMAT_VERSION = 1
 class Epochs:
     """A stack of epochs with acquisition metadata.
 
-    ``data`` has shape (n_epochs, n_channels, n_times); ``labels`` is None
-    for unlabeled data, otherwise one 0/1 value per epoch.
+    ``data`` has shape (n_epochs, n_channels, n_times) and is read by
+    ``blockmat._finite_array``; ``labels`` is None for unlabeled data,
+    otherwise one 0/1 value per epoch.
     """
 
     data: np.ndarray
@@ -52,13 +53,7 @@ class Epochs:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=np.float64, order="C")
-        if data.ndim != 3:
-            raise ShapeError(
-                f"epoch data must be 3-D (epochs, channels, times), got {data.shape}"
-            )
-        if not np.isfinite(data).all():
-            raise DataFormatError("epoch data contains NaN or inf values")
+        data = _finite_array(self.data, (None, None, None), "epoch data").copy()
         if not (math.isfinite(self.sfreq) and math.isfinite(self.t0)):
             raise DataFormatError(f"sfreq and t0 must be finite, got {self.sfreq}, {self.t0}")
         if self.sfreq <= 0:
@@ -76,7 +71,7 @@ class Epochs:
                     f"labels have shape {labels.shape}, expected ({data.shape[0]},)"
                 )
             # Check before the cast: uint8 would wrap or truncate bad values.
-            if not np.isin(labels, (0, 1)).all():
+            if not ((labels == 0) | (labels == 1)).all():
                 raise DataFormatError("labels must be 0 (non-target) or 1 (target)")
             labels = labels.astype(np.uint8)
             labels.setflags(write=False)
@@ -222,12 +217,7 @@ class FeatureMatrix:
     dims: BlockDims
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=np.float64, order="C")
-        if data.ndim != 2 or data.shape[0] != self.dims.size:
-            raise ShapeError(
-                f"feature data has shape {data.shape}, expected "
-                f"({self.dims.size}, n_epochs)"
-            )
+        data = _finite_array(self.data, (self.dims.size, None), "feature data").copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 

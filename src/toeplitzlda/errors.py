@@ -10,8 +10,8 @@ class ShapeError(ToeplitzLdaError, ValueError):
 
 
 class DataFormatError(ToeplitzLdaError, ValueError):
-    """Input data is malformed: a bad dataset directory or model file, or
-    non-finite values passed to a fit, a score or a covariance constructor.
+    """Input data is malformed: a bad dataset directory or model file, or a
+    float array argument holding NaN, +-inf or values that are not real numbers.
     """
 
 

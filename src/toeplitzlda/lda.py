@@ -29,8 +29,9 @@ a power of two that brings its largest entry into [0.5, 1), which is exact,
 so the fit is scale-equivariant: ``fit(a x)`` has weights ``w(x) / a``, bit
 for bit when ``a`` is a power of two.
 
-``fit`` and ``decision_values`` reject non-finite input with
-:class:`DataFormatError`.
+``fit`` and ``decision_values`` read their feature matrix, and ``fit`` its
+``mean_override``, with ``blockmat._finite_array``: non-finite or non-real
+input raises :class:`DataFormatError`.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ import numpy as np
 import scipy.linalg
 
 from . import covest
-from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, to_dense
+from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, _finite_array, to_dense
 from .btsolve import SolveReport, _solve_in_place, block_toeplitz_solve
 from .covest import ESTIMATORS, ClassStats
 from .dataio import _finite, _json_object, _json_value, _number, _write_json
-from .errors import DataFormatError, ShapeError, SolveError
+from .errors import SolveError
 
 MODEL_FORMAT_VERSION = 1
 COV_MODES = ("within", "global")
@@ -66,25 +67,9 @@ class LdaModel:
     degenerate: bool = False
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
-        if w.shape != (self.dims.size,):
-            raise ShapeError(
-                f"weights have shape {w.shape}, expected ({self.dims.size},)"
-            )
+        w = _finite_array(self.weights, (self.dims.size,), "weights").copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-
-def _finite_features(x, dims: BlockDims) -> np.ndarray:
-    """``x`` as a finite ``D x N_e`` float64 matrix, without copying float64 input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != dims.size:
-        raise ShapeError(
-            f"feature matrix has shape {x.shape}, expected ({dims.size}, n_epochs)"
-        )
-    if not np.isfinite(x).all():
-        raise DataFormatError("feature matrix contains non-finite values")
-    return x
 
 
 def _solve(cov: BlockCov | BlockToeplitzCov, delta: np.ndarray, estimator: str) -> SolveReport:
@@ -130,15 +115,9 @@ def fit(
         raise ValueError("dims is required")
     if cov_mode not in COV_MODES:
         raise ValueError(f"unknown cov_mode {cov_mode!r}; expected one of {COV_MODES}")
-    x = _finite_features(x, dims)
+    x = _finite_array(x, (dims.size, None), "x")
     if mean_override is not None:
-        if mean_override.means.shape[1] != dims.size:
-            raise ShapeError(
-                f"mean_override dimension {mean_override.means.shape[1]} does not "
-                f"match dims.size {dims.size}"
-            )
-        if not np.isfinite(mean_override.means).all():
-            raise DataFormatError("mean_override contains non-finite class means")
+        _finite_array(mean_override.means, (2, dims.size), "mean_override")
     own = None
     if mean_override is None or cov_mode == "within":
         if labels is None:
@@ -190,7 +169,7 @@ def fit(
 
 def decision_values(model: LdaModel, x) -> np.ndarray:
     """Signed scores ``w^T x + b`` for feature columns (positive = target)."""
-    return model.weights @ _finite_features(x, model.dims) + model.bias
+    return model.weights @ _finite_array(x, (model.dims.size, None), "x") + model.bias
 
 
 def save_model(model: LdaModel, path) -> None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .blockmat import BlockDims, BlockToeplitzCov
+from .blockmat import BlockDims, BlockToeplitzCov, _finite_array
 from .dataio import Epochs
 from .errors import GroupSizeError, ShapeError
 
@@ -64,17 +64,11 @@ class NoiseModel:
     noise_floor: float = 0.5
 
     def __post_init__(self):
-        mix = np.array(self.spatial_mix, dtype=np.float64)
-        if mix.ndim != 2:
-            raise ShapeError(f"spatial_mix must be 2-D, got shape {mix.shape}")
-        fir = np.array(self.temporal_fir, dtype=np.float64)
-        if fir.ndim == 1:
+        mix = _finite_array(self.spatial_mix, (None, None), "spatial_mix").copy()
+        fir = self.temporal_fir
+        if np.ndim(fir) == 1:
             fir = np.tile(fir, (mix.shape[1], 1))
-        if fir.ndim != 2 or fir.shape[0] != mix.shape[1]:
-            raise ShapeError(
-                f"temporal_fir must have shape (n_sources={mix.shape[1]}, L), "
-                f"got {fir.shape}"
-            )
+        fir = _finite_array(fir, (mix.shape[1], None), "temporal_fir").copy()
         if fir.shape[1] < 1:
             raise ShapeError("temporal_fir needs at least one tap")
         if self.noise_floor < 0:
@@ -110,13 +104,8 @@ class ErpSpec:
     nontarget_template: np.ndarray
 
     def __post_init__(self):
-        tgt = np.array(self.target_template, dtype=np.float64)
-        non = np.array(self.nontarget_template, dtype=np.float64)
-        if tgt.ndim != 2 or tgt.shape != non.shape:
-            raise ShapeError(
-                f"templates must be matching (n_channels, n_times) arrays, "
-                f"got {tgt.shape} and {non.shape}"
-            )
+        tgt = _finite_array(self.target_template, (None, None), "target_template").copy()
+        non = _finite_array(self.nontarget_template, tgt.shape, "nontarget_template").copy()
         tgt.setflags(write=False)
         non.setflags(write=False)
         object.__setattr__(self, "target_template", tgt)

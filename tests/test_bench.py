@@ -157,6 +157,8 @@ def test_draw_validation_errors():
         draw_subsets(labels, 13, 1, seed=0)
     with pytest.raises(ShapeError):
         draw_subsets(labels, 8, 1, seed=0)  # not a multiple of 6
+    with pytest.raises(ShapeError):
+        draw_subsets(labels, 8, 0, seed=0)  # checked before the first draw
     lopsided = np.zeros(12, dtype=np.uint8)
     lopsided[0] = 1
     with pytest.raises(ShapeError):
@@ -185,6 +187,22 @@ def small_config(dataset_dir, **kwargs):
     )
     defaults.update(kwargs)
     return BenchConfig(**defaults)
+
+
+@pytest.mark.parametrize(
+    ("sizes", "stratified"),
+    [((0,), True), ((-6,), True), ((6, 5), True), ((1,), False)],
+    ids=["zero", "negative", "partial-group", "one-epoch"],
+)
+def test_config_rejects_sizes_no_draw_can_take(sizes, stratified):
+    with pytest.raises(ValueError, match="subset_sizes") as exc:
+        BenchConfig(dataset_dir="unused", subset_sizes=sizes, stratified=stratified)
+    assert type(exc.value) is ValueError  # a usage error, not a data error
+
+
+def test_uniform_draws_take_sizes_off_the_group_grid():
+    assert BenchConfig(dataset_dir="unused", subset_sizes=(2, 5),
+                       stratified=False).subset_sizes == (2, 5)
 
 
 def test_grid_produces_one_row_per_cell(dataset_dir):

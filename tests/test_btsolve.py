@@ -6,15 +6,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toeplitzlda import btsolve, covest, lda
-from toeplitzlda.blockmat import BlockCov, BlockDims, BlockToeplitzCov, to_dense
+from toeplitzlda import btsolve, lda
+from toeplitzlda.blockmat import BlockCov, BlockDims, BlockToeplitzCov, _owned_cov, to_dense
 from toeplitzlda.btsolve import (
     block_levinson_solve,
     block_toeplitz_matmul,
     block_toeplitz_solve,
     dense_solve,
 )
-from toeplitzlda.errors import ShapeError, SolveBreakdownError, SolveError
+from toeplitzlda.errors import DataFormatError, ShapeError, SolveBreakdownError, SolveError
 
 
 def random_spd_block_toeplitz(rng, nc, nt, ridge=0.5):
@@ -196,6 +196,19 @@ def test_overflowing_solution_raises_solve_error(monkeypatch, route):
     on_route(monkeypatch, route)
     with pytest.raises(SolveError):
         block_toeplitz_solve(small, np.full(small.dims.size, 2.0**1000))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pcg_route_rejects_a_non_finite_rhs(bad):
+    # From x = 0 a NaN or inf residual norm never exceeds the (NaN) stopping
+    # bound, so PCG itself would return an all-zero solution: b is checked
+    # on entry.
+    btc = random_spd_block_toeplitz(np.random.default_rng(7), 8, 64)
+    b = np.ones(btc.dims.size)
+    assert block_toeplitz_solve(btc, b).method == "pcg"
+    b[17] = bad
+    with pytest.raises(DataFormatError, match="non-finite"):
+        block_toeplitz_solve(btc, b)
 
 
 def test_pcg_iteration_cap_raises_solve_error(monkeypatch):
@@ -382,12 +395,12 @@ def test_dense_solve_indefinite_fallback_solves_and_flags():
 
 
 def test_dense_solve_rejects_non_finite_covariance():
-    # sample_covariance skips the finiteness check of the BlockCov constructor;
+    # _owned_cov skips the finiteness check of the BlockCov constructor;
     # dpotrf can factor a NaN diagonal without error, so the solve must catch it.
     dims = BlockDims(2, 2)
     centered = np.random.default_rng(3).standard_normal((dims.size, 6))
     centered[1, 2] = np.nan
-    cov = covest.sample_covariance(centered, dims)
+    cov = _owned_cov(dims, centered @ centered.T / 5)
     with pytest.raises(SolveError):
         dense_solve(cov, np.ones(dims.size))
 

@@ -166,8 +166,13 @@ def test_bench_writes_frozen_aggregate(dataset96, tmp_path, capsys, monkeypatch)
         ("--sizes", "6,6", "subset_sizes"),
         ("--jobs", "0", "jobs"),
         ("--draws", "0", "n_draws"),
+        ("--sizes", "5", "subset_sizes"),
+        ("--sizes", "0", "subset_sizes"),
+        ("--sizes", "-6", "subset_sizes"),
+        ("--uniform-draws", "--sizes=1", "subset_sizes"),
     ],
-    ids=["repeated-estimator", "repeated-cov-mode", "repeated-size", "no-jobs", "no-draws"],
+    ids=["repeated-estimator", "repeated-cov-mode", "repeated-size", "no-jobs", "no-draws",
+         "partial-group-size", "zero-size", "negative-size", "one-epoch-size"],
 )
 def test_bench_rejects_a_degenerate_grid(dataset96, tmp_path, capsys, flag, value, named):
     code, stdout, stderr = run(
@@ -207,6 +212,19 @@ def test_bench_all_cells_failing_is_numerical_error(dataset96, tmp_path, capsys)
     )
     assert code == 3
     assert "failed" in stderr
+
+
+def test_bench_with_every_size_skipped_is_data_error(dataset96, tmp_path, capsys):
+    # 96 epochs split into 48 training epochs: no subset of 600 can be drawn.
+    out = tmp_path / "rep"
+    code, stdout, stderr = run(
+        capsys, "bench", "--dataset-dir", str(dataset96), "--out-dir", str(out),
+        "--sizes", "600", "--draws", "2"
+    )
+    assert code == 2
+    assert "training split of 48 epochs" in stderr
+    assert (out / "report.csv").exists() and (out / "aggregate.json").exists()
+    assert all(c["n_skipped"] == 2 for c in last_json(stdout)["cells"])
 
 
 def test_no_class_signal_scores_near_chance(tmp_path, capsys):
