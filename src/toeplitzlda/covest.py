@@ -9,11 +9,20 @@ and they shrink (and taper) it in the buffer the product lands in;
 ``toeplitz`` and ``toeplitz_a1_only`` build their lag blocks from the data:
 one product per lag on short windows, a cross-spectrum summed over chunks
 of epochs on long ones (the size rule ``blockmat._fft_pays``).  The
-Ledoit-Wolf intensity works on the smaller of the ``D x D`` and
-``N_e x N_e`` products.  ``sample_covariance`` and
+Ledoit-Wolf intensity sums the smaller of the ``D x D`` and ``N_e x N_e``
+products over chunks of the data.  ``sample_covariance`` and
 ``shrink`` (then ``blockmat.apply_taper_dense``) run the dense estimate
 stage by stage, each stage on a fresh copy: no fit calls them, so they are
 its independent reference.
+
+``lda.fit`` does not center its data into a new matrix.  It hands the
+private core ``_estimate`` a ``_Centred``: the data, its class means (or
+overall mean) and the power of two the fit divides by.  Each kernel writes
+the centered, scaled values into its own chunk buffer, so the averaged
+estimators hold no ``D x N_e`` array beyond the data, except one of at most
+``_CHUNK_BYTES`` when the data fits in one chunk; the dense ones write one.
+The public functions check their input and run the same code on data that
+is already centered.
 """
 
 from __future__ import annotations
@@ -29,6 +38,12 @@ from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, _fft_pays, _finite_
 from .errors import ShapeError
 
 ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
+#: Bytes of one chunk of the row and epoch passes over the data (the
+#: prescale exponent and the Ledoit-Wolf Gram); a chunk holds at least one
+#: row or epoch.
+_CHUNK_BYTES = 1 << 20
+#: Most epochs in one chunk of the FFT lag sums.
+_FFT_EPOCHS = 32
 
 
 @dataclass(frozen=True)
@@ -61,20 +76,109 @@ class ShrinkageResult:
     nu: float
 
 
+@dataclass(frozen=True)
+class _Centred:
+    """Data minus per-epoch means, times a power of two, written by chunks.
+
+    Stands for ``(x - offsets @ indicator) * 2**-exp``: ``x`` is the
+    checked ``D x N_e`` data, ``offsets`` a ``D x k`` matrix of means (the
+    two class means, or the overall mean) and ``indicator`` the ``k x N_e``
+    one-hot matrix of the mean each epoch takes.  Without them nothing is
+    subtracted.  A one-hot column picks its offset exactly, so every chunk
+    a kernel writes holds the bits of the same entries of ``ldexp(x -
+    means, -exp)``, while no ``D x N_e`` centered array need exist.
+    """
+
+    x: np.ndarray
+    offsets: np.ndarray | None = None
+    indicator: np.ndarray | None = None
+    exp: int = 0
+
+    @property
+    def plain(self) -> bool:
+        """Whether there is nothing to subtract or scale."""
+        return self.offsets is None and not self.exp
+
+    def write(self, out: np.ndarray, rows=slice(None), cols=slice(None), view=lambda a: a):
+        """The centered ``x[rows, cols]``, reshaped by ``view``, into ``out``."""
+        # The element-wise steps walk out in its memory order: numpy makes a
+        # full-size copy of an input that is also the output unless the output
+        # is contiguous in the order it is walked.
+        axes = sorted(range(out.ndim), key=out.strides.__getitem__, reverse=True)
+        x, walk = view(self.x[rows, cols]).transpose(axes), out.transpose(axes)
+        if self.offsets is None:
+            np.copyto(walk, x)
+        else:
+            np.matmul(view(self.offsets[rows]), self.indicator[:, cols], out=out)
+            np.subtract(x, walk, out=walk)
+        if self.exp:
+            np.ldexp(walk, -self.exp, out=walk)
+        return out
+
+    def chunks(self, axis: int):
+        """The centered data by ranges of rows (``axis`` 0) or of epochs (1).
+
+        Each chunk holds at most ``_CHUNK_BYTES``, or one row or epoch.
+        With nothing to subtract or scale the chunks are views of ``x``;
+        else they are written into one buffer, which the next chunk reuses.
+        The buffer is laid out like ``x`` (F order for F-ordered data, else
+        C), as a centered copy of ``x`` would be, so the products over chunks
+        are those over views of such a copy.
+        """
+        size, other = self.x.shape[axis], self.x.shape[1 - axis]
+        step = max(1, min(size, _CHUNK_BYTES // (8 * max(other, 1))))
+        buf = None if self.plain else np.empty(step * other)
+        order = "F" if np.isfortran(self.x) else "C"
+        for start in range(0, size, step):
+            part = slice(start, start + step)
+            index = (part, slice(None)) if axis == 0 else (slice(None), part)
+            chunk = self.x[index]
+            if buf is not None:
+                out = buf[: chunk.size].reshape(chunk.shape, order=order)
+                chunk = self.write(out, *index)
+            yield chunk
+
+
+def _by_overall_mean(x: np.ndarray) -> _Centred:
+    return _Centred(x, x.mean(axis=1)[:, None], np.ones((1, x.shape[1])))
+
+
+def _prescaled(centred: _Centred) -> tuple[_Centred, int]:
+    """``centred`` divided by ``2**exp``, which brings its largest |entry| into [0.5, 1), and ``exp``.
+
+    The exponent is that of the largest ``|x - mean|``, found in one pass
+    over row chunks; a bound from ``|x|`` alone would let a large common
+    offset push the other entries' squares below the normal range.  Data
+    that fits in one chunk comes back centered and scaled in that chunk, so
+    the later passes read it instead of centering it again.
+    """
+    top = 0.0
+    for chunk in centred.chunks(0):
+        top = max(top, chunk.max(initial=0.0), -chunk.min(initial=0.0))
+    exp = int(np.frexp(top)[1])
+    if chunk.shape == centred.x.shape:
+        return _Centred(np.ldexp(chunk, -exp, out=chunk)), exp
+    return _Centred(centred.x, centred.offsets, centred.indicator, exp), exp
+
+
+def _check_epochs(n_epochs: int) -> None:
+    if n_epochs < 2:
+        raise ShapeError(f"need at least 2 epochs for a covariance, got {n_epochs}")
+
+
+def _check_estimator(estimator: str) -> None:
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+
+
 def _covariance_data(centered, size: int | None) -> np.ndarray:
     """``centered`` as a finite ``size x N_e`` matrix (any size if None), ``N_e >= 2``."""
     xc = _finite_array(centered, (size, None), "centered")
-    if xc.shape[1] < 2:
-        raise ShapeError(f"need at least 2 epochs for a covariance, got {xc.shape[1]}")
+    _check_epochs(xc.shape[1])
     return xc
 
 
-def _intensity(gamma: float | None, centered) -> float:
-    """``gamma``, or the Ledoit-Wolf intensity of ``centered`` if None; in [0, 1]."""
-    if gamma is None:
-        if centered is None:
-            raise ValueError("either gamma or the centered data must be given")
-        gamma = ledoit_wolf_gamma(centered)
+def _unit_gamma(gamma) -> float:
     gamma = float(gamma)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
@@ -92,26 +196,39 @@ def _check_labels(labels, n_epochs: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
+def _class_means(x: np.ndarray, onehot: np.ndarray) -> ClassStats:
+    """Class means of checked data: one product with the ``2 x N_e`` one-hot ``onehot``.
+
+    Class sums ``x @ onehot.T`` read ``x`` once and copy no class out of
+    it; the means differ from ``x[:, labels == k].mean(axis=1)`` only by
+    the rounding of the sums.
+    """
+    counts = onehot.sum(axis=1)
+    if not counts.all():
+        raise ShapeError("both classes must be present with at least one epoch")
+    return ClassStats((x @ onehot.T / counts).T)
+
+
 def class_means(x, labels) -> ClassStats:
     """Mean vector of each of the two classes."""
     x = _finite_array(x, (None, None), "x")
-    labels = _check_labels(labels, x.shape[1])
-    if not 0 < labels.sum() < labels.size:
-        raise ShapeError("both classes must be present with at least one epoch")
-    return ClassStats(np.stack([x[:, labels == k].mean(axis=1) for k in (0, 1)]))
+    return _class_means(x, np.eye(2)[:, _check_labels(labels, x.shape[1])])
 
 
 def center(x, labels=None) -> np.ndarray:
     """Subtract a mean from every column.
 
     With ``labels`` given, each column is centered by the data's mean of its
-    class; without labels, by the data's overall mean.
+    class; without labels, by the data's overall mean.  The values are
+    those a fit centers its chunks to, in a new array laid out like ``x``.
     """
     x = _finite_array(x, (None, None), "x")
     if labels is None:
-        return x - x.mean(axis=1)[:, None]
-    stats = class_means(x, labels)
-    return x - stats.means[_check_labels(labels, x.shape[1])].T
+        centred = _by_overall_mean(x)
+    else:
+        onehot = np.eye(2)[:, _check_labels(labels, x.shape[1])]
+        centred = _Centred(x, _class_means(x, onehot).means.T, onehot)
+    return centred.write(np.empty_like(x))
 
 
 def sample_covariance(centered, dims: BlockDims) -> BlockCov:
@@ -139,17 +256,33 @@ def ledoit_wolf_gamma(centered) -> float:
     * ``delta = (||M - mu I_m||_F^2 + (D - m) mu^2) / D``
     * ``beta = (sum_k ||x_k||^4 / n - ||M||_F^2) / (D n)``
 
-    so with ``N_e < D`` no ``D x D`` matrix is formed.  ``beta`` and
-    ``delta`` are fourth powers of the data, so ``M`` and the ``||x_k||^2``
-    are first scaled by the power of two that brings the largest
-    ``||x_k||^2``, which bounds every entry of ``M``, to [0.5, 1).  That leaves the scale-free ratio unchanged bit for bit, and
-    makes it the same at every data scale at which ``M`` is finite.
+    so with ``N_e < D`` no ``D x D`` matrix is formed.  ``n M`` is summed
+    over chunks of rows (``N_e < D``) or of epochs, each at most
+    ``_CHUNK_BYTES``; a fit runs the same code on chunks it centers itself.
+    ``beta`` and ``delta`` are fourth powers of the data, so ``M`` and the
+    ``||x_k||^2`` are first scaled by the power of two that brings the
+    largest ``||x_k||^2``, which bounds every entry of ``M``, to [0.5, 1).
+    That leaves the scale-free ratio unchanged bit for bit, and makes it the
+    same at every data scale at which ``M`` is finite.
     """
-    xc = _covariance_data(centered, None)
-    d, n = xc.shape
-    gram = xc.T @ xc if n < d else xc @ xc.T
+    return _ledoit_wolf(_Centred(_covariance_data(centered, None)))
+
+
+def _ledoit_wolf(centred: _Centred) -> float:
+    d, n = centred.x.shape
+    gram, norms = None, []
+    for chunk in centred.chunks(0 if n < d else 1):
+        if n < d:
+            part = chunk.T @ chunk
+        else:
+            part = chunk @ chunk.T
+            norms.append(np.einsum("ij,ij->j", chunk, chunk))
+        if gram is None:
+            gram = part
+        else:
+            gram += part
+    norms = gram.diagonal().copy() if n < d else np.concatenate(norms)
     gram /= n
-    norms = np.einsum("ij,ij->j", xc, xc)
     # M is positive semidefinite, so its largest entry is on its diagonal,
     # which is at most trace(M) = mean_k ||x_k||^2 (or ||x_k||^2 / n itself).
     exponent = -math.frexp(norms.max())[1]
@@ -174,7 +307,11 @@ def shrink(s: BlockCov, gamma: float | None = None, centered=None) -> ShrinkageR
     from ``centered`` (the data the covariance came from).  The returned
     matrix is ``(1 - gamma) S + gamma nu I``; its trace equals ``trace(S)``.
     """
-    gamma = _intensity(gamma, centered)
+    if gamma is None:
+        if centered is None:
+            raise ValueError("either gamma or the centered data must be given")
+        gamma = ledoit_wolf_gamma(centered)
+    gamma = _unit_gamma(gamma)
     d = s.dims.size
     nu = float(np.trace(s.data) / d)
     out = (1.0 - gamma) * s.data
@@ -182,38 +319,41 @@ def shrink(s: BlockCov, gamma: float | None = None, centered=None) -> ShrinkageR
     return ShrinkageResult(_owned_cov(s.dims, out), gamma, nu)
 
 
-def _lag_sums_direct(x3: np.ndarray) -> np.ndarray:
-    """``(N_e - 1) R_d`` of ``(n_times, n_channels, N_e)`` epochs, one product per lag.
+def _lag_sums_direct(centred: _Centred, dims: BlockDims) -> np.ndarray:
+    """``(N_e - 1) R_d`` of the centered epochs, one product per lag.
 
-    The epochs are copied once into the ``nc x (nt N_e)`` matrix ``z`` whose
-    column ``t * N_e + e`` is epoch ``e`` at time ``t``, so ``(N_e - 1) R_d``
-    is the product of the first and the last ``(nt - d) * N_e`` columns of
-    ``z``: ``O(N_e nc^2 nt^2)`` time.
+    The epochs are written once, centered, into the ``nc x (nt N_e)`` matrix
+    ``z`` whose column ``t * N_e + e`` is epoch ``e`` at time ``t``, so
+    ``(N_e - 1) R_d`` is the product of the first and the last
+    ``(nt - d) * N_e`` columns of ``z``: ``O(N_e nc^2 nt^2)`` time.
     """
-    nt, nc, n = x3.shape
-    z = x3.transpose(1, 0, 2).reshape(nc, nt * n)
+    nc, nt, n = dims.n_channels, dims.n_times, centred.x.shape[1]
+    z = np.empty((nc, nt, n))
+    centred.write(z.transpose(1, 0, 2), view=lambda a: a.reshape(nt, nc, -1))
+    z = z.reshape(nc, nt * n)
     sums = np.empty((nt, nc, nc))
     for d in range(nt):
         sums[d] = z[:, : (nt - d) * n] @ z[:, d * n :].T
     return sums
 
 
-def _lag_sums_fft(x3: np.ndarray) -> np.ndarray:
-    """``(N_e - 1) R_d`` of ``(n_times, n_channels, N_e)`` epochs by FFT.
+def _lag_sums_fft(centred: _Centred, dims: BlockDims) -> np.ndarray:
+    """``(N_e - 1) R_d`` of the centered epochs by FFT.
 
     Wiener-Khinchin: with ``F_e(k)`` the real FFT of epoch ``e`` zero-padded
     to ``nfft >= 2 nt - 1`` samples (so no lag wraps), the inverse transform
     of the cross-spectrum ``sum_e conj(F_e(k)) F_e(k)^T`` is
-    ``sum_e sum_t x_t x_{t+d}^T`` at ``d < nt``.  Chunks of at most 32 epochs
-    and a quarter of the data (so the chunk buffer stays below half the
-    input's size) are transformed in place in FFTPACK's real layout, where
+    ``sum_e sum_t x_t x_{t+d}^T`` at ``d < nt``.  Chunks of at most
+    ``_FFT_EPOCHS`` epochs and a quarter of the data (so the chunk buffer
+    stays below half the input's size) are centered into the chunk buffer
+    and transformed there in FFTPACK's real layout, where
     the real and imaginary parts of frequency ``k`` are adjacent
     ``(epochs, nc)`` planes ``Re``, ``Im``.  The cross-spectrum is then
     ``Re^T Re + Im^T Im + i (M - M^T)`` with ``M = Re^T Im``: two real
     products per frequency and no complex copy.  ``O(N_e nc nt log nt +
     N_e nc^2 nt)`` time.
     """
-    nt, nc, n = x3.shape
+    nc, nt, n = dims.n_channels, dims.n_times, centred.x.shape[1]
     half = scipy.fft.next_fast_len(nt, real=True)
     nfft = 2 * half
     # The cross-spectrum in the same real layout: row 0 holds frequency 0,
@@ -221,12 +361,13 @@ def _lag_sums_fft(x3: np.ndarray) -> np.ndarray:
     spec = np.zeros((nfft, nc, nc))
     spec_re, spec_im = spec[1:-1:2], spec[2:-1:2]
     prod = np.empty((half - 1, nc, nc))
-    chunk = max(1, min(32, n // 4))
+    chunk = max(1, min(_FFT_EPOCHS, n // 4))
     buf = np.empty(nfft * chunk * nc)
     for start in range(0, n, chunk):
         width = min(chunk, n - start)
         f = buf[: nfft * width * nc].reshape(nfft, width, nc)
-        f[:nt] = x3[:, :, start : start + width].transpose(0, 2, 1)
+        centred.write(f[:nt].transpose(0, 2, 1), cols=slice(start, start + width),
+                      view=lambda a: a.reshape(nt, nc, -1))
         f[nt:] = 0.0
         f = scipy.fftpack.rfft(f, axis=0, overwrite_x=True)
         stacked = f[1:-1].reshape(half - 1, 2 * width, nc)  # [Re; Im] per k
@@ -236,6 +377,9 @@ def _lag_sums_fft(x3: np.ndarray) -> np.ndarray:
         spec_im += prod
         spec[0] += f[0].T @ f[0]
         spec[-1] += f[-1].T @ f[-1]
+    # The chunk buffer and the products go before the inverse transform
+    # allocates its output: on long windows that is the estimate's peak.
+    del buf, f, stacked, prod
     spec_im -= spec_im.transpose(0, 2, 1)
     return scipy.fftpack.irfft(spec, axis=0, overwrite_x=True)[:nt]
 
@@ -267,15 +411,24 @@ def estimate_covariance(
     n_channels))``.  ``blockmat._fft_pays`` picks by ``(n_channels, n_times)``,
     the same rule that picks the solve route of ``btsolve.block_toeplitz_solve``.
     """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
-    xc = _covariance_data(centered, dims.size)
-    gamma = _intensity(gamma, xc)
-    nc, nt, n = dims.n_channels, dims.n_times, xc.shape[1]
+    _check_estimator(estimator)
+    xc = _finite_array(centered, (dims.size, None), "centered")
+    return _estimate(_Centred(xc), dims, estimator, gamma)
+
+
+def _estimate(
+    centred: _Centred, dims: BlockDims, estimator: str, gamma: float | None
+) -> ShrinkageResult:
+    """:func:`estimate_covariance` of checked data that ``centred`` centers as it goes."""
+    n = centred.x.shape[1]
+    _check_epochs(n)
+    gamma = _ledoit_wolf(centred) if gamma is None else _unit_gamma(gamma)
+    nc, nt = dims.n_channels, dims.n_times
     if estimator in ("slda", "toeplitz_a2_only"):
         # The steps of sample_covariance, shrink and apply_taper_dense, in place.
-        if not (xc.flags.c_contiguous or xc.flags.f_contiguous):
-            xc = np.ascontiguousarray(xc)
+        xc = centred.x
+        if not (centred.plain and (xc.flags.c_contiguous or xc.flags.f_contiguous)):
+            xc = centred.write(np.empty_like(xc))
         s = xc @ xc.T
         s /= n - 1
         nu = float(np.trace(s) / dims.size)
@@ -286,8 +439,7 @@ def estimate_covariance(
             grid = s.reshape(nt, nc, nt, nc)  # a view: block (i, j) is grid[i, :, j]
             grid *= (1.0 - lag / nt)[:, None, :, None]
         return ShrinkageResult(_owned_cov(dims, s), gamma, nu)
-    x3 = xc.reshape(nt, nc, n)  # a view: epoch e at time t is x3[t, :, e]
-    lags = _lag_sums_fft(x3) if _fft_pays(nc, nt) else _lag_sums_direct(x3)
+    lags = (_lag_sums_fft if _fft_pays(nc, nt) else _lag_sums_direct)(centred, dims)
     nu = float(np.trace(lags[0]) / (n - 1) / dims.size)
     divisor = np.full(nt, nt) if estimator == "toeplitz" else np.arange(nt, 0, -1)
     lags *= ((1.0 - gamma) / ((n - 1) * divisor))[:, None, None]

@@ -21,17 +21,25 @@ selects its structure:
   (no averaging).
 
 ``fit`` owns the class statistics: it computes the data's class means at
-most once and centers the data before estimating ``Sigma``.  ``cov_mode``
+most once, as one product with the one-hot class indicator.  ``cov_mode``
 selects the centering: 'within' uses per-class means (needs labels),
 'global' uses the overall mean, which requires no labels when the class
 means are supplied via ``mean_override``.  The centered data is divided by
 a power of two that brings its largest entry into [0.5, 1), which is exact,
 so the fit is scale-equivariant: ``fit(a x)`` has weights ``w(x) / a``, bit
-for bit when ``a`` is a power of two.
+for bit when ``a`` is a power of two.  The fit never writes the centered
+data as a whole: it hands ``covest._estimate`` the data, the means and the
+exponent, and each kernel centers and scales its own chunk (data of one
+chunk is centered once, by ``covest._prescaled``).  A ``toeplitz``
+fit so holds, beyond its input, chunk buffers, the ``N_e``- or ``D``-square
+Gram of the Ledoit-Wolf intensity, the lag blocks and the solve's scratch;
+``slda`` and ``toeplitz_a2_only`` write one centered copy for their
+``D x D`` product.
 
 ``fit`` and ``decision_values`` read their feature matrix, and ``fit`` its
 ``mean_override``, with ``blockmat._finite_array``: non-finite or non-real
-input raises :class:`DataFormatError`.
+input raises :class:`DataFormatError`.  ``fit`` reads ``x`` through it once
+and then calls the unchecked private cores of ``covest``.
 """
 
 from __future__ import annotations
@@ -115,6 +123,7 @@ def fit(
         raise ValueError("dims is required")
     if cov_mode not in COV_MODES:
         raise ValueError(f"unknown cov_mode {cov_mode!r}; expected one of {COV_MODES}")
+    covest._check_estimator(estimator)
     x = _finite_array(x, (dims.size, None), "x")
     if mean_override is not None:
         _finite_array(mean_override.means, (2, dims.size), "mean_override")
@@ -124,23 +133,22 @@ def fit(
             raise ValueError(
                 "labels are required unless mean_override is given with cov_mode='global'"
             )
-        own = covest.class_means(x, labels)
-        labels = np.asarray(labels, dtype=np.int64)  # checked by class_means
+        onehot = np.eye(2)[:, covest._check_labels(labels, x.shape[1])]
+        own = covest._class_means(x, onehot)
     stats = own if mean_override is None else mean_override
 
+    # Each column minus its own class mean (the D x 2 means times the one-hot
+    # class indicator), or minus the overall mean, scaled by 2**-exp: exact,
+    # and it keeps the covariance and the Ledoit-Wolf sums from overflowing
+    # or underflowing at any data scale.  No centered copy of x is made
+    # here; the estimate's kernels center their own chunks.
     if cov_mode == "within":
-        # Each column minus its own class mean: the D x 2 means times the
-        # 2 x N_e one-hot class indicator, in a buffer laid out like x.
-        xc = np.matmul(own.means.T, np.eye(2)[:, labels], out=np.empty_like(x))
-        np.subtract(x, xc, out=xc)
+        centred = covest._Centred(x, own.means.T, onehot)
     else:
-        xc = covest.center(x)
-    # Scaling by 2**-exp is exact; it keeps the covariance and the
-    # Ledoit-Wolf sums from overflowing or underflowing at any data scale.
-    exp = int(np.frexp(max(xc.max(initial=0.0), -xc.min(initial=0.0)))[1])
-    np.ldexp(xc, -exp, out=xc)
-    shrunk = covest.estimate_covariance(xc, dims, estimator, gamma)
-    del xc
+        centred = covest._by_overall_mean(x)
+    centred, exp = covest._prescaled(centred)
+    shrunk = covest._estimate(centred, dims, estimator, gamma)
+    del centred  # the centered chunk of a small fit goes before the solve
     delta = stats.means[1] - stats.means[0]
     degenerate = not delta.any()
     if degenerate:

@@ -97,6 +97,30 @@ def test_global_vs_class_centering_differ_by_class_mean_offsets():
         assert np.allclose(diff, offset[:, None], rtol=0, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 12),
+    n=st.integers(2, 400),
+    log_scale=st.sampled_from([-200, 0, 200]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_class_means_equal_per_class_means_to_rounding(d, n, log_scale, seed):
+    # Class sums are one product with the one-hot indicator instead of a
+    # mean over a copy of each class, so the summation order differs.  Each
+    # of the two is a sum of n_k terms of size at most max|x|, so they agree
+    # within 2 n_k u max|x| (u = eps / 2), in units of max|x| n_k eps.
+    rng = np.random.default_rng(seed)
+    x = 10.0**log_scale * (rng.standard_normal((d, n)) + rng.uniform(-100, 100, (d, 1)))
+    labels = rng.integers(0, 2, n)
+    labels[:2] = [0, 1]
+    got = class_means(x, labels).means
+    scale = np.abs(x).max()
+    for k in (0, 1):
+        ref = x[:, labels == k].mean(axis=1)
+        n_k = int((labels == k).sum())
+        assert np.abs(got[k] - ref).max() <= n_k * np.finfo(float).eps * scale
+
+
 @pytest.mark.parametrize(
     "means",
     [

@@ -299,30 +299,107 @@ def column_strided(x):
     return wide[:, ::2]
 
 
+@pytest.mark.parametrize("use_fft", [False, True])
+@pytest.mark.parametrize("cov_mode", lda.COV_MODES)
 @pytest.mark.parametrize("flip", [False, True])
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray, column_strided])
-def test_within_class_centring_matches_center_bit_for_bit(monkeypatch, layout, flip):
-    # What the fit hands to the estimator is the prescaled class-centred data
-    # of covest.center, in values and in memory order; F-ordered input is
-    # where an output buffer of fixed order would differ.
+def test_fit_equals_the_estimate_and_solve_of_its_centred_data(
+    monkeypatch, layout, flip, cov_mode, use_fft
+):
+    # The fit never writes its centred data as a whole: each kernel centres
+    # and prescales its own chunk.  The reference centres the data with
+    # covest.center, prescales it, and runs the public estimate and solve.
+    # The centred values are the same bits, the lag sums run the same
+    # products on the same buffers, and gamma's Gram sums the same chunks:
+    # the fit's chunk buffers are laid out like x, and so is the array
+    # covest.center writes, whose views the reference's Gram takes.  So
+    # gamma and the weights are equal bit for bit, on every layout.
     x, labels, dims = labeled_features(3, 5, 42, seed=21)
     x = layout(x)
     labels = 1 - labels if flip else labels
-    seen = []
-    real = covest.estimate_covariance
+    monkeypatch.setattr(covest, "_fft_pays", lambda nc, nt: use_fft)
+    model = fit(x, labels, dims=dims, estimator="toeplitz", cov_mode=cov_mode)
 
-    def spy(xc, *args, **kwargs):
-        seen.append((xc.copy(order="K"), xc.flags.c_contiguous, xc.flags.f_contiguous))
-        return real(xc, *args, **kwargs)
-
-    monkeypatch.setattr(covest, "estimate_covariance", spy)
-    fit(x, labels, dims=dims, estimator="toeplitz")
-    centred = covest.center(x, labels)
+    centred = covest.center(x, labels if cov_mode == "within" else None)
     exp = int(np.frexp(np.abs(centred).max())[1])
-    expected = np.ldexp(centred, -exp)
-    [(got, c_order, f_order)] = seen
-    assert np.array_equal(got, expected)
-    assert (c_order, f_order) == (expected.flags.c_contiguous, expected.flags.f_contiguous)
+    shrunk = covest.estimate_covariance(np.ldexp(centred, -exp), dims, "toeplitz")
+    stats = covest.class_means(x, labels)
+    delta = np.ldexp(stats.means[1] - stats.means[0], -exp)
+    w = np.ldexp(btsolve.block_toeplitz_solve(shrunk.matrix, delta).solution, -exp)
+    assert model.gamma == shrunk.gamma
+    assert np.array_equal(model.weights, w)
+
+
+@pytest.mark.parametrize("cov_mode", lda.COV_MODES)
+@pytest.mark.parametrize("estimator", lda.ESTIMATORS)
+def test_fit_checks_its_data_once(monkeypatch, estimator, cov_mode):
+    # fit reads x through _finite_array once and then calls covest's
+    # unchecked cores, which scan neither x nor anything centred from it.
+    x, labels, dims = labeled_features(3, 5, 42, seed=12)
+    names = []
+    real = blockmat._finite_array
+
+    def spy(values, shape, name):
+        a = np.asarray(values)
+        if a.ndim == 2 and a.shape[1] == x.shape[1]:
+            names.append(name)
+        return real(values, shape, name)
+
+    for module in (blockmat, covest, btsolve, lda):
+        monkeypatch.setattr(module, "_finite_array", spy)
+    fit(x, labels, dims=dims, estimator=estimator, cov_mode=cov_mode)
+    assert names == ["x"]
+
+
+def small_chunks(monkeypatch, n_rows_or_epochs, n, d):
+    """Chunk constants so that every pass over a ``d x n`` matrix takes several chunks.
+
+    A row chunk then holds ``n_rows_or_epochs`` rows when ``n < d`` (the
+    Gram's and the prescale pass's rows), an epoch chunk that many epochs
+    when ``n >= d``, and an FFT chunk that many epochs.
+    """
+    monkeypatch.setattr(covest, "_CHUNK_BYTES", 8 * min(n, d) * n_rows_or_epochs)
+    monkeypatch.setattr(covest, "_FFT_EPOCHS", n_rows_or_epochs)
+
+
+@pytest.mark.parametrize("cov_mode", lda.COV_MODES)
+@pytest.mark.parametrize("estimator", ["toeplitz", "toeplitz_a1_only"])
+@settings(max_examples=25, deadline=None)
+@given(
+    nc=st.integers(1, 3),
+    nt=st.integers(2, 8),
+    n=st.integers(8, 40),
+    per_chunk=st.integers(1, 3),
+    use_fft=st.booleans(),
+    override=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multi_chunk_fit_matches_the_stage_by_stage_dense_oracle(
+    estimator, cov_mode, nc, nt, n, per_chunk, use_fft, override, seed
+):
+    # At test sizes every pass fits in one chunk; here the chunk constants
+    # are patched so that the prescale pass, the Gram of gamma and the FFT
+    # lag sums each cross several chunks, the last one usually ragged.
+    dims = BlockDims(nc, nt)
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % 2
+    shift = np.outer(rng.standard_normal(dims.size), labels)
+    x = rng.standard_normal((dims.size, n)) + 0.5 * shift + rng.standard_normal((dims.size, 1))
+    cov = stage_by_stage_covariance(x, labels, dims, estimator, cov_mode)
+    assume(np.linalg.cond(cov) < 1e8)
+    stats = covest.class_means(x, labels)
+    if override:
+        stats = ClassStats(stats.means + 0.1 * rng.standard_normal(stats.means.shape))
+    oracle = np.linalg.solve(cov, stats.means[1] - stats.means[0])
+    # Unlabelled when the override makes labels unnecessary.
+    fit_labels = None if override and cov_mode == "global" else labels
+    with pytest.MonkeyPatch.context() as patch:
+        small_chunks(patch, per_chunk, n, dims.size)
+        patch.setattr(covest, "_fft_pays", lambda nc, nt: use_fft)
+        w = fit(x, fit_labels, dims=dims, estimator=estimator, cov_mode=cov_mode,
+                mean_override=stats if override else None).weights
+    cos = w @ oracle / (np.linalg.norm(w) * np.linalg.norm(oracle))
+    assert cos >= 1.0 - 1e-10
 
 
 def test_global_and_within_agree_without_shrinkage():
@@ -383,13 +460,13 @@ def test_fit_computes_class_means_at_most_once(monkeypatch, cov_mode, override, 
     x, labels, dims = labeled_features(2, 3, 36, seed=6)
     stats = covest.class_means(x, labels) if override else None
     calls = []
-    real = covest.class_means
+    real = covest._class_means  # the core of class_means, which fit calls
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(covest, "class_means", counting)
+    monkeypatch.setattr(covest, "_class_means", counting)
     fit(x, labels if expected else None, dims=dims, cov_mode=cov_mode,
         mean_override=stats)
     assert len(calls) == expected
@@ -413,8 +490,9 @@ def test_within_class_fit_checks_the_labels_once(monkeypatch, override):
 
 def test_long_window_toeplitz_fit_forms_no_dense_covariance():
     # At 8 x 2048, D = 16384: one D x D float64 matrix would take 2 GiB.  The
-    # lag-block estimate needs the centered D x N_e copy plus chunk buffers
-    # below its size, the PCG solve a few 8 x 8 blocks per frequency.
+    # lag-block estimate needs chunk buffers below the data's size (the fit
+    # centres each chunk in place and makes no centred copy), the PCG solve
+    # a few 8 x 8 blocks per frequency.
     for n_times in (1024, 2048):
         dims = BlockDims(8, n_times)
         rng = np.random.default_rng(0)
@@ -431,6 +509,27 @@ def test_long_window_toeplitz_fit_forms_no_dense_covariance():
             tracemalloc.stop()
         assert peak <= 3 * x.nbytes, f"n_times {n_times}: peak {peak / 2**20:.1f} MiB"
         assert scores[labels == 1].mean() > scores[labels == 0].mean()
+
+
+@pytest.mark.parametrize(("nc", "nt", "n"), [(31, 100, 192), (8, 512, 96)])
+def test_toeplitz_fit_holds_little_beyond_its_data(nc, nt, n):
+    # The perfbench fit-paper and fit-long shapes.  No D x N_e array is
+    # written: the passes over the data centre chunks of at most
+    # covest._CHUNK_BYTES, or of 32 epochs for the FFT, and the peak is the
+    # PCG solve's scratch plus the lag blocks.
+    dims = BlockDims(nc, nt)
+    rng = np.random.default_rng(0)
+    labels = np.arange(n) % 6 == 0
+    x = rng.standard_normal((dims.size, n)) + 0.5 * np.outer(
+        rng.standard_normal(dims.size), labels
+    )
+    tracemalloc.start()
+    try:
+        fit(x, labels.astype(int), dims=dims, estimator="toeplitz")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * x.nbytes, f"peak {peak / x.nbytes:.2f} x the data"
 
 
 @pytest.mark.parametrize("estimator", ["slda", "toeplitz_a2_only"])
@@ -562,6 +661,19 @@ def test_power_of_two_scaling_scales_weights_exactly(estimator, k):
     base = fit(x, labels, dims=dims, estimator=estimator)
     scaled = fit(alpha * x, labels, dims=dims, estimator=estimator)
     assert np.array_equal(scaled.weights, base.weights / alpha)
+    assert scaled.bias == base.bias
+    assert scaled.gamma == base.gamma
+
+
+@pytest.mark.parametrize("use_fft", [False, True])
+@pytest.mark.parametrize("k", [-600, 600])
+def test_power_of_two_scaling_is_exact_across_chunks(monkeypatch, k, use_fft):
+    x, labels, dims = SCALE_DATA
+    small_chunks(monkeypatch, 3, x.shape[1], dims.size)
+    monkeypatch.setattr(covest, "_fft_pays", lambda nc, nt: use_fft)
+    base = fit(x, labels, dims=dims)
+    scaled = fit(2.0**k * x, labels, dims=dims)
+    assert np.array_equal(scaled.weights, base.weights / 2.0**k)
     assert scaled.bias == base.bias
     assert scaled.gamma == base.gamma
 
