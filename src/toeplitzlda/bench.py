@@ -30,7 +30,7 @@ import numpy as np
 
 from . import lda, rng
 from .blockmat import _finite_array
-from .covest import _check_labels, class_means
+from .covest import _check_estimator, _check_labels, _unit_gamma, class_means
 from .dataio import FeatureConfig, _write_json, extract_features, read_dataset
 from .errors import GroupSizeError, ShapeError, ToeplitzLdaError
 from .synth import TARGET_RATIO
@@ -161,16 +161,13 @@ class BenchConfig:
     record_timing: bool = False
 
     def __post_init__(self):
+        # The fit's own checks, so that no cell fails on a bad setting.
         for est in self.estimators:
-            if est not in lda.ESTIMATORS:
-                raise ValueError(
-                    f"unknown estimator {est!r}; expected one of {lda.ESTIMATORS}"
-                )
+            _check_estimator(est)
         for mode in self.cov_modes:
-            if mode not in lda.COV_MODES:
-                raise ValueError(
-                    f"unknown cov_mode {mode!r}; expected one of {lda.COV_MODES}"
-                )
+            lda._check_cov_mode(mode)
+        if self.gamma is not None:
+            _unit_gamma(self.gamma)
         for name in ("estimators", "cov_modes", "subset_sizes"):
             values = getattr(self, name)
             if len(set(values)) != len(values):

@@ -1,8 +1,8 @@
 """Linear solvers for block-Toeplitz systems.
 
 ``block_toeplitz_solve`` solves ``T x = b`` where ``T`` is the symmetric
-positive definite dense expansion of a :class:`BlockToeplitzCov`; it is the
-solve a fit runs.  It takes one of two routes, by the size of the system
+positive definite dense expansion of a :class:`BlockToeplitzCov`.  It
+takes one of two routes, by the size of the system
 (``blockmat._fft_pays``, the rule that also picks the lag-sum kernel of the
 estimate), and names it in ``SolveReport.method``:
 
@@ -17,7 +17,10 @@ estimate), and names it in ``SolveReport.method``:
   n_times)`` time and never forms ``T``; ``iters`` is typically 10 to 30.
 
 A system that is not positive definite, or that the iterations do not
-solve within a fixed cap, raises :class:`SolveError`.
+solve within a fixed cap, raises :class:`SolveError`.  A fit solves through
+``_fit_solve``, which runs ``block_toeplitz_solve`` for ``toeplitz``,
+factors a dense estimate in place and holds the indefinite fallback of
+``toeplitz_a1_only``.
 
 ``block_toeplitz_matmul`` multiplies by the dense expansion with the same
 FFT product, in ``O(n_channels^2 n_times log n_times)``.  ``dense_solve``
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+import scipy.linalg
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -221,11 +225,6 @@ def _pcg_solve(btc: BlockToeplitzCov, b: np.ndarray) -> SolveReport:
     nc, nt = btc.dims.n_channels, btc.dims.n_times
     spec, n = _lag_spectrum(btc)
     pre = _chan_preconditioner(btc)
-
-    def precondition(r):
-        spectrum = pre @ scipy.fft.rfft(r, axis=0)[:, :, None]
-        return scipy.fft.irfft(spectrum[:, :, 0], nt, axis=0)
-
     # Dividing b by a power of two is exact and keeps the norms finite.
     exp = int(np.frexp(np.abs(b).max(initial=0.0))[1])
     r = np.ldexp(b, -exp).reshape(nt, nc)
@@ -236,7 +235,7 @@ def _pcg_solve(btc: BlockToeplitzCov, b: np.ndarray) -> SolveReport:
         if iterations == _PCG_MAX_ITER:
             raise SolveError(f"PCG did not converge in {_PCG_MAX_ITER} iterations")
         iterations += 1
-        z = precondition(r)
+        z = _spectral_product(pre, nt, r)
         rz = np.vdot(r, z)
         p = z if iterations == 1 else z + (rz / rz_old) * p
         q = _spectral_product(spec, n, p)
@@ -266,3 +265,35 @@ def block_toeplitz_solve(btc: BlockToeplitzCov, b) -> SolveReport:
     if _fft_pays(btc.dims.n_channels, btc.dims.n_times):
         return _pcg_solve(btc, b)
     return _solve_in_place(to_dense(btc), b)
+
+
+def _fit_solve(
+    cov: BlockCov | BlockToeplitzCov, b: np.ndarray, maybe_indefinite: bool
+) -> SolveReport:
+    """Solve a fit's own estimate for the finite vector ``b``.
+
+    A dense ``cov`` is the fit's own and read no more, so it is factored in
+    place.  A compact one takes the route of :func:`block_toeplitz_solve`,
+    unless ``maybe_indefinite`` (averaging without tapering): then it always
+    takes the dense route, and when the Cholesky of the expanded lag blocks
+    fails, which shows the matrix is not positive definite, a fresh
+    expansion (the first one was overwritten) is solved with a symmetric
+    indefinite factorization and the report says so instead of failing.
+    The lag blocks are finite, so only the solution needs a scan.
+    """
+    if not isinstance(cov, BlockToeplitzCov):
+        return _solve_in_place(cov, b)
+    if not maybe_indefinite:
+        return block_toeplitz_solve(cov, b)
+    try:
+        return _solve_in_place(to_dense(cov), b)
+    except SolveError:
+        pass
+    dense = to_dense(cov).data
+    try:
+        solution = scipy.linalg.solve(dense, b, assume_a="sym", check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolveError(f"symmetric indefinite solve failed: {exc}") from exc
+    if not np.isfinite(solution).all():
+        raise SolveError("symmetric indefinite solve gave a non-finite solution")
+    return SolveReport(solution, "dense", False)

@@ -15,14 +15,15 @@ products over chunks of the data.  ``sample_covariance`` and
 stage by stage, each stage on a fresh copy: no fit calls them, so they are
 its independent reference.
 
-``lda.fit`` does not center its data into a new matrix.  It hands the
-private core ``_estimate`` a ``_Centred``: the data, its class means (or
-overall mean) and the power of two the fit divides by.  Each kernel writes
-the centered, scaled values into its own chunk buffer, so the averaged
-estimators hold no ``D x N_e`` array beyond the data, except one of at most
-``_CHUNK_BYTES`` when the data fits in one chunk; the dense ones write one.
-The public functions check their input and run the same code on data that
-is already centered.
+``lda.fit`` makes one call here, ``_fit_estimate``: it checks the labels,
+takes the class means, picks the offsets (the class means or the overall
+mean) and the power of two to divide by, and hands the private core
+``_estimate`` a ``_Centred`` of them.  Each kernel writes the centered,
+scaled values into its own chunk buffer, so the averaged estimators hold no
+``D x N_e`` array beyond the data, except one of at most ``_CHUNK_BYTES``
+when the data fits in one chunk; the dense ones write one.  The public
+functions check their input and run the same code on data that is already
+centered; ``center`` takes the offsets of a fit.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .errors import ShapeError
 
 ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
 #: Bytes of one chunk of the row and epoch passes over the data (the
-#: prescale exponent and the Ledoit-Wolf Gram); a chunk holds at least one
-#: row or epoch.
+#: Ledoit-Wolf Gram), and of the most data a fit centers once for all
+#: passes; a chunk holds at least one row or epoch.
 _CHUNK_BYTES = 1 << 20
 #: Most epochs in one chunk of the FFT lag sums.
 _FFT_EPOCHS = 32
@@ -139,26 +140,42 @@ class _Centred:
             yield chunk
 
 
-def _by_overall_mean(x: np.ndarray) -> _Centred:
-    return _Centred(x, x.mean(axis=1)[:, None], np.ones((1, x.shape[1])))
+def _class_centring(
+    x: np.ndarray, labels, within: bool, exp: int = 0
+) -> tuple[_Centred, ClassStats | None]:
+    """Checked data minus its class means (``within``) or its overall mean, times ``2**-exp``.
 
-
-def _prescaled(centred: _Centred) -> tuple[_Centred, int]:
-    """``centred`` divided by ``2**exp``, which brings its largest |entry| into [0.5, 1), and ``exp``.
-
-    The exponent is that of the largest ``|x - mean|``, found in one pass
-    over row chunks; a bound from ``|x|`` alone would let a large common
-    offset push the other entries' squares below the normal range.  Data
-    that fits in one chunk comes back centered and scaled in that chunk, so
-    the later passes read it instead of centering it again.
+    Also returns the class means of ``labels``, or None without labels.
     """
-    top = 0.0
-    for chunk in centred.chunks(0):
-        top = max(top, chunk.max(initial=0.0), -chunk.min(initial=0.0))
-    exp = int(np.frexp(top)[1])
-    if chunk.shape == centred.x.shape:
-        return _Centred(np.ldexp(chunk, -exp, out=chunk)), exp
-    return _Centred(centred.x, centred.offsets, centred.indicator, exp), exp
+    stats = onehot = None
+    if labels is not None:
+        onehot = np.eye(2)[:, _check_labels(labels, x.shape[1])]
+        stats = _class_means(x, onehot)
+    if within:
+        return _Centred(x, stats.means.T, onehot, exp), stats
+    return _Centred(x, x.mean(axis=1)[:, None], np.ones((1, x.shape[1])), exp), stats
+
+
+def _fit_estimate(
+    x: np.ndarray, labels, within: bool, dims: BlockDims, estimator: str, gamma: float | None
+) -> tuple[ShrinkageResult, ClassStats | None, int]:
+    """The estimate of a fit: checked data, centered and divided by ``2**exp``.
+
+    Returns the estimate, the class means of ``labels`` (None without
+    labels) and ``exp``, the exponent of the widest row range of ``x``.
+    That range bounds every ``|x - mean|``, whatever offset a row has, so
+    it keeps the centered data within [-1, 1] and its squares in the normal
+    range without a pass that centers it; the ends are halved first, so the
+    range does not overflow.  Data of at most ``_CHUNK_BYTES`` is centered
+    once into a copy that every pass reads; larger data is centered chunk
+    by chunk in each pass.
+    """
+    _check_epochs(x.shape[1])
+    exp = int(np.frexp((x.max(axis=1) * 0.5 - x.min(axis=1) * 0.5).max())[1]) + 1
+    centred, stats = _class_centring(x, labels, within, exp)
+    if x.nbytes <= _CHUNK_BYTES:
+        centred = _Centred(centred.write(np.empty(x.shape, order="F" if np.isfortran(x) else "C")))
+    return _estimate(centred, dims, estimator, gamma), stats, exp
 
 
 def _check_epochs(n_epochs: int) -> None:
@@ -223,12 +240,7 @@ def center(x, labels=None) -> np.ndarray:
     those a fit centers its chunks to, in a new array laid out like ``x``.
     """
     x = _finite_array(x, (None, None), "x")
-    if labels is None:
-        centred = _by_overall_mean(x)
-    else:
-        onehot = np.eye(2)[:, _check_labels(labels, x.shape[1])]
-        centred = _Centred(x, _class_means(x, onehot).means.T, onehot)
-    return centred.write(np.empty_like(x))
+    return _class_centring(x, labels, labels is not None)[0].write(np.empty_like(x))
 
 
 def sample_covariance(centered, dims: BlockDims) -> BlockCov:
@@ -412,16 +424,14 @@ def estimate_covariance(
     the same rule that picks the solve route of ``btsolve.block_toeplitz_solve``.
     """
     _check_estimator(estimator)
-    xc = _finite_array(centered, (dims.size, None), "centered")
-    return _estimate(_Centred(xc), dims, estimator, gamma)
+    return _estimate(_Centred(_covariance_data(centered, dims.size)), dims, estimator, gamma)
 
 
 def _estimate(
     centred: _Centred, dims: BlockDims, estimator: str, gamma: float | None
 ) -> ShrinkageResult:
-    """:func:`estimate_covariance` of checked data that ``centred`` centers as it goes."""
+    """:func:`estimate_covariance` of checked data (at least 2 epochs) that ``centred`` centers."""
     n = centred.x.shape[1]
-    _check_epochs(n)
     gamma = _ledoit_wolf(centred) if gamma is None else _unit_gamma(gamma)
     nc, nt = dims.n_channels, dims.n_times
     if estimator in ("slda", "toeplitz_a2_only"):

@@ -268,7 +268,7 @@ def sample_index(seconds: float, sfreq: float, t0: float) -> int:
 
 def _stack_channel_prime(feats: np.ndarray, dims: BlockDims) -> FeatureMatrix:
     """(n_epochs, n_channels, n_feat_times) -> channel-prime (D, n_epochs)."""
-    return FeatureMatrix(feats.transpose(0, 2, 1).reshape(feats.shape[0], -1).T, dims)
+    return FeatureMatrix(feats.transpose(0, 2, 1).reshape(feats.shape[0], dims.size).T, dims)
 
 
 def interval_means(epochs: Epochs, boundaries) -> FeatureMatrix:

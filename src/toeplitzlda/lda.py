@@ -5,41 +5,25 @@ bias is ``-w^T (mu_nontarget + mu_target) / 2``, so the decision boundary
 passes through the midpoint of the class means and ``decision_values`` is
 positive on the target side.
 
-``Sigma`` comes from :func:`covest.estimate_covariance`; ``estimator``
-selects its structure:
+``estimator`` selects the structure of ``Sigma`` (see
+:func:`covest.estimate_covariance`): ``slda`` is the dense shrunk sample
+covariance, ``toeplitz`` averages its block diagonals and tapers them,
+``toeplitz_a1_only`` only averages (which may be indefinite: the solve then
+falls back to a symmetric indefinite factorization and the model is flagged)
+and ``toeplitz_a2_only`` only tapers.  ``cov_mode`` selects the centering:
+'within' uses per-class means (needs labels), 'global' the overall mean,
+which needs no labels when the class means come via ``mean_override``.
 
-* ``slda`` -- dense shrinkage-regularized sample covariance.
-* ``toeplitz`` -- block-diagonal averaging plus linear tapering; solved by
-  :func:`btsolve.block_toeplitz_solve`: one dense Cholesky of the expanded
-  lag blocks on small systems, block-circulant preconditioned conjugate
-  gradients on the compact form on large ones.
-* ``toeplitz_a1_only`` -- averaging without tapering.  The averaged matrix
-  is not guaranteed positive definite, so it always takes the dense route:
-  when the Cholesky of the expanded lag blocks fails, the fit solves a fresh
-  expansion with a symmetric indefinite factorization and flags the model.
-* ``toeplitz_a2_only`` -- blockwise tapering of the dense shrunk covariance
-  (no averaging).
-
-``fit`` owns the class statistics: it computes the data's class means at
-most once, as one product with the one-hot class indicator.  ``cov_mode``
-selects the centering: 'within' uses per-class means (needs labels),
-'global' uses the overall mean, which requires no labels when the class
-means are supplied via ``mean_override``.  The centered data is divided by
-a power of two that brings its largest entry into [0.5, 1), which is exact,
-so the fit is scale-equivariant: ``fit(a x)`` has weights ``w(x) / a``, bit
-for bit when ``a`` is a power of two.  The fit never writes the centered
-data as a whole: it hands ``covest._estimate`` the data, the means and the
-exponent, and each kernel centers and scales its own chunk (data of one
-chunk is centered once, by ``covest._prescaled``).  A ``toeplitz``
-fit so holds, beyond its input, chunk buffers, the ``N_e``- or ``D``-square
-Gram of the Ledoit-Wolf intensity, the lag blocks and the solve's scratch;
-``slda`` and ``toeplitz_a2_only`` write one centered copy for their
-``D x D`` product.
-
-``fit`` and ``decision_values`` read their feature matrix, and ``fit`` its
-``mean_override``, with ``blockmat._finite_array``: non-finite or non-real
-input raises :class:`DataFormatError`.  ``fit`` reads ``x`` through it once
-and then calls the unchecked private cores of ``covest``.
+``fit`` checks its arguments, reading ``x`` and ``mean_override`` once with
+``blockmat._finite_array`` as ``decision_values`` reads its features
+(non-finite or non-real input raises :class:`DataFormatError`), and makes
+one call to estimate,
+``covest._fit_estimate``, and one to solve, ``btsolve._fit_solve``.  The
+estimate comes with the class means and the power of two ``2**exp`` the
+centered data was divided by; the fit keeps the LDA algebra: the mean
+difference, the degenerate case of identical means, the bias and the model.
+Dividing by ``2**exp`` is exact, so the fit is scale-equivariant: ``fit(a
+x)`` has weights ``w(x) / a``, bit for bit when ``a`` is a power of two.
 """
 
 from __future__ import annotations
@@ -48,14 +32,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import covest
-from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, _finite_array, to_dense
-from .btsolve import SolveReport, _solve_in_place, block_toeplitz_solve
+from . import btsolve, covest
+from .blockmat import BlockDims, _finite_array
 from .covest import ESTIMATORS, ClassStats
 from .dataio import _finite, _json_object, _json_value, _number, _write_json
-from .errors import SolveError
 
 MODEL_FORMAT_VERSION = 1
 COV_MODES = ("within", "global")
@@ -80,28 +61,9 @@ class LdaModel:
         object.__setattr__(self, "weights", w)
 
 
-def _solve(cov: BlockCov | BlockToeplitzCov, delta: np.ndarray, estimator: str) -> SolveReport:
-    if not isinstance(cov, BlockToeplitzCov):
-        return _solve_in_place(cov, delta)  # S is the fit's own and read no more
-    if estimator != "toeplitz_a1_only":
-        return block_toeplitz_solve(cov, delta)
-    # Averaging without tapering may produce an indefinite matrix, which a
-    # failed Cholesky shows: then solve a fresh expansion (the first one was
-    # overwritten) with a symmetric indefinite factorization and flag the
-    # model instead of failing.  The lag blocks are finite, so only the
-    # solution needs a scan.
-    try:
-        return _solve_in_place(to_dense(cov), delta)
-    except SolveError:
-        pass
-    dense = to_dense(cov).data
-    try:
-        solution = scipy.linalg.solve(dense, delta, assume_a="sym", check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolveError(f"symmetric indefinite solve failed: {exc}") from exc
-    if not np.isfinite(solution).all():
-        raise SolveError("symmetric indefinite solve gave a non-finite solution")
-    return SolveReport(solution, "dense", False)
+def _check_cov_mode(cov_mode: str) -> None:
+    if cov_mode not in COV_MODES:
+        raise ValueError(f"unknown cov_mode {cov_mode!r}; expected one of {COV_MODES}")
 
 
 def fit(
@@ -121,34 +83,23 @@ def fit(
     """
     if dims is None:
         raise ValueError("dims is required")
-    if cov_mode not in COV_MODES:
-        raise ValueError(f"unknown cov_mode {cov_mode!r}; expected one of {COV_MODES}")
+    _check_cov_mode(cov_mode)
     covest._check_estimator(estimator)
     x = _finite_array(x, (dims.size, None), "x")
     if mean_override is not None:
         _finite_array(mean_override.means, (2, dims.size), "mean_override")
-    own = None
-    if mean_override is None or cov_mode == "within":
-        if labels is None:
-            raise ValueError(
-                "labels are required unless mean_override is given with cov_mode='global'"
-            )
-        onehot = np.eye(2)[:, covest._check_labels(labels, x.shape[1])]
-        own = covest._class_means(x, onehot)
+    needs_labels = mean_override is None or cov_mode == "within"
+    if needs_labels and labels is None:
+        raise ValueError(
+            "labels are required unless mean_override is given with cov_mode='global'"
+        )
+    # The data minus its class means or its overall mean, divided by 2**exp:
+    # exact, and it keeps the covariance and the Ledoit-Wolf sums from
+    # overflowing or underflowing at any data scale.
+    shrunk, own, exp = covest._fit_estimate(
+        x, labels if needs_labels else None, cov_mode == "within", dims, estimator, gamma
+    )
     stats = own if mean_override is None else mean_override
-
-    # Each column minus its own class mean (the D x 2 means times the one-hot
-    # class indicator), or minus the overall mean, scaled by 2**-exp: exact,
-    # and it keeps the covariance and the Ledoit-Wolf sums from overflowing
-    # or underflowing at any data scale.  No centered copy of x is made
-    # here; the estimate's kernels center their own chunks.
-    if cov_mode == "within":
-        centred = covest._Centred(x, own.means.T, onehot)
-    else:
-        centred = covest._by_overall_mean(x)
-    centred, exp = covest._prescaled(centred)
-    shrunk = covest._estimate(centred, dims, estimator, gamma)
-    del centred  # the centered chunk of a small fit goes before the solve
     delta = stats.means[1] - stats.means[0]
     degenerate = not delta.any()
     if degenerate:
@@ -159,7 +110,9 @@ def fit(
         )
         w, bias, well_conditioned = np.zeros(dims.size), 0.0, True
     else:
-        report = _solve(shrunk.matrix, np.ldexp(delta, -exp, out=delta), estimator)
+        report = btsolve._fit_solve(
+            shrunk.matrix, np.ldexp(delta, -exp, out=delta), estimator == "toeplitz_a1_only"
+        )
         w = np.ldexp(report.solution, -exp)
         bias = float(-0.5 * (w @ (stats.means[0] + stats.means[1])))
         well_conditioned = report.well_conditioned

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toeplitzlda import btsolve, lda
+from toeplitzlda import btsolve
 from toeplitzlda.blockmat import BlockCov, BlockDims, BlockToeplitzCov, _owned_cov, to_dense
 from toeplitzlda.btsolve import (
     block_levinson_solve,
@@ -382,16 +382,16 @@ def test_dense_solve_rejects_indefinite_by_default():
 
 def test_dense_solve_indefinite_fallback_solves_and_flags():
     # dense_solve itself only takes the Cholesky path; the dense indefinite
-    # fallback belongs to the toeplitz_a1_only solve in lda._solve, which
-    # takes it after the failed Cholesky of [[1,2],[2,1]].
+    # fallback belongs to the solve of a toeplitz_a1_only fit, which takes
+    # it after the failed Cholesky of [[1,2],[2,1]].
     # [[1,2],[2,1]]^-1 = [[-1/3, 2/3], [2/3, -1/3]]
     btc = scalar_toeplitz([1.0, 2.0])
-    report = lda._solve(btc, np.array([1.0, 0.0]), "toeplitz_a1_only")
+    report = btsolve._fit_solve(btc, np.array([1.0, 0.0]), maybe_indefinite=True)
     assert np.allclose(report.solution, [-1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
     assert report.method == "dense"
     assert not report.well_conditioned
     with pytest.raises(SolveError):
-        lda._solve(btc, np.array([1.0, 0.0]), "toeplitz")
+        btsolve._fit_solve(btc, np.array([1.0, 0.0]), maybe_indefinite=False)
 
 
 def test_dense_solve_rejects_non_finite_covariance():

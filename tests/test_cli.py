@@ -170,9 +170,14 @@ def test_bench_writes_frozen_aggregate(dataset96, tmp_path, capsys, monkeypatch)
         ("--sizes", "0", "subset_sizes"),
         ("--sizes", "-6", "subset_sizes"),
         ("--uniform-draws", "--sizes=1", "subset_sizes"),
+        ("--gamma", "2", "gamma"),
+        ("--gamma=-0.5", "--sizes=6", "gamma"),
+        ("--gamma", "nan", "gamma"),
+        ("--gamma=2", "--sizes=600", "gamma"),
     ],
     ids=["repeated-estimator", "repeated-cov-mode", "repeated-size", "no-jobs", "no-draws",
-         "partial-group-size", "zero-size", "negative-size", "one-epoch-size"],
+         "partial-group-size", "zero-size", "negative-size", "one-epoch-size",
+         "gamma-above-one", "negative-gamma", "nan-gamma", "gamma-with-every-size-skipped"],
 )
 def test_bench_rejects_a_degenerate_grid(dataset96, tmp_path, capsys, flag, value, named):
     code, stdout, stderr = run(
@@ -201,6 +206,17 @@ def test_bench_missing_dataset_is_data_error(tmp_path, capsys):
     )
     assert code == 2
     assert "meta.json" in stderr
+
+
+def test_bench_checks_gamma_before_reading_the_dataset(tmp_path, capsys):
+    code, stdout, stderr = run(
+        capsys, "bench", "--dataset-dir", str(tmp_path / "nope"),
+        "--out-dir", str(tmp_path / "rep"), "--gamma", "2"
+    )
+    assert code == 1
+    assert "gamma" in stderr and "meta.json" not in stderr
+    assert stdout == ""
+    assert not (tmp_path / "rep").exists()
 
 
 def test_bench_all_cells_failing_is_numerical_error(dataset96, tmp_path, capsys):
@@ -444,6 +460,29 @@ def test_meta_json_not_json_is_data_error(dataset96, tmp_path, capsys):
     )
     assert code == 2
     assert "meta.json" in stderr
+
+
+@pytest.mark.parametrize(
+    ("command", "expected"),
+    [(["fit", "--model-path", "m.json"], 2), (["bench", "--out-dir", "rep"], 1)],
+    ids=["fit", "bench"],
+)
+def test_dataset_without_epochs_is_answered_by_the_command(
+    dataset96, tmp_path, capsys, monkeypatch, command, expected
+):
+    # A valid but empty dataset reaches each command's own checks: fit needs
+    # two epochs for a covariance, bench two epoch groups for its split.
+    monkeypatch.chdir(tmp_path)
+    ds = _copy_dataset(dataset96, tmp_path / "ds")
+    meta = json.loads((ds / "meta.json").read_text())
+    meta["n_epochs"] = 0
+    (ds / "meta.json").write_text(json.dumps(meta))
+    (ds / "data.bin").write_bytes(b"")
+    (ds / "labels.bin").write_bytes(b"")
+    code, stdout, stderr = run(capsys, command[0], "--dataset-dir", "ds", *command[1:])
+    assert code == expected
+    assert "epoch" in stderr and "reshape" not in stderr
+    assert stdout == ""
 
 
 def test_meta_json_without_n_times_is_data_error(dataset96, tmp_path, capsys):

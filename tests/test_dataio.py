@@ -281,6 +281,12 @@ def test_interval_outside_epoch_is_rejected():
         interval_means(epochs, (0.2,))
 
 
+def test_features_of_no_epochs_are_an_empty_matrix():
+    epochs = small_epochs(n_epochs=0, nc=3, nt=10, sfreq=20.0, t0=0.0)
+    assert interval_means(epochs, (0.0, 0.2, 0.5)).data.shape == (6, 0)
+    assert all_samples(epochs, (0.0, 0.5)).data.shape == (30, 0)
+
+
 def test_interval_means_commute_with_channel_permutation():
     epochs = small_epochs(nc=3, nt=10, sfreq=20.0, t0=0.0, seed=8)
     perm = [2, 0, 1]

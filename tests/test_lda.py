@@ -1,8 +1,10 @@
 """Discriminant fitting, scoring, and model serialization."""
 
+import ast
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,7 +230,7 @@ def test_no_fit_runs_the_levinson_recursion(monkeypatch, estimator, route):
 
     for module in (btsolve, lda):
         monkeypatch.setattr(module, "block_levinson_solve", levinson, raising=False)
-    monkeypatch.setattr(lda, "block_toeplitz_solve", solve)
+    monkeypatch.setattr(btsolve, "block_toeplitz_solve", solve)
     nc, nt = ROUTE_SIZES[route]
     x, labels, dims = labeled_features(nc, nt, 42, seed=12)
     fit(x, labels, dims=dims, estimator=estimator)
@@ -263,7 +265,7 @@ def test_estimate_and_solve_switch_together(monkeypatch, route, nc, nt):
         return report
 
     monkeypatch.setattr(covest, "_lag_sums_fft", lag_sums_fft)
-    monkeypatch.setattr(lda, "block_toeplitz_solve", solve)
+    monkeypatch.setattr(btsolve, "block_toeplitz_solve", solve)
     x, labels, dims = labeled_features(nc, nt, 42, seed=12)
     fit(x, labels, dims=dims, estimator="toeplitz")
     assert routes == [route]
@@ -299,22 +301,30 @@ def column_strided(x):
     return wide[:, ::2]
 
 
+@pytest.mark.parametrize("far", [False, True])
 @pytest.mark.parametrize("use_fft", [False, True])
 @pytest.mark.parametrize("cov_mode", lda.COV_MODES)
 @pytest.mark.parametrize("flip", [False, True])
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray, column_strided])
 def test_fit_equals_the_estimate_and_solve_of_its_centred_data(
-    monkeypatch, layout, flip, cov_mode, use_fft
+    monkeypatch, layout, flip, cov_mode, use_fft, far
 ):
     # The fit never writes its centred data as a whole: each kernel centres
     # and prescales its own chunk.  The reference centres the data with
-    # covest.center, prescales it, and runs the public estimate and solve.
-    # The centred values are the same bits, the lag sums run the same
-    # products on the same buffers, and gamma's Gram sums the same chunks:
-    # the fit's chunk buffers are laid out like x, and so is the array
-    # covest.center writes, whose views the reference's Gram takes.  So
-    # gamma and the weights are equal bit for bit, on every layout.
+    # covest.center, prescales it by the largest centred entry, and runs the
+    # public estimate and solve.  The centred values are the same bits, the
+    # lag sums run the same products on the same buffers, and gamma's Gram
+    # sums the same chunks: the fit's chunk buffers are laid out like x, and
+    # so is the array covest.center writes, whose views the reference's Gram
+    # takes.  The fit prescales by the widest row range instead, a power of
+    # two apart, which is exact.  So gamma and the weights are equal bit for
+    # bit, on every layout; with far-apart class means and per-row offsets
+    # the two exponents of a within-class fit differ.
     x, labels, dims = labeled_features(3, 5, 42, seed=21)
+    if far:
+        rng = np.random.default_rng(21)
+        x = (x + 2.0**12 * np.outer(rng.standard_normal(dims.size), labels)
+             + 2.0**20 * rng.standard_normal((dims.size, 1)))
     x = layout(x)
     labels = 1 - labels if flip else labels
     monkeypatch.setattr(covest, "_fft_pays", lambda nc, nt: use_fft)
@@ -322,6 +332,8 @@ def test_fit_equals_the_estimate_and_solve_of_its_centred_data(
 
     centred = covest.center(x, labels if cov_mode == "within" else None)
     exp = int(np.frexp(np.abs(centred).max())[1])
+    if far and cov_mode == "within":
+        assert exp != int(np.frexp(np.ptp(x, axis=1).max())[1])
     shrunk = covest.estimate_covariance(np.ldexp(centred, -exp), dims, "toeplitz")
     stats = covest.class_means(x, labels)
     delta = np.ldexp(stats.means[1] - stats.means[0], -exp)
@@ -355,8 +367,8 @@ def small_chunks(monkeypatch, n_rows_or_epochs, n, d):
     """Chunk constants so that every pass over a ``d x n`` matrix takes several chunks.
 
     A row chunk then holds ``n_rows_or_epochs`` rows when ``n < d`` (the
-    Gram's and the prescale pass's rows), an epoch chunk that many epochs
-    when ``n >= d``, and an FFT chunk that many epochs.
+    Gram's rows), an epoch chunk that many epochs when ``n >= d``, and an
+    FFT chunk that many epochs; the data is too large to be centred once.
     """
     monkeypatch.setattr(covest, "_CHUNK_BYTES", 8 * min(n, d) * n_rows_or_epochs)
     monkeypatch.setattr(covest, "_FFT_EPOCHS", n_rows_or_epochs)
@@ -378,8 +390,8 @@ def test_multi_chunk_fit_matches_the_stage_by_stage_dense_oracle(
     estimator, cov_mode, nc, nt, n, per_chunk, use_fft, override, seed
 ):
     # At test sizes every pass fits in one chunk; here the chunk constants
-    # are patched so that the prescale pass, the Gram of gamma and the FFT
-    # lag sums each cross several chunks, the last one usually ragged.
+    # are patched so that each pass centres its own chunks, and the Gram of
+    # gamma and the FFT lag sums cross several, the last one usually ragged.
     dims = BlockDims(nc, nt)
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % 2
@@ -416,6 +428,19 @@ def test_global_and_within_agree_without_shrinkage():
         assert cos >= 1.0 - 1e-8
 
 
+def test_fit_reaches_covest_and_btsolve_only_through_their_fit_entries():
+    # fit checks its arguments, makes one call to estimate and one to solve,
+    # and keeps the LDA algebra: the stages' internals stay in their modules.
+    used = set()
+    for node in ast.walk(ast.parse(Path(lda.__file__).read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("covest", "btsolve") and node.attr.startswith("_")):
+            used.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("covest", "btsolve"):
+            used.update(f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_"))
+    assert used == {"covest._fit_estimate", "covest._check_estimator", "btsolve._fit_solve"}
+
+
 # ------------------------------------------------------- special cases
 
 def test_identical_class_means_yield_degenerate_model():
@@ -441,6 +466,16 @@ def test_mean_override_supplies_the_solved_difference():
     xc = covest.center(x, labels=labels)
     nu = np.trace(covest.sample_covariance(xc, dims).data) / dims.size
     assert np.allclose(model.weights, np.ones(dims.size) / nu, atol=1e-12)
+
+
+def test_global_fit_without_epochs_raises_shape_error_before_any_reduction():
+    # An empty mean or range would warn (an error under the test settings)
+    # or raise a bare ValueError before the epoch count is checked.
+    x, labels, dims = labeled_features(2, 3, 36, seed=6)
+    stats = covest.class_means(x, labels)
+    for n in (0, 1):
+        with pytest.raises(ShapeError, match="at least 2 epochs"):
+            fit(x[:, :n], None, dims=dims, cov_mode="global", mean_override=stats)
 
 
 def test_mean_override_allows_unlabeled_global_fit():
@@ -587,7 +622,7 @@ def test_averaging_without_taper_flags_indefinite_fallback(monkeypatch):
     # positive definite, then one symmetric indefinite solve.
     x, labels, dims = indefinite_fit_data()
     calls = []
-    real_cholesky, real_solve = lda._solve_in_place, scipy.linalg.solve
+    real_cholesky, real_solve = btsolve._solve_in_place, scipy.linalg.solve
 
     def cholesky(*args, **kwargs):
         try:
@@ -602,7 +637,7 @@ def test_averaging_without_taper_flags_indefinite_fallback(monkeypatch):
         calls.append(kwargs.get("assume_a"))
         return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(lda, "_solve_in_place", cholesky)
+    monkeypatch.setattr(btsolve, "_solve_in_place", cholesky)
     monkeypatch.setattr(scipy.linalg, "solve", solve)
     model_a1 = fit(x, labels, dims=dims, estimator="toeplitz_a1_only")
     monkeypatch.undo()
