@@ -11,11 +11,22 @@ The protocol mirrors a transfer-style evaluation on a labeled dataset:
    estimator on it, and score the full validation half by AUC.
 3. Aggregate mean and standard deviation over draws per cell.
 
+One training draw and cov mode is one unit of work: its estimators are
+fitted through one ``lda._fitter``, which checks the draw's data and takes
+its class means, centering, shrinkage intensity and lag sums once for all
+of them (see ``covest._Estimates``); each estimator then forms and solves
+its own estimate and is scored on its own.  An error in a shared stage
+fails every row of the draw with the message a lone fit gives; an error in
+one estimator's estimate, solve or score fails only its row.  The rows come
+out in the order estimator, cov mode, size, draw.
+
 Every random choice derives from a Philox stream keyed by the benchmark
 seed and the cell coordinates, so reports are byte-identical across runs
-and across ``--jobs`` settings.  Fit wall-times are measured and reported
-in the JSON aggregate; the CSV carries them only when ``record_timing`` is
-enabled, because timings are not reproducible byte-for-byte.
+and across ``--jobs`` settings.  A row's fit time is the time of the
+draw's shared stages plus that of its estimator's own estimate and solve,
+so it still reads as the cost of one fit.  Fit times are reported in the
+JSON aggregate and the CSV only when ``record_timing`` is enabled, because
+timings are not reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -238,47 +249,57 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
                 train_idx.size,
             )
 
-    def run_cell(task) -> BenchRow:
-        est, mode, size, k = task
+    def run_group(task) -> list[BenchRow]:
+        """The rows of every estimator on one draw and cov mode, in config order."""
+        mode, size, k = task
         if size not in draws:
-            return BenchRow(est, mode, cfg.oracle_means, size, k,
-                            float("nan"), float("nan"), 0, status="skipped")
+            return [BenchRow(est, mode, cfg.oracle_means, size, k,
+                             float("nan"), float("nan"), 0, status="skipped")
+                    for est in cfg.estimators]
         idx = draws[size][k]
-        start = time.perf_counter()
-        try:
-            model = lda.fit(
-                x_train[:, idx],
-                y_train[idx],
-                dims=feats.dims,
-                estimator=est,
-                cov_mode=mode,
-                mean_override=oracle,
-                gamma=cfg.gamma,
-            )
-            fit_ms = (time.perf_counter() - start) * 1e3
-            score = auc(lda.decision_values(model, x_val), y_val)
-        except (ToeplitzLdaError, np.linalg.LinAlgError) as exc:
-            fit_ms = (time.perf_counter() - start) * 1e3
+
+        def failed(est, fit_ms, exc) -> BenchRow:
             return BenchRow(est, mode, cfg.oracle_means, size, k,
                             float("nan"), fit_ms, idx.size,
                             status="failed", well_conditioned=False,
                             error=f"{type(exc).__name__}: {exc}")
-        return BenchRow(est, mode, cfg.oracle_means, size, k,
-                        score, fit_ms, idx.size,
-                        well_conditioned=model.well_conditioned)
 
-    tasks = [
-        (est, mode, size, k)
-        for est in cfg.estimators
+        start = time.perf_counter()
+        try:
+            fit_one = lda._fitter(x_train[:, idx], y_train[idx], feats.dims,
+                                  cfg.estimators, mode, oracle, cfg.gamma)
+        except (ToeplitzLdaError, np.linalg.LinAlgError) as exc:
+            shared_ms = (time.perf_counter() - start) * 1e3
+            return [failed(est, shared_ms, exc) for est in cfg.estimators]
+        shared_ms = (time.perf_counter() - start) * 1e3
+        rows = []
+        for est in cfg.estimators:
+            start = time.perf_counter()
+            try:
+                model = fit_one(est)
+                fit_ms = shared_ms + (time.perf_counter() - start) * 1e3
+                score = auc(lda.decision_values(model, x_val), y_val)
+            except (ToeplitzLdaError, np.linalg.LinAlgError) as exc:
+                rows.append(failed(est, shared_ms + (time.perf_counter() - start) * 1e3, exc))
+                continue
+            rows.append(BenchRow(est, mode, cfg.oracle_means, size, k,
+                                 score, fit_ms, idx.size,
+                                 well_conditioned=model.well_conditioned))
+        return rows
+
+    groups = [
+        (mode, size, k)
         for mode in cfg.cov_modes
         for size in cfg.subset_sizes
         for k in range(cfg.n_draws)
     ]
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = tuple(pool.map(run_cell, tasks))
+            by_group = list(pool.map(run_group, groups))
     else:
-        rows = tuple(run_cell(t) for t in tasks)
+        by_group = [run_group(g) for g in groups]
+    # Estimator-major, as the cells are listed in the reports.
+    rows = tuple(group[e] for e in range(len(cfg.estimators)) for group in by_group)
     return BenchReport(cfg, rows, int(train_idx.size), int(val_idx.size))
 
 

@@ -17,13 +17,18 @@ its independent reference.
 
 ``lda.fit`` makes one call here, ``_fit_estimate``: it checks the labels,
 takes the class means, picks the offsets (the class means or the overall
-mean) and the power of two to divide by, and hands the private core
-``_estimate`` a ``_Centred`` of them.  Each kernel writes the centered,
-scaled values into its own chunk buffer, so the averaged estimators hold no
-``D x N_e`` array beyond the data, except one of at most ``_CHUNK_BYTES``
-when the data fits in one chunk; the dense ones write one.  The public
-functions check their input and run the same code on data that is already
-centered; ``center`` takes the offsets of a fit.
+mean) and the power of two to divide by, and returns an ``_Estimates`` of
+a ``_Centred`` of them.  That object runs the stages the estimators share
+once (γ, and the lag sums of the averaged ones) and forms each estimator's
+estimate when asked for it: the benchmark fits all estimators of a draw
+from one, and ``estimate_covariance`` and a lone fit are the case of one
+estimator.  Each kernel writes the centered, scaled values into its own chunk
+buffer, so the averaged estimators hold no ``D x N_e`` array beyond the
+data, except one of at most ``_CHUNK_BYTES`` when the data fits in one
+chunk; the dense ones write one.  The means are summed under a power of
+two when the data is near the top of the float range, so that they do not
+overflow.  The public functions check their input and run the same code
+on data that is already centered; ``center`` takes the offsets of a fit.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, _fft_pays, _finite_
 from .errors import ShapeError
 
 ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
+#: The estimators that form the dense sample covariance.
+_DENSE = ("slda", "toeplitz_a2_only")
 #: Bytes of one chunk of the row and epoch passes over the data (the
 #: Ledoit-Wolf Gram), and of the most data a fit centers once for all
 #: passes; a chunk holds at least one row or epoch.
@@ -141,41 +148,63 @@ class _Centred:
 
 
 def _class_centring(
-    x: np.ndarray, labels, within: bool, exp: int = 0
+    x: np.ndarray, labels, within: bool, exp: int, shift: int
 ) -> tuple[_Centred, ClassStats | None]:
     """Checked data minus its class means (``within``) or its overall mean, times ``2**-exp``.
 
     Also returns the class means of ``labels``, or None without labels.
+    The means sum ``x`` under ``2**-shift`` (see :func:`_sum_shift`).
     """
     stats = onehot = None
     if labels is not None:
         onehot = np.eye(2)[:, _check_labels(labels, x.shape[1])]
-        stats = _class_means(x, onehot)
+        stats = _class_means(x, onehot, shift)
     if within:
         return _Centred(x, stats.means.T, onehot, exp), stats
-    return _Centred(x, x.mean(axis=1)[:, None], np.ones((1, x.shape[1])), exp), stats
+    mean = np.ldexp(np.ldexp(x, -shift).mean(axis=1), shift) if shift else x.mean(axis=1)
+    return _Centred(x, mean[:, None], np.ones((1, x.shape[1])), exp), stats
+
+
+def _sum_shift(top: float, n: int) -> int:
+    """The least ``shift >= 0`` under which ``n`` values of magnitude at most
+    ``top``, times ``2**-shift``, sum without overflow.
+
+    It is 0, so no value is scaled, unless ``top`` lies within a factor of
+    about ``n`` of the largest float.
+    """
+    return max(0, math.frexp(top)[1] + n.bit_length() - 1023)
+
+
+def _magnitude_shift(x: np.ndarray) -> int:
+    """:func:`_sum_shift` of the columns of checked data."""
+    return _sum_shift(max(x.max(initial=0.0), -x.min(initial=0.0)), x.shape[1])
 
 
 def _fit_estimate(
-    x: np.ndarray, labels, within: bool, dims: BlockDims, estimator: str, gamma: float | None
-) -> tuple[ShrinkageResult, ClassStats | None, int]:
-    """The estimate of a fit: checked data, centered and divided by ``2**exp``.
+    x: np.ndarray, labels, within: bool, dims: BlockDims, estimators, gamma: float | None
+) -> tuple[_Estimates, ClassStats | None, int]:
+    """The estimates of a fit: checked data, centered and divided by ``2**exp``.
 
-    Returns the estimate, the class means of ``labels`` (None without
-    labels) and ``exp``, the exponent of the widest row range of ``x``.
-    That range bounds every ``|x - mean|``, whatever offset a row has, so
-    it keeps the centered data within [-1, 1] and its squares in the normal
-    range without a pass that centers it; the ends are halved first, so the
-    range does not overflow.  Data of at most ``_CHUNK_BYTES`` is centered
-    once into a copy that every pass reads; larger data is centered chunk
-    by chunk in each pass.
+    Returns the :class:`_Estimates` of ``estimators``, the class means of
+    ``labels`` (None without labels) and ``exp``, the exponent of the widest
+    row range of ``x``.  That range bounds every ``|x - mean|``, whatever
+    offset a row has, so it keeps the centered data within [-1, 1] and its
+    squares in the normal range without a pass that centers it; the ends are
+    halved first, so the range does not overflow.  The same row extremes
+    give the largest magnitude, which sets the shift of the means' sums.
+    Data of at most ``_CHUNK_BYTES`` is centered once into a copy that every
+    pass of every estimator reads; larger data is centered chunk by chunk in
+    each pass.
     """
     _check_epochs(x.shape[1])
-    exp = int(np.frexp((x.max(axis=1) * 0.5 - x.min(axis=1) * 0.5).max())[1]) + 1
-    centred, stats = _class_centring(x, labels, within, exp)
+    hi, lo = x.max(axis=1), x.min(axis=1)
+    exp = int(np.frexp((hi * 0.5 - lo * 0.5).max())[1]) + 1
+    shift = _sum_shift(max(hi.max(), -lo.min()), x.shape[1])
+    del hi, lo
+    centred, stats = _class_centring(x, labels, within, exp, shift)
     if x.nbytes <= _CHUNK_BYTES:
         centred = _Centred(centred.write(np.empty(x.shape, order="F" if np.isfortran(x) else "C")))
-    return _estimate(centred, dims, estimator, gamma), stats, exp
+    return _Estimates(centred, dims, estimators, gamma), stats, exp
 
 
 def _check_epochs(n_epochs: int) -> None:
@@ -213,23 +242,29 @@ def _check_labels(labels, n_epochs: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def _class_means(x: np.ndarray, onehot: np.ndarray) -> ClassStats:
+def _class_means(x: np.ndarray, onehot: np.ndarray, shift: int) -> ClassStats:
     """Class means of checked data: one product with the ``2 x N_e`` one-hot ``onehot``.
 
     Class sums ``x @ onehot.T`` read ``x`` once and copy no class out of
     it; the means differ from ``x[:, labels == k].mean(axis=1)`` only by
-    the rounding of the sums.
+    the rounding of the sums.  Sums and counts are both taken with the
+    indicator times ``2**-shift``, so that data near the top of the float
+    range sums without overflow and no scaled copy of the data is made;
+    scaling by a power of two is exact, so the quotients are the means of
+    the unscaled sums, bit for bit.
     """
-    counts = onehot.sum(axis=1)
+    weights = np.ldexp(onehot, -shift)
+    counts = weights.sum(axis=1)
     if not counts.all():
         raise ShapeError("both classes must be present with at least one epoch")
-    return ClassStats((x @ onehot.T / counts).T)
+    return ClassStats((x @ weights.T / counts).T)
 
 
 def class_means(x, labels) -> ClassStats:
     """Mean vector of each of the two classes."""
     x = _finite_array(x, (None, None), "x")
-    return _class_means(x, np.eye(2)[:, _check_labels(labels, x.shape[1])])
+    onehot = np.eye(2)[:, _check_labels(labels, x.shape[1])]
+    return _class_means(x, onehot, _magnitude_shift(x))
 
 
 def center(x, labels=None) -> np.ndarray:
@@ -240,7 +275,8 @@ def center(x, labels=None) -> np.ndarray:
     those a fit centers its chunks to, in a new array laid out like ``x``.
     """
     x = _finite_array(x, (None, None), "x")
-    return _class_centring(x, labels, labels is not None)[0].write(np.empty_like(x))
+    centred = _class_centring(x, labels, labels is not None, 0, _magnitude_shift(x))[0]
+    return centred.write(np.empty_like(x))
 
 
 def sample_covariance(centered, dims: BlockDims) -> BlockCov:
@@ -424,34 +460,63 @@ def estimate_covariance(
     the same rule that picks the solve route of ``btsolve.block_toeplitz_solve``.
     """
     _check_estimator(estimator)
-    return _estimate(_Centred(_covariance_data(centered, dims.size)), dims, estimator, gamma)
+    centred = _Centred(_covariance_data(centered, dims.size))
+    return _Estimates(centred, dims, (estimator,), gamma)(estimator)
 
 
-def _estimate(
-    centred: _Centred, dims: BlockDims, estimator: str, gamma: float | None
-) -> ShrinkageResult:
-    """:func:`estimate_covariance` of checked data (at least 2 epochs) that ``centred`` centers."""
-    n = centred.x.shape[1]
-    gamma = _ledoit_wolf(centred) if gamma is None else _unit_gamma(gamma)
-    nc, nt = dims.n_channels, dims.n_times
-    if estimator in ("slda", "toeplitz_a2_only"):
-        # The steps of sample_covariance, shrink and apply_taper_dense, in place.
-        xc = centred.x
-        if not (centred.plain and (xc.flags.c_contiguous or xc.flags.f_contiguous)):
-            xc = centred.write(np.empty_like(xc))
-        s = xc @ xc.T
-        s /= n - 1
-        nu = float(np.trace(s) / dims.size)
-        s *= 1.0 - gamma
-        s.flat[:: dims.size + 1] += gamma * nu
-        if estimator == "toeplitz_a2_only":
-            lag = np.abs(np.arange(nt)[:, None] - np.arange(nt)[None, :])
-            grid = s.reshape(nt, nc, nt, nc)  # a view: block (i, j) is grid[i, :, j]
-            grid *= (1.0 - lag / nt)[:, None, :, None]
-        return ShrinkageResult(_owned_cov(dims, s), gamma, nu)
-    lags = (_lag_sums_fft if _fft_pays(nc, nt) else _lag_sums_direct)(centred, dims)
-    nu = float(np.trace(lags[0]) / (n - 1) / dims.size)
-    divisor = np.full(nt, nt) if estimator == "toeplitz" else np.arange(nt, 0, -1)
-    lags *= ((1.0 - gamma) / ((n - 1) * divisor))[:, None, None]
-    lags[0].flat[:: nc + 1] += gamma * nu
-    return ShrinkageResult(BlockToeplitzCov(dims, lags), gamma, nu)
+class _Estimates:
+    """The estimates of :func:`estimate_covariance` for ``estimators`` on one
+    checked data set (at least 2 epochs) that ``centred`` centers.
+
+    Calling it with an estimator returns that estimator's estimate; each
+    estimator of ``estimators`` is asked for once, in any order.  The stages
+    the estimators share run once: γ (the Ledoit-Wolf intensity when
+    ``gamma`` is None) here, and the lag sums at the first averaged
+    estimator, kept while another is pending and handed out as a copy.
+    Each estimator then takes only its own steps: the divisor and shrink of
+    the lag sums, or its own dense ``S`` formed from the centered data, so
+    that no two ``D x D`` arrays exist unless a caller keeps one estimate
+    while it asks for the next.  The centered data and the lag sums are let
+    go with the last estimator that reads them.
+    """
+
+    def __init__(self, centred: _Centred, dims: BlockDims, estimators, gamma: float | None):
+        self._centred, self._dims = centred, dims
+        self._pending = list(estimators)
+        self._gamma = _ledoit_wolf(centred) if gamma is None else _unit_gamma(gamma)
+        self._lags = None
+
+    def __call__(self, estimator: str) -> ShrinkageResult:
+        self._pending.remove(estimator)
+        centred, dims, gamma = self._centred, self._dims, self._gamma
+        if not self._pending:
+            self._centred = None
+        n = centred.x.shape[1]
+        nc, nt = dims.n_channels, dims.n_times
+        if estimator in _DENSE:
+            # The steps of sample_covariance, shrink and apply_taper_dense, in place.
+            xc = centred.x
+            if not (centred.plain and (xc.flags.c_contiguous or xc.flags.f_contiguous)):
+                xc = centred.write(np.empty_like(xc))
+            s = xc @ xc.T
+            s /= n - 1
+            nu = float(np.trace(s) / dims.size)
+            s *= 1.0 - gamma
+            s.flat[:: dims.size + 1] += gamma * nu
+            if estimator == "toeplitz_a2_only":
+                lag = np.abs(np.arange(nt)[:, None] - np.arange(nt)[None, :])
+                grid = s.reshape(nt, nc, nt, nc)  # a view: block (i, j) is grid[i, :, j]
+                grid *= (1.0 - lag / nt)[:, None, :, None]
+            return ShrinkageResult(_owned_cov(dims, s), gamma, nu)
+        lags = self._lags
+        if lags is None:
+            lags = (_lag_sums_fft if _fft_pays(nc, nt) else _lag_sums_direct)(centred, dims)
+        if any(e not in _DENSE for e in self._pending):
+            self._lags, lags = lags, lags.copy()
+        else:
+            self._lags = None
+        nu = float(np.trace(lags[0]) / (n - 1) / dims.size)
+        divisor = np.full(nt, nt) if estimator == "toeplitz" else np.arange(nt, 0, -1)
+        lags *= ((1.0 - gamma) / ((n - 1) * divisor))[:, None, None]
+        lags[0].flat[:: nc + 1] += gamma * nu
+        return ShrinkageResult(BlockToeplitzCov(dims, lags), gamma, nu)

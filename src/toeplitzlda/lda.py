@@ -17,13 +17,14 @@ which needs no labels when the class means come via ``mean_override``.
 ``fit`` checks its arguments, reading ``x`` and ``mean_override`` once with
 ``blockmat._finite_array`` as ``decision_values`` reads its features
 (non-finite or non-real input raises :class:`DataFormatError`), and makes
-one call to estimate,
-``covest._fit_estimate``, and one to solve, ``btsolve._fit_solve``.  The
-estimate comes with the class means and the power of two ``2**exp`` the
-centered data was divided by; the fit keeps the LDA algebra: the mean
-difference, the degenerate case of identical means, the bias and the model.
-Dividing by ``2**exp`` is exact, so the fit is scale-equivariant: ``fit(a
-x)`` has weights ``w(x) / a``, bit for bit when ``a`` is a power of two.
+one call to estimate, ``covest._fit_estimate``, and one to solve,
+``btsolve._fit_solve``.  The estimates come with the class means and the
+power of two ``2**exp`` the centered data was divided by; the fit keeps the
+LDA algebra: the mean difference, the degenerate case of identical means,
+the bias and the model.  Dividing by ``2**exp`` is exact, so the fit is
+scale-equivariant: ``fit(a x)`` has weights ``w(x) / a``, bit for bit when
+``a`` is a power of two.  ``fit`` is the one-estimator case of
+``_fitter``, through which the benchmark fits every estimator of a draw.
 """
 
 from __future__ import annotations
@@ -81,10 +82,22 @@ def fit(
     computed on a larger dataset) while the covariance still comes from
     ``x``.  ``gamma`` overrides the analytic shrinkage intensity.
     """
+    return _fitter(x, labels, dims, (estimator,), cov_mode, mean_override, gamma)(estimator)
+
+
+def _fitter(x, labels, dims, estimators, cov_mode, mean_override, gamma):
+    """:func:`fit` of each of ``estimators`` on the same arguments.
+
+    Checks the arguments and runs the stages no estimator owns once: the
+    data check, the class means, the centering and the shared stages of
+    ``covest._Estimates``.  Returns ``fit_one(estimator)``, to be called
+    once per estimator, which runs only that estimator's estimate and solve.
+    """
     if dims is None:
         raise ValueError("dims is required")
     _check_cov_mode(cov_mode)
-    covest._check_estimator(estimator)
+    for estimator in estimators:
+        covest._check_estimator(estimator)
     x = _finite_array(x, (dims.size, None), "x")
     if mean_override is not None:
         _finite_array(mean_override.means, (2, dims.size), "mean_override")
@@ -96,36 +109,41 @@ def fit(
     # The data minus its class means or its overall mean, divided by 2**exp:
     # exact, and it keeps the covariance and the Ledoit-Wolf sums from
     # overflowing or underflowing at any data scale.
-    shrunk, own, exp = covest._fit_estimate(
-        x, labels if needs_labels else None, cov_mode == "within", dims, estimator, gamma
+    estimates, own, exp = covest._fit_estimate(
+        x, labels if needs_labels else None, cov_mode == "within", dims, estimators, gamma
     )
     stats = own if mean_override is None else mean_override
-    delta = stats.means[1] - stats.means[0]
-    degenerate = not delta.any()
-    if degenerate:
-        warnings.warn(
-            "identical class means: returning a degenerate model with zero weights",
-            RuntimeWarning,
-            stacklevel=2,
+
+    def fit_one(estimator: str) -> LdaModel:
+        shrunk = estimates(estimator)
+        delta = stats.means[1] - stats.means[0]
+        degenerate = not delta.any()
+        if degenerate:
+            warnings.warn(
+                "identical class means: returning a degenerate model with zero weights",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            w, bias, well_conditioned = np.zeros(dims.size), 0.0, True
+        else:
+            report = btsolve._fit_solve(
+                shrunk.matrix, np.ldexp(delta, -exp, out=delta), estimator == "toeplitz_a1_only"
+            )
+            w = np.ldexp(report.solution, -exp)
+            bias = float(-0.5 * (w @ (stats.means[0] + stats.means[1])))
+            well_conditioned = report.well_conditioned
+        return LdaModel(
+            weights=w,
+            bias=bias,
+            dims=dims,
+            estimator=estimator,
+            cov_mode=cov_mode,
+            gamma=shrunk.gamma,
+            well_conditioned=well_conditioned,
+            degenerate=degenerate,
         )
-        w, bias, well_conditioned = np.zeros(dims.size), 0.0, True
-    else:
-        report = btsolve._fit_solve(
-            shrunk.matrix, np.ldexp(delta, -exp, out=delta), estimator == "toeplitz_a1_only"
-        )
-        w = np.ldexp(report.solution, -exp)
-        bias = float(-0.5 * (w @ (stats.means[0] + stats.means[1])))
-        well_conditioned = report.well_conditioned
-    return LdaModel(
-        weights=w,
-        bias=bias,
-        dims=dims,
-        estimator=estimator,
-        cov_mode=cov_mode,
-        gamma=shrunk.gamma,
-        well_conditioned=well_conditioned,
-        degenerate=degenerate,
-    )
+
+    return fit_one
 
 
 def decision_values(model: LdaModel, x) -> np.ndarray:

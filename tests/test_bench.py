@@ -2,11 +2,12 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from toeplitzlda import bench, covest, lda, synth
+from toeplitzlda import bench, blockmat, btsolve, covest, lda, synth
 from toeplitzlda.bench import (
     BenchConfig,
     aggregate,
@@ -19,7 +20,7 @@ from toeplitzlda.bench import (
 )
 from toeplitzlda.blockmat import BlockDims
 from toeplitzlda.dataio import Epochs, write_dataset
-from toeplitzlda.errors import DataFormatError, GroupSizeError, ShapeError
+from toeplitzlda.errors import DataFormatError, GroupSizeError, ShapeError, SolveError
 
 
 def pairwise_auc(scores, labels):
@@ -257,26 +258,144 @@ def test_singular_fits_are_recorded_not_raised(dataset_dir):
     assert agg["cells"][0]["n_failed"] == 2
 
 
-def test_benchmark_rows_match_manual_pipeline(dataset_dir):
-    cfg = small_config(dataset_dir, oracle_means=True)
-    report = run_benchmark(cfg)
+def manual_splits(cfg):
+    """The training and validation halves of ``cfg``, read independently of the harness."""
     from toeplitzlda.dataio import extract_features, read_dataset
 
-    epochs = read_dataset(dataset_dir)
+    epochs = read_dataset(cfg.dataset_dir)
     feats = extract_features(epochs, cfg.feature)
     y = epochs.labels.astype(np.int64)
     train_idx, val_idx = split_train_val(epochs.n_epochs, cfg.seed)
-    x_train, y_train = feats.data[:, train_idx], y[train_idx]
-    x_val, y_val = feats.data[:, val_idx], y[val_idx]
-    oracle = covest.class_means(x_train, y_train)
-    idx = draw_subsets(y_train, 12, cfg.n_draws, cfg.seed)[1]
-    model = lda.fit(x_train[:, idx], y_train[idx], dims=feats.dims,
-                    estimator="toeplitz", mean_override=oracle)
-    expect = auc(lda.decision_values(model, x_val), y_val)
-    row = next(r for r in report.rows
-               if (r.estimator, r.subset_size, r.draw) == ("toeplitz", 12, 1))
-    assert row.auc == expect
-    assert row.oracle_means is True
+    return feats.dims, feats.data[:, train_idx], y[train_idx], feats.data[:, val_idx], y[val_idx]
+
+
+def lone_fit_auc(cfg, row):
+    """AUC of a lone fit of the row's cell, and its well_conditioned flag."""
+    dims, x_train, y_train, x_val, y_val = manual_splits(cfg)
+    oracle = covest.class_means(x_train, y_train) if cfg.oracle_means else None
+    idx = draw_subsets(y_train, row.subset_size, cfg.n_draws, cfg.seed)[row.draw]
+    model = lda.fit(x_train[:, idx], y_train[idx], dims=dims, estimator=row.estimator,
+                    cov_mode=row.cov_mode, mean_override=oracle, gamma=cfg.gamma)
+    return auc(lda.decision_values(model, x_val), y_val), model.well_conditioned
+
+
+ALL_ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
+
+
+def test_benchmark_rows_match_manual_pipeline(dataset_dir):
+    # Every row, though the estimators of a draw share their common stages,
+    # scores what a lone fit of its cell scores, bit for bit: with the
+    # draw's own and with oracle class means, each with gamma fitted and fixed.
+    for oracle_means, gamma in itertools.product((False, True), (None, 0.25)):
+        cfg = small_config(dataset_dir, estimators=ALL_ESTIMATORS, cov_modes=lda.COV_MODES,
+                           oracle_means=oracle_means, gamma=gamma)
+        report = run_benchmark(cfg)
+        assert len(report.rows) == 4 * 2 * 2 * 2
+        for row in report.rows:
+            expect, well_conditioned = lone_fit_auc(cfg, row)
+            assert row.status == "ok"
+            assert row.auc == expect
+            assert row.well_conditioned == well_conditioned
+            assert row.oracle_means is oracle_means
+
+
+def spy_on(monkeypatch, module, name, calls, keep=lambda *args: True):
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        if keep(*args):
+            calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_estimators_of_a_draw_share_their_common_stages(monkeypatch, dataset_dir):
+    # 2 cov modes x 2 sizes x 2 draws: 8 groups of 4 estimators.  The data
+    # check, the class means, gamma and the lag sums run once per group.
+    cfg = small_config(dataset_dir, estimators=ALL_ESTIMATORS, cov_modes=lda.COV_MODES)
+    assert not covest._fft_pays(2, 20)
+    calls = []
+    for name in ("_ledoit_wolf", "_class_means", "_lag_sums_direct"):
+        spy_on(monkeypatch, covest, name, calls)
+    # The training data of a cell, not the 48 validation epochs it is scored on.
+    training_x = lambda values, shape, name: name == "x" and np.shape(values)[1] in (6, 12)
+    for module in (blockmat, covest, btsolve, lda, bench):
+        spy_on(monkeypatch, module, "_finite_array", calls, training_x)
+    report = run_benchmark(cfg)
+    assert all(r.status == "ok" for r in report.rows)
+    for name in ("_ledoit_wolf", "_class_means", "_lag_sums_direct", "_finite_array"):
+        assert calls.count(name) == 8, name
+
+
+def test_dense_estimators_of_a_draw_hold_one_dense_covariance_at_a_time(tmp_path):
+    # 8 x 128 features, D = 1024: one D x D float64 matrix is 8 MiB, the 48
+    # epochs 0.4 MiB.  slda and toeplitz_a2_only each form their own S from
+    # the draw's shared centred data, and each is solved and dropped before
+    # the next is formed; two would take 16 MiB.
+    dims = BlockDims(8, 128)
+    noise = synth.generate_noise(synth.default_noise_model(dims), 48, dims, seed=1, sfreq=256.0)
+    write_dataset(synth.inject_erp(noise, synth.default_erp_spec(dims, sfreq=256.0), seed=1),
+                  tmp_path)
+    cfg = BenchConfig(dataset_dir=str(tmp_path), estimators=("slda", "toeplitz_a2_only"),
+                      subset_sizes=(24,), n_draws=1)
+    tracemalloc.start()
+    try:
+        report = run_benchmark(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.status for r in report.rows] == ["ok", "ok"]
+    one = dims.size**2 * 8
+    assert peak < 1.5 * one, f"peak {peak / one:.2f} x D x D"
+
+
+def test_a_failed_estimator_leaves_its_siblings_alone(monkeypatch, dataset_dir):
+    cfg = small_config(dataset_dir, estimators=ALL_ESTIMATORS, cov_modes=lda.COV_MODES,
+                       record_timing=True)
+    clean = run_benchmark(cfg)
+    real = btsolve._fit_solve
+
+    def failing(cov, b, maybe_indefinite):
+        if maybe_indefinite:  # toeplitz_a1_only
+            raise SolveError("injected")
+        return real(cov, b, maybe_indefinite)
+
+    monkeypatch.setattr(btsolve, "_fit_solve", failing)
+    report = run_benchmark(cfg)
+    for row, before in zip(report.rows, clean.rows):
+        assert (row.estimator, row.cov_mode, row.subset_size, row.draw) == (
+            before.estimator, before.cov_mode, before.subset_size, before.draw)
+        if row.estimator == "toeplitz_a1_only":
+            assert row.status == "failed" and np.isnan(row.auc)
+            assert row.error == "SolveError: injected"
+        else:
+            assert row.status == "ok" and row.auc == before.auc
+            # The shared stages plus the estimator's own estimate and solve.
+            assert np.isfinite(row.fit_ms) and row.fit_ms > 0
+
+
+def test_a_failed_shared_stage_fails_its_group_with_one_message(monkeypatch, dataset_dir):
+    cfg = small_config(dataset_dir, estimators=ALL_ESTIMATORS, cov_modes=lda.COV_MODES)
+    real = covest._ledoit_wolf
+
+    def failing(centred):
+        if centred.x.shape[1] == 12:
+            raise DataFormatError("injected")
+        return real(centred)
+
+    monkeypatch.setattr(covest, "_ledoit_wolf", failing)
+    report = run_benchmark(cfg)
+    dims, x_train, y_train, _, _ = manual_splits(cfg)
+    idx = draw_subsets(y_train, 12, cfg.n_draws, cfg.seed)[0]
+    with pytest.raises(DataFormatError) as lone:
+        lda.fit(x_train[:, idx], y_train[idx], dims=dims, estimator="slda")
+    for row in report.rows:
+        if row.subset_size == 12:
+            assert row.status == "failed"
+            assert row.error == f"DataFormatError: {lone.value}"
+        else:
+            assert row.status == "ok"
 
 
 def test_more_training_data_helps(dataset_dir):

@@ -121,6 +121,21 @@ def test_class_means_equal_per_class_means_to_rounding(d, n, log_scale, seed):
         assert np.abs(got[k] - ref).max() <= n_k * np.finfo(float).eps * scale
 
 
+@pytest.mark.parametrize("k", [1018, 1019])
+def test_means_scale_exactly_at_the_top_of_the_float_range(k):
+    # A row of 40 positive entries near 2**(k + 1) sums beyond the largest
+    # float; the class and overall means are summed under a power of two.
+    rng = np.random.default_rng(3)
+    x = 2.0 + 0.5 * rng.standard_normal((15, 40))
+    labels = np.arange(40) % 2
+    assert np.log2(x.sum(axis=1).max()) + k > 1024
+    scaled = np.ldexp(x, k)
+    assert np.array_equal(class_means(scaled, labels).means,
+                          np.ldexp(class_means(x, labels).means, k))
+    assert np.array_equal(center(scaled, labels), np.ldexp(center(x, labels), k))
+    assert np.array_equal(center(scaled), np.ldexp(center(x), k))
+
+
 @pytest.mark.parametrize(
     "means",
     [

@@ -713,6 +713,25 @@ def test_power_of_two_scaling_is_exact_across_chunks(monkeypatch, k, use_fft):
     assert scaled.gamma == base.gamma
 
 
+@pytest.mark.parametrize("cov_mode", lda.COV_MODES)
+@pytest.mark.parametrize("estimator", lda.ESTIMATORS)
+@pytest.mark.parametrize("k", [1018, 1019])
+def test_power_of_two_scaling_is_exact_at_the_top_of_the_float_range(estimator, cov_mode, k):
+    # Positive data: a row of the 40 epochs sums to about 2**6.3 times 2**k,
+    # beyond the largest float, and one class of 20 to 2**(k + 5.3), beyond
+    # it at 2**1019.  The means are summed under a power of two.
+    rng = np.random.default_rng(3)
+    dims = BlockDims(3, 5)
+    x = 2.0 + 0.5 * rng.standard_normal((dims.size, 40))
+    labels = np.arange(40) % 2
+    assert np.log2(x.sum(axis=1).max()) + k > 1024
+    base = fit(x, labels, dims=dims, estimator=estimator, cov_mode=cov_mode)
+    scaled = fit(np.ldexp(x, k), labels, dims=dims, estimator=estimator, cov_mode=cov_mode)
+    assert np.array_equal(scaled.weights, np.ldexp(base.weights, -k))
+    assert scaled.bias == base.bias
+    assert scaled.gamma == base.gamma
+
+
 # 10**-200 underflows and 10**200 overflows a covariance formed at the data's
 # own scale: a zero-weight "degenerate" model and a NaN shrinkage intensity.
 @pytest.mark.parametrize("estimator", ["toeplitz", "slda"])
