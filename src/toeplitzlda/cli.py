@@ -229,7 +229,10 @@ def cmd_score(args) -> int:
         else:
             print(f"{i},{float(s)!r}")
     if has_labels:
-        _emit({"auc": bench.auc(scores, epochs.labels), "n_epochs": epochs.n_epochs})
+        # The AUC needs both classes; the scores of one class are still reported.
+        both = np.unique(epochs.labels).size == 2
+        _emit({"auc": bench.auc(scores, epochs.labels) if both else None,
+               "n_epochs": epochs.n_epochs})
     return EXIT_OK
 
 

@@ -15,20 +15,22 @@ products over chunks of the data.  ``sample_covariance`` and
 stage by stage, each stage on a fresh copy: no fit calls them, so they are
 its independent reference.
 
-``lda.fit`` makes one call here, ``_fit_estimate``: it checks the labels,
-takes the class means, picks the offsets (the class means or the overall
-mean) and the power of two to divide by, and returns an ``_Estimates`` of
-a ``_Centred`` of them.  That object runs the stages the estimators share
-once (γ, and the lag sums of the averaged ones) and forms each estimator's
+``lda.fit`` makes one call here, ``_fit_estimate``, which returns an
+``_Estimates`` of a ``_Centred``: the data minus its class means or its
+overall mean, divided by a power of two.  ``_centring`` takes both for a
+fit, ``center`` and ``class_means`` alike: the power of two from the
+largest magnitude of the data, and every mean as one product of the data
+with an indicator matrix, summed under that power of two so that it does
+not overflow.  ``_Estimates`` runs the stages the estimators share once
+(γ, and the lag sums of the averaged ones) and forms each estimator's
 estimate when asked for it: the benchmark fits all estimators of a draw
 from one, and ``estimate_covariance`` and a lone fit are the case of one
-estimator.  Each kernel writes the centered, scaled values into its own chunk
-buffer, so the averaged estimators hold no ``D x N_e`` array beyond the
-data, except one of at most ``_CHUNK_BYTES`` when the data fits in one
-chunk; the dense ones write one.  The means are summed under a power of
-two when the data is near the top of the float range, so that they do not
-overflow.  The public functions check their input and run the same code
-on data that is already centered; ``center`` takes the offsets of a fit.
+estimator.  Each kernel writes the centered, scaled values into its own
+chunk buffer, laid out like the data, so the averaged estimators hold no
+``D x N_e`` array beyond the data, except one of at most ``_CHUNK_BYTES``
+when the data fits in one chunk; the dense ones write one.  The public
+functions check their input and run the same code on data that is already
+centered; ``center`` takes the offsets of a fit.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ class _Centred:
     Stands for ``(x - offsets @ indicator) * 2**-exp``: ``x`` is the
     checked ``D x N_e`` data, ``offsets`` a ``D x k`` matrix of means (the
     two class means, or the overall mean) and ``indicator`` the ``k x N_e``
-    one-hot matrix of the mean each epoch takes.  Without them nothing is
-    subtracted.  A one-hot column picks its offset exactly, so every chunk
+    one-hot matrix of the mean each epoch takes (a row of ones for the
+    overall mean).  Without them nothing is subtracted.  A one-hot column picks its offset exactly, so every chunk
     a kernel writes holds the bits of the same entries of ``ldexp(x -
     means, -exp)``, while no ``D x N_e`` centered array need exist.
     """
@@ -129,14 +131,14 @@ class _Centred:
         Each chunk holds at most ``_CHUNK_BYTES``, or one row or epoch.
         With nothing to subtract or scale the chunks are views of ``x``;
         else they are written into one buffer, which the next chunk reuses.
-        The buffer is laid out like ``x`` (F order for F-ordered data, else
-        C), as a centered copy of ``x`` would be, so the products over chunks
-        are those over views of such a copy.
+        The buffer takes the stride order of ``x``, as ``np.empty_like(x)``
+        does for a centered copy of ``x``, so the products over chunks are
+        those over views of such a copy.
         """
         size, other = self.x.shape[axis], self.x.shape[1 - axis]
         step = max(1, min(size, _CHUNK_BYTES // (8 * max(other, 1))))
         buf = None if self.plain else np.empty(step * other)
-        order = "F" if np.isfortran(self.x) else "C"
+        order = "F" if abs(self.x.strides[0]) < abs(self.x.strides[1]) else "C"
         for start in range(0, size, step):
             part = slice(start, start + step)
             index = (part, slice(None)) if axis == 0 else (slice(None), part)
@@ -147,37 +149,35 @@ class _Centred:
             yield chunk
 
 
-def _class_centring(
-    x: np.ndarray, labels, within: bool, exp: int, shift: int
+def _centring(
+    x: np.ndarray, labels, within: bool, scaled: bool
 ) -> tuple[_Centred, ClassStats | None]:
-    """Checked data minus its class means (``within``) or its overall mean, times ``2**-exp``.
+    """Checked data minus its class means (``within``) or its overall mean.
 
     Also returns the class means of ``labels``, or None without labels.
-    The means sum ``x`` under ``2**-shift`` (see :func:`_sum_shift`).
+    ``exp`` is one more than the exponent of ``max|x|``, so ``2**exp``
+    bounds every ``|x - mean|`` whatever offset a row has: the centered
+    data times ``2**-exp`` lies within [-1, 1] and its squares stay in the
+    normal range, without a pass that centers it.  The centring is divided
+    by ``2**exp`` when ``scaled``.  Every mean is one product of
+    :func:`_class_means`, summed under ``2**-max(exp, 0)``, below which
+    ``N_e`` values of ``x`` sum without overflow.
     """
+    n = x.shape[1]
+    if not n:
+        raise ShapeError("x has 0 epochs; a mean needs at least 1")
+    exp = math.frexp(max(x.max(initial=0.0), -x.min(initial=0.0)))[1] + 1
+    shift = max(exp, 0)
     stats = onehot = None
     if labels is not None:
-        onehot = np.eye(2)[:, _check_labels(labels, x.shape[1])]
-        stats = _class_means(x, onehot, shift)
+        onehot = np.eye(2)[:, _check_labels(labels, n)]
+        stats = ClassStats(_class_means(x, onehot, shift).T)
     if within:
-        return _Centred(x, stats.means.T, onehot, exp), stats
-    mean = np.ldexp(np.ldexp(x, -shift).mean(axis=1), shift) if shift else x.mean(axis=1)
-    return _Centred(x, mean[:, None], np.ones((1, x.shape[1])), exp), stats
-
-
-def _sum_shift(top: float, n: int) -> int:
-    """The least ``shift >= 0`` under which ``n`` values of magnitude at most
-    ``top``, times ``2**-shift``, sum without overflow.
-
-    It is 0, so no value is scaled, unless ``top`` lies within a factor of
-    about ``n`` of the largest float.
-    """
-    return max(0, math.frexp(top)[1] + n.bit_length() - 1023)
-
-
-def _magnitude_shift(x: np.ndarray) -> int:
-    """:func:`_sum_shift` of the columns of checked data."""
-    return _sum_shift(max(x.max(initial=0.0), -x.min(initial=0.0)), x.shape[1])
+        offsets, indicator = stats.means.T, onehot
+    else:
+        indicator = np.ones((1, n))
+        offsets = _class_means(x, indicator, shift)
+    return _Centred(x, offsets, indicator, exp if scaled else 0), stats
 
 
 def _fit_estimate(
@@ -186,24 +186,16 @@ def _fit_estimate(
     """The estimates of a fit: checked data, centered and divided by ``2**exp``.
 
     Returns the :class:`_Estimates` of ``estimators``, the class means of
-    ``labels`` (None without labels) and ``exp``, the exponent of the widest
-    row range of ``x``.  That range bounds every ``|x - mean|``, whatever
-    offset a row has, so it keeps the centered data within [-1, 1] and its
-    squares in the normal range without a pass that centers it; the ends are
-    halved first, so the range does not overflow.  The same row extremes
-    give the largest magnitude, which sets the shift of the means' sums.
-    Data of at most ``_CHUNK_BYTES`` is centered once into a copy that every
-    pass of every estimator reads; larger data is centered chunk by chunk in
-    each pass.
+    ``labels`` (None without labels) and ``exp`` (see :func:`_centring`).
+    Data of at most ``_CHUNK_BYTES`` is centered once into a copy laid out
+    like ``x`` that every pass of every estimator reads; larger data is
+    centered chunk by chunk in each pass.
     """
     _check_epochs(x.shape[1])
-    hi, lo = x.max(axis=1), x.min(axis=1)
-    exp = int(np.frexp((hi * 0.5 - lo * 0.5).max())[1]) + 1
-    shift = _sum_shift(max(hi.max(), -lo.min()), x.shape[1])
-    del hi, lo
-    centred, stats = _class_centring(x, labels, within, exp, shift)
+    centred, stats = _centring(x, labels, within, True)
+    exp = centred.exp
     if x.nbytes <= _CHUNK_BYTES:
-        centred = _Centred(centred.write(np.empty(x.shape, order="F" if np.isfortran(x) else "C")))
+        centred = _Centred(centred.write(np.empty_like(x)))
     return _Estimates(centred, dims, estimators, gamma), stats, exp
 
 
@@ -242,29 +234,28 @@ def _check_labels(labels, n_epochs: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def _class_means(x: np.ndarray, onehot: np.ndarray, shift: int) -> ClassStats:
-    """Class means of checked data: one product with the ``2 x N_e`` one-hot ``onehot``.
+def _class_means(x: np.ndarray, indicator: np.ndarray, shift: int) -> np.ndarray:
+    """The ``D x k`` means of checked data over the rows of the ``k x N_e`` ``indicator``.
 
-    Class sums ``x @ onehot.T`` read ``x`` once and copy no class out of
-    it; the means differ from ``x[:, labels == k].mean(axis=1)`` only by
-    the rounding of the sums.  Sums and counts are both taken with the
-    indicator times ``2**-shift``, so that data near the top of the float
-    range sums without overflow and no scaled copy of the data is made;
-    scaling by a power of two is exact, so the quotients are the means of
-    the unscaled sums, bit for bit.
+    A two-row one-hot indicator gives the class means, a row of ones the
+    overall mean.  The sums ``x @ indicator.T`` read ``x`` once and copy no
+    class out of it; the means differ from ``x[:, labels == k].mean(axis=1)``
+    only by the rounding of the sums.  Sums and counts are both taken with
+    the indicator times ``2**-shift``, so that data near the top of the
+    float range sums without overflow and no scaled copy of the data is
+    made; scaling by a power of two is exact, so the quotients are the means
+    of the unscaled sums, bit for bit.
     """
-    weights = np.ldexp(onehot, -shift)
+    weights = np.ldexp(indicator, -shift)
     counts = weights.sum(axis=1)
     if not counts.all():
         raise ShapeError("both classes must be present with at least one epoch")
-    return ClassStats((x @ weights.T / counts).T)
+    return x @ weights.T / counts
 
 
 def class_means(x, labels) -> ClassStats:
     """Mean vector of each of the two classes."""
-    x = _finite_array(x, (None, None), "x")
-    onehot = np.eye(2)[:, _check_labels(labels, x.shape[1])]
-    return _class_means(x, onehot, _magnitude_shift(x))
+    return _centring(_finite_array(x, (None, None), "x"), labels, True, False)[1]
 
 
 def center(x, labels=None) -> np.ndarray:
@@ -275,8 +266,7 @@ def center(x, labels=None) -> np.ndarray:
     those a fit centers its chunks to, in a new array laid out like ``x``.
     """
     x = _finite_array(x, (None, None), "x")
-    centred = _class_centring(x, labels, labels is not None, 0, _magnitude_shift(x))[0]
-    return centred.write(np.empty_like(x))
+    return _centring(x, labels, labels is not None, False)[0].write(np.empty_like(x))
 
 
 def sample_covariance(centered, dims: BlockDims) -> BlockCov:

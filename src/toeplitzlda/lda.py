@@ -106,9 +106,9 @@ def _fitter(x, labels, dims, estimators, cov_mode, mean_override, gamma):
         raise ValueError(
             "labels are required unless mean_override is given with cov_mode='global'"
         )
-    # The data minus its class means or its overall mean, divided by 2**exp:
-    # exact, and it keeps the covariance and the Ledoit-Wolf sums from
-    # overflowing or underflowing at any data scale.
+    # The data minus its class means or its overall mean, divided by 2**exp,
+    # 2 to 4 times max|x|: exact, and it keeps the covariance and the
+    # Ledoit-Wolf sums from overflowing or underflowing at any data scale.
     estimates, own, exp = covest._fit_estimate(
         x, labels if needs_labels else None, cov_mode == "within", dims, estimators, gamma
     )

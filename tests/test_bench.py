@@ -316,8 +316,12 @@ def test_estimators_of_a_draw_share_their_common_stages(monkeypatch, dataset_dir
     cfg = small_config(dataset_dir, estimators=ALL_ESTIMATORS, cov_modes=lda.COV_MODES)
     assert not covest._fft_pays(2, 20)
     calls = []
-    for name in ("_ledoit_wolf", "_class_means", "_lag_sums_direct"):
+    for name in ("_ledoit_wolf", "_lag_sums_direct"):
         spy_on(monkeypatch, covest, name, calls)
+    # The class means: the products with a two-row indicator, not the
+    # one-row overall mean of a global draw.
+    spy_on(monkeypatch, covest, "_class_means", calls,
+           lambda x, indicator, shift: indicator.shape[0] == 2)
     # The training data of a cell, not the 48 validation epochs it is scored on.
     training_x = lambda values, shape, name: name == "x" and np.shape(values)[1] in (6, 12)
     for module in (blockmat, covest, btsolve, lda, bench):

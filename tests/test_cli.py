@@ -319,6 +319,26 @@ def test_score_without_labels_emits_plain_csv(tmp_path, capsys):
     assert len(lines) == 1 + 12  # no JSON summary without labels
 
 
+
+def test_score_of_one_class_reports_no_auc(tmp_path, capsys):
+    # The scores are defined without both classes; their AUC is not.
+    labeled = tmp_path / "labeled"
+    model_path = tmp_path / "model.json"
+    run(capsys, "synth", "--out-dir", str(labeled), "--n-epochs", "12", "--seed", "2")
+    run(capsys, "fit", "--dataset-dir", str(labeled), "--model-path", str(model_path))
+    epochs = read_dataset(labeled)
+    ds = tmp_path / "targets"
+    write_dataset(dataclasses.replace(epochs, labels=np.ones_like(epochs.labels)), ds)
+    code, stdout, _ = run(
+        capsys, "score", "--dataset-dir", str(ds), "--model-path", str(model_path)
+    )
+    assert code == 0
+    lines = stdout.strip().splitlines()
+    assert lines[0] == "epoch,score,label"
+    assert len(lines) == 1 + 12 + 1
+    assert all(line.endswith(",1") for line in lines[1:-1])
+    assert last_json(stdout) == {"auc": None, "n_epochs": 12}
+
 def test_fit_unlabeled_without_means_is_data_error(tmp_path, capsys):
     dims = BlockDims(2, 20)
     noise = synth.generate_noise(synth.default_noise_model(dims), 12, dims, seed=0)

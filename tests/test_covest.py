@@ -115,16 +115,30 @@ def test_class_means_equal_per_class_means_to_rounding(d, n, log_scale, seed):
     labels[:2] = [0, 1]
     got = class_means(x, labels).means
     scale = np.abs(x).max()
+    eps = np.finfo(float).eps
     for k in (0, 1):
         ref = x[:, labels == k].mean(axis=1)
         n_k = int((labels == k).sum())
-        assert np.abs(got[k] - ref).max() <= n_k * np.finfo(float).eps * scale
+        assert np.abs(got[k] - ref).max() <= n_k * eps * scale
+    # The overall mean is the same product with a row of ones: the means
+    # agree within n eps max|x|, and each of the two subtractions rounds a
+    # value of at most 2 max|x|, by at most eps max|x|.
+    ref = x - x.mean(axis=1, keepdims=True)
+    assert np.abs(center(x) - ref).max() <= (n + 1) * eps * scale
+
+
+@pytest.mark.parametrize("labels", [None, np.zeros(0, dtype=int)])
+def test_center_without_epochs_names_the_epoch_count(labels):
+    # Raised before any reduction, which would warn of an empty mean.
+    with pytest.raises(ShapeError, match="0 epochs"):
+        center(np.zeros((4, 0)), labels)
 
 
 @pytest.mark.parametrize("k", [1018, 1019])
 def test_means_scale_exactly_at_the_top_of_the_float_range(k):
     # A row of 40 positive entries near 2**(k + 1) sums beyond the largest
-    # float; the class and overall means are summed under a power of two.
+    # float; the class and overall means are summed under 2**-exp, where
+    # 2**exp is 2 to 4 times max|x|.
     rng = np.random.default_rng(3)
     x = 2.0 + 0.5 * rng.standard_normal((15, 40))
     labels = np.arange(40) % 2

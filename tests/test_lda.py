@@ -301,25 +301,38 @@ def column_strided(x):
     return wide[:, ::2]
 
 
+def fortran_row_strided(x):
+    """``x`` as every other row of an F-ordered buffer twice as tall."""
+    return np.asfortranarray(np.repeat(x, 2, axis=0))[::2]
+
+
+def fortran_column_strided(x):
+    """``x`` as every other column of an F-ordered buffer twice as wide."""
+    return np.asfortranarray(np.repeat(x, 2, axis=1))[:, ::2]
+
+
+@pytest.mark.parametrize("chunked", [False, True])
 @pytest.mark.parametrize("far", [False, True])
 @pytest.mark.parametrize("use_fft", [False, True])
 @pytest.mark.parametrize("cov_mode", lda.COV_MODES)
 @pytest.mark.parametrize("flip", [False, True])
-@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray, column_strided])
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray, column_strided,
+                                    fortran_row_strided, fortran_column_strided])
 def test_fit_equals_the_estimate_and_solve_of_its_centred_data(
-    monkeypatch, layout, flip, cov_mode, use_fft, far
+    monkeypatch, layout, flip, cov_mode, use_fft, far, chunked
 ):
     # The fit never writes its centred data as a whole: each kernel centres
-    # and prescales its own chunk.  The reference centres the data with
-    # covest.center, prescales it by the largest centred entry, and runs the
-    # public estimate and solve.  The centred values are the same bits, the
-    # lag sums run the same products on the same buffers, and gamma's Gram
-    # sums the same chunks: the fit's chunk buffers are laid out like x, and
-    # so is the array covest.center writes, whose views the reference's Gram
-    # takes.  The fit prescales by the widest row range instead, a power of
-    # two apart, which is exact.  So gamma and the weights are equal bit for
+    # and prescales its own chunk, or, on data of one chunk, one copy.  The
+    # reference centres the data with covest.center, prescales it by the
+    # largest centred entry, and runs the public estimate and solve.  The
+    # centred values are the same bits, the lag sums run the same products
+    # on the same buffers, and gamma's Gram sums the same chunks: the fit's
+    # copy and chunk buffers take the stride order of x, and so does the
+    # array covest.center writes, whose views the reference's Gram takes.
+    # The fit prescales by 2 to 4 times max|x| instead, a power of two
+    # apart, which is exact.  So gamma and the weights are equal bit for
     # bit, on every layout; with far-apart class means and per-row offsets
-    # the two exponents of a within-class fit differ.
+    # the two exponents differ.
     x, labels, dims = labeled_features(3, 5, 42, seed=21)
     if far:
         rng = np.random.default_rng(21)
@@ -327,13 +340,15 @@ def test_fit_equals_the_estimate_and_solve_of_its_centred_data(
              + 2.0**20 * rng.standard_normal((dims.size, 1)))
     x = layout(x)
     labels = 1 - labels if flip else labels
+    if chunked:
+        small_chunks(monkeypatch, 3, x.shape[1], dims.size)
     monkeypatch.setattr(covest, "_fft_pays", lambda nc, nt: use_fft)
     model = fit(x, labels, dims=dims, estimator="toeplitz", cov_mode=cov_mode)
 
     centred = covest.center(x, labels if cov_mode == "within" else None)
     exp = int(np.frexp(np.abs(centred).max())[1])
-    if far and cov_mode == "within":
-        assert exp != int(np.frexp(np.ptp(x, axis=1).max())[1])
+    if far:
+        assert exp != int(np.frexp(np.abs(x).max())[1]) + 1
     shrunk = covest.estimate_covariance(np.ldexp(centred, -exp), dims, "toeplitz")
     stats = covest.class_means(x, labels)
     delta = np.ldexp(stats.means[1] - stats.means[0], -exp)
@@ -495,11 +510,13 @@ def test_fit_computes_class_means_at_most_once(monkeypatch, cov_mode, override, 
     x, labels, dims = labeled_features(2, 3, 36, seed=6)
     stats = covest.class_means(x, labels) if override else None
     calls = []
-    real = covest._class_means  # the core of class_means, which fit calls
+    real = covest._class_means  # the means product, which fit calls
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(x, indicator, shift):
+        # A two-row one-hot indicator takes the class means; the one-row
+        # overall mean of a global fit goes through the same product.
+        calls.extend([1] * (indicator.shape[0] == 2))
+        return real(x, indicator, shift)
 
     monkeypatch.setattr(covest, "_class_means", counting)
     fit(x, labels if expected else None, dims=dims, cov_mode=cov_mode,
@@ -719,7 +736,8 @@ def test_power_of_two_scaling_is_exact_across_chunks(monkeypatch, k, use_fft):
 def test_power_of_two_scaling_is_exact_at_the_top_of_the_float_range(estimator, cov_mode, k):
     # Positive data: a row of the 40 epochs sums to about 2**6.3 times 2**k,
     # beyond the largest float, and one class of 20 to 2**(k + 5.3), beyond
-    # it at 2**1019.  The means are summed under a power of two.
+    # it at 2**1019.  The means are summed under 2**-exp, the power of two
+    # the fit divides the centred data by.
     rng = np.random.default_rng(3)
     dims = BlockDims(3, 5)
     x = 2.0 + 0.5 * rng.standard_normal((dims.size, 40))
