@@ -94,9 +94,10 @@ class _Centred:
     checked ``D x N_e`` data, ``offsets`` a ``D x k`` matrix of means (the
     two class means, or the overall mean) and ``indicator`` the ``k x N_e``
     one-hot matrix of the mean each epoch takes (a row of ones for the
-    overall mean).  Without them nothing is subtracted.  A one-hot column picks its offset exactly, so every chunk
-    a kernel writes holds the bits of the same entries of ``ldexp(x -
-    means, -exp)``, while no ``D x N_e`` centered array need exist.
+    overall mean).  Without them nothing is subtracted.  A one-hot column
+    picks its offset exactly, so every chunk a kernel writes holds the bits
+    of the same entries of ``ldexp(x - means, -exp)``, while no ``D x N_e``
+    centered array need exist.
     """
 
     x: np.ndarray
@@ -192,7 +193,7 @@ def _fit_estimate(
     centered chunk by chunk in each pass.
     """
     _check_epochs(x.shape[1])
-    centred, stats = _centring(x, labels, within, True)
+    centred, stats = _centring(x, labels, within, scaled=True)
     exp = centred.exp
     if x.nbytes <= _CHUNK_BYTES:
         centred = _Centred(centred.write(np.empty_like(x)))
@@ -255,7 +256,7 @@ def _class_means(x: np.ndarray, indicator: np.ndarray, shift: int) -> np.ndarray
 
 def class_means(x, labels) -> ClassStats:
     """Mean vector of each of the two classes."""
-    return _centring(_finite_array(x, (None, None), "x"), labels, True, False)[1]
+    return _centring(_finite_array(x, (None, None), "x"), labels, True, scaled=False)[1]
 
 
 def center(x, labels=None) -> np.ndarray:
@@ -266,7 +267,7 @@ def center(x, labels=None) -> np.ndarray:
     those a fit centers its chunks to, in a new array laid out like ``x``.
     """
     x = _finite_array(x, (None, None), "x")
-    return _centring(x, labels, labels is not None, False)[0].write(np.empty_like(x))
+    return _centring(x, labels, labels is not None, scaled=False)[0].write(np.empty_like(x))
 
 
 def sample_covariance(centered, dims: BlockDims) -> BlockCov:
