@@ -11,14 +11,16 @@ The protocol mirrors a transfer-style evaluation on a labeled dataset:
    estimator on it, and score the full validation half by AUC.
 3. Aggregate mean and standard deviation over draws per cell.
 
-One training draw and cov mode is one unit of work: its estimators are
-fitted through one ``lda._fitter``, which checks the draw's data and takes
-its class means, centering, shrinkage intensity and lag sums once for all
-of them (see ``covest._Estimates``); each estimator then forms and solves
-its own estimate and is scored on its own.  An error in a shared stage
-fails every row of the draw with the message a lone fit gives; an error in
-one estimator's estimate, solve or score fails only its row.  The rows come
-out in the order estimator, cov mode, size, draw.
+``BenchConfig`` checks the settings and feature extraction the data, once;
+after that only :func:`auc` checks what it is given.  One training draw and
+cov mode is one unit of work: its estimators are fitted through one
+``lda._fitter``, which takes the draw's class means, centering, shrinkage
+intensity and lag sums once for all of them (see ``covest._Estimates``);
+each estimator then forms and solves its own estimate and is scored through
+``lda._decision_values``.  An error in a shared stage fails every row of the
+draw with the message a lone fit gives; an error in one estimator's
+estimate, solve or score fails only its row.  The rows come out in the
+order estimator, cov mode, size, draw.
 
 Every random choice derives from a Philox stream keyed by the benchmark
 seed and the cell coordinates, so reports are byte-identical across runs
@@ -39,9 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lda, rng
-from .blockmat import _finite_array
-from .covest import _check_estimator, _check_labels, _unit_gamma, class_means
+from . import covest, lda, rng
+from .blockmat import _check_labels, _finite_array
 from .dataio import FeatureConfig, _write_json, extract_features, read_dataset
 from .errors import GroupSizeError, ShapeError, ToeplitzLdaError
 from .synth import TARGET_RATIO
@@ -174,11 +175,10 @@ class BenchConfig:
     def __post_init__(self):
         # The fit's own checks, so that no cell fails on a bad setting.
         for est in self.estimators:
-            _check_estimator(est)
+            covest._check_estimator(est)
         for mode in self.cov_modes:
             lda._check_cov_mode(mode)
-        if self.gamma is not None:
-            _unit_gamma(self.gamma)
+        covest._unit_gamma(self.gamma)
         for name in ("estimators", "cov_modes", "subset_sizes"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -230,11 +230,11 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     if epochs.labels is None:
         raise ShapeError("the benchmark needs a labeled dataset")
     feats = extract_features(epochs, cfg.feature)
-    y = epochs.labels.astype(np.int64)
     train_idx, val_idx = split_train_val(epochs.n_epochs, cfg.seed)
-    x_train, y_train = feats.data[:, train_idx], y[train_idx]
-    x_val, y_val = feats.data[:, val_idx], y[val_idx]
-    oracle = class_means(x_train, y_train) if cfg.oracle_means else None
+    x_train, y_train = feats.data[:, train_idx], epochs.labels[train_idx]
+    x_val, y_val = feats.data[:, val_idx], epochs.labels[val_idx]
+    oracle = (covest._centring(x_train, y_train, within=True, scaled=False)[1]
+              if cfg.oracle_means else None)
 
     draws: dict[int, list[np.ndarray]] = {}
     for size in cfg.subset_sizes:
@@ -278,7 +278,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
             try:
                 model = fit_one(est)
                 fit_ms = shared_ms + (time.perf_counter() - start) * 1e3
-                score = auc(lda.decision_values(model, x_val), y_val)
+                score = auc(lda._decision_values(model, x_val), y_val)
             except (ToeplitzLdaError, np.linalg.LinAlgError) as exc:
                 rows.append(failed(est, shared_ms + (time.perf_counter() - start) * 1e3, exc))
                 continue
@@ -307,14 +307,13 @@ def aggregate(report: BenchReport) -> dict:
     """Mean/sd AUC and mean fit time per (estimator, cov_mode, size) cell."""
     cells = []
     cfg = report.config
+    by_cell: dict[tuple, list[BenchRow]] = {}
+    for r in report.rows:
+        by_cell.setdefault((r.estimator, r.cov_mode, r.subset_size), []).append(r)
     for est in cfg.estimators:
         for mode in cfg.cov_modes:
             for size in cfg.subset_sizes:
-                rows = [
-                    r
-                    for r in report.rows
-                    if (r.estimator, r.cov_mode, r.subset_size) == (est, mode, size)
-                ]
+                rows = by_cell.get((est, mode, size), [])
                 ok = [r for r in rows if r.status == "ok"]
                 aucs = np.array([r.auc for r in ok])
                 cells.append(
@@ -381,10 +380,11 @@ def report_csv(report: BenchReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: BenchReport, out_dir) -> tuple[Path, Path]:
-    """Write ``report.csv`` and ``aggregate.json``; returns their paths."""
+def write_report(report: BenchReport, out_dir) -> tuple[Path, Path, dict]:
+    """Write ``report.csv`` and ``aggregate.json``; returns their paths and the aggregate."""
     out_dir = Path(out_dir)
     csv_path, json_path = out_dir / "report.csv", out_dir / "aggregate.json"
-    _write_json(json_path, aggregate(report))
+    summary = aggregate(report)
+    _write_json(json_path, summary)
     csv_path.write_text(report_csv(report), encoding="utf-8")
-    return csv_path, json_path
+    return csv_path, json_path, summary

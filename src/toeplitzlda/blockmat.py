@@ -12,14 +12,16 @@ depends only on the lag ``d = j - i``, with ``C_{-d} = C_d^T``.  The compact
 ``BlockToeplitzCov`` type stores one block per non-negative lag
 (``n_times * n_channels**2`` values) instead of the full ``D x D`` matrix.
 
-``_finite_array`` is the package's one rule for a caller's float array:
-every public function and constructor that reads one takes it through
-``_finite_array``, which rejects non-real dtypes (bool, complex, str,
-object) before any cast, a shape that does not match, and NaN or +-inf.
-``BlockCov(dims, data)`` and ``BlockToeplitzCov(dims, lag_blocks)`` copy
-its result and also reject asymmetry.  The functions of this package that
-build a fresh, exactly symmetric ``D x D`` array wrap it with ``_owned_cov``
-instead, which makes it read-only in place.
+``_finite_array`` is the package's one rule for a caller's float array,
+``_check_labels`` for a caller's labels: every public function and
+constructor reads its input through them once, and the private code it
+hands the result to reads it no more.  ``_finite_array`` rejects non-real
+dtypes (bool, complex, str, object) before any cast, a shape that does not
+match, and NaN or +-inf.  ``BlockCov(dims, data)`` and
+``BlockToeplitzCov(dims, lag_blocks)`` copy its result and also reject
+asymmetry.  The functions of this package that build a fresh, exactly
+symmetric ``D x D`` array wrap it with ``_owned_cov`` instead, which makes
+it read-only in place.
 """
 
 from __future__ import annotations
@@ -97,6 +99,18 @@ def _finite_array(values, shape: tuple, name: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise DataFormatError(f"{name} contains non-finite values (NaN or inf)")
     return a
+
+
+def _check_labels(labels, n_epochs: int) -> np.ndarray:
+    """A copy of ``labels`` as uint8, after a :class:`ShapeError` for a shape
+    other than ``(n_epochs,)`` and a :class:`DataFormatError` for a value
+    other than 0 or 1, checked before the cast could truncate 0.5 or wrap 256."""
+    labels = np.asarray(labels)
+    if labels.shape != (n_epochs,):
+        raise ShapeError(f"labels have shape {labels.shape}, expected ({n_epochs},)")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise DataFormatError("labels must be 0 (non-target) or 1 (target)")
+    return labels.astype(np.uint8)
 
 
 def _check_symmetric(a: np.ndarray, what: str) -> None:

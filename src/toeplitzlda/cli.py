@@ -31,7 +31,7 @@ from .dataio import (
     read_dataset,
     write_dataset,
 )
-from .errors import DataFormatError, GroupSizeError, ShapeError, SolveError
+from .errors import DataFormatError, ShapeError, SolveError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,7 +145,7 @@ def cmd_bench(args) -> int:
         record_timing=args.timing,
     )
     report = bench.run_benchmark(cfg)
-    csv_path, json_path = bench.write_report(report, args.out_dir)
+    csv_path, json_path, summary = bench.write_report(report, args.out_dir)
     n_failed = sum(r.status == "failed" for r in report.rows)
     n_ok = sum(r.status == "ok" for r in report.rows)
     print(
@@ -153,7 +153,7 @@ def cmd_bench(args) -> int:
         f"({len(report.rows)} cells, {n_failed} failed)",
         file=sys.stderr,
     )
-    _emit(bench.aggregate(report))
+    _emit(summary)
     if n_failed and n_ok == 0:
         print("error: every benchmark cell failed", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -183,10 +183,9 @@ def cmd_fit(args) -> int:
         )
     feats = extract_features(epochs, _feature_config(args))
     override = _load_means_file(args.means_file) if args.means_file else None
-    labels = epochs.labels.astype(np.int64) if epochs.labels is not None else None
     model = lda.fit(
         feats.data,
-        labels,
+        epochs.labels,
         dims=feats.dims,
         estimator=args.estimator,
         cov_mode=args.cov_mode,
@@ -219,7 +218,7 @@ def cmd_score(args) -> int:
             f"{model.dims.n_times} samples, dataset features are "
             f"{feats.dims.n_channels} channels x {feats.dims.n_times} samples"
         )
-    scores = lda.decision_values(model, feats.data)
+    scores = lda._decision_values(model, feats.data)  # checked at extraction
     has_labels = epochs.labels is not None
     header = "epoch,score,label" if has_labels else "epoch,score"
     print(header)
@@ -308,13 +307,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except GroupSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataFormatError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataFormatError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SolveError, np.linalg.LinAlgError) as exc:

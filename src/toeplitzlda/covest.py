@@ -29,8 +29,8 @@ estimator.  Each kernel writes the centered, scaled values into its own
 chunk buffer, laid out like the data, so the averaged estimators hold no
 ``D x N_e`` array beyond the data, except one of at most ``_CHUNK_BYTES``
 when the data fits in one chunk; the dense ones write one.  The public
-functions check their input and run the same code on data that is already
-centered; ``center`` takes the offsets of a fit.
+functions check their input once and run the same code on data that is
+already centered; ``center`` takes the offsets of a fit.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ import numpy as np
 import scipy.fft
 import scipy.fftpack
 
-from .blockmat import BlockCov, BlockDims, BlockToeplitzCov, _fft_pays, _finite_array, _owned_cov
+from .blockmat import (BlockCov, BlockDims, BlockToeplitzCov, _check_labels, _fft_pays,
+                       _finite_array, _owned_cov)
 from .errors import ShapeError
 
 ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
@@ -155,7 +156,7 @@ def _centring(
 ) -> tuple[_Centred, ClassStats | None]:
     """Checked data minus its class means (``within``) or its overall mean.
 
-    Also returns the class means of ``labels``, or None without labels.
+    Also returns the class means of the checked ``labels``, or None without.
     ``exp`` is one more than the exponent of ``max|x|``, so ``2**exp``
     bounds every ``|x - mean|`` whatever offset a row has: the centered
     data times ``2**-exp`` lies within [-1, 1] and its squares stay in the
@@ -164,19 +165,16 @@ def _centring(
     :func:`_class_means`, summed under ``2**-max(exp, 0)``, below which
     ``N_e`` values of ``x`` sum without overflow.
     """
-    n = x.shape[1]
-    if not n:
-        raise ShapeError("x has 0 epochs; a mean needs at least 1")
     exp = math.frexp(max(x.max(initial=0.0), -x.min(initial=0.0)))[1] + 1
     shift = max(exp, 0)
     stats = onehot = None
     if labels is not None:
-        onehot = np.eye(2)[:, _check_labels(labels, n)]
+        onehot = np.eye(2)[:, labels]
         stats = ClassStats(_class_means(x, onehot, shift).T)
     if within:
         offsets, indicator = stats.means.T, onehot
     else:
-        indicator = np.ones((1, n))
+        indicator = np.ones((1, x.shape[1]))
         offsets = _class_means(x, indicator, shift)
     return _Centred(x, offsets, indicator, exp if scaled else 0), stats
 
@@ -192,7 +190,6 @@ def _fit_estimate(
     like ``x`` that every pass of every estimator reads; larger data is
     centered chunk by chunk in each pass.
     """
-    _check_epochs(x.shape[1])
     centred, stats = _centring(x, labels, within, scaled=True)
     exp = centred.exp
     if x.nbytes <= _CHUNK_BYTES:
@@ -217,22 +214,13 @@ def _covariance_data(centered, size: int | None) -> np.ndarray:
     return xc
 
 
-def _unit_gamma(gamma) -> float:
+def _unit_gamma(gamma) -> float | None:
+    if gamma is None:  # the analytic intensity
+        return None
     gamma = float(gamma)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     return gamma
-
-
-def _check_labels(labels, n_epochs: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.shape != (n_epochs,):
-        raise ShapeError(
-            f"labels have shape {labels.shape}, expected ({n_epochs},)"
-        )
-    if not ((labels == 0) | (labels == 1)).all():
-        raise ShapeError("labels must be 0 (non-target) or 1 (target)")
-    return labels.astype(np.int64)
 
 
 def _class_means(x: np.ndarray, indicator: np.ndarray, shift: int) -> np.ndarray:
@@ -256,7 +244,8 @@ def _class_means(x: np.ndarray, indicator: np.ndarray, shift: int) -> np.ndarray
 
 def class_means(x, labels) -> ClassStats:
     """Mean vector of each of the two classes."""
-    return _centring(_finite_array(x, (None, None), "x"), labels, True, scaled=False)[1]
+    x = _finite_array(x, (None, None), "x")
+    return _centring(x, _check_labels(labels, x.shape[1]), within=True, scaled=False)[1]
 
 
 def center(x, labels=None) -> np.ndarray:
@@ -267,7 +256,12 @@ def center(x, labels=None) -> np.ndarray:
     those a fit centers its chunks to, in a new array laid out like ``x``.
     """
     x = _finite_array(x, (None, None), "x")
-    return _centring(x, labels, labels is not None, scaled=False)[0].write(np.empty_like(x))
+    if not x.shape[1]:
+        raise ShapeError("x has 0 epochs; a mean needs at least 1")
+    if labels is not None:
+        labels = _check_labels(labels, x.shape[1])
+    centred, _ = _centring(x, labels, within=labels is not None, scaled=False)
+    return centred.write(np.empty_like(x))
 
 
 def sample_covariance(centered, dims: BlockDims) -> BlockCov:
@@ -346,11 +340,9 @@ def shrink(s: BlockCov, gamma: float | None = None, centered=None) -> ShrinkageR
     from ``centered`` (the data the covariance came from).  The returned
     matrix is ``(1 - gamma) S + gamma nu I``; its trace equals ``trace(S)``.
     """
-    if gamma is None:
-        if centered is None:
-            raise ValueError("either gamma or the centered data must be given")
-        gamma = ledoit_wolf_gamma(centered)
-    gamma = _unit_gamma(gamma)
+    if gamma is None and centered is None:
+        raise ValueError("either gamma or the centered data must be given")
+    gamma = ledoit_wolf_gamma(centered) if gamma is None else _unit_gamma(gamma)
     d = s.dims.size
     nu = float(np.trace(s.data) / d)
     out = (1.0 - gamma) * s.data
@@ -452,7 +444,7 @@ def estimate_covariance(
     """
     _check_estimator(estimator)
     centred = _Centred(_covariance_data(centered, dims.size))
-    return _Estimates(centred, dims, (estimator,), gamma)(estimator)
+    return _Estimates(centred, dims, (estimator,), _unit_gamma(gamma))(estimator)
 
 
 class _Estimates:
@@ -474,7 +466,7 @@ class _Estimates:
     def __init__(self, centred: _Centred, dims: BlockDims, estimators, gamma: float | None):
         self._centred, self._dims = centred, dims
         self._pending = list(estimators)
-        self._gamma = _ledoit_wolf(centred) if gamma is None else _unit_gamma(gamma)
+        self._gamma = _ledoit_wolf(centred) if gamma is None else gamma
         self._lags = None
 
     def __call__(self, estimator: str) -> ShrinkageResult:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockmat import BlockDims, _finite_array
+from .blockmat import BlockDims, _check_labels, _finite_array
 from .errors import DataFormatError, ShapeError
 
 FORMAT_VERSION = 1
@@ -43,7 +43,7 @@ class Epochs:
 
     ``data`` has shape (n_epochs, n_channels, n_times) and is read by
     ``blockmat._finite_array``; ``labels`` is None for unlabeled data,
-    otherwise one 0/1 value per epoch.
+    otherwise one 0/1 value per epoch, read by ``blockmat._check_labels``.
     """
 
     data: np.ndarray
@@ -65,15 +65,7 @@ class Epochs:
             )
         labels = self.labels
         if labels is not None:
-            labels = np.asarray(labels)
-            if labels.shape != (data.shape[0],):
-                raise ShapeError(
-                    f"labels have shape {labels.shape}, expected ({data.shape[0]},)"
-                )
-            # Check before the cast: uint8 would wrap or truncate bad values.
-            if not ((labels == 0) | (labels == 1)).all():
-                raise DataFormatError("labels must be 0 (non-target) or 1 (target)")
-            labels = labels.astype(np.uint8)
+            labels = _check_labels(labels, data.shape[0])
             labels.setflags(write=False)
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -163,11 +155,9 @@ def write_dataset(epochs: Epochs, directory) -> None:
         "has_labels": epochs.labels is not None,
     }
     _write_json(directory / "meta.json", meta)
-    (directory / "data.bin").write_bytes(
-        np.ascontiguousarray(epochs.data, dtype="<f8").tobytes()
-    )
+    np.ascontiguousarray(epochs.data, dtype="<f8").tofile(directory / "data.bin")
     if epochs.labels is not None:
-        (directory / "labels.bin").write_bytes(epochs.labels.tobytes())
+        epochs.labels.tofile(directory / "labels.bin")
 
 
 def read_dataset(directory) -> Epochs:

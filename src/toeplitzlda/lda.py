@@ -16,14 +16,15 @@ which needs no labels when the class means come via ``mean_override``.
 
 ``fit`` checks its arguments, reading ``x`` and ``mean_override`` once with
 ``blockmat._finite_array`` as ``decision_values`` reads its features
-(non-finite or non-real input raises :class:`DataFormatError`), and makes
-one call to estimate, ``covest._fit_estimate``, and one to solve,
-``btsolve._fit_solve``.  The estimates come with the class means and the
-power of two ``2**exp`` the centered data was divided by; the fit keeps the
-LDA algebra: the mean difference, the degenerate case of identical means,
-the bias and the model.  Dividing by ``2**exp`` is exact, so the fit is
-scale-equivariant: ``fit(a x)`` has weights ``w(x) / a``, bit for bit when
-``a`` is a power of two.  ``fit`` is the one-estimator case of
+(non-finite or non-real input raises :class:`DataFormatError`) and its
+labels with ``blockmat._check_labels``.  Through ``_fitter``, which checks
+nothing again, it makes one call to estimate, ``covest._fit_estimate``, and
+one to solve, ``btsolve._fit_solve``.  The estimates come with the class
+means and the power of two ``2**exp`` the centered data was divided by; the
+fit keeps the LDA algebra: the mean difference, the degenerate case of
+identical means, the bias and the model.  Dividing by ``2**exp`` is exact,
+so the fit is scale-equivariant: ``fit(a x)`` has weights ``w(x) / a``, bit
+for bit when ``a`` is a power of two.  ``fit`` is the one-estimator case of
 ``_fitter``, through which the benchmark fits every estimator of a draw.
 """
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import btsolve, covest
-from .blockmat import BlockDims, _finite_array
+from .blockmat import BlockDims, _check_labels, _finite_array
 from .covest import ESTIMATORS, ClassStats
 from .dataio import _finite, _json_object, _json_value, _number, _write_json
 
@@ -82,22 +83,10 @@ def fit(
     computed on a larger dataset) while the covariance still comes from
     ``x``.  ``gamma`` overrides the analytic shrinkage intensity.
     """
-    return _fitter(x, labels, dims, (estimator,), cov_mode, mean_override, gamma)(estimator)
-
-
-def _fitter(x, labels, dims, estimators, cov_mode, mean_override, gamma):
-    """:func:`fit` of each of ``estimators`` on the same arguments.
-
-    Checks the arguments and runs the stages no estimator owns once: the
-    data check, the class means, the centering and the shared stages of
-    ``covest._Estimates``.  Returns ``fit_one(estimator)``, to be called
-    once per estimator, which runs only that estimator's estimate and solve.
-    """
     if dims is None:
         raise ValueError("dims is required")
     _check_cov_mode(cov_mode)
-    for estimator in estimators:
-        covest._check_estimator(estimator)
+    covest._check_estimator(estimator)
     x = _finite_array(x, (dims.size, None), "x")
     if mean_override is not None:
         _finite_array(mean_override.means, (2, dims.size), "mean_override")
@@ -106,6 +95,21 @@ def _fitter(x, labels, dims, estimators, cov_mode, mean_override, gamma):
         raise ValueError(
             "labels are required unless mean_override is given with cov_mode='global'"
         )
+    covest._check_epochs(x.shape[1])
+    labels = _check_labels(labels, x.shape[1]) if needs_labels else None
+    gamma = covest._unit_gamma(gamma)
+    return _fitter(x, labels, dims, (estimator,), cov_mode, mean_override, gamma)(estimator)
+
+
+def _fitter(x, labels, dims, estimators, cov_mode, mean_override, gamma):
+    """:func:`fit` of each of ``estimators`` on arguments as :func:`fit` checks them.
+
+    Runs the stages no estimator owns once: the class means, the centering
+    and the shared stages of ``covest._Estimates``.  Returns
+    ``fit_one(estimator)``, to be called once per estimator, which runs only
+    that estimator's estimate and solve.
+    """
+    needs_labels = mean_override is None or cov_mode == "within"
     # The data minus its class means or its overall mean, divided by 2**exp,
     # 2 to 4 times max|x|: exact, and it keeps the covariance and the
     # Ledoit-Wolf sums from overflowing or underflowing at any data scale.
@@ -148,7 +152,12 @@ def _fitter(x, labels, dims, estimators, cov_mode, mean_override, gamma):
 
 def decision_values(model: LdaModel, x) -> np.ndarray:
     """Signed scores ``w^T x + b`` for feature columns (positive = target)."""
-    return model.weights @ _finite_array(x, (model.dims.size, None), "x") + model.bias
+    return _decision_values(model, _finite_array(x, (model.dims.size, None), "x"))
+
+
+def _decision_values(model: LdaModel, x: np.ndarray) -> np.ndarray:
+    """:func:`decision_values` of checked ``D x N_e`` features."""
+    return model.weights @ x + model.bias
 
 
 def save_model(model: LdaModel, path) -> None:

@@ -127,6 +127,12 @@ def test_class_means_equal_per_class_means_to_rounding(d, n, log_scale, seed):
     assert np.abs(center(x) - ref).max() <= (n + 1) * eps * scale
 
 
+def test_class_means_without_labels_is_a_shape_error():
+    # Not an AttributeError from the missing class means.
+    with pytest.raises(ShapeError, match="labels have shape"):
+        class_means(np.ones((4, 6)), None)
+
+
 @pytest.mark.parametrize("labels", [None, np.zeros(0, dtype=int)])
 def test_center_without_epochs_names_the_epoch_count(labels):
     # Raised before any reduction, which would warn of an empty mean.

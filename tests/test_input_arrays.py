@@ -1,6 +1,8 @@
 """Every public function and constructor that reads a float array reads it
 through ``blockmat._finite_array``: NaN, +-inf and non-real dtypes (bool,
-complex, str) raise ``DataFormatError`` naming the argument."""
+complex, str) raise ``DataFormatError`` naming the argument.  Every one that
+reads class labels reads them through ``blockmat._check_labels``: a value
+other than 0 or 1 raises ``DataFormatError``, a wrong length ``ShapeError``."""
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from toeplitzlda import (
     shrink,
     to_dense,
 )
+from toeplitzlda.bench import draw_subsets
 from toeplitzlda.covest import ESTIMATORS, center
 from toeplitzlda.errors import DataFormatError, ShapeError
 
@@ -111,3 +114,44 @@ def test_float_arrays_are_read_by_one_rule(argument, valid, call, kind):
 def test_a_shape_mismatch_stays_a_shape_error(argument, valid, call):
     with pytest.raises(ShapeError, match=rf"\b{argument} has shape"):
         call(np.zeros(np.shape(valid) + (1,)))
+
+
+# (id, the call on labels for the 12 epochs of X)
+LABEL_READERS = [
+    ("Epochs", lambda y: Epochs(X.T.reshape(12, 3, 2), 10.0, 0.0, ("a", "b", "c"), labels=y)),
+    ("fit", lambda y: fit(X, y, dims=DIMS)),
+    ("class_means", lambda y: class_means(X, y)),
+    ("center", lambda y: center(X, y)),
+    ("auc", lambda y: auc(np.arange(12.0), y)),
+    ("draw_subsets", lambda y: draw_subsets(y, 2, 1, seed=0, stratified=False)),
+]
+
+
+def one_bad_label(value):
+    """``LABELS`` with one entry replaced by ``value``."""
+    labels = LABELS.astype(type(value))
+    labels[5] = value
+    return labels
+
+
+# A cast first would truncate 0.5 and 1.7 to 0 and 1, and wrap or overflow
+# -1 and 256.  (id, labels, error)
+BAD_LABELS = [
+    *[(f"value-{v}", one_bad_label(v), DataFormatError) for v in (0.5, 1.7, -1, 2, 256, np.nan)],
+    ("short", LABELS[:-1], ShapeError),
+    ("column", LABELS[:, None], ShapeError),
+]
+
+
+@pytest.mark.parametrize(("call", "labels", "error"), [
+    pytest.param(call, labels, error, id=f"{name}-{kind}")
+    for name, call in LABEL_READERS
+    for kind, labels, error in BAD_LABELS
+    # draw_subsets takes its epoch count from the labels: no length is wrong.
+    if (name, kind) != ("draw_subsets", "short")
+])
+def test_labels_are_read_by_one_rule(call, labels, error):
+    call(LABELS)
+    expected = "labels must be 0" if error is DataFormatError else "labels have shape"
+    with pytest.raises(error, match=expected):
+        call(labels)

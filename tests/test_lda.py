@@ -453,7 +453,8 @@ def test_fit_reaches_covest_and_btsolve_only_through_their_fit_entries():
             used.add(f"{node.value.id}.{node.attr}")
         elif isinstance(node, ast.ImportFrom) and node.module in ("covest", "btsolve"):
             used.update(f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_"))
-    assert used == {"covest._fit_estimate", "covest._check_estimator", "btsolve._fit_solve"}
+    assert used == {"covest._fit_estimate", "covest._check_estimator", "covest._check_epochs",
+                    "covest._unit_gamma", "btsolve._fit_solve"}
 
 
 # ------------------------------------------------------- special cases
@@ -530,13 +531,14 @@ def test_within_class_fit_checks_the_labels_once(monkeypatch, override):
     x, labels, dims = labeled_features(2, 3, 36, seed=6)
     stats = covest.class_means(x, labels) if override else None
     calls = []
-    real = covest._check_labels
+    real = blockmat._check_labels
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(covest, "_check_labels", counting)
+    for module in (blockmat, covest, lda):
+        monkeypatch.setattr(module, "_check_labels", counting)
     fit(x, labels, dims=dims, cov_mode="within", mean_override=stats)
     assert len(calls) == 1
 
@@ -900,9 +902,9 @@ def test_labels_must_be_exactly_zero_or_one():
     x = np.random.default_rng(0).standard_normal((4, 6))
     dims = BlockDims(2, 2)
     fractional = [0.5, 1.7, 0.2, 1.9, 0, 1]  # int64 truncation would give 0/1
-    with pytest.raises(ShapeError, match="labels"):
+    with pytest.raises(DataFormatError, match="labels"):
         covest.class_means(x, fractional)
-    with pytest.raises(ShapeError, match="labels"):
+    with pytest.raises(DataFormatError, match="labels"):
         fit(x, fractional, dims=dims)
     ints = np.array([0, 1, 0, 1, 0, 1])
     expected = fit(x, ints, dims=dims)
