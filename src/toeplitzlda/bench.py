@@ -227,12 +227,16 @@ class BenchReport:
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
     """Run the full grid; failures are recorded per cell, not raised."""
     epochs = read_dataset(cfg.dataset_dir)
-    if epochs.labels is None:
+    labels = epochs.labels
+    if labels is None:
         raise ShapeError("the benchmark needs a labeled dataset")
     feats = extract_features(epochs, cfg.feature)
-    train_idx, val_idx = split_train_val(epochs.n_epochs, cfg.seed)
-    x_train, y_train = feats.data[:, train_idx], epochs.labels[train_idx]
-    x_val, y_val = feats.data[:, val_idx], epochs.labels[val_idx]
+    del epochs  # the run reads only the features and the labels
+    train_idx, val_idx = split_train_val(labels.size, cfg.seed)
+    x_train, y_train = feats.data[:, train_idx], labels[train_idx]
+    x_val, y_val = feats.data[:, val_idx], labels[val_idx]
+    dims = feats.dims
+    del feats  # the halves are copies
     oracle = (covest._centring(x_train, y_train, within=True, scaled=False)[1]
               if cfg.oracle_means else None)
 
@@ -266,7 +270,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
 
         start = time.perf_counter()
         try:
-            fit_one = lda._fitter(x_train[:, idx], y_train[idx], feats.dims,
+            fit_one = lda._fitter(x_train[:, idx], y_train[idx], dims,
                                   cfg.estimators, mode, oracle, cfg.gamma)
         except (ToeplitzLdaError, np.linalg.LinAlgError) as exc:
             shared_ms = (time.perf_counter() - start) * 1e3

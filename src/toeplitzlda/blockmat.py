@@ -19,9 +19,11 @@ hands the result to reads it no more.  ``_finite_array`` rejects non-real
 dtypes (bool, complex, str, object) before any cast, a shape that does not
 match, and NaN or +-inf.  ``BlockCov(dims, data)`` and
 ``BlockToeplitzCov(dims, lag_blocks)`` copy its result and also reject
-asymmetry.  The functions of this package that build a fresh, exactly
-symmetric ``D x D`` array wrap it with ``_owned_cov`` instead, which makes
-it read-only in place.
+asymmetry.  An array the package builds itself is not read again: the
+function that builds it wraps it with ``_owned``, which makes it read-only
+in place, instead of calling the public constructor.  ``_owned_cov`` wraps
+a fresh, exactly symmetric ``D x D`` array and ``_owned_toeplitz`` fresh
+lag blocks, whose lag-0 block it symmetrizes as the constructor does.
 """
 
 from __future__ import annotations
@@ -145,17 +147,24 @@ class BlockCov:
         object.__setattr__(self, "data", a)
 
 
-def _owned_cov(dims: BlockDims, data: np.ndarray) -> BlockCov:
-    """Wrap a fresh, exactly symmetric ``(D, D)`` float64 array as a BlockCov.
+def _owned(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
 
-    For arrays built inside the package: ``data`` is made read-only in place
-    instead of being copied and checked.
+    For values built inside the package, which hands over every field: each
+    array among them is made read-only in place instead of being checked and
+    copied by the public constructor.
     """
-    data.setflags(write=False)
-    cov = object.__new__(BlockCov)
-    object.__setattr__(cov, "dims", dims)
-    object.__setattr__(cov, "data", data)
-    return cov
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _owned_cov(dims: BlockDims, data: np.ndarray) -> BlockCov:
+    """Wrap a fresh, exactly symmetric ``(D, D)`` float64 array as a BlockCov."""
+    return _owned(BlockCov, dims=dims, data=data)
 
 
 @dataclass(frozen=True)
@@ -176,9 +185,21 @@ class BlockToeplitzCov:
         nc, nt = self.dims.n_channels, self.dims.n_times
         a = _finite_array(self.lag_blocks, (nt, nc, nc), "lag_blocks").copy()
         _check_symmetric(a[0], "lag-0 block")
-        a[0] = (a[0] + a[0].T) / 2.0
+        _symmetrize_lag0(a)
         a.setflags(write=False)
         object.__setattr__(self, "lag_blocks", a)
+
+
+def _symmetrize_lag0(lags: np.ndarray) -> None:
+    """Make the lag-0 block exactly symmetric, in place: ``(L0 + L0^T) / 2``."""
+    lags[0] = (lags[0] + lags[0].T) / 2.0
+
+
+def _owned_toeplitz(dims: BlockDims, lags: np.ndarray) -> BlockToeplitzCov:
+    """Wrap fresh, finite ``(n_times, n_channels, n_channels)`` lag blocks whose
+    lag-0 block is symmetric up to rounding, symmetrized exactly in place."""
+    _symmetrize_lag0(lags)
+    return _owned(BlockToeplitzCov, dims=dims, lag_blocks=lags)
 
 
 def block_diagonal_average(cov: BlockCov) -> BlockToeplitzCov:

@@ -18,9 +18,10 @@ estimate), and names it in ``SolveReport.method``:
 
 A system that is not positive definite, or that the iterations do not
 solve within a fixed cap, raises :class:`SolveError`.  A fit solves through
-``_fit_solve``, which runs ``block_toeplitz_solve`` for ``toeplitz``,
-factors a dense estimate in place and holds the indefinite fallback of
-``toeplitz_a1_only``.
+``_fit_solve``, which takes the route of ``block_toeplitz_solve``
+(``_toeplitz_solve``) for ``toeplitz``, factors a dense estimate in place
+and holds the indefinite fallback of ``toeplitz_a1_only``; it reads the
+fit's own right-hand side no more.
 
 ``block_toeplitz_matmul`` multiplies by the dense expansion with the same
 FFT product, in ``O(n_channels^2 n_times log n_times)``.  ``dense_solve``
@@ -261,7 +262,11 @@ def block_toeplitz_solve(btc: BlockToeplitzCov, b) -> SolveReport:
     block-circulant preconditioner on large ones (see the module notes).
     Raises :class:`SolveError` when the system is not positive definite or
     the solve does not converge."""
-    b = _finite_array(b, (btc.dims.size,), "b")
+    return _toeplitz_solve(btc, _finite_array(b, (btc.dims.size,), "b"))
+
+
+def _toeplitz_solve(btc: BlockToeplitzCov, b: np.ndarray) -> SolveReport:
+    """:func:`block_toeplitz_solve` of a finite float64 ``b``: the route by size."""
     if _fft_pays(btc.dims.n_channels, btc.dims.n_times):
         return _pcg_solve(btc, b)
     return _solve_in_place(to_dense(btc), b)
@@ -284,7 +289,7 @@ def _fit_solve(
     if not isinstance(cov, BlockToeplitzCov):
         return _solve_in_place(cov, b)
     if not maybe_indefinite:
-        return block_toeplitz_solve(cov, b)
+        return _toeplitz_solve(cov, b)
     try:
         return _solve_in_place(to_dense(cov), b)
     except SolveError:

@@ -24,6 +24,7 @@ from .blockmat import BlockDims
 from .covest import ClassStats
 from .dataio import (
     FeatureConfig,
+    _disk_layout,
     _json_object,
     _json_value,
     _number,
@@ -110,7 +111,7 @@ def cmd_synth(args) -> int:
     epochs = synth.inject_erp(epochs, spec, seed)
     out_dir = Path(args.out_dir)
     write_dataset(epochs, out_dir)
-    digest = hashlib.sha256((out_dir / "data.bin").read_bytes()).hexdigest()
+    digest = hashlib.sha256(_disk_layout(epochs.data)).hexdigest()  # the bytes written
     print(f"wrote {args.n_epochs} epochs to {out_dir}", file=sys.stderr)
     _emit(
         {
@@ -177,15 +178,17 @@ def _load_means_file(path) -> ClassStats:
 
 def cmd_fit(args) -> int:
     epochs = read_dataset(args.dataset_dir)
-    if epochs.labels is None and args.means_file is None:
+    labels = epochs.labels
+    if labels is None and args.means_file is None:
         raise DataFormatError(
             "dataset has no labels; fit needs labels.bin or --means-file"
         )
     feats = extract_features(epochs, _feature_config(args))
+    del epochs  # the fit reads only the features and the labels
     override = _load_means_file(args.means_file) if args.means_file else None
     model = lda.fit(
         feats.data,
-        epochs.labels,
+        labels,
         dims=feats.dims,
         estimator=args.estimator,
         cov_mode=args.cov_mode,
@@ -200,7 +203,7 @@ def cmd_fit(args) -> int:
             "estimator": model.estimator,
             "cov_mode": model.cov_mode,
             "gamma": model.gamma,
-            "n_epochs": epochs.n_epochs,
+            "n_epochs": feats.n_epochs,
             "n_features": feats.dims.size,
             "well_conditioned": model.well_conditioned,
         }
@@ -211,7 +214,9 @@ def cmd_fit(args) -> int:
 def cmd_score(args) -> int:
     model = lda.load_model(args.model_path)
     epochs = read_dataset(args.dataset_dir)
+    labels = epochs.labels
     feats = extract_features(epochs, _feature_config(args))
+    del epochs  # scoring reads only the features and the labels
     if feats.dims != model.dims:
         raise ShapeError(
             f"model expects {model.dims.n_channels} channels x "
@@ -219,19 +224,19 @@ def cmd_score(args) -> int:
             f"{feats.dims.n_channels} channels x {feats.dims.n_times} samples"
         )
     scores = lda._decision_values(model, feats.data)  # checked at extraction
-    has_labels = epochs.labels is not None
+    has_labels = labels is not None
     header = "epoch,score,label" if has_labels else "epoch,score"
     print(header)
     for i, s in enumerate(scores):
         if has_labels:
-            print(f"{i},{float(s)!r},{int(epochs.labels[i])}")
+            print(f"{i},{float(s)!r},{int(labels[i])}")
         else:
             print(f"{i},{float(s)!r}")
     if has_labels:
         # The AUC needs both classes; the scores of one class are still reported.
-        both = np.unique(epochs.labels).size == 2
-        _emit({"auc": bench.auc(scores, epochs.labels) if both else None,
-               "n_epochs": epochs.n_epochs})
+        both = np.unique(labels).size == 2
+        _emit({"auc": bench.auc(scores, labels) if both else None,
+               "n_epochs": feats.n_epochs})
     return EXIT_OK
 
 

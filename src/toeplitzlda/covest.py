@@ -43,7 +43,7 @@ import scipy.fft
 import scipy.fftpack
 
 from .blockmat import (BlockCov, BlockDims, BlockToeplitzCov, _check_labels, _fft_pays,
-                       _finite_array, _owned_cov)
+                       _finite_array, _owned, _owned_cov, _owned_toeplitz)
 from .errors import ShapeError
 
 ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
@@ -63,7 +63,8 @@ class ClassStats:
 
     Row ``k`` of ``means`` is the mean of class ``k`` (0 = non-target,
     1 = target).  ``means`` is read by ``blockmat._finite_array`` (a
-    ``(2, D)`` array of finite real numbers) and copied.
+    ``(2, D)`` array of finite real numbers) and copied; the means a fit
+    takes are wrapped with ``blockmat._owned`` instead.
     """
 
     means: np.ndarray
@@ -170,7 +171,7 @@ def _centring(
     stats = onehot = None
     if labels is not None:
         onehot = np.eye(2)[:, labels]
-        stats = ClassStats(_class_means(x, onehot, shift).T)
+        stats = _owned(ClassStats, means=_class_means(x, onehot, shift).T)
     if within:
         offsets, indicator = stats.means.T, onehot
     else:
@@ -412,7 +413,8 @@ def _lag_sums_fft(centred: _Centred, dims: BlockDims) -> np.ndarray:
     # allocates its output: on long windows that is the estimate's peak.
     del buf, f, stacked, prod
     spec_im -= spec_im.transpose(0, 2, 1)
-    return scipy.fftpack.irfft(spec, axis=0, overwrite_x=True)[:nt]
+    # A copy of the first nt lags, so that the nfft lags are let go here.
+    return scipy.fftpack.irfft(spec, axis=0, overwrite_x=True)[:nt].copy()
 
 
 def estimate_covariance(
@@ -502,4 +504,4 @@ class _Estimates:
         divisor = np.full(nt, nt) if estimator == "toeplitz" else np.arange(nt, 0, -1)
         lags *= ((1.0 - gamma) / ((n - 1) * divisor))[:, None, None]
         lags[0].flat[:: nc + 1] += gamma * nu
-        return ShrinkageResult(BlockToeplitzCov(dims, lags), gamma, nu)
+        return ShrinkageResult(_owned_toeplitz(dims, lags), gamma, nu)

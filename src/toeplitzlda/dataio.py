@@ -12,6 +12,13 @@ Sample ``k`` of an epoch is at time ``t0 + k / sfreq`` seconds.  Times in
 seconds map to sample indices with ``floor((t - t0) * sfreq + 0.5)``, and
 all extraction windows are half-open ``[a, b)``.
 
+The data is held once from disk to features.  :class:`Epochs` and
+:class:`FeatureMatrix` copy what a caller passes in, but the arrays the
+package makes are owned by them as made: :func:`read_dataset` reads
+``data.bin`` into one array and checks it, and the extractors write their
+features into one C-contiguous ``D x N_e`` array (``interval_means``
+checks the means it computes; ``all_samples`` only moves checked values).
+
 The package's JSON files (``meta.json``, the model file, the means file of
 ``toeplitzlda fit`` and the benchmark's ``aggregate.json``) follow one set
 of rules, kept here.  ``_write_json`` writes sorted keys, a two-space indent
@@ -25,13 +32,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .blockmat import BlockDims, _check_labels, _finite_array
+from .blockmat import BlockDims, _check_labels, _finite_array, _owned
 from .errors import DataFormatError, ShapeError
 
 FORMAT_VERSION = 1
@@ -44,6 +52,9 @@ class Epochs:
     ``data`` has shape (n_epochs, n_channels, n_times) and is read by
     ``blockmat._finite_array``; ``labels`` is None for unlabeled data,
     otherwise one 0/1 value per epoch, read by ``blockmat._check_labels``.
+    Both are copied.  The package's own producers (the synthetic generator
+    and :func:`read_dataset`) check the arrays they make and hand them over,
+    owned, through ``_owned_epochs``, which checks the metadata only.
     """
 
     data: np.ndarray
@@ -54,15 +65,7 @@ class Epochs:
 
     def __post_init__(self):
         data = _finite_array(self.data, (None, None, None), "epoch data").copy()
-        if not (math.isfinite(self.sfreq) and math.isfinite(self.t0)):
-            raise DataFormatError(f"sfreq and t0 must be finite, got {self.sfreq}, {self.t0}")
-        if self.sfreq <= 0:
-            raise ShapeError(f"sfreq must be positive, got {self.sfreq}")
-        names = tuple(str(n) for n in self.channel_names)
-        if len(names) != data.shape[1]:
-            raise ShapeError(
-                f"{len(names)} channel names for {data.shape[1]} channels"
-            )
+        names = _channel_names(self.sfreq, self.t0, self.channel_names, data.shape[1])
         labels = self.labels
         if labels is not None:
             labels = _check_labels(labels, data.shape[0])
@@ -92,6 +95,27 @@ class Epochs:
     def times(self) -> np.ndarray:
         """Sample times in seconds."""
         return self.t0 + np.arange(self.n_times) / self.sfreq
+
+
+def _channel_names(sfreq: float, t0: float, channel_names, n_channels: int) -> tuple[str, ...]:
+    """The names of ``n_channels`` channels as strings, after checking them,
+    ``sfreq`` and ``t0``."""
+    if not (math.isfinite(sfreq) and math.isfinite(t0)):
+        raise DataFormatError(f"sfreq and t0 must be finite, got {sfreq}, {t0}")
+    if sfreq <= 0:
+        raise ShapeError(f"sfreq must be positive, got {sfreq}")
+    names = tuple(str(n) for n in channel_names)
+    if len(names) != n_channels:
+        raise ShapeError(f"{len(names)} channel names for {n_channels} channels")
+    return names
+
+
+def _owned_epochs(data: np.ndarray, sfreq: float, t0: float, channel_names,
+                  labels: np.ndarray | None = None) -> Epochs:
+    """Epochs of a fresh, finite float64 ``data`` and fresh uint8 0/1 ``labels``
+    of its length, made read-only in place; the metadata is checked."""
+    names = _channel_names(sfreq, t0, channel_names, data.shape[1])
+    return _owned(Epochs, data=data, sfreq=sfreq, t0=t0, channel_names=names, labels=labels)
 
 
 def _number(value) -> bool:
@@ -140,6 +164,12 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _disk_layout(data: np.ndarray) -> np.ndarray:
+    """``data`` as the little-endian, C-ordered float64 array ``data.bin`` holds;
+    a view when it is one already."""
+    return np.ascontiguousarray(data, dtype="<f8")
+
+
 def write_dataset(epochs: Epochs, directory) -> None:
     """Write a dataset directory (meta.json, data.bin, optional labels.bin)."""
     directory = Path(directory)
@@ -155,13 +185,16 @@ def write_dataset(epochs: Epochs, directory) -> None:
         "has_labels": epochs.labels is not None,
     }
     _write_json(directory / "meta.json", meta)
-    np.ascontiguousarray(epochs.data, dtype="<f8").tofile(directory / "data.bin")
+    _disk_layout(epochs.data).tofile(directory / "data.bin")
     if epochs.labels is not None:
         epochs.labels.tofile(directory / "labels.bin")
 
 
 def read_dataset(directory) -> Epochs:
-    """Read a dataset directory, checking every meta.json value before its use."""
+    """Read a dataset directory, checking every meta.json value before its use.
+
+    ``data.bin`` is read into the one array that the returned epochs own.
+    """
     directory = Path(directory)
     what = f"meta.json in {directory}"
     meta = _json_object(directory / "meta.json", what)
@@ -179,29 +212,33 @@ def read_dataset(directory) -> Epochs:
                         lambda v: type(v) is list and all(type(n) is str for n in v), what)
     has_labels = _json_value(meta, "has_labels", "a JSON boolean",
                              lambda v: type(v) is bool, what)
-    raw = (directory / "data.bin").read_bytes()
-    expected = int(np.prod(shape)) * 8
-    if len(raw) != expected:
-        raise DataFormatError(
-            f"data.bin holds {len(raw)} bytes, expected {expected} for shape {shape}"
-        )
-    data = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    count = math.prod(shape)
+    with open(directory / "data.bin", "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != count * 8:
+            raise DataFormatError(
+                f"data.bin holds {size} bytes, expected {count * 8} for shape {shape}"
+            )
+        data = np.fromfile(fh, dtype="<f8", count=count)
+    data = _finite_array(data.reshape(shape), shape, "epoch data")
     labels = None
     if has_labels:
-        raw_labels = (directory / "labels.bin").read_bytes()
-        if len(raw_labels) != shape[0]:
-            raise DataFormatError(
-                f"labels.bin holds {len(raw_labels)} bytes, expected {shape[0]}"
-            )
-        labels = np.frombuffer(raw_labels, dtype=np.uint8)
-    return Epochs(
-        data=data, sfreq=sfreq, t0=t0, channel_names=tuple(names), labels=labels
-    )
+        try:
+            labels = _check_labels(np.fromfile(directory / "labels.bin", dtype=np.uint8),
+                                   shape[0])
+        except ShapeError as exc:  # not one byte per epoch
+            raise DataFormatError(f"labels.bin in {directory}: {exc}") from exc
+    return _owned_epochs(data, sfreq, t0, names, labels)
 
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Channel-prime feature vectors stacked as a ``D x N_e`` array."""
+    """Channel-prime feature vectors stacked as a ``D x N_e`` array.
+
+    ``data`` is read by ``blockmat._finite_array`` and copied into a
+    C-contiguous array; the extractors write their features into one and
+    wrap it with ``blockmat._owned`` instead.
+    """
 
     data: np.ndarray
     dims: BlockDims
@@ -256,9 +293,12 @@ def sample_index(seconds: float, sfreq: float, t0: float) -> int:
     return int(math.floor((seconds - t0) * sfreq + 0.5))
 
 
-def _stack_channel_prime(feats: np.ndarray, dims: BlockDims) -> FeatureMatrix:
-    """(n_epochs, n_channels, n_feat_times) -> channel-prime (D, n_epochs)."""
-    return FeatureMatrix(feats.transpose(0, 2, 1).reshape(feats.shape[0], dims.size).T, dims)
+def _channel_prime(n_epochs: int, dims: BlockDims) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh C-contiguous ``(D, n_epochs)`` feature array and its
+    ``(n_times, n_channels, n_epochs)`` view, whose ``[t, c, e]`` is sample
+    ``t`` of channel ``c`` of epoch ``e``."""
+    feats = np.empty((dims.size, n_epochs))
+    return feats, feats.reshape(dims.n_times, dims.n_channels, n_epochs)
 
 
 def interval_means(epochs: Epochs, boundaries) -> FeatureMatrix:
@@ -272,7 +312,8 @@ def interval_means(epochs: Epochs, boundaries) -> FeatureMatrix:
         raise ShapeError("need at least two boundaries")
     idx = [sample_index(b, epochs.sfreq, epochs.t0) for b in bounds]
     n_int = len(idx) - 1
-    feats = np.empty((epochs.n_epochs, epochs.n_channels, n_int))
+    dims = BlockDims(epochs.n_channels, n_int)
+    feats, grid = _channel_prime(epochs.n_epochs, dims)
     for k in range(n_int):
         lo, hi = idx[k], idx[k + 1]
         if lo < 0 or hi > epochs.n_times:
@@ -285,8 +326,10 @@ def interval_means(epochs: Epochs, boundaries) -> FeatureMatrix:
                 f"interval [{bounds[k]}, {bounds[k + 1]}) contains no sample "
                 f"at sfreq={epochs.sfreq}"
             )
-        feats[:, :, k] = epochs.data[:, :, lo:hi].mean(axis=2)
-    return _stack_channel_prime(feats, BlockDims(epochs.n_channels, n_int))
+        grid[k] = epochs.data[:, :, lo:hi].mean(axis=2).T
+    # A mean of finite values overflows to inf beyond the largest float.
+    return _owned(FeatureMatrix, data=_finite_array(feats, feats.shape, "feature data"),
+                  dims=dims)
 
 
 def all_samples(epochs: Epochs, window) -> FeatureMatrix:
@@ -306,8 +349,11 @@ def all_samples(epochs: Epochs, window) -> FeatureMatrix:
             f"window ({a}, {b}) maps to samples [{start}, {start + count}) "
             f"outside the epoch (n_times={epochs.n_times})"
         )
-    feats = epochs.data[:, :, start : start + count]
-    return _stack_channel_prime(feats, BlockDims(epochs.n_channels, count))
+    dims = BlockDims(epochs.n_channels, count)
+    feats, grid = _channel_prime(epochs.n_epochs, dims)
+    np.copyto(grid, epochs.data[:, :, start : start + count].transpose(2, 1, 0))
+    # Values of the checked epochs, only moved: no check.
+    return _owned(FeatureMatrix, data=feats, dims=dims)
 
 
 def extract_features(epochs: Epochs, config: FeatureConfig) -> FeatureMatrix:

@@ -19,7 +19,8 @@ which needs no labels when the class means come via ``mean_override``.
 (non-finite or non-real input raises :class:`DataFormatError`) and its
 labels with ``blockmat._check_labels``.  Through ``_fitter``, which checks
 nothing again, it makes one call to estimate, ``covest._fit_estimate``, and
-one to solve, ``btsolve._fit_solve``.  The estimates come with the class
+one to solve, ``btsolve._fit_solve``, and wraps what they return without
+reading it again.  The estimates come with the class
 means and the power of two ``2**exp`` the centered data was divided by; the
 fit keeps the LDA algebra: the mean difference, the degenerate case of
 identical means, the bias and the model.  Dividing by ``2**exp`` is exact,
@@ -36,9 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import btsolve, covest
-from .blockmat import BlockDims, _check_labels, _finite_array
+from .blockmat import BlockDims, _check_labels, _finite_array, _owned
 from .covest import ESTIMATORS, ClassStats
 from .dataio import _finite, _json_object, _json_value, _number, _write_json
+from .errors import SolveError
 
 MODEL_FORMAT_VERSION = 1
 COV_MODES = ("within", "global")
@@ -46,7 +48,11 @@ COV_MODES = ("within", "global")
 
 @dataclass(frozen=True)
 class LdaModel:
-    """Fitted discriminant: weights, bias, and fit metadata."""
+    """Fitted discriminant: weights, bias, and fit metadata.
+
+    ``weights`` is read by ``blockmat._finite_array`` and copied; a fit
+    wraps the weights it solved for with ``blockmat._owned`` instead.
+    """
 
     weights: np.ndarray
     bias: float
@@ -133,10 +139,15 @@ def _fitter(x, labels, dims, estimators, cov_mode, mean_override, gamma):
             report = btsolve._fit_solve(
                 shrunk.matrix, np.ldexp(delta, -exp, out=delta), estimator == "toeplitz_a1_only"
             )
+            # The solution is finite, but undoing 2**exp can overflow it when
+            # the data is tiny and the estimate nearly singular.
             w = np.ldexp(report.solution, -exp)
+            if not np.isfinite(w).all():
+                raise SolveError("the weights overflow at the scale of the data")
             bias = float(-0.5 * (w @ (stats.means[0] + stats.means[1])))
             well_conditioned = report.well_conditioned
-        return LdaModel(
+        return _owned(
+            LdaModel,
             weights=w,
             bias=bias,
             dims=dims,

@@ -23,6 +23,9 @@ All randomness is drawn from per-epoch Philox streams keyed by
 bit-identical regardless of generation order or thread count.  Draw order
 within an epoch: source white noise ``(n_sources, n_times + L - 1)``, then,
 only when ``noise_floor > 0``, sensor noise ``(n_channels, n_times)``.
+Both generators check the values they compute for finiteness and hand
+their fresh array to the returned :class:`~toeplitzlda.dataio.Epochs`,
+which owns it read-only, without a copy.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import rng
 from .blockmat import BlockDims, BlockToeplitzCov, _finite_array
-from .dataio import Epochs
+from .dataio import Epochs, _owned_epochs
 from .errors import GroupSizeError, ShapeError
 
 #: Default scale of the class templates, tuned so that the shrinkage-only
@@ -46,6 +49,10 @@ DEFAULT_T0 = 0.1
 
 #: Targets to non-targets in each epoch group, here and in the benchmark.
 TARGET_RATIO = (1, 5)
+
+#: Bytes of the buffers of one block of epochs, which :func:`generate_noise`
+#: draws, filters and mixes at once; a block holds at least one epoch.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -175,6 +182,14 @@ def default_erp_spec(
     )
 
 
+def _block_epochs(n_sources: int, n_channels: int, n_times: int, fir_length: int) -> int:
+    """Epochs of one block of :func:`generate_noise`: at most ``_BLOCK_BYTES``
+    of its buffers and finiteness mask, or one epoch."""
+    width = n_times + fir_length - 1
+    per_epoch = 8 * (2 * n_sources * width + width + (n_sources + n_channels) * n_times)
+    return max(1, _BLOCK_BYTES // (per_epoch + n_channels * n_times))
+
+
 def generate_noise(
     model: NoiseModel,
     n_epochs: int,
@@ -183,7 +198,16 @@ def generate_noise(
     sfreq: float = DEFAULT_SFREQ,
     t0: float = DEFAULT_T0,
 ) -> Epochs:
-    """Draw unlabeled stationary noise epochs (bit-deterministic in seed)."""
+    """Draw unlabeled stationary noise epochs (bit-deterministic in seed).
+
+    The epochs are made in blocks of ``_block_epochs``, each drawn from its
+    own stream in the documented order.  Each source is filtered with one
+    convolution over the block's draws laid end to end, of which each
+    epoch keeps its ``valid`` window: every output sample is the same dot
+    product of the same taps and draws as a convolution of the epoch alone.
+    One stacked product mixes the block into the output, which is checked
+    for finiteness block by block and owned by the returned epochs.
+    """
     if n_epochs < 1:
         raise ShapeError(f"n_epochs must be >= 1, got {n_epochs}")
     nc, nt = dims.n_channels, dims.n_times
@@ -192,23 +216,35 @@ def generate_noise(
             f"noise model has {model.n_channels} channels, dims ask for {nc}"
         )
     ns, length = model.n_sources, model.fir_length
-    mix, fir = model.spatial_mix, model.temporal_fir
+    width = nt + length - 1
+    mix, fir, floor = model.spatial_mix, model.temporal_fir, model.noise_floor
+    block = min(n_epochs, _block_epochs(ns, nc, nt, length))
     data = np.empty((n_epochs, nc, nt))
-    filtered = np.empty((ns, nt))
-    for e in range(n_epochs):
-        gen = rng.stream(seed, e)
-        white = gen.standard_normal((ns, nt + length - 1))
+    drawn = np.empty((block, ns, width))
+    sensor = np.empty((block, nc, nt)) if floor > 0 else None
+    # The draws of each source, epoch after epoch.  The length - 1 values
+    # past the last epoch (zeros, or draws of an earlier block) only feed
+    # outputs that no epoch keeps; they make the output of the convolution
+    # one row of width per epoch.
+    rows = np.zeros((ns, block * width + length - 1))
+    filtered = np.empty((block, ns, nt))
+    for start in range(0, n_epochs, block):
+        size = min(block, n_epochs - start)
+        for b in range(size):
+            gen = rng.stream(seed, start + b)
+            gen.standard_normal(out=drawn[b])
+            if sensor is not None:
+                gen.standard_normal(out=sensor[b])
+        rows[:, : size * width].reshape(ns, size, width)[...] = drawn[:size].transpose(1, 0, 2)
         for s in range(ns):
-            filtered[s] = np.convolve(white[s], fir[s], mode="valid")
-        data[e] = mix @ filtered
-        if model.noise_floor > 0:
-            data[e] += model.noise_floor * gen.standard_normal((nc, nt))
-    return Epochs(
-        data=data,
-        sfreq=sfreq,
-        t0=t0,
-        channel_names=tuple(f"c{i:02d}" for i in range(nc)),
-    )
+            conv = np.convolve(rows[s, : size * width + length - 1], fir[s], mode="valid")
+            filtered[:size, s] = conv.reshape(size, width)[:, :nt]
+        out = data[start : start + size]
+        np.matmul(mix, filtered[:size], out=out)
+        if sensor is not None:
+            out += np.multiply(floor, sensor[:size], out=sensor[:size])
+        _finite_array(out, out.shape, "epoch data")
+    return _owned_epochs(data, sfreq, t0, tuple(f"c{i:02d}" for i in range(nc)))
 
 
 def true_covariance(model: NoiseModel, dims: BlockDims) -> BlockToeplitzCov:
@@ -254,13 +290,8 @@ def inject_erp(epochs: Epochs, spec: ErpSpec, seed: int) -> Epochs:
     for g in range(epochs.n_epochs // gs):
         pos = gen.permutation(gs)[: TARGET_RATIO[0]]
         labels[g * gs + pos] = 1
-    data = epochs.data.copy()
-    data[labels == 0] += spec.nontarget_template
-    data[labels == 1] += spec.target_template
-    return Epochs(
-        data=data,
-        sfreq=epochs.sfreq,
-        t0=epochs.t0,
-        channel_names=epochs.channel_names,
-        labels=labels,
-    )
+    data = np.empty_like(epochs.data)
+    for label, template in enumerate((spec.nontarget_template, spec.target_template)):
+        np.add(epochs.data, template, out=data, where=(labels == label)[:, None, None])
+    _finite_array(data, data.shape, "epoch data")
+    return _owned_epochs(data, epochs.sfreq, epochs.t0, epochs.channel_names, labels)

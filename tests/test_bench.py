@@ -324,10 +324,11 @@ def test_estimators_of_a_draw_share_their_common_stages(monkeypatch, dataset_dir
 
 @pytest.mark.parametrize("oracle_means", [False, True])
 def test_a_run_checks_its_data_only_at_extraction(monkeypatch, dataset_dir, oracle_means):
-    # The feature matrix is checked once when it is extracted.  Neither the
-    # validation half (scored once per row), nor the training half (the
-    # oracle means), nor a training draw (fitted once per group) is read by
-    # _finite_array again.
+    # The data is checked once, when the dataset is read; the all_samples
+    # features only move the checked values.  Neither the feature matrix,
+    # nor the validation half (scored once per row), nor the training half
+    # (the oracle means), nor a training draw (fitted once per group) is
+    # read by _finite_array again.
     cfg = small_config(dataset_dir, estimators=ALL_ESTIMATORS, cov_modes=lda.COV_MODES,
                        oracle_means=oracle_means)
     d = manual_splits(cfg)[0].size
@@ -335,7 +336,7 @@ def test_a_run_checks_its_data_only_at_extraction(monkeypatch, dataset_dir, orac
     real = blockmat._finite_array
 
     def spy(values, shape, name):
-        if np.ndim(values) == 2 and np.shape(values)[0] == d:
+        if np.ndim(values) == 3 or (np.ndim(values) == 2 and np.shape(values)[0] == d):
             shapes.append(np.shape(values))
         return real(values, shape, name)
 
@@ -343,7 +344,7 @@ def test_a_run_checks_its_data_only_at_extraction(monkeypatch, dataset_dir, orac
         monkeypatch.setattr(module, "_finite_array", spy)
     report = run_benchmark(cfg)
     assert all(r.status == "ok" for r in report.rows)
-    assert shapes == [(d, 96)]
+    assert shapes == [(96, 2, 20)]
 
 
 def test_dense_estimators_of_a_draw_hold_one_dense_covariance_at_a_time(tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,28 @@ def test_fit_then_score_recovers_signal_in_sample(dataset96, tmp_path, capsys):
     summary = json.loads(lines[-1])
     assert summary["n_epochs"] == 96
     assert summary["auc"] > 0.55
+
+
+def test_fit_command_holds_the_data_at_most_twice(tmp_path, capsys):
+    # 192 epochs of 31 x 200 (9.1 MiB) and every sample a feature.  The
+    # command holds the epochs and the features only while it extracts
+    # them, and the features and the fit's own copy during the fit.  64 KiB
+    # covers the argument parser and the other small objects of a command,
+    # which do not grow with the data.
+    ds = tmp_path / "ds"
+    assert cli.main(["synth", "--out-dir", str(ds), "--n-epochs", "192",
+                     "--n-channels", "31", "--n-times", "200", "--seed", "3"]) == 0
+    size = 192 * 31 * 200 * 8
+    tracemalloc.start()
+    try:
+        code = cli.main(["fit", "--dataset-dir", str(ds), "--model-path",
+                         str(tmp_path / "model.json"), "--window", "0.1", "5.1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert last_json(capsys.readouterr().out)["n_features"] == 31 * 200
+    assert peak <= 2 * size + (64 << 10), f"peak {peak / size:.3f} x the data"
 
 
 def test_score_without_labels_emits_plain_csv(tmp_path, capsys):

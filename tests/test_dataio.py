@@ -2,6 +2,7 @@
 
 import ast
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,70 @@ def test_truncated_labels_file_is_rejected(tmp_path):
     (tmp_path / "labels.bin").write_bytes(bytes([0, 1]))
     with pytest.raises(DataFormatError, match="labels.bin"):
         read_dataset(tmp_path)
+
+
+def test_labels_file_values_are_checked(tmp_path):
+    write_dataset(small_epochs(labels=np.array([0, 1, 0, 1])), tmp_path)
+    (tmp_path / "labels.bin").write_bytes(bytes([0, 1, 2, 1]))
+    with pytest.raises(DataFormatError, match="labels must be 0"):
+        read_dataset(tmp_path)
+
+
+#: Bytes of the Python objects of a call, which do not grow with the data.
+SMALL = 64 << 10
+
+
+def traced(call):
+    """``call()`` under tracemalloc: its result, and the bytes held at the
+    traced peak and at return."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
+
+
+def test_read_dataset_holds_its_data_once(tmp_path):
+    # 192 epochs of 8 x 100: 1.2 MiB.  The data is read into the array the
+    # epochs own; while it is checked, numpy's isfinite mask takes one byte
+    # per value (an eighth of the data).
+    noise = synth.generate_noise(synth.default_noise_model(BlockDims(8, 100)), 192,
+                                 BlockDims(8, 100), seed=2)
+    write_dataset(synth.inject_erp(noise, synth.default_erp_spec(BlockDims(8, 100)), seed=2),
+                  tmp_path)
+    epochs, peak, held = traced(lambda: read_dataset(tmp_path))
+    size = epochs.data.nbytes
+    assert not epochs.data.flags.writeable and not epochs.labels.flags.writeable
+    assert held <= size + SMALL, f"holds {held / size:.3f} x the data"
+    assert peak <= size + size // 8 + SMALL, f"peak {peak / size:.3f} x the data"
+
+
+@pytest.mark.parametrize("kind", ["all_samples", "interval_means"])
+def test_features_are_owned_c_contiguous_and_equal_the_stacked_epochs(kind):
+    epochs = small_epochs(n_epochs=24, nc=8, nt=100, sfreq=40.0, t0=0.0, seed=4)
+    config = (FeatureConfig("all_samples", window=(0.0, 2.5)) if kind == "all_samples"
+              else FeatureConfig("interval_means", boundaries=(0.0, 0.4, 1.1, 2.5)))
+    fm, peak, _ = traced(lambda: extract_features(epochs, config))
+    assert fm.data.flags.c_contiguous and not fm.data.flags.writeable
+    # At most one copy of the epochs (all samples are a transposed copy).
+    assert peak <= epochs.data.nbytes + SMALL, f"peak {peak / epochs.data.nbytes:.3f} x"
+    if kind == "all_samples":
+        stacked = epochs.data
+    else:
+        edges = [sample_index(b, 40.0, 0.0) for b in config.boundaries]
+        stacked = np.stack([epochs.data[:, :, lo:hi].mean(axis=2)
+                            for lo, hi in zip(edges, edges[1:])], axis=2)
+    expect = stacked.transpose(0, 2, 1).reshape(24, -1).T
+    assert fm.data.tobytes() == np.ascontiguousarray(expect).tobytes()
+
+
+def test_interval_means_that_overflow_are_rejected():
+    epochs = Epochs(data=np.full((2, 1, 4), np.finfo(float).max), sfreq=1.0, t0=0.0,
+                    channel_names=("a",))
+    with np.errstate(over="ignore"), pytest.raises(DataFormatError, match="non-finite"):
+        interval_means(epochs, (0.0, 4.0))
 
 
 def test_nan_payload_is_rejected(tmp_path):

@@ -215,9 +215,10 @@ ROUTE_SIZES = {"dense": (3, 5), "pcg": (4, 128)}
 @pytest.mark.parametrize("estimator", lda.ESTIMATORS)
 def test_no_fit_runs_the_levinson_recursion(monkeypatch, estimator, route):
     # block_levinson_solve remains only as a reference; the block-Toeplitz
-    # estimates go through block_toeplitz_solve, on the route its size picks.
+    # estimates take the route of block_toeplitz_solve that their size picks,
+    # through its unchecked core _toeplitz_solve.
     calls, routes = [], []
-    real = btsolve.block_toeplitz_solve
+    real = btsolve._toeplitz_solve
 
     def solve(*args):
         report = real(*args)
@@ -230,7 +231,7 @@ def test_no_fit_runs_the_levinson_recursion(monkeypatch, estimator, route):
 
     for module in (btsolve, lda):
         monkeypatch.setattr(module, "block_levinson_solve", levinson, raising=False)
-    monkeypatch.setattr(btsolve, "block_toeplitz_solve", solve)
+    monkeypatch.setattr(btsolve, "_toeplitz_solve", solve)
     nc, nt = ROUTE_SIZES[route]
     x, labels, dims = labeled_features(nc, nt, 42, seed=12)
     fit(x, labels, dims=dims, estimator=estimator)
@@ -253,7 +254,7 @@ def test_estimate_and_solve_switch_together(monkeypatch, route, nc, nt):
     # One rule picks both the lag-sum kernel of the estimate and the route
     # of the solve: FFT lag sums exactly when the solve is PCG.
     ffts, routes = [], []
-    real_fft, real_solve = covest._lag_sums_fft, btsolve.block_toeplitz_solve
+    real_fft, real_solve = covest._lag_sums_fft, btsolve._toeplitz_solve
 
     def lag_sums_fft(*args):
         ffts.append(args)
@@ -265,7 +266,7 @@ def test_estimate_and_solve_switch_together(monkeypatch, route, nc, nt):
         return report
 
     monkeypatch.setattr(covest, "_lag_sums_fft", lag_sums_fft)
-    monkeypatch.setattr(btsolve, "block_toeplitz_solve", solve)
+    monkeypatch.setattr(btsolve, "_toeplitz_solve", solve)
     x, labels, dims = labeled_features(nc, nt, 42, seed=12)
     fit(x, labels, dims=dims, estimator="toeplitz")
     assert routes == [route]
@@ -376,6 +377,28 @@ def test_fit_checks_its_data_once(monkeypatch, estimator, cov_mode):
         monkeypatch.setattr(module, "_finite_array", spy)
     fit(x, labels, dims=dims, estimator=estimator, cov_mode=cov_mode)
     assert names == ["x"]
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_SIZES))
+@pytest.mark.parametrize("estimator", lda.ESTIMATORS)
+def test_fit_reads_no_array_it_made(monkeypatch, estimator, route):
+    # The class means, lag blocks, right-hand side and weights a fit makes
+    # are wrapped as made: the only arrays _finite_array reads are the
+    # caller's data and mean override.
+    x, labels, dims = labeled_features(*ROUTE_SIZES[route], 42, seed=12)
+    override = covest.class_means(x, labels)
+    names = []
+    real = blockmat._finite_array
+
+    def spy(values, shape, name):
+        names.append(name)
+        return real(values, shape, name)
+
+    for module in (blockmat, covest, btsolve, lda):
+        monkeypatch.setattr(module, "_finite_array", spy)
+    fit(x, labels, dims=dims, estimator=estimator)
+    fit(x, labels, dims=dims, estimator=estimator, mean_override=override)
+    assert names == ["x", "x", "mean_override"]
 
 
 def small_chunks(monkeypatch, n_rows_or_epochs, n, d):

@@ -1,11 +1,13 @@
 """Synthetic data generator: analytic covariance, determinism, labeling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from toeplitzlda import rng, synth
 from toeplitzlda.blockmat import BlockDims, to_dense
-from toeplitzlda.errors import GroupSizeError, ShapeError
+from toeplitzlda.errors import DataFormatError, GroupSizeError, ShapeError
 from toeplitzlda.synth import ErpSpec, NoiseModel
 
 # First four doubles of the (seed=0, substream=0) stream; frozen from the
@@ -167,6 +169,76 @@ def test_epoch_data_is_read_only():
     epochs = synth.generate_noise(synth.default_noise_model(dims), 1, dims, seed=0)
     with pytest.raises(ValueError):
         epochs.data[0, 0, 0] = 1.0
+    labeled = synth.inject_erp(synth.generate_noise(synth.default_noise_model(dims), 6, dims,
+                                                    seed=0), zero_spec(1, 2), seed=0)
+    for array in (labeled.data, labeled.labels):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def per_epoch_noise(model: NoiseModel, n_epochs: int, dims: BlockDims, seed: int) -> np.ndarray:
+    """The generator one epoch and one source at a time: the reference that
+    the blocked generator must equal bit for bit."""
+    nc, nt = dims.n_channels, dims.n_times
+    ns, length = model.n_sources, model.fir_length
+    data = np.empty((n_epochs, nc, nt))
+    filtered = np.empty((ns, nt))
+    for e in range(n_epochs):
+        gen = rng.stream(seed, e)
+        white = gen.standard_normal((ns, nt + length - 1))
+        for s in range(ns):
+            filtered[s] = np.convolve(white[s], model.temporal_fir[s], mode="valid")
+        data[e] = model.spatial_mix @ filtered
+        if model.noise_floor > 0:
+            data[e] += model.noise_floor * gen.standard_normal((nc, nt))
+    return data
+
+
+@pytest.mark.parametrize("count", ["one", "block-1", "block+1"])
+@pytest.mark.parametrize("noise_floor", [0.0, 0.5])
+@pytest.mark.parametrize("fir_length", [1, 2, 8, 40])
+def test_blocked_generator_equals_the_per_epoch_loop(fir_length, noise_floor, count):
+    # Distinct taps per source and a square mixing matrix of full rank (so a
+    # zero floor is allowed); the counts put the last block one short of
+    # full, or one epoch into a second block.
+    dims = BlockDims(3, 5)
+    draws = np.random.default_rng(fir_length)
+    model = NoiseModel(spatial_mix=draws.standard_normal((3, 3)) + 3 * np.eye(3),
+                       temporal_fir=draws.standard_normal((3, fir_length)),
+                       noise_floor=noise_floor)
+    block = synth._block_epochs(3, 3, 5, fir_length)
+    n_epochs = {"one": 1, "block-1": block - 1, "block+1": block + 1}[count]
+    epochs = synth.generate_noise(model, n_epochs, dims, seed=11)
+    assert epochs.data.tobytes() == per_epoch_noise(model, n_epochs, dims, seed=11).tobytes()
+
+
+def test_generator_holds_its_output_and_one_block():
+    dims = BlockDims(8, 64)
+    model = synth.default_noise_model(dims)
+    n_epochs = 4 * synth._block_epochs(8, 8, 64, model.fir_length) + 3
+    tracemalloc.start()
+    try:
+        epochs = synth.generate_noise(model, n_epochs, dims, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    extra = peak - epochs.data.nbytes
+    # 64 KiB for the streams and the other small objects of a call.
+    assert extra <= synth._BLOCK_BYTES + (64 << 10), f"{extra / 2**20:.2f} MiB beyond the output"
+
+
+def test_non_finite_noise_and_injection_are_rejected():
+    # Finite parameters whose products overflow.
+    dims = BlockDims(1, 3)
+    huge = NoiseModel(spatial_mix=np.array([[1e308]]), temporal_fir=np.array([1e308]))
+    with np.errstate(over="ignore"), pytest.raises(DataFormatError, match="non-finite"):
+        synth.generate_noise(huge, 6, dims, seed=0)
+    loud = NoiseModel(spatial_mix=np.array([[1e307]]), temporal_fir=np.array([1.0]))
+    noise = synth.generate_noise(loud, 6, dims, seed=0)
+    spec = ErpSpec(target_template=np.full((1, 3), np.finfo(float).max),
+                   nontarget_template=np.full((1, 3), np.finfo(float).max))
+    with np.errstate(over="ignore"), pytest.raises(DataFormatError, match="non-finite"):
+        synth.inject_erp(noise, spec, seed=0)
 
 
 # ------------------------------------------------------- erp injection
@@ -207,6 +279,17 @@ def test_labels_are_deterministic_in_seed():
     c = synth.inject_erp(noise, zero_spec(1, 2), seed=10)
     assert np.array_equal(a.labels, b.labels)
     assert not np.array_equal(a.labels, c.labels)
+
+
+def test_injection_adds_each_epoch_its_class_template():
+    dims = BlockDims(2, 3)
+    noise = synth.generate_noise(synth.default_noise_model(dims), 12, dims, seed=3)
+    spec = synth.default_erp_spec(dims)
+    labeled = synth.inject_erp(noise, spec, seed=3)
+    expect = noise.data.copy()
+    expect[labeled.labels == 0] += spec.nontarget_template
+    expect[labeled.labels == 1] += spec.target_template
+    assert labeled.data.tobytes() == expect.tobytes()
 
 
 def test_injection_shifts_class_means_by_template_difference():
