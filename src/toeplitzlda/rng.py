@@ -29,7 +29,27 @@ SPLIT_STREAM = 1 << 41
 DRAW_STREAM_BASE = 1 << 42
 
 
+def _key(seed: int, substream: int) -> np.ndarray:
+    return np.array([seed & _MASK64, substream & _MASK64], dtype=np.uint64)
+
+
 def stream(seed: int, substream: int) -> np.random.Generator:
     """Generator for the Philox stream keyed by ``(seed, substream)``."""
-    key = np.array([seed & _MASK64, substream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, substream)))
+
+
+def streams(seed: int, substreams):
+    """The generators of :func:`stream` for each of ``substreams`` in turn.
+
+    One bit generator is set, for each substream, to the state a new one
+    keyed by it starts in: the same draws, without building a generator (and
+    drawing fresh entropy it does not use) per substream.  Each generator
+    yielded is valid until the next one is.
+    """
+    bitgen = np.random.Philox(key=_key(seed, 0))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    for substream in substreams:
+        state["state"]["key"] = _key(seed, substream)
+        bitgen.state = state
+        yield gen

@@ -186,7 +186,7 @@ def _block_epochs(n_sources: int, n_channels: int, n_times: int, fir_length: int
     """Epochs of one block of :func:`generate_noise`: at most ``_BLOCK_BYTES``
     of its buffers and finiteness mask, or one epoch."""
     width = n_times + fir_length - 1
-    per_epoch = 8 * (2 * n_sources * width + width + (n_sources + n_channels) * n_times)
+    per_epoch = 8 * (3 * n_sources * width + (n_sources + n_channels) * n_times)
     return max(1, _BLOCK_BYTES // (per_epoch + n_channels * n_times))
 
 
@@ -201,12 +201,14 @@ def generate_noise(
     """Draw unlabeled stationary noise epochs (bit-deterministic in seed).
 
     The epochs are made in blocks of ``_block_epochs``, each drawn from its
-    own stream in the documented order.  Each source is filtered with one
-    convolution over the block's draws laid end to end, of which each
-    epoch keeps its ``valid`` window: every output sample is the same dot
-    product of the same taps and draws as a convolution of the epoch alone.
-    One stacked product mixes the block into the output, which is checked
-    for finiteness block by block and owned by the returned epochs.
+    own stream in the documented order.  Each run of consecutive sources
+    with the same taps (all sources, for the default model) is filtered
+    with one convolution over the block's draws of those sources laid end
+    to end, of which each epoch keeps its ``valid`` window: every output
+    sample is the same dot product of the same taps and draws as a
+    convolution of one source of one epoch.  One stacked product mixes the
+    block into the output, which is checked for finiteness block by block
+    and owned by the returned epochs.
     """
     if n_epochs < 1:
         raise ShapeError(f"n_epochs must be >= 1, got {n_epochs}")
@@ -219,26 +221,31 @@ def generate_noise(
     width = nt + length - 1
     mix, fir, floor = model.spatial_mix, model.temporal_fir, model.noise_floor
     block = min(n_epochs, _block_epochs(ns, nc, nt, length))
+    # The first source of each run of sources with the same taps, and ns.
+    edges = [s for s in range(ns) if not s or fir[s].tobytes() != fir[s - 1].tobytes()] + [ns]
+    gens = rng.streams(seed, range(n_epochs))
     data = np.empty((n_epochs, nc, nt))
     drawn = np.empty((block, ns, width))
     sensor = np.empty((block, nc, nt)) if floor > 0 else None
-    # The draws of each source, epoch after epoch.  The length - 1 values
-    # past the last epoch (zeros, or draws of an earlier block) only feed
-    # outputs that no epoch keeps; they make the output of the convolution
-    # one row of width per epoch.
-    rows = np.zeros((ns, block * width + length - 1))
+    # The draws of each source, epoch after epoch, source after source.  The
+    # length - 1 values after a run's last row (draws of the next source or
+    # of an earlier block, or zeros) only feed outputs that no epoch keeps;
+    # they make the output of the convolution one row of width per epoch.
+    rows = np.zeros(ns * block * width + length - 1)
     filtered = np.empty((block, ns, nt))
     for start in range(0, n_epochs, block):
         size = min(block, n_epochs - start)
         for b in range(size):
-            gen = rng.stream(seed, start + b)
+            gen = next(gens)
             gen.standard_normal(out=drawn[b])
             if sensor is not None:
                 gen.standard_normal(out=sensor[b])
-        rows[:, : size * width].reshape(ns, size, width)[...] = drawn[:size].transpose(1, 0, 2)
-        for s in range(ns):
-            conv = np.convolve(rows[s, : size * width + length - 1], fir[s], mode="valid")
-            filtered[:size, s] = conv.reshape(size, width)[:, :nt]
+        span = size * width
+        rows[: ns * span].reshape(ns, size, width)[...] = drawn[:size].transpose(1, 0, 2)
+        for lo, hi in zip(edges, edges[1:]):
+            conv = np.convolve(rows[lo * span : hi * span + length - 1], fir[lo], mode="valid")
+            filtered[:size, lo:hi] = conv.reshape(hi - lo, size, width)[..., :nt].transpose(1, 0, 2)
+            del conv  # before the next block's convolution allocates its output
         out = data[start : start + size]
         np.matmul(mix, filtered[:size], out=out)
         if sensor is not None:

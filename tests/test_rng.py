@@ -49,3 +49,13 @@ def test_negative_and_large_keys_are_accepted():
     b = rng.stream((1 << 64) - 1, 0).standard_normal(4)
     # -1 and 2**64 - 1 are congruent modulo 2**64, so the streams agree.
     assert np.array_equal(a, b)
+
+
+def test_streams_equal_a_new_stream_per_substream():
+    # One generator, re-keyed: whatever the previous substream drew, the next
+    # starts where a new stream of its key starts.
+    subs = [0, 5, 1, rng.LABEL_STREAM, 5]
+    for sub, (size, gen) in zip(subs, zip((3, 1, 8, 5, 2), rng.streams(7, subs))):
+        head = gen.standard_normal(size)
+        assert np.array_equal(head, rng.stream(7, sub).standard_normal(size))
+        gen.standard_normal(3)  # left over for the next substream

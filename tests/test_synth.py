@@ -197,15 +197,19 @@ def per_epoch_noise(model: NoiseModel, n_epochs: int, dims: BlockDims, seed: int
 @pytest.mark.parametrize("count", ["one", "block-1", "block+1"])
 @pytest.mark.parametrize("noise_floor", [0.0, 0.5])
 @pytest.mark.parametrize("fir_length", [1, 2, 8, 40])
-def test_blocked_generator_equals_the_per_epoch_loop(fir_length, noise_floor, count):
-    # Distinct taps per source and a square mixing matrix of full rank (so a
-    # zero floor is allowed); the counts put the last block one short of
-    # full, or one epoch into a second block.
+@pytest.mark.parametrize("taps", ["distinct", "runs"])
+def test_blocked_generator_equals_the_per_epoch_loop(taps, fir_length, noise_floor, count):
+    # Distinct taps per source, or a run of two sources sharing taps before
+    # a third, and a square mixing matrix of full rank (so a zero floor is
+    # allowed); the counts put the last block one short of full, or one
+    # epoch into a second block.
     dims = BlockDims(3, 5)
     draws = np.random.default_rng(fir_length)
+    fir = draws.standard_normal((3, fir_length))
+    if taps == "runs":
+        fir[1] = fir[0]
     model = NoiseModel(spatial_mix=draws.standard_normal((3, 3)) + 3 * np.eye(3),
-                       temporal_fir=draws.standard_normal((3, fir_length)),
-                       noise_floor=noise_floor)
+                       temporal_fir=fir, noise_floor=noise_floor)
     block = synth._block_epochs(3, 3, 5, fir_length)
     n_epochs = {"one": 1, "block-1": block - 1, "block+1": block + 1}[count]
     epochs = synth.generate_noise(model, n_epochs, dims, seed=11)
