@@ -16,6 +16,9 @@ format of generated datasets is fully specified):
   (:mod:`toeplitzlda.bench`).
 * ``DRAW_STREAM_BASE + subset_size * 2**20 + draw_index`` -- training
   subset draws.
+
+:func:`streams` gives the generators of :func:`stream` for a sequence of
+substreams from one bit generator, re-keyed for each.
 """
 
 from __future__ import annotations

@@ -227,10 +227,11 @@ def generate_noise(
     data = np.empty((n_epochs, nc, nt))
     drawn = np.empty((block, ns, width))
     sensor = np.empty((block, nc, nt)) if floor > 0 else None
-    # The draws of each source, epoch after epoch, source after source.  The
-    # length - 1 values after a run's last row (draws of the next source or
-    # of an earlier block, or zeros) only feed outputs that no epoch keeps;
-    # they make the output of the convolution one row of width per epoch.
+    # The block's draws, source after source and, within a source, epoch
+    # after epoch.  The length - 1 values after a run's last row (draws of
+    # the next source or of an earlier block, or zeros) only feed outputs
+    # that no epoch keeps; they make the output of the convolution one row
+    # of width per epoch.
     rows = np.zeros(ns * block * width + length - 1)
     filtered = np.empty((block, ns, nt))
     for start in range(0, n_epochs, block):
