@@ -12,15 +12,16 @@ The protocol mirrors a transfer-style evaluation on a labeled dataset:
 3. Aggregate mean and standard deviation over draws per cell.
 
 ``BenchConfig`` checks the settings and feature extraction the data, once;
-after that only :func:`auc` checks what it is given.  One training draw and
-cov mode is one unit of work: its estimators are fitted through one
-``lda._fitter``, which takes the draw's class means, centering, shrinkage
-intensity and lag sums once for all of them (see ``covest._Estimates``);
-each estimator then forms and solves its own estimate and is scored through
-``lda._decision_values``.  An error in a shared stage fails every row of the
-draw with the message a lone fit gives; an error in one estimator's
-estimate, solve or score fails only its row.  The rows come out in the
-order estimator, cov mode, size, draw.
+after that only each row's scores are checked: the rows score them through
+``_auc`` against the validation labels, which the dataset reader checked.
+One training draw and cov mode is one unit of work: its estimators are
+fitted through one ``lda._fitter``, which takes the draw's class means,
+centering, shrinkage intensity and lag sums once for all of them (see
+``covest._Estimates``); each estimator then forms and solves its own
+estimate and is scored through ``lda._decision_values``.  An error in a
+shared stage fails every row of the draw with the message a lone fit gives;
+an error in one estimator's estimate, solve or score fails only its row.
+The rows come out in the order estimator, cov mode, size, draw.
 
 Every random choice derives from a Philox stream keyed by the benchmark
 seed and the cell coordinates, so reports are byte-identical across runs
@@ -62,17 +63,32 @@ def auc(scores, labels) -> float:
     exactly, including in floating point.
     """
     scores = _finite_array(scores, (None,), "scores")
-    labels = _check_labels(labels, scores.size)
-    pos = labels == 1
-    n_t = int(pos.sum())
-    n_n = labels.size - n_t
+    return _auc(scores, _check_labels(labels, scores.size) == 1)
+
+
+def _auc(scores: np.ndarray, pos: np.ndarray) -> float:
+    """:func:`auc` of finite float64 ``scores`` and the target mask ``pos``
+    of checked labels.
+
+    One stable sort gives the runs of tied scores; each score takes the
+    mid-rank of its run, and the target ranks are summed in the order of
+    ``scores``.
+    """
+    n_t = int(np.count_nonzero(pos))
+    n_n = pos.size - n_t
     if n_t == 0 or n_n == 0:
         raise ValueError("AUC needs at least one target and one non-target")
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts + 1
-    midranks = (starts + ends) / 2.0
-    u = midranks[inverse][pos].sum() - n_t * (n_t + 1) / 2.0
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    new_run = np.empty(scores.size, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], scores.size)
+    midranks = (starts + 1 + ends) / 2.0
+    ranks = np.empty(scores.size)
+    ranks[order] = midranks[np.cumsum(new_run) - 1]
+    u = ranks[pos].sum() - n_t * (n_t + 1) / 2.0
     return float(u / (n_t * n_n))
 
 
@@ -235,6 +251,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     train_idx, val_idx = split_train_val(labels.size, cfg.seed)
     x_train, y_train = feats.data[:, train_idx], labels[train_idx]
     x_val, y_val = feats.data[:, val_idx], labels[val_idx]
+    val_targets = y_val == 1  # checked by read_dataset
     dims = feats.dims
     del feats  # the halves are copies
     oracle = (covest._centring(x_train, y_train, within=True, scaled=False)[1]
@@ -282,7 +299,8 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
             try:
                 model = fit_one(est)
                 fit_ms = shared_ms + (time.perf_counter() - start) * 1e3
-                score = auc(lda._decision_values(model, x_val), y_val)
+                scores = _finite_array(lda._decision_values(model, x_val), (None,), "scores")
+                score = _auc(scores, val_targets)
             except (ToeplitzLdaError, np.linalg.LinAlgError) as exc:
                 rows.append(failed(est, shared_ms + (time.perf_counter() - start) * 1e3, exc))
                 continue

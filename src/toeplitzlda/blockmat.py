@@ -82,6 +82,20 @@ def _fft_pays(n_channels: int, n_times: int) -> bool:
     return n_times >= 16 and n_channels * n_times >= 512
 
 
+#: Bytes of the temporaries that the spectral stages of a ``toeplitz`` fit
+#: (``covest``'s FFT lag sums, ``btsolve``'s preconditioner) compute over one
+#: slice of frequencies at a time.
+_SLICE_BYTES = 128 << 10
+
+
+def _slices(size: int, item_bytes: int) -> list[slice]:
+    """``range(size)`` in consecutive slices, each of at most ``_SLICE_BYTES``
+    of items of ``item_bytes`` and at least one item; none when ``size`` is 0.
+    The first slice is the longest."""
+    step = max(1, _SLICE_BYTES // item_bytes)
+    return [slice(start, min(start + step, size)) for start in range(0, size, step)]
+
+
 def _finite_array(values, shape: tuple, name: str) -> np.ndarray:
     """``values`` as a float64 array of ``shape``, all finite.
 
@@ -98,9 +112,28 @@ def _finite_array(values, shape: tuple, name: str) -> np.ndarray:
         expected = ", ".join("*" if n is None else str(n) for n in shape)
         raise ShapeError(f"{name} has shape {a.shape}, expected ({expected})")
     a = a.astype(np.float64, copy=False)
-    if not np.isfinite(a).all():
+    if not _all_finite(a):
         raise DataFormatError(f"{name} contains non-finite values (NaN or inf)")
     return a
+
+
+#: Most values whose finiteness ``_all_finite`` tests in one mask.
+_FINITE_VALUES = 1 << 15
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every value of the float array ``a`` is finite.
+
+    Larger arrays are tested over slices along their first or last axis,
+    whichever has the larger stride, each of at most ``_FINITE_VALUES``
+    values or one index of that axis, so the one-byte mask of
+    ``np.isfinite`` stays small; the first non-finite slice ends the scan.
+    """
+    if a.size <= _FINITE_VALUES:
+        return bool(np.isfinite(a).all())
+    outer = a if abs(a.strides[0]) >= abs(a.strides[-1]) else a.T
+    step = max(1, _FINITE_VALUES // (a.size // outer.shape[0]))
+    return all(np.isfinite(outer[i : i + step]).all() for i in range(0, outer.shape[0], step))
 
 
 def _check_labels(labels, n_epochs: int) -> np.ndarray:

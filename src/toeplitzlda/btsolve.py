@@ -15,6 +15,10 @@ estimate), and names it in ``SolveReport.method``:
   multiplies by ``T`` through the FFT of a block-circulant embedding of the
   lag blocks, so the solve costs ``O(iters n_channels^2 n_times log
   n_times)`` time and never forms ``T``; ``iters`` is typically 10 to 30.
+  Beyond the lag blocks it holds two spectra, each built one channel
+  column at a time: the embedding's, about ``n_times`` complex blocks, and
+  the inverse preconditioner's, about half as many, which is factored and
+  inverted in place over slices of frequencies (``blockmat._slices``).
 
 A system that is not positive definite, or that the iterations do not
 solve within a fixed cap, raises :class:`SolveError`.  A fit solves through
@@ -47,7 +51,7 @@ import scipy.linalg
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .blockmat import BlockCov, BlockToeplitzCov, _fft_pays, _finite_array, to_dense
+from .blockmat import BlockCov, BlockToeplitzCov, _fft_pays, _finite_array, _slices, to_dense
 from .errors import SolveBreakdownError, SolveError
 
 
@@ -71,15 +75,20 @@ def _lag_spectrum(btc: BlockToeplitzCov) -> tuple[np.ndarray, int]:
     """Real FFT of a block circulant of length ``n >= 2 n_times - 1`` whose
     first ``n_times`` block rows are the dense expansion of ``btc``: ``c[0] =
     L[0]``, ``c[d] = L[d]^T`` and ``c[n - d] = L[d]`` for ``1 <= d < n_times``.
-    Returns the ``(n // 2 + 1, n_channels, n_channels)`` spectrum and ``n``."""
+    Returns the ``(n // 2 + 1, n_channels, n_channels)`` spectrum and ``n``.
+    The embedding is built and transformed one channel column at a time, in
+    an ``(n, n_channels)`` scratch, so the spectrum is its one large array."""
     nc, nt = btc.dims.n_channels, btc.dims.n_times
     lags = btc.lag_blocks
     n = scipy.fft.next_fast_len(2 * nt - 1, real=True)
-    c = np.zeros((n, nc, nc))
-    c[0] = lags[0]
-    c[1:nt] = lags[1:].transpose(0, 2, 1)
-    c[n - nt + 1 :] = lags[:0:-1]
-    return scipy.fft.rfft(c, axis=0), n
+    spec = np.empty((n // 2 + 1, nc, nc), dtype=complex)
+    col = np.zeros((n, nc))
+    for j in range(nc):
+        col[0] = lags[0, :, j]
+        col[1:nt] = lags[1:, j]
+        col[n - nt + 1 :] = lags[:0:-1, :, j]
+        spec[:, :, j] = scipy.fft.rfft(col, axis=0)
+    return spec, n
 
 
 def _spectral_product(spec: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
@@ -203,22 +212,30 @@ def _chan_preconditioner(btc: BlockToeplitzCov) -> np.ndarray:
     L[k]^T + k L[n_times - k]) / n_times`` (the first block column) is the
     nearest to ``T`` in the Frobenius norm; it is positive definite when
     ``T`` is.  Its real FFT holds the Hermitian blocks it acts by at each
-    frequency.  Each is Cholesky-factored as the test of positive
-    definiteness, which raises :class:`SolveError` for a block that fails,
-    and then inverted.
+    frequency; it is built one channel column at a time straight into that
+    spectrum.  Over slices of frequencies (``blockmat._slices``) each block
+    is Cholesky-factored as the test of positive definiteness, which raises
+    :class:`SolveError` for a block that fails, and then inverted in place.
     """
-    nt = btc.dims.n_times
+    nc, nt = btc.dims.n_channels, btc.dims.n_times
     lags = btc.lag_blocks
-    k = np.arange(nt)[:, None, None]
-    c = lags.transpose(0, 2, 1) * (nt - k)
-    c[1:] += lags[:0:-1] * k[1:]
-    c /= nt
-    blocks = scipy.fft.rfft(c, axis=0)
-    try:
-        np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError as exc:
-        raise SolveError(f"block circulant preconditioner is not positive definite: {exc}") from exc
-    return np.linalg.inv(blocks)
+    k = np.arange(nt)[:, None]
+    blocks = np.empty((nt // 2 + 1, nc, nc), dtype=complex)
+    col = np.empty((nt, nc))
+    for j in range(nc):
+        np.multiply(lags[:, j], nt - k, out=col)
+        col[1:] += lags[:0:-1, :, j] * k[1:]
+        col /= nt
+        blocks[:, :, j] = scipy.fft.rfft(col, axis=0)
+    for freqs in _slices(len(blocks), 16 * nc * nc):
+        try:
+            np.linalg.cholesky(blocks[freqs])
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(
+                f"block circulant preconditioner is not positive definite: {exc}"
+            ) from exc
+        blocks[freqs] = np.linalg.inv(blocks[freqs])
+    return blocks
 
 
 def _pcg_solve(btc: BlockToeplitzCov, b: np.ndarray) -> SolveReport:

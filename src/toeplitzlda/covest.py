@@ -8,7 +8,8 @@ identity) in the structure an estimator of ``ESTIMATORS`` names.  Only
 and they shrink (and taper) it in the buffer the product lands in;
 ``toeplitz`` and ``toeplitz_a1_only`` build their lag blocks from the data:
 one product per lag on short windows, a cross-spectrum summed over chunks
-of epochs on long ones (the size rule ``blockmat._fft_pays``).  The
+of epochs on long ones (the size rule ``blockmat._fft_pays``), whose
+products are formed over slices of frequencies into one small buffer.  The
 Ledoit-Wolf intensity sums the smaller of the ``D x D`` and ``N_e x N_e``
 products over chunks of the data.  ``sample_covariance`` and
 ``shrink`` (then ``blockmat.apply_taper_dense``) run the dense estimate
@@ -43,7 +44,7 @@ import scipy.fft
 import scipy.fftpack
 
 from .blockmat import (BlockCov, BlockDims, BlockToeplitzCov, _check_labels, _fft_pays,
-                       _finite_array, _owned, _owned_cov, _owned_toeplitz)
+                       _finite_array, _owned, _owned_cov, _owned_toeplitz, _slices)
 from .errors import ShapeError
 
 ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
@@ -382,8 +383,11 @@ def _lag_sums_fft(centred: _Centred, dims: BlockDims) -> np.ndarray:
     the real and imaginary parts of frequency ``k`` are adjacent
     ``(epochs, nc)`` planes ``Re``, ``Im``.  The cross-spectrum is then
     ``Re^T Re + Im^T Im + i (M - M^T)`` with ``M = Re^T Im``: two real
-    products per frequency and no complex copy.  ``O(N_e nc nt log nt +
-    N_e nc^2 nt)`` time.
+    products per frequency and no complex copy, formed over slices of
+    frequencies (``blockmat._slices``) in one small buffer and added into
+    the spectrum.  Beyond the data the kernel holds the spectrum, the chunk
+    buffer and that slice buffer, then the spectrum and the ``nt`` lags.
+    ``O(N_e nc nt log nt + N_e nc^2 nt)`` time.
     """
     nc, nt, n = dims.n_channels, dims.n_times, centred.x.shape[1]
     half = scipy.fft.next_fast_len(nt, real=True)
@@ -392,7 +396,8 @@ def _lag_sums_fft(centred: _Centred, dims: BlockDims) -> np.ndarray:
     # rows 2k - 1 and 2k the real and imaginary part of k, the last row nfft/2.
     spec = np.zeros((nfft, nc, nc))
     spec_re, spec_im = spec[1:-1:2], spec[2:-1:2]
-    prod = np.empty((half - 1, nc, nc))
+    freqs = _slices(half - 1, 8 * nc * nc)
+    prod = part = np.empty((freqs[0].stop if freqs else 0, nc, nc))
     chunk = max(1, min(_FFT_EPOCHS, n // 4))
     buf = np.empty(nfft * chunk * nc)
     for start in range(0, n, chunk):
@@ -403,17 +408,23 @@ def _lag_sums_fft(centred: _Centred, dims: BlockDims) -> np.ndarray:
         f[nt:] = 0.0
         f = scipy.fftpack.rfft(f, axis=0, overwrite_x=True)
         stacked = f[1:-1].reshape(half - 1, 2 * width, nc)  # [Re; Im] per k
-        np.matmul(stacked.transpose(0, 2, 1), stacked, out=prod)
-        spec_re += prod
-        np.matmul(f[1:-1:2].transpose(0, 2, 1), f[2:-1:2], out=prod)
-        spec_im += prod
+        re, im = f[1:-1:2], f[2:-1:2]
+        for k in freqs:
+            part = prod[: k.stop - k.start]
+            np.matmul(stacked[k].transpose(0, 2, 1), stacked[k], out=part)
+            spec_re[k] += part
+            np.matmul(re[k].transpose(0, 2, 1), im[k], out=part)
+            spec_im[k] += part
         spec[0] += f[0].T @ f[0]
         spec[-1] += f[-1].T @ f[-1]
-    # The chunk buffer and the products go before the inverse transform
-    # allocates its output: on long windows that is the estimate's peak.
-    del buf, f, stacked, prod
-    spec_im -= spec_im.transpose(0, 2, 1)
-    # A copy of the first nt lags, so that the nfft lags are let go here.
+    # The chunk buffer, its views and the products go before the inverse
+    # transform: on long windows the buffer is the estimate's peak.
+    del buf, f, stacked, re, im, prod, part
+    # By slices: numpy copies the overlapping transpose before it subtracts.
+    for k in freqs:
+        spec_im[k] -= spec_im[k].transpose(0, 2, 1)
+    # The transform runs in place in spec; a copy of the first nt lags lets
+    # the nfft lags go here.
     return scipy.fftpack.irfft(spec, axis=0, overwrite_x=True)[:nt].copy()
 
 

@@ -1,13 +1,17 @@
 """Dense reference helpers that no fit, score, synth or bench run calls.
 
 The tests check the package's block layout and taper against these direct
-element-wise definitions.
+element-wise definitions, and the spectral stages of a ``toeplitz`` fit
+against whole-array versions of them.
 """
 
 import numpy as np
+import scipy.fft
+import scipy.fftpack
 
-from toeplitzlda.blockmat import BlockCov
-from toeplitzlda.errors import ShapeError
+from toeplitzlda import covest
+from toeplitzlda.blockmat import BlockCov, BlockDims, BlockToeplitzCov
+from toeplitzlda.errors import ShapeError, SolveError
 
 
 def block_at(cov: BlockCov, i: int, j: int) -> np.ndarray:
@@ -25,3 +29,67 @@ def taper_weight(d: int, n_times: int) -> float:
     if abs(d) > n_times:
         raise ShapeError(f"lag {d} out of range for n_times={n_times}")
     return 1.0 - abs(d) / n_times
+
+
+# The whole-array spectral stages of a toeplitz fit, as they stood before
+# the fit computed them by channel columns and slices of frequencies: each
+# allocates its full spectra at once, and the fit's stages must equal them
+# bit for bit.
+
+
+def lag_sums_fft(centred: covest._Centred, dims: BlockDims) -> np.ndarray:
+    """``covest._lag_sums_fft`` with a product buffer of all interior
+    frequencies at once."""
+    nc, nt, n = dims.n_channels, dims.n_times, centred.x.shape[1]
+    half = scipy.fft.next_fast_len(nt, real=True)
+    nfft = 2 * half
+    spec = np.zeros((nfft, nc, nc))
+    spec_re, spec_im = spec[1:-1:2], spec[2:-1:2]
+    prod = np.empty((half - 1, nc, nc))
+    chunk = max(1, min(covest._FFT_EPOCHS, n // 4))
+    buf = np.empty(nfft * chunk * nc)
+    for start in range(0, n, chunk):
+        width = min(chunk, n - start)
+        f = buf[: nfft * width * nc].reshape(nfft, width, nc)
+        centred.write(f[:nt].transpose(0, 2, 1), cols=slice(start, start + width),
+                      view=lambda a: a.reshape(nt, nc, -1))
+        f[nt:] = 0.0
+        f = scipy.fftpack.rfft(f, axis=0, overwrite_x=True)
+        stacked = f[1:-1].reshape(half - 1, 2 * width, nc)
+        np.matmul(stacked.transpose(0, 2, 1), stacked, out=prod)
+        spec_re += prod
+        np.matmul(f[1:-1:2].transpose(0, 2, 1), f[2:-1:2], out=prod)
+        spec_im += prod
+        spec[0] += f[0].T @ f[0]
+        spec[-1] += f[-1].T @ f[-1]
+    spec_im -= spec_im.transpose(0, 2, 1)
+    return scipy.fftpack.irfft(spec, axis=0, overwrite_x=True)[:nt].copy()
+
+
+def lag_spectrum(btc: BlockToeplitzCov) -> tuple[np.ndarray, int]:
+    """``btsolve._lag_spectrum`` from the whole ``(n, nc, nc)`` real embedding."""
+    nc, nt = btc.dims.n_channels, btc.dims.n_times
+    lags = btc.lag_blocks
+    n = scipy.fft.next_fast_len(2 * nt - 1, real=True)
+    c = np.zeros((n, nc, nc))
+    c[0] = lags[0]
+    c[1:nt] = lags[1:].transpose(0, 2, 1)
+    c[n - nt + 1 :] = lags[:0:-1]
+    return scipy.fft.rfft(c, axis=0), n
+
+
+def chan_preconditioner(btc: BlockToeplitzCov) -> np.ndarray:
+    """``btsolve._chan_preconditioner`` from the whole real circulant, its
+    Cholesky factors and its inverse at once."""
+    nt = btc.dims.n_times
+    lags = btc.lag_blocks
+    k = np.arange(nt)[:, None, None]
+    c = lags.transpose(0, 2, 1) * (nt - k)
+    c[1:] += lags[:0:-1] * k[1:]
+    c /= nt
+    blocks = scipy.fft.rfft(c, axis=0)
+    try:
+        np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError as exc:
+        raise SolveError(f"block circulant preconditioner is not positive definite: {exc}") from exc
+    return np.linalg.inv(blocks)

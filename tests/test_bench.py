@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +20,8 @@ from toeplitzlda.bench import (
 from toeplitzlda.blockmat import BlockDims
 from toeplitzlda.dataio import write_dataset
 from toeplitzlda.errors import DataFormatError, GroupSizeError, ShapeError, SolveError
+
+from conftest import traced_peak
 
 
 def pairwise_auc(scores, labels):
@@ -53,6 +54,19 @@ def test_auc_matches_exhaustive_pairwise_count():
         # Coarse scores force plenty of ties.
         scores = np.round(rng.standard_normal(m), 1)
         assert auc(scores, labels) == pairwise_auc(scores, labels)
+
+
+def test_run_checks_the_labels_once_whatever_its_rows(monkeypatch, dataset_dir):
+    # read_dataset checks the labels; the rows score through bench._auc on
+    # the validation targets taken once, so only the subset draws check
+    # labels again, once per size.
+    calls = []
+    real = bench._check_labels
+    monkeypatch.setattr(bench, "_check_labels", lambda *a: calls.append(1) or real(*a))
+    for n_draws in (1, 3):
+        calls.clear()
+        run_benchmark(small_config(dataset_dir, n_draws=n_draws, estimators=ALL_ESTIMATORS))
+        assert len(calls) == 2
 
 
 def test_auc_rejects_bad_inputs():
@@ -358,12 +372,7 @@ def test_dense_estimators_of_a_draw_hold_one_dense_covariance_at_a_time(tmp_path
                   tmp_path)
     cfg = BenchConfig(dataset_dir=str(tmp_path), estimators=("slda", "toeplitz_a2_only"),
                       subset_sizes=(24,), n_draws=1)
-    tracemalloc.start()
-    try:
-        report = run_benchmark(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak, _ = traced_peak(lambda: run_benchmark(cfg))
     assert [r.status for r in report.rows] == ["ok", "ok"]
     one = dims.size**2 * 8
     assert peak < 1.5 * one, f"peak {peak / one:.2f} x D x D"

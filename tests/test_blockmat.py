@@ -1,12 +1,12 @@
 """Channel-prime layout, block-diagonal averaging, tapering, and parameter counting."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from toeplitzlda import blockmat
 from toeplitzlda.blockmat import (
     BlockCov,
     BlockDims,
@@ -20,6 +20,7 @@ from toeplitzlda.blockmat import (
 from toeplitzlda.dataio import Epochs, all_samples
 from toeplitzlda.errors import DataFormatError, ShapeError
 
+from conftest import traced_peak
 from dense_reference import block_at, taper_weight
 
 
@@ -226,17 +227,27 @@ def test_to_dense_matches_block_by_block_oracle(nc, nt, seed):
     assert np.array_equal(to_dense(btc).data, oracle)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "reversed", "strided", "3-D"])
+@pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finite_check_over_slices_finds_a_value_in_any_slice(layout, where, bad):
+    # 300 x 500 values are five slices of at most 32 Ki values; the bad value
+    # sits in the first slice, the middle one or the last.
+    a = np.random.default_rng(0).standard_normal((300, 500))
+    view = {"C": a, "F": np.asfortranarray(a), "reversed": a[::-1, ::-1],
+            "strided": np.repeat(a, 2, axis=1)[:, ::2], "3-D": a.reshape(30, 10, 500)}[layout]
+    assert blockmat._finite_array(view, (None,) * view.ndim, "x") is view
+    view[np.unravel_index(int(where * (view.size - 1)), view.shape)] = bad
+    with pytest.raises(DataFormatError, match="x contains non-finite values"):
+        blockmat._finite_array(view, (None,) * view.ndim, "x")
+
+
 def test_to_dense_holds_one_dense_matrix():
     # At 8 x 128, D = 1024: one D x D float64 matrix is 8 MiB; the lag stack
     # the gather reads is 2 n_times blocks.
     btc = random_spd_block_toeplitz(np.random.default_rng(11), 8, 128)
     d = btc.dims.size
-    tracemalloc.start()
-    try:
-        dense = to_dense(btc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    dense, peak, _ = traced_peak(lambda: to_dense(btc))
     assert dense.data.shape == (d, d)
     assert peak < 1.1 * d * d * 8, f"peak {peak / 2**20:.2f} MiB"
 

@@ -1,12 +1,14 @@
 """The block-Toeplitz solve of the fits, its dense and PCG routes, the
 reference block Levinson recursion and the dense reference solver."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toeplitzlda import btsolve
+from toeplitzlda import blockmat, btsolve
 from toeplitzlda.blockmat import BlockCov, BlockDims, BlockToeplitzCov, _owned_cov, to_dense
 from toeplitzlda.btsolve import (
     block_levinson_solve,
@@ -15,6 +17,8 @@ from toeplitzlda.btsolve import (
     dense_solve,
 )
 from toeplitzlda.errors import DataFormatError, ShapeError, SolveBreakdownError, SolveError
+
+from dense_reference import chan_preconditioner, lag_spectrum
 
 
 def random_spd_block_toeplitz(rng, nc, nt, ridge=0.5):
@@ -218,6 +222,59 @@ def test_pcg_iteration_cap_raises_solve_error(monkeypatch):
     monkeypatch.setattr(btsolve, "_PCG_MAX_ITER", 2)
     with pytest.raises(SolveError, match="did not converge in 2 iterations"):
         block_toeplitz_solve(btc, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nc=st.integers(1, 5),
+    nt=st.integers(1, 24),
+    per_slice=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nc=1, nt=1, per_slice=1, seed=0)  # n = 1, one frequency
+@example(nc=1, nt=2, per_slice=1, seed=1)  # n = 3
+@example(nc=3, nt=5, per_slice=2, seed=2)  # odd n = 9, 3 preconditioner frequencies
+@example(nc=4, nt=20, per_slice=3, seed=3)  # 11 preconditioner frequencies, slices of 3
+def test_spectral_stages_equal_the_whole_spectrum_oracles(nc, nt, per_slice, seed):
+    # The embedding and the circulant are built one channel column at a
+    # time and the preconditioner blocks factored and inverted over slices
+    # of per_slice frequencies; the oracles transform and invert whole
+    # arrays.  The spectra, and so the PCG solution, are the same bits.
+    rng = np.random.default_rng(seed)
+    btc = random_spd_block_toeplitz(rng, nc, nt)
+    b = rng.standard_normal(btc.dims.size)
+    with mock.patch.object(blockmat, "_SLICE_BYTES", per_slice * 16 * nc * nc):
+        spec, n = btsolve._lag_spectrum(btc)
+        pre = btsolve._chan_preconditioner(btc)
+        solution = btsolve._pcg_solve(btc, b).solution
+    spec_ref, n_ref = lag_spectrum(btc)
+    assert n == n_ref and np.array_equal(spec, spec_ref)
+    assert np.array_equal(pre, chan_preconditioner(btc))
+    with mock.patch.object(btsolve, "_lag_spectrum", lag_spectrum), \
+            mock.patch.object(btsolve, "_chan_preconditioner", chan_preconditioner):
+        assert np.array_equal(solution, btsolve._pcg_solve(btc, b).solution)
+
+
+@pytest.mark.parametrize(("nt", "freq"), [(7, f) for f in range(4)] + [(10, f) for f in range(6)])
+def test_preconditioner_block_that_is_not_positive_definite_raises_in_any_slice(nt, freq):
+    # Lag blocks c_k A from a symmetric circulant c make Chan's circulant c
+    # itself, whose blocks are its spectrum times the SPD matrix A: 1 at
+    # every frequency but freq, -1 there.  Slices of two frequencies put
+    # freq in each slice and position, the last slice of nt = 10 a short one.
+    nc = 3
+    mix = np.random.default_rng(nt).standard_normal((nc, nc))
+    a = mix @ mix.T + np.eye(nc)
+
+    def preconditioner(spectrum):
+        lags = np.fft.irfft(spectrum, nt)[:, None, None] * a
+        with mock.patch.object(blockmat, "_SLICE_BYTES", 2 * 16 * nc * nc):
+            return btsolve._chan_preconditioner(BlockToeplitzCov(BlockDims(nc, nt), lags))
+
+    spectrum = np.ones(nt // 2 + 1)
+    assert np.allclose(preconditioner(spectrum), np.linalg.inv(a))
+    spectrum[freq] = -1.0
+    with pytest.raises(SolveError, match="preconditioner is not positive definite"):
+        preconditioner(spectrum)
 
 
 def test_block_toeplitz_solve_is_deterministic():

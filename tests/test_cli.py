@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from toeplitzlda import cli, synth
 from toeplitzlda.blockmat import BlockDims
 from toeplitzlda.dataio import read_dataset, write_dataset
 from toeplitzlda.lda import load_model
+
+from conftest import traced_peak
 
 # Golden digests for the default generator configuration; any change to the
 # noise model, templates, stream keying, or file format shows up here.
@@ -310,13 +311,9 @@ def test_fit_command_holds_the_data_at_most_twice(tmp_path, capsys):
     assert cli.main(["synth", "--out-dir", str(ds), "--n-epochs", "192",
                      "--n-channels", "31", "--n-times", "200", "--seed", "3"]) == 0
     size = 192 * 31 * 200 * 8
-    tracemalloc.start()
-    try:
-        code = cli.main(["fit", "--dataset-dir", str(ds), "--model-path",
-                         str(tmp_path / "model.json"), "--window", "0.1", "5.1"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak, _ = traced_peak(lambda: cli.main(
+        ["fit", "--dataset-dir", str(ds), "--model-path", str(tmp_path / "model.json"),
+         "--window", "0.1", "5.1"]))
     assert code == 0
     assert last_json(capsys.readouterr().out)["n_features"] == 31 * 200
     assert peak <= 2 * size + (64 << 10), f"peak {peak / size:.3f} x the data"

@@ -1,6 +1,5 @@
 """Centering, sample covariance, shrinkage, and the structured estimator."""
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toeplitzlda import covest, synth
+from toeplitzlda import blockmat, covest, synth
 from toeplitzlda.blockmat import (
     BlockCov,
     BlockDims,
@@ -27,6 +26,9 @@ from toeplitzlda.covest import (
     shrink,
 )
 from toeplitzlda.errors import DataFormatError, ShapeError
+
+from conftest import traced_peak
+from dense_reference import lag_sums_fft
 
 
 def flatten_epochs(epochs):
@@ -594,12 +596,7 @@ def test_dense_estimate_holds_one_dense_matrix(estimator):
     # place leaves the product's buffer as the only one.
     dims = BlockDims(8, 64)
     xc = center(np.random.default_rng(0).standard_normal((dims.size, 96)))
-    tracemalloc.start()
-    try:
-        estimate_covariance(xc, dims, estimator)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: estimate_covariance(xc, dims, estimator)).peak
     one = dims.size**2 * 8
     assert peak < 1.25 * one, f"peak {peak / one:.3f} x D x D"
 
@@ -618,6 +615,34 @@ def test_lag_sum_kernel_follows_the_size_rule(nc, nt, kernel):
     with mock.patch.object(covest, kernel, wraps=getattr(covest, kernel)) as spy:
         estimate_covariance(xc, dims, "toeplitz")
     assert spy.call_count == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nc=st.integers(1, 5),
+    nt=st.integers(1, 24),
+    n=st.integers(2, 40),
+    per_slice=st.integers(1, 7),
+    within=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nc=1, nt=1, n=2, per_slice=1, within=False, seed=0)  # no interior frequency
+@example(nc=3, nt=1, n=5, per_slice=3, within=True, seed=1)
+@example(nc=1, nt=2, n=2, per_slice=1, within=True, seed=2)
+@example(nc=4, nt=21, n=37, per_slice=5, within=False, seed=3)  # 23 frequencies, slices of 5
+@example(nc=2, nt=16, n=33, per_slice=4, within=True, seed=4)  # 15 frequencies, slices of 4
+def test_fft_lag_sums_equal_the_whole_spectrum_oracle(nc, nt, n, per_slice, within, seed):
+    # The kernel forms the products over slices of per_slice frequencies;
+    # the oracle forms them over all interior frequencies at once.  Every
+    # sum runs in the same order, so the lag sums are the same bits.
+    dims = BlockDims(nc, nt)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((dims.size, n)) * rng.uniform(0.1, 5.0)
+    labels = (np.arange(n) % 2).astype(np.uint8) if within else None
+    centred, _ = covest._centring(x, labels, within, scaled=True)
+    with mock.patch.object(blockmat, "_SLICE_BYTES", per_slice * 8 * nc * nc):
+        sums = covest._lag_sums_fft(centred, dims)
+    assert np.array_equal(sums, lag_sums_fft(centred, dims))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 """Synthetic data generator: analytic covariance, determinism, labeling."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,8 @@ from toeplitzlda import rng, synth
 from toeplitzlda.blockmat import BlockDims, to_dense
 from toeplitzlda.errors import DataFormatError, GroupSizeError, ShapeError
 from toeplitzlda.synth import ErpSpec, NoiseModel
+
+from conftest import traced_peak
 
 # First four doubles of the (seed=0, substream=0) stream; frozen from the
 # documented counter-based generator layout.
@@ -220,12 +221,7 @@ def test_generator_holds_its_output_and_one_block():
     dims = BlockDims(8, 64)
     model = synth.default_noise_model(dims)
     n_epochs = 4 * synth._block_epochs(8, 8, 64, model.fir_length) + 3
-    tracemalloc.start()
-    try:
-        epochs = synth.generate_noise(model, n_epochs, dims, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    epochs, peak, _ = traced_peak(lambda: synth.generate_noise(model, n_epochs, dims, seed=1))
     extra = peak - epochs.data.nbytes
     # 64 KiB for the streams and the other small objects of a call.
     assert extra <= synth._BLOCK_BYTES + (64 << 10), f"{extra / 2**20:.2f} MiB beyond the output"
