@@ -31,7 +31,6 @@ from .btsolve import (
     SolveReport,
     block_levinson_solve,
     block_toeplitz_matmul,
-    block_toeplitz_solve,
     dense_solve,
 )
 from .covest import (
@@ -96,7 +95,6 @@ __all__ = [
     "block_diagonal_average",
     "block_levinson_solve",
     "block_toeplitz_matmul",
-    "block_toeplitz_solve",
     "class_means",
     "decision_values",
     "default_erp_spec",

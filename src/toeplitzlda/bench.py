@@ -11,9 +11,10 @@ The protocol mirrors a transfer-style evaluation on a labeled dataset:
    estimator on it, and score the full validation half by AUC.
 3. Aggregate mean and standard deviation over draws per cell.
 
-``BenchConfig`` checks the settings and feature extraction the data, once;
+``BenchConfig`` checks the settings, ``run_benchmark`` the split (both
+classes in the validation half) and feature extraction the data, once;
 after that only each row's scores are checked: the rows score them through
-``_auc`` against the validation labels, which the dataset reader checked.
+``_auc`` against the validation labels.
 One training draw and cov mode is one unit of work: its estimators are
 fitted through one ``lda._fitter``, which takes the draw's class means,
 centering, shrinkage intensity and lag sums once for all of them (see
@@ -45,7 +46,7 @@ import numpy as np
 from . import covest, lda, rng
 from .blockmat import _check_labels, _finite_array
 from .dataio import FeatureConfig, _write_json, extract_features, read_dataset
-from .errors import GroupSizeError, ShapeError, ToeplitzLdaError
+from .errors import DataFormatError, GroupSizeError, ShapeError, ToeplitzLdaError
 from .synth import TARGET_RATIO
 
 logger = logging.getLogger(__name__)
@@ -63,12 +64,15 @@ def auc(scores, labels) -> float:
     exactly, including in floating point.
     """
     scores = _finite_array(scores, (None,), "scores")
-    return _auc(scores, _check_labels(labels, scores.size) == 1)
+    pos = _check_labels(labels, scores.size) == 1
+    if pos.all() or not pos.any():
+        raise ValueError("AUC needs at least one target and one non-target")
+    return _auc(scores, pos)
 
 
 def _auc(scores: np.ndarray, pos: np.ndarray) -> float:
     """:func:`auc` of finite float64 ``scores`` and the target mask ``pos``
-    of checked labels.
+    of checked labels, which holds both classes.
 
     One stable sort gives the runs of tied scores; each score takes the
     mid-rank of its run, and the target ranks are summed in the order of
@@ -76,8 +80,6 @@ def _auc(scores: np.ndarray, pos: np.ndarray) -> float:
     """
     n_t = int(np.count_nonzero(pos))
     n_n = pos.size - n_t
-    if n_t == 0 or n_n == 0:
-        raise ValueError("AUC needs at least one target and one non-target")
     order = np.argsort(scores, kind="stable")
     ordered = scores[order]
     new_run = np.empty(scores.size, dtype=bool)
@@ -241,17 +243,23 @@ class BenchReport:
 
 
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
-    """Run the full grid; failures are recorded per cell, not raised."""
+    """Run the full grid, recording failures per cell; a dataset that breaks
+    the group contract raises :class:`DataFormatError` before the first fit."""
     epochs = read_dataset(cfg.dataset_dir)
     labels = epochs.labels
     if labels is None:
         raise ShapeError("the benchmark needs a labeled dataset")
+    try:
+        train_idx, val_idx = split_train_val(labels.size, cfg.seed)
+    except GroupSizeError as exc:
+        raise DataFormatError(str(exc)) from exc
+    val_targets = labels[val_idx] == 1  # checked by read_dataset
+    if val_targets.all() or not val_targets.any():
+        raise DataFormatError(f"the validation half of seed {cfg.seed} holds one class")
     feats = extract_features(epochs, cfg.feature)
     del epochs  # the run reads only the features and the labels
-    train_idx, val_idx = split_train_val(labels.size, cfg.seed)
     x_train, y_train = feats.data[:, train_idx], labels[train_idx]
-    x_val, y_val = feats.data[:, val_idx], labels[val_idx]
-    val_targets = y_val == 1  # checked by read_dataset
+    x_val = feats.data[:, val_idx]
     dims = feats.dims
     del feats  # the halves are copies
     oracle = (covest._centring(x_train, y_train, within=True, scaled=False)[1]

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .errors import DataFormatError, ShapeError
 
@@ -80,6 +81,12 @@ def _fft_pays(n_channels: int, n_times: int) -> bool:
     ``n_channels``-cubed preconditioner blocks dominate.
     """
     return n_times >= 16 and n_channels * n_times >= 512
+
+
+def _embedding_length(n_times: int) -> int:
+    """Length of every block-circulant embedding of ``n_times`` lags (FFT lag
+    sums, PCG operator): even, at least ``2 n_times``, half a fast FFT size."""
+    return 2 * scipy.fft.next_fast_len(n_times, real=True)
 
 
 #: Bytes of the temporaries that the spectral stages of a ``toeplitz`` fit

@@ -1,10 +1,11 @@
 """Linear solvers for block-Toeplitz systems.
 
-``block_toeplitz_solve`` solves ``T x = b`` where ``T`` is the symmetric
-positive definite dense expansion of a :class:`BlockToeplitzCov`.  It
-takes one of two routes, by the size of the system
-(``blockmat._fft_pays``, the rule that also picks the lag-sum kernel of the
-estimate), and names it in ``SolveReport.method``:
+A fit solves its estimate through ``_fit_solve``, the one entry into the
+block-Toeplitz solve.  A dense estimate is the fit's own and is factored in
+place.  The compact :class:`BlockToeplitzCov` of a ``toeplitz`` fit takes
+one of two routes, by the size of the system (``blockmat._fft_pays``, the
+rule that also picks the lag-sum kernel of the estimate), and names it in
+``SolveReport.method``:
 
 * ``"dense"``, on small systems: ``blockmat.to_dense`` fills one ``D x D``
   buffer, which LAPACK Cholesky (``dpotrf``/``dpotrs``) factors in place,
@@ -20,12 +21,10 @@ estimate), and names it in ``SolveReport.method``:
   the inverse preconditioner's, about half as many, which is factored and
   inverted in place over slices of frequencies (``blockmat._slices``).
 
-A system that is not positive definite, or that the iterations do not
-solve within a fixed cap, raises :class:`SolveError`.  A fit solves through
-``_fit_solve``, which takes the route of ``block_toeplitz_solve``
-(``_toeplitz_solve``) for ``toeplitz``, factors a dense estimate in place
-and holds the indefinite fallback of ``toeplitz_a1_only``; it reads the
-fit's own right-hand side no more.
+``toeplitz_a1_only`` (averaging without tapering) may be indefinite, so it
+always takes the dense route, with a symmetric indefinite fallback.  Any
+other system that is not positive definite, or that the iterations do not
+solve within a fixed cap, raises :class:`SolveError`.
 
 ``block_toeplitz_matmul`` multiplies by the dense expansion with the same
 FFT product, in ``O(n_channels^2 n_times log n_times)``.  ``dense_solve``
@@ -33,9 +32,9 @@ solves a dense symmetric positive definite system with the same LAPACK
 Cholesky, on a copy.  ``block_levinson_solve`` runs the multichannel
 Levinson–Whittle recursion (Whittle 1963; Akaike 1973) in ``O(n_times^2)``
 block operations, raising :class:`SolveBreakdownError` at the first leading
-block minor that is not positive definite; it remains only as a reference
-that no fit calls.  Each of these takes one finite length-``D`` vector,
-read by ``blockmat._finite_array``.
+block minor that is not positive definite; it is a reference that no fit
+calls.  Each of these three takes one finite length-``D`` vector, read by
+``blockmat._finite_array``.
 
 Notation: ``L[d]`` is the lag-``d`` block, so the dense matrix has block
 ``(i, j)`` equal to ``L[j-i]`` above the diagonal and ``L[i-j]^T`` below.
@@ -51,7 +50,8 @@ import scipy.linalg
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .blockmat import BlockCov, BlockToeplitzCov, _fft_pays, _finite_array, _slices, to_dense
+from .blockmat import (BlockCov, BlockToeplitzCov, _embedding_length, _fft_pays, _finite_array,
+                       _slices, to_dense)
 from .errors import SolveBreakdownError, SolveError
 
 
@@ -59,8 +59,8 @@ from .errors import SolveBreakdownError, SolveError
 class SolveReport:
     """Solution vector of one linear system and the route that produced it.
 
-    ``method`` names the solver: ``"dense"`` or ``"pcg"`` from
-    :func:`block_toeplitz_solve` and :func:`dense_solve`, ``"levinson"``
+    ``method`` names the solver: ``"dense"`` or ``"pcg"`` from a fit's
+    ``_fit_solve``, ``"dense"`` from :func:`dense_solve` and ``"levinson"``
     from the reference :func:`block_levinson_solve`.
     ``well_conditioned`` is False when a positive definite factorization
     failed and an indefinite solve produced the solution.
@@ -72,15 +72,18 @@ class SolveReport:
 
 
 def _lag_spectrum(btc: BlockToeplitzCov) -> tuple[np.ndarray, int]:
-    """Real FFT of a block circulant of length ``n >= 2 n_times - 1`` whose
+    """Real FFT of the block circulant of length ``n =
+    blockmat._embedding_length(n_times)``, the FFT lag sums' length, whose
     first ``n_times`` block rows are the dense expansion of ``btc``: ``c[0] =
-    L[0]``, ``c[d] = L[d]^T`` and ``c[n - d] = L[d]`` for ``1 <= d < n_times``.
-    Returns the ``(n // 2 + 1, n_channels, n_channels)`` spectrum and ``n``.
+    L[0]``, ``c[d] = L[d]^T`` and ``c[n - d] = L[d]`` for ``1 <= d < n_times``,
+    zero between.  Returns the ``(n // 2 + 1, n_channels, n_channels)``
+    spectrum, a ``toeplitz`` estimate's scaled cross-spectrum plus ``gamma nu
+    I``, and ``n``.
     The embedding is built and transformed one channel column at a time, in
     an ``(n, n_channels)`` scratch, so the spectrum is its one large array."""
     nc, nt = btc.dims.n_channels, btc.dims.n_times
     lags = btc.lag_blocks
-    n = scipy.fft.next_fast_len(2 * nt - 1, real=True)
+    n = _embedding_length(nt)
     spec = np.empty((n // 2 + 1, nc, nc), dtype=complex)
     col = np.zeros((n, nc))
     for j in range(nc):
@@ -214,8 +217,9 @@ def _chan_preconditioner(btc: BlockToeplitzCov) -> np.ndarray:
     ``T`` is.  Its real FFT holds the Hermitian blocks it acts by at each
     frequency; it is built one channel column at a time straight into that
     spectrum.  Over slices of frequencies (``blockmat._slices``) each block
-    is Cholesky-factored as the test of positive definiteness, which raises
-    :class:`SolveError` for a block that fails, and then inverted in place.
+    is Cholesky-factored as the test of positive definiteness and then
+    inverted in place; a block that fails either raises :class:`SolveError`
+    (a nearly singular block can pass the Cholesky and fail the inverse).
     """
     nc, nt = btc.dims.n_channels, btc.dims.n_times
     lags = btc.lag_blocks
@@ -230,11 +234,11 @@ def _chan_preconditioner(btc: BlockToeplitzCov) -> np.ndarray:
     for freqs in _slices(len(blocks), 16 * nc * nc):
         try:
             np.linalg.cholesky(blocks[freqs])
+            blocks[freqs] = np.linalg.inv(blocks[freqs])
         except np.linalg.LinAlgError as exc:
             raise SolveError(
                 f"block circulant preconditioner is not positive definite: {exc}"
             ) from exc
-        blocks[freqs] = np.linalg.inv(blocks[freqs])
     return blocks
 
 
@@ -273,47 +277,28 @@ def _pcg_solve(btc: BlockToeplitzCov, b: np.ndarray) -> SolveReport:
     return SolveReport(x, "pcg", True)
 
 
-def block_toeplitz_solve(btc: BlockToeplitzCov, b) -> SolveReport:
-    """Solve the symmetric positive definite block-Toeplitz system of ``btc``
-    for the vector ``b``: a dense Cholesky on small systems, PCG with a
-    block-circulant preconditioner on large ones (see the module notes).
-    Raises :class:`SolveError` when the system is not positive definite or
-    the solve does not converge."""
-    return _toeplitz_solve(btc, _finite_array(b, (btc.dims.size,), "b"))
-
-
-def _toeplitz_solve(btc: BlockToeplitzCov, b: np.ndarray) -> SolveReport:
-    """:func:`block_toeplitz_solve` of a finite float64 ``b``: the route by size."""
-    if _fft_pays(btc.dims.n_channels, btc.dims.n_times):
-        return _pcg_solve(btc, b)
-    return _solve_in_place(to_dense(btc), b)
-
-
 def _fit_solve(
     cov: BlockCov | BlockToeplitzCov, b: np.ndarray, maybe_indefinite: bool
 ) -> SolveReport:
-    """Solve a fit's own estimate for the finite vector ``b``.
-
-    A dense ``cov`` is the fit's own and read no more, so it is factored in
-    place.  A compact one takes the route of :func:`block_toeplitz_solve`,
-    unless ``maybe_indefinite`` (averaging without tapering): then it always
-    takes the dense route, and when the Cholesky of the expanded lag blocks
-    fails, which shows the matrix is not positive definite, a fresh
-    expansion (the first one was overwritten) is solved with a symmetric
-    indefinite factorization and the report says so instead of failing.
-    The lag blocks are finite, so only the solution needs a scan.
+    """Solve a fit's own estimate for the finite vector ``b``: a dense
+    ``cov``, read no more, is factored in place; a compact one takes the PCG
+    route where ``blockmat._fft_pays`` picks it, unless ``maybe_indefinite``
+    (averaging without tapering), else the dense route on its expansion.
+    With ``maybe_indefinite`` a failed Cholesky is not an error: a fresh
+    expansion is solved by a symmetric indefinite factorization, and the
+    report says so.  The lag blocks are finite; only solutions are scanned.
     """
     if not isinstance(cov, BlockToeplitzCov):
         return _solve_in_place(cov, b)
-    if not maybe_indefinite:
-        return _toeplitz_solve(cov, b)
+    if not maybe_indefinite and _fft_pays(cov.dims.n_channels, cov.dims.n_times):
+        return _pcg_solve(cov, b)
     try:
         return _solve_in_place(to_dense(cov), b)
     except SolveError:
-        pass
-    dense = to_dense(cov).data
+        if not maybe_indefinite:
+            raise
     try:
-        solution = scipy.linalg.solve(dense, b, assume_a="sym", check_finite=False)
+        solution = scipy.linalg.solve(to_dense(cov).data, b, assume_a="sym", check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"symmetric indefinite solve failed: {exc}") from exc
     if not np.isfinite(solution).all():

@@ -27,9 +27,9 @@ not overflow.  ``_Estimates`` runs the stages the estimators share once
 estimate when asked for it: the benchmark fits all estimators of a draw
 from one, and ``estimate_covariance`` and a lone fit are the case of one
 estimator.  Each kernel writes the centered, scaled values into its own
-chunk buffer, laid out like the data, so the averaged estimators hold no
-``D x N_e`` array beyond the data, except one of at most ``_CHUNK_BYTES``
-when the data fits in one chunk; the dense ones write one.  The public
+buffer, laid out like the data: chunks of at most ``_CHUNK_BYTES``, but for
+the one ``D x N_e`` buffer of the direct lag sums on short windows.  The
+dense estimators write one centered ``D x N_e`` copy.  The public
 functions check their input once and run the same code on data that is
 already centered; ``center`` takes the offsets of a fit.
 """
@@ -40,11 +40,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 import scipy.fftpack
 
-from .blockmat import (BlockCov, BlockDims, BlockToeplitzCov, _check_labels, _fft_pays,
-                       _finite_array, _owned, _owned_cov, _owned_toeplitz, _slices)
+from .blockmat import (BlockCov, BlockDims, BlockToeplitzCov, _check_labels, _embedding_length,
+                       _fft_pays, _finite_array, _owned, _owned_cov, _owned_toeplitz, _slices)
 from .errors import ShapeError
 
 ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
@@ -188,13 +187,13 @@ def _fit_estimate(
 
     Returns the :class:`_Estimates` of ``estimators``, the class means of
     ``labels`` (None without labels) and ``exp`` (see :func:`_centring`).
-    Data of at most ``_CHUNK_BYTES`` is centered once into a copy laid out
-    like ``x`` that every pass of every estimator reads; larger data is
-    centered chunk by chunk in each pass.
+    Each pass centers its own chunks; when a dense estimator, which writes a
+    centered copy anyway, is among ``estimators``, data of at most
+    ``_CHUNK_BYTES`` is centered once into a copy laid out like ``x`` instead.
     """
     centred, stats = _centring(x, labels, within, scaled=True)
     exp = centred.exp
-    if x.nbytes <= _CHUNK_BYTES:
+    if x.nbytes <= _CHUNK_BYTES and any(e in _DENSE for e in estimators):
         centred = _Centred(centred.write(np.empty_like(x)))
     return _Estimates(centred, dims, estimators, gamma), stats, exp
 
@@ -374,7 +373,8 @@ def _lag_sums_fft(centred: _Centred, dims: BlockDims) -> np.ndarray:
     """``(N_e - 1) R_d`` of the centered epochs by FFT.
 
     Wiener-Khinchin: with ``F_e(k)`` the real FFT of epoch ``e`` zero-padded
-    to ``nfft >= 2 nt - 1`` samples (so no lag wraps), the inverse transform
+    to the ``nfft = blockmat._embedding_length(nt)`` samples of every
+    block-circulant embedding (so no lag wraps), the inverse transform
     of the cross-spectrum ``sum_e conj(F_e(k)) F_e(k)^T`` is
     ``sum_e sum_t x_t x_{t+d}^T`` at ``d < nt``.  Chunks of at most
     ``_FFT_EPOCHS`` epochs and a quarter of the data (so the chunk buffer
@@ -390,8 +390,8 @@ def _lag_sums_fft(centred: _Centred, dims: BlockDims) -> np.ndarray:
     ``O(N_e nc nt log nt + N_e nc^2 nt)`` time.
     """
     nc, nt, n = dims.n_channels, dims.n_times, centred.x.shape[1]
-    half = scipy.fft.next_fast_len(nt, real=True)
-    nfft = 2 * half
+    nfft = _embedding_length(nt)
+    half = nfft // 2
     # The cross-spectrum in the same real layout: row 0 holds frequency 0,
     # rows 2k - 1 and 2k the real and imaginary part of k, the last row nfft/2.
     spec = np.zeros((nfft, nc, nc))
@@ -453,7 +453,7 @@ def estimate_covariance(
     ``O(N_e D n_channels n_times)`` time, and from the cross-spectrum of
     chunks of epochs on long ones, in ``O(N_e D (log n_times +
     n_channels))``.  ``blockmat._fft_pays`` picks by ``(n_channels, n_times)``,
-    the same rule that picks the solve route of ``btsolve.block_toeplitz_solve``.
+    the same rule that picks the solve route of a fit (``btsolve._fit_solve``).
     """
     _check_estimator(estimator)
     centred = _Centred(_covariance_data(centered, dims.size))

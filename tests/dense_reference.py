@@ -10,7 +10,7 @@ import scipy.fft
 import scipy.fftpack
 
 from toeplitzlda import covest
-from toeplitzlda.blockmat import BlockCov, BlockDims, BlockToeplitzCov
+from toeplitzlda.blockmat import BlockCov, BlockDims, BlockToeplitzCov, _embedding_length
 from toeplitzlda.errors import ShapeError, SolveError
 
 
@@ -31,18 +31,17 @@ def taper_weight(d: int, n_times: int) -> float:
     return 1.0 - abs(d) / n_times
 
 
-# The whole-array spectral stages of a toeplitz fit, as they stood before
-# the fit computed them by channel columns and slices of frequencies: each
-# allocates its full spectra at once, and the fit's stages must equal them
-# bit for bit.
+# The whole-array spectral stages of a toeplitz fit, which the fit computes
+# by channel columns and slices of frequencies: each allocates its full
+# spectra at once, and the fit's stages must equal them bit for bit.
 
 
 def lag_sums_fft(centred: covest._Centred, dims: BlockDims) -> np.ndarray:
     """``covest._lag_sums_fft`` with a product buffer of all interior
     frequencies at once."""
     nc, nt, n = dims.n_channels, dims.n_times, centred.x.shape[1]
-    half = scipy.fft.next_fast_len(nt, real=True)
-    nfft = 2 * half
+    nfft = _embedding_length(nt)
+    half = nfft // 2
     spec = np.zeros((nfft, nc, nc))
     spec_re, spec_im = spec[1:-1:2], spec[2:-1:2]
     prod = np.empty((half - 1, nc, nc))
@@ -70,7 +69,7 @@ def lag_spectrum(btc: BlockToeplitzCov) -> tuple[np.ndarray, int]:
     """``btsolve._lag_spectrum`` from the whole ``(n, nc, nc)`` real embedding."""
     nc, nt = btc.dims.n_channels, btc.dims.n_times
     lags = btc.lag_blocks
-    n = scipy.fft.next_fast_len(2 * nt - 1, real=True)
+    n = _embedding_length(nt)
     c = np.zeros((n, nc, nc))
     c[0] = lags[0]
     c[1:nt] = lags[1:].transpose(0, 2, 1)

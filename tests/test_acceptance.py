@@ -28,7 +28,7 @@ from toeplitzlda.blockmat import (
     free_parameter_count,
     to_dense,
 )
-from toeplitzlda.btsolve import block_toeplitz_solve, dense_solve
+from toeplitzlda.btsolve import _fit_solve, dense_solve
 from toeplitzlda.covest import ClassStats
 from toeplitzlda.dataio import (
     Epochs,
@@ -119,7 +119,7 @@ def _subset_auc(run, estimator, size, n_draws, seed, mean_override=None):
 
 
 def test_c1_block_solver_matches_dense_reference():
-    # The grid spans both routes of block_toeplitz_solve: 8 x 64 takes PCG,
+    # The grid spans both routes of the block-Toeplitz solve: 8 x 64 takes PCG,
     # the smaller systems the dense Cholesky.
     start = time.perf_counter()
     grid = [(nc, nt) for nc in (1, 2, 4, 8) for nt in (1, 2, 3, 8, 16, 64)]
@@ -130,7 +130,7 @@ def test_c1_block_solver_matches_dense_reference():
         rng = np.random.default_rng(seed)
         btc = spd_block_toeplitz(rng, nc, nt)
         b = rng.standard_normal(btc.dims.size)
-        report = block_toeplitz_solve(btc, b)
+        report = _fit_solve(btc, b, False)
         routes.add(report.method)
         den = dense_solve(to_dense(btc), b)
         rel = np.linalg.norm(report.solution - den.solution) / np.linalg.norm(
@@ -295,7 +295,7 @@ import json, sys, time
 import numpy as np
 from toeplitzlda import synth
 from toeplitzlda.blockmat import BlockDims, to_dense
-from toeplitzlda.btsolve import block_toeplitz_solve, dense_solve
+from toeplitzlda.btsolve import _fit_solve, dense_solve
 
 def timed(fn):
     start = time.process_time()
@@ -311,7 +311,7 @@ for nt in json.loads(sys.argv[1]):
     b = np.random.default_rng(nt).standard_normal(dims.size)
     dense = to_dense(btc)
     reps = 5 if nt <= 256 else 2
-    t_block.append(min(timed(lambda: block_toeplitz_solve(btc, b)) for _ in range(reps)))
+    t_block.append(min(timed(lambda: _fit_solve(btc, b, False)) for _ in range(reps)))
     t_dense.append(min(timed(lambda: dense_solve(dense, b)) for _ in range(reps)))
 print(json.dumps({"t_block": t_block, "t_dense": t_dense, "storage_ok": storage_ok}))
 """

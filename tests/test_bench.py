@@ -21,7 +21,7 @@ from toeplitzlda.blockmat import BlockDims
 from toeplitzlda.dataio import write_dataset
 from toeplitzlda.errors import DataFormatError, GroupSizeError, ShapeError, SolveError
 
-from conftest import traced_peak
+from conftest import traced_peak, write_contract_breaking_dataset
 
 
 def pairwise_auc(scores, labels):
@@ -178,6 +178,22 @@ def dataset_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("ds")
     write_dataset(epochs, path)
     return str(path)
+
+
+@pytest.mark.parametrize(("n_epochs", "message"), [
+    (48, "validation half of seed 7 holds one class"),
+    (50, "n_epochs=50 is not a multiple of the group size 6"),
+])
+def test_a_dataset_that_breaks_the_group_contract_fails_before_any_fit(
+    monkeypatch, tmp_path, n_epochs, message
+):
+    fits = []
+    monkeypatch.setattr(lda, "_fitter", lambda *args: fits.append(args))
+    path = write_contract_breaking_dataset(tmp_path / "ds", n_epochs)
+    cfg = BenchConfig(path, subset_sizes=(6,), n_draws=1, seed=7)
+    with pytest.raises(DataFormatError, match=message):
+        run_benchmark(cfg)
+    assert fits == []
 
 
 def small_config(dataset_dir, **kwargs):

@@ -8,15 +8,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toeplitzlda import blockmat, btsolve
+from toeplitzlda import blockmat, btsolve, covest, lda
 from toeplitzlda.blockmat import BlockCov, BlockDims, BlockToeplitzCov, _owned_cov, to_dense
 from toeplitzlda.btsolve import (
     block_levinson_solve,
     block_toeplitz_matmul,
-    block_toeplitz_solve,
     dense_solve,
 )
-from toeplitzlda.errors import DataFormatError, ShapeError, SolveBreakdownError, SolveError
+from toeplitzlda.errors import ShapeError, SolveBreakdownError, SolveError
 
 from dense_reference import chan_preconditioner, lag_spectrum
 
@@ -79,7 +78,7 @@ ROUTES = ("dense", "pcg")
 
 
 def on_route(monkeypatch, route):
-    """Send every block_toeplitz_solve down ``route``, whatever the size."""
+    """Send every block-Toeplitz solve down ``route``, whatever the size."""
     monkeypatch.setattr(btsolve, "_fft_pays", lambda nc, nt: route == "pcg")
 
 
@@ -113,7 +112,7 @@ def test_both_routes_match_dense_solve(route, nc, nt, lag_scale, rhs_scale, seed
     b = rng.standard_normal(btc.dims.size) * 2.0**rhs_scale
     with pytest.MonkeyPatch.context() as mp:
         on_route(mp, route)
-        report = block_toeplitz_solve(btc, b)
+        report = btsolve._fit_solve(btc, b, False)
     oracle = dense_solve(to_dense(btc), b).solution
     assert report.method == route
     assert report.well_conditioned
@@ -128,7 +127,7 @@ def test_both_routes_match_dense_solve(route, nc, nt, lag_scale, rhs_scale, seed
 def test_size_rule_picks_the_route(nc, nt, route):
     btc = random_spd_block_toeplitz(np.random.default_rng(nt), nc, nt)
     b = np.ones(btc.dims.size)
-    report = block_toeplitz_solve(btc, b)
+    report = btsolve._fit_solve(btc, b, False)
     assert report.method == route
     oracle = dense_solve(to_dense(btc), b).solution
     assert np.linalg.norm(report.solution - oracle) <= 1e-8 * np.linalg.norm(oracle)
@@ -138,7 +137,7 @@ def test_zero_right_hand_side_gives_zero_on_both_routes(monkeypatch):
     btc = random_spd_block_toeplitz(np.random.default_rng(3), 3, 5)
     for route in ROUTES:
         on_route(monkeypatch, route)
-        report = block_toeplitz_solve(btc, np.zeros(btc.dims.size))
+        report = btsolve._fit_solve(btc, np.zeros(btc.dims.size), False)
         assert np.array_equal(report.solution, np.zeros(btc.dims.size))
 
 
@@ -161,7 +160,7 @@ def test_dense_route_factors_its_gather_in_place(monkeypatch):
     monkeypatch.setattr(btsolve, "to_dense", gather)
     monkeypatch.setattr(btsolve, "dpotrf", factor)
     on_route(monkeypatch, "dense")
-    block_toeplitz_solve(btc, np.ones(btc.dims.size))
+    btsolve._fit_solve(btc, np.ones(btc.dims.size), False)
     [data], [a] = gathered, factored
     assert a.base is data and a.flags.f_contiguous
 
@@ -174,7 +173,7 @@ def test_indefinite_system_raises_solve_error(monkeypatch, route):
     assert np.linalg.eigvalsh(to_dense(btc).data)[0] < -0.2
     on_route(monkeypatch, route)
     with pytest.raises(SolveError, match="curvature" if route == "pcg" else "Cholesky"):
-        block_toeplitz_solve(btc, np.ones(6))
+        btsolve._fit_solve(btc, np.ones(6), False)
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -187,7 +186,7 @@ def test_singular_system_raises_solve_error(monkeypatch, route):
     btc = BlockToeplitzCov(dims=BlockDims(3, 6), lag_blocks=lags)
     on_route(monkeypatch, route)
     with pytest.raises(SolveError, match="preconditioner" if route == "pcg" else "Cholesky"):
-        block_toeplitz_solve(btc, np.ones(btc.dims.size))
+        btsolve._fit_solve(btc, np.ones(btc.dims.size), False)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -199,29 +198,16 @@ def test_overflowing_solution_raises_solve_error(monkeypatch, route):
     small = BlockToeplitzCov(btc.dims, btc.lag_blocks * 2.0**-1000)
     on_route(monkeypatch, route)
     with pytest.raises(SolveError):
-        block_toeplitz_solve(small, np.full(small.dims.size, 2.0**1000))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_pcg_route_rejects_a_non_finite_rhs(bad):
-    # From x = 0 a NaN or inf residual norm never exceeds the (NaN) stopping
-    # bound, so PCG itself would return an all-zero solution: b is checked
-    # on entry.
-    btc = random_spd_block_toeplitz(np.random.default_rng(7), 8, 64)
-    b = np.ones(btc.dims.size)
-    assert block_toeplitz_solve(btc, b).method == "pcg"
-    b[17] = bad
-    with pytest.raises(DataFormatError, match="non-finite"):
-        block_toeplitz_solve(btc, b)
+        btsolve._fit_solve(small, np.full(small.dims.size, 2.0**1000), False)
 
 
 def test_pcg_iteration_cap_raises_solve_error(monkeypatch):
     btc = random_spd_block_toeplitz(np.random.default_rng(7), 8, 64)
     b = np.random.default_rng(8).standard_normal(btc.dims.size)
-    assert block_toeplitz_solve(btc, b).method == "pcg"
+    assert btsolve._fit_solve(btc, b, False).method == "pcg"
     monkeypatch.setattr(btsolve, "_PCG_MAX_ITER", 2)
     with pytest.raises(SolveError, match="did not converge in 2 iterations"):
-        block_toeplitz_solve(btc, b)
+        btsolve._fit_solve(btc, b, False)
 
 
 @settings(max_examples=150, deadline=None)
@@ -231,9 +217,9 @@ def test_pcg_iteration_cap_raises_solve_error(monkeypatch):
     per_slice=st.integers(1, 7),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(nc=1, nt=1, per_slice=1, seed=0)  # n = 1, one frequency
-@example(nc=1, nt=2, per_slice=1, seed=1)  # n = 3
-@example(nc=3, nt=5, per_slice=2, seed=2)  # odd n = 9, 3 preconditioner frequencies
+@example(nc=1, nt=1, per_slice=1, seed=0)  # n = 2, one preconditioner frequency
+@example(nc=1, nt=2, per_slice=1, seed=1)  # n = 4
+@example(nc=3, nt=5, per_slice=2, seed=2)  # odd n_times, 3 preconditioner frequencies
 @example(nc=4, nt=20, per_slice=3, seed=3)  # 11 preconditioner frequencies, slices of 3
 def test_spectral_stages_equal_the_whole_spectrum_oracles(nc, nt, per_slice, seed):
     # The embedding and the circulant are built one channel column at a
@@ -277,11 +263,55 @@ def test_preconditioner_block_that_is_not_positive_definite_raises_in_any_slice(
         preconditioner(spectrum)
 
 
-def test_block_toeplitz_solve_is_deterministic():
+@pytest.mark.parametrize("nt", range(1, 65))
+def test_lag_sums_and_operator_spectrum_share_one_embedding(monkeypatch, nt):
+    # The FFT lag sums and the operator spectrum of the PCG solve embed the
+    # lags at one length, at which the spectrum of a toeplitz estimate is
+    # its scaled cross-spectrum sum_e F_e F_e^H plus gamma nu I.
+    nc, n_epochs, gamma = 2, 5, 0.25
+    xc = np.random.default_rng(nt).standard_normal((nc * nt, n_epochs))
+    lengths = []
+    real_irfft = covest.scipy.fftpack.irfft
+
+    def irfft(spec, *args, **kwargs):
+        lengths.append(len(spec))
+        return real_irfft(spec, *args, **kwargs)
+
+    monkeypatch.setattr(covest, "_fft_pays", lambda nc, nt: True)
+    monkeypatch.setattr(covest.scipy.fftpack, "irfft", irfft)
+    shrunk = covest.estimate_covariance(xc, BlockDims(nc, nt), "toeplitz", gamma)
+    spec, n = btsolve._lag_spectrum(shrunk.matrix)
+    assert lengths == [n]
+    f = np.fft.rfft(xc.reshape(nt, nc, n_epochs), n, axis=0)
+    expected = np.einsum("kie,kje->kij", f, f.conj()) * (1.0 - gamma) / ((n_epochs - 1) * nt)
+    expected += shrunk.gamma * shrunk.nu * np.eye(nc)
+    assert np.abs(spec - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_a_preconditioner_block_that_fails_its_inverse_raises_solve_error(monkeypatch):
+    # Channel 3 copies channel 0, so without shrinkage the lag-0 block, the
+    # one preconditioner block of n_times = 1, is singular.  Rounding lets
+    # the Cholesky test pass on some draws, and then the inverse fails.
+    monkeypatch.setattr(covest, "_fft_pays", lambda nc, nt: True)
+    monkeypatch.setattr(btsolve, "_fft_pays", lambda nc, nt: True)
+    labels = (np.arange(53) % 6 == 0).astype(np.uint8)
+    messages = []
+    for seed in range(20):
+        x = np.random.default_rng(seed).standard_normal((4, 53))
+        x[3] = x[0]
+        x[:, labels == 1] += 1.0
+        try:
+            lda.fit(x, labels, dims=BlockDims(4, 1), gamma=0.0)
+        except SolveError as exc:
+            messages.append(str(exc))
+    assert "block circulant preconditioner is not positive definite: Singular matrix" in messages
+
+
+def test_fit_solve_is_deterministic():
     btc = random_spd_block_toeplitz(np.random.default_rng(9), 8, 64)
     b = np.random.default_rng(10).standard_normal(btc.dims.size)
-    assert np.array_equal(block_toeplitz_solve(btc, b).solution,
-                          block_toeplitz_solve(btc, b).solution)
+    assert np.array_equal(btsolve._fit_solve(btc, b, False).solution,
+                          btsolve._fit_solve(btc, b, False).solution)
 
 
 # ------------------------------------------------------ levinson solve
@@ -484,11 +514,10 @@ def test_solvers_agree_on_spd_system():
 
 @pytest.mark.parametrize("n_rhs", [1, 2])
 @pytest.mark.parametrize("solver", [
-    block_toeplitz_solve,
     block_levinson_solve,
     block_toeplitz_matmul,
     lambda btc, b: dense_solve(to_dense(btc), b),
-], ids=["block_toeplitz", "levinson", "matmul", "dense"])
+], ids=["levinson", "matmul", "dense"])
 def test_matrix_rhs_is_rejected(solver, n_rhs):
     # Each function takes one right-hand side vector, never a matrix.
     btc = random_spd_block_toeplitz(np.random.default_rng(22), 2, 3)

@@ -12,7 +12,7 @@ from toeplitzlda.blockmat import BlockDims
 from toeplitzlda.dataio import read_dataset, write_dataset
 from toeplitzlda.lda import load_model
 
-from conftest import traced_peak
+from conftest import traced_peak, write_contract_breaking_dataset
 
 # Golden digests for the default generator configuration; any change to the
 # noise model, templates, stream keying, or file format shows up here.
@@ -243,6 +243,19 @@ def test_bench_with_every_size_skipped_is_data_error(dataset96, tmp_path, capsys
     assert "training split of 48 epochs" in stderr
     assert (out / "report.csv").exists() and (out / "aggregate.json").exists()
     assert all(c["n_skipped"] == 2 for c in last_json(stdout)["cells"])
+
+
+@pytest.mark.parametrize("n_epochs", [48, 50])
+def test_bench_on_a_dataset_that_breaks_the_group_contract_is_data_error(
+    tmp_path, capsys, n_epochs
+):
+    ds = write_contract_breaking_dataset(tmp_path / "ds", n_epochs)
+    out = tmp_path / "rep"
+    code, stdout, stderr = run(capsys, "bench", "--dataset-dir", ds, "--out-dir", str(out),
+                               "--sizes", "6", "--draws", "1", "--seed", "7")
+    assert code == 2
+    assert stderr.startswith("error: ") and stdout == ""
+    assert not out.exists()
 
 
 def test_no_class_signal_scores_near_chance(tmp_path, capsys):
@@ -504,7 +517,7 @@ def test_meta_json_not_json_is_data_error(dataset96, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     ("command", "expected"),
-    [(["fit", "--model-path", "m.json"], 2), (["bench", "--out-dir", "rep"], 1)],
+    [(["fit", "--model-path", "m.json"], 2), (["bench", "--out-dir", "rep"], 2)],
     ids=["fit", "bench"],
 )
 def test_dataset_without_epochs_is_answered_by_the_command(

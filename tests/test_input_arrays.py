@@ -20,7 +20,6 @@ from toeplitzlda import (
     auc,
     block_levinson_solve,
     block_toeplitz_matmul,
-    block_toeplitz_solve,
     class_means,
     decision_values,
     dense_solve,
@@ -73,7 +72,6 @@ CASES = [
      lambda a: fit(a, None, dims=DIMS, cov_mode="global",
                    mean_override=ClassStats(X[:, :2].T))),
     ("decision_values", "x", X, lambda a: decision_values(MODEL, a)),
-    ("block_toeplitz_solve", "b", np.ones(DIMS.size), lambda a: block_toeplitz_solve(BTC, a)),
     ("block_levinson_solve", "b", np.ones(DIMS.size), lambda a: block_levinson_solve(BTC, a)),
     ("dense_solve", "b", np.ones(DIMS.size), lambda a: dense_solve(to_dense(BTC), a)),
     ("block_toeplitz_matmul", "x", np.ones(DIMS.size), lambda a: block_toeplitz_matmul(BTC, a)),

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from toeplitzlda import blockmat, btsolve, covest, lda, synth
 from toeplitzlda.blockmat import (
     BlockDims,
+    BlockToeplitzCov,
     apply_taper,
     apply_taper_dense,
     block_diagonal_average,
@@ -208,22 +210,22 @@ def test_fit_runs_none_of_the_dense_reference_stages(monkeypatch, estimator, cov
     assert calls == []
 
 
-# (n_channels, n_times) on each side of the size rule of block_toeplitz_solve.
+# (n_channels, n_times) on each side of the size rule of the block-Toeplitz solve.
 ROUTE_SIZES = {"dense": (3, 5), "pcg": (4, 128)}
 
 
 @pytest.mark.parametrize("route", sorted(ROUTE_SIZES))
 @pytest.mark.parametrize("estimator", lda.ESTIMATORS)
 def test_no_fit_runs_the_levinson_recursion(monkeypatch, estimator, route):
-    # block_levinson_solve remains only as a reference; the block-Toeplitz
-    # estimates take the route of block_toeplitz_solve that their size picks,
-    # through its unchecked core _toeplitz_solve.
+    # block_levinson_solve remains only as a reference; the toeplitz
+    # estimates take the route of _fit_solve that their size picks.
     calls, routes = [], []
-    real = btsolve._toeplitz_solve
+    real = btsolve._fit_solve
 
-    def solve(*args):
-        report = real(*args)
-        routes.append(report.method)
+    def solve(cov, b, maybe_indefinite):
+        report = real(cov, b, maybe_indefinite)
+        if isinstance(cov, BlockToeplitzCov) and not maybe_indefinite:
+            routes.append(report.method)
         return report
 
     def levinson(*args):
@@ -232,7 +234,7 @@ def test_no_fit_runs_the_levinson_recursion(monkeypatch, estimator, route):
 
     for module in (btsolve, lda):
         monkeypatch.setattr(module, "block_levinson_solve", levinson, raising=False)
-    monkeypatch.setattr(btsolve, "_toeplitz_solve", solve)
+    monkeypatch.setattr(btsolve, "_fit_solve", solve)
     nc, nt = ROUTE_SIZES[route]
     x, labels, dims = labeled_features(nc, nt, 42, seed=12)
     fit(x, labels, dims=dims, estimator=estimator)
@@ -255,7 +257,7 @@ def test_estimate_and_solve_switch_together(monkeypatch, route, nc, nt):
     # One rule picks both the lag-sum kernel of the estimate and the route
     # of the solve: FFT lag sums exactly when the solve is PCG.
     ffts, routes = [], []
-    real_fft, real_solve = covest._lag_sums_fft, btsolve._toeplitz_solve
+    real_fft, real_solve = covest._lag_sums_fft, btsolve._fit_solve
 
     def lag_sums_fft(*args):
         ffts.append(args)
@@ -267,7 +269,7 @@ def test_estimate_and_solve_switch_together(monkeypatch, route, nc, nt):
         return report
 
     monkeypatch.setattr(covest, "_lag_sums_fft", lag_sums_fft)
-    monkeypatch.setattr(btsolve, "_toeplitz_solve", solve)
+    monkeypatch.setattr(btsolve, "_fit_solve", solve)
     x, labels, dims = labeled_features(nc, nt, 42, seed=12)
     fit(x, labels, dims=dims, estimator="toeplitz")
     assert routes == [route]
@@ -284,6 +286,47 @@ def label_channel_features(nc, nt, n_epochs=48):
     x, labels, dims = labeled_features(nc, nt, n_epochs, seed=3)
     x.reshape(nt, nc, n_epochs)[:, 0, :] = labels
     return x, labels, dims
+
+
+@pytest.mark.parametrize(("nc", "nt", "n_epochs"), [(8, 64, 9), (31, 32, 32)])
+def test_chan_preconditioner_solves_fits_of_a_rank_deficient_cross_spectrum(
+    monkeypatch, nc, nt, n_epochs
+):
+    # Unshrunk, with N_e - 2 < n_channels: each frequency's cross-spectrum
+    # has rank at most N_e - 2, so the circulant of the even frequencies of
+    # the operator spectrum (R. Chan's, at n = 2 n_times) is singular.  T.
+    # Chan's preconditioner still solves the fit on its natural PCG route.
+    dims = BlockDims(nc, nt)
+    noise = synth.generate_noise(synth.default_noise_model(dims), n_epochs, dims, seed=0)
+    x = flatten_epochs(noise)
+    labels = (np.arange(n_epochs) % 3 == 0).astype(np.uint8)
+    x[:, labels == 1] += 0.5
+    assert blockmat._fft_pays(nc, nt)
+    model = fit(x, labels, dims=dims, gamma=0.0)
+    shrunk = covest.estimate_covariance(covest.center(x, labels), dims, "toeplitz", gamma=0.0)
+    spec, n = btsolve._lag_spectrum(shrunk.matrix)
+    eig = np.linalg.eigvalsh(spec[::2])
+    assert n == 2 * nt and (eig[:, 0] <= 1e-12 * eig.max()).all()
+    monkeypatch.setattr(btsolve, "_fft_pays", lambda nc, nt: False)
+    dense = fit(x, labels, dims=dims, gamma=0.0).weights
+    assert np.linalg.norm(model.weights - dense) <= 1e-8 * np.linalg.norm(dense)
+
+
+def test_a_lone_toeplitz_fit_holds_no_centred_copy(monkeypatch):
+    # Only the dense estimators read a centred copy of the data.  A lone
+    # toeplitz fit on the direct route centres its data into the lag sums'
+    # own buffer: when they start, it holds no D x N_e array beyond x.
+    x, labels, dims = labeled_features(8, 20, 96, seed=5)
+    held = []
+    real = covest._lag_sums_direct
+
+    def lag_sums(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(*args)
+
+    monkeypatch.setattr(covest, "_lag_sums_direct", lag_sums)
+    traced_peak(lambda: fit(x, labels, dims=dims, estimator="toeplitz"))
+    assert len(held) == 1 and held[0] < x.nbytes / 4
 
 
 @pytest.mark.parametrize("route", sorted(ROUTE_SIZES))
@@ -354,7 +397,7 @@ def test_fit_equals_the_estimate_and_solve_of_its_centred_data(
     shrunk = covest.estimate_covariance(np.ldexp(centred, -exp), dims, "toeplitz")
     stats = covest.class_means(x, labels)
     delta = np.ldexp(stats.means[1] - stats.means[0], -exp)
-    w = np.ldexp(btsolve.block_toeplitz_solve(shrunk.matrix, delta).solution, -exp)
+    w = np.ldexp(btsolve._fit_solve(shrunk.matrix, delta, False).solution, -exp)
     assert model.gamma == shrunk.gamma
     assert np.array_equal(model.weights, w)
 
