@@ -93,13 +93,17 @@ def _embedding_length(n_times: int) -> int:
 #: (``covest``'s FFT lag sums, ``btsolve``'s preconditioner) compute over one
 #: slice of frequencies at a time.
 _SLICE_BYTES = 128 << 10
+#: Bytes of one chunk of ``covest``'s data passes (and of the most data a
+#: fit centers once) and of one block of ``synth.generate_noise``.
+_CHUNK_BYTES = 1 << 20
 
 
-def _slices(size: int, item_bytes: int) -> list[slice]:
-    """``range(size)`` in consecutive slices, each of at most ``_SLICE_BYTES``
-    of items of ``item_bytes`` and at least one item; none when ``size`` is 0.
-    The first slice is the longest."""
-    step = max(1, _SLICE_BYTES // item_bytes)
+def _slices(size: int, item_bytes: int, budget: int | None = None) -> list[slice]:
+    """``range(size)`` in consecutive slices, each of at most ``budget`` bytes
+    (``_SLICE_BYTES`` when None) of items of ``item_bytes`` and at least one
+    item; none when ``size`` is 0.  The first slice is the longest.  Every
+    pass of the package that works in bounded pieces takes them from here."""
+    step = max(1, (_SLICE_BYTES if budget is None else budget) // item_bytes)
     return [slice(start, min(start + step, size)) for start in range(0, size, step)]
 
 
@@ -131,16 +135,16 @@ _FINITE_VALUES = 1 << 15
 def _all_finite(a: np.ndarray) -> bool:
     """Whether every value of the float array ``a`` is finite.
 
-    Larger arrays are tested over slices along their first or last axis,
-    whichever has the larger stride, each of at most ``_FINITE_VALUES``
+    Larger arrays are tested over the ``_slices`` of their first or last
+    axis, whichever has the larger stride, each of at most ``_FINITE_VALUES``
     values or one index of that axis, so the one-byte mask of
     ``np.isfinite`` stays small; the first non-finite slice ends the scan.
     """
     if a.size <= _FINITE_VALUES:
         return bool(np.isfinite(a).all())
     outer = a if abs(a.strides[0]) >= abs(a.strides[-1]) else a.T
-    step = max(1, _FINITE_VALUES // (a.size // outer.shape[0]))
-    return all(np.isfinite(outer[i : i + step]).all() for i in range(0, outer.shape[0], step))
+    parts = _slices(outer.shape[0], a.size // outer.shape[0], _FINITE_VALUES)
+    return all(np.isfinite(outer[part]).all() for part in parts)
 
 
 def _check_labels(labels, n_epochs: int) -> np.ndarray:

@@ -23,8 +23,11 @@ rule that also picks the lag-sum kernel of the estimate), and names it in
 
 ``toeplitz_a1_only`` (averaging without tapering) may be indefinite, so it
 always takes the dense route, with a symmetric indefinite fallback.  Any
-other system that is not positive definite, or that the iterations do not
-solve within a fixed cap, raises :class:`SolveError`.
+other system that a step of its route finds not positive definite, or that
+the iterations do not solve within a fixed cap, raises :class:`SolveError`.
+PCG stops on a small residual, which a consistent singular system admits:
+an unshrunk estimate with a duplicated channel can return weights on the
+PCG route where the dense route raises, or other weights.
 
 ``block_toeplitz_matmul`` multiplies by the dense expansion with the same
 FFT product, in ``O(n_channels^2 n_times log n_times)``.  ``dense_solve``

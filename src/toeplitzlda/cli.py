@@ -315,7 +315,7 @@ def main(argv=None) -> int:
     except (DataFormatError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (SolveError, np.linalg.LinAlgError) as exc:
+    except SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

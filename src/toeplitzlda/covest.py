@@ -27,7 +27,7 @@ not overflow.  ``_Estimates`` runs the stages the estimators share once
 estimate when asked for it: the benchmark fits all estimators of a draw
 from one, and ``estimate_covariance`` and a lone fit are the case of one
 estimator.  Each kernel writes the centered, scaled values into its own
-buffer, laid out like the data: chunks of at most ``_CHUNK_BYTES``, but for
+buffer, laid out like the data: the chunks of ``blockmat._slices``, but for
 the one ``D x N_e`` buffer of the direct lag sums on short windows.  The
 dense estimators write one centered ``D x N_e`` copy.  The public
 functions check their input once and run the same code on data that is
@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fftpack
 
+from . import blockmat
 from .blockmat import (BlockCov, BlockDims, BlockToeplitzCov, _check_labels, _embedding_length,
                        _fft_pays, _finite_array, _owned, _owned_cov, _owned_toeplitz, _slices)
 from .errors import ShapeError
@@ -49,10 +50,6 @@ from .errors import ShapeError
 ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
 #: The estimators that form the dense sample covariance.
 _DENSE = ("slda", "toeplitz_a2_only")
-#: Bytes of one chunk of the row and epoch passes over the data (the
-#: Ledoit-Wolf Gram), and of the most data a fit centers once for all
-#: passes; a chunk holds at least one row or epoch.
-_CHUNK_BYTES = 1 << 20
 #: Most epochs in one chunk of the FFT lag sums.
 _FFT_EPOCHS = 32
 
@@ -131,7 +128,7 @@ class _Centred:
     def chunks(self, axis: int):
         """The centered data by ranges of rows (``axis`` 0) or of epochs (1).
 
-        Each chunk holds at most ``_CHUNK_BYTES``, or one row or epoch.
+        The ranges are the ``blockmat._slices`` of ``blockmat._CHUNK_BYTES``.
         With nothing to subtract or scale the chunks are views of ``x``;
         else they are written into one buffer, which the next chunk reuses.
         The buffer takes the stride order of ``x``, as ``np.empty_like(x)``
@@ -139,11 +136,10 @@ class _Centred:
         those over views of such a copy.
         """
         size, other = self.x.shape[axis], self.x.shape[1 - axis]
-        step = max(1, min(size, _CHUNK_BYTES // (8 * max(other, 1))))
-        buf = None if self.plain else np.empty(step * other)
+        parts = _slices(size, 8 * max(other, 1), blockmat._CHUNK_BYTES)
+        buf = None if self.plain else np.empty(parts[0].stop * other)
         order = "F" if abs(self.x.strides[0]) < abs(self.x.strides[1]) else "C"
-        for start in range(0, size, step):
-            part = slice(start, start + step)
+        for part in parts:
             index = (part, slice(None)) if axis == 0 else (slice(None), part)
             chunk = self.x[index]
             if buf is not None:
@@ -189,11 +185,12 @@ def _fit_estimate(
     ``labels`` (None without labels) and ``exp`` (see :func:`_centring`).
     Each pass centers its own chunks; when a dense estimator, which writes a
     centered copy anyway, is among ``estimators``, data of at most
-    ``_CHUNK_BYTES`` is centered once into a copy laid out like ``x`` instead.
+    ``blockmat._CHUNK_BYTES`` is centered once into a copy laid out like
+    ``x`` instead.
     """
     centred, stats = _centring(x, labels, within, scaled=True)
     exp = centred.exp
-    if x.nbytes <= _CHUNK_BYTES and any(e in _DENSE for e in estimators):
+    if x.nbytes <= blockmat._CHUNK_BYTES and any(e in _DENSE for e in estimators):
         centred = _Centred(centred.write(np.empty_like(x)))
     return _Estimates(centred, dims, estimators, gamma), stats, exp
 
@@ -291,13 +288,13 @@ def ledoit_wolf_gamma(centered) -> float:
     * ``beta = (sum_k ||x_k||^4 / n - ||M||_F^2) / (D n)``
 
     so with ``N_e < D`` no ``D x D`` matrix is formed.  ``n M`` is summed
-    over chunks of rows (``N_e < D``) or of epochs, each at most
-    ``_CHUNK_BYTES``; a fit runs the same code on chunks it centers itself.
-    ``beta`` and ``delta`` are fourth powers of the data, so ``M`` and the
-    ``||x_k||^2`` are first scaled by the power of two that brings the
-    largest ``||x_k||^2``, which bounds every entry of ``M``, to [0.5, 1).
-    That leaves the scale-free ratio unchanged bit for bit, and makes it the
-    same at every data scale at which ``M`` is finite.
+    over the chunks of rows (``N_e < D``) or of epochs of
+    ``blockmat._slices``; a fit runs the same code on chunks it centers
+    itself.  ``beta`` and ``delta`` are fourth powers of the data, so ``M``
+    and the ``||x_k||^2`` are first scaled by the power of two that brings
+    the largest ``||x_k||^2``, which bounds every entry of ``M``, to [0.5,
+    1).  That leaves the scale-free ratio unchanged bit for bit, and makes it
+    the same at every data scale at which ``M`` is finite.
     """
     return _ledoit_wolf(_Centred(_covariance_data(centered, None)))
 
@@ -376,11 +373,11 @@ def _lag_sums_fft(centred: _Centred, dims: BlockDims) -> np.ndarray:
     to the ``nfft = blockmat._embedding_length(nt)`` samples of every
     block-circulant embedding (so no lag wraps), the inverse transform
     of the cross-spectrum ``sum_e conj(F_e(k)) F_e(k)^T`` is
-    ``sum_e sum_t x_t x_{t+d}^T`` at ``d < nt``.  Chunks of at most
-    ``_FFT_EPOCHS`` epochs and a quarter of the data (so the chunk buffer
-    stays below half the input's size) are centered into the chunk buffer
-    and transformed there in FFTPACK's real layout, where
-    the real and imaginary parts of frequency ``k`` are adjacent
+    ``sum_e sum_t x_t x_{t+d}^T`` at ``d < nt``.  The ``blockmat._slices``
+    of at most ``_FFT_EPOCHS`` epochs and a quarter of the data (so the
+    chunk buffer stays below half the input's size) are centered into the
+    chunk buffer and transformed there in FFTPACK's real layout, where the
+    real and imaginary parts of frequency ``k`` are adjacent
     ``(epochs, nc)`` planes ``Re``, ``Im``.  The cross-spectrum is then
     ``Re^T Re + Im^T Im + i (M - M^T)`` with ``M = Re^T Im``: two real
     products per frequency and no complex copy, formed over slices of
@@ -398,12 +395,12 @@ def _lag_sums_fft(centred: _Centred, dims: BlockDims) -> np.ndarray:
     spec_re, spec_im = spec[1:-1:2], spec[2:-1:2]
     freqs = _slices(half - 1, 8 * nc * nc)
     prod = part = np.empty((freqs[0].stop if freqs else 0, nc, nc))
-    chunk = max(1, min(_FFT_EPOCHS, n // 4))
-    buf = np.empty(nfft * chunk * nc)
-    for start in range(0, n, chunk):
-        width = min(chunk, n - start)
+    chunks = _slices(n, 1, min(_FFT_EPOCHS, n // 4))  # a budget of epochs
+    buf = np.empty(nfft * chunks[0].stop * nc)
+    for cols in chunks:
+        width = cols.stop - cols.start
         f = buf[: nfft * width * nc].reshape(nfft, width, nc)
-        centred.write(f[:nt].transpose(0, 2, 1), cols=slice(start, start + width),
+        centred.write(f[:nt].transpose(0, 2, 1), cols=cols,
                       view=lambda a: a.reshape(nt, nc, -1))
         f[nt:] = 0.0
         f = scipy.fftpack.rfft(f, axis=0, overwrite_x=True)

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
-from .blockmat import BlockDims, BlockToeplitzCov, _finite_array
+from . import blockmat, rng
+from .blockmat import BlockDims, BlockToeplitzCov, _finite_array, _slices
 from .dataio import Epochs, _owned_epochs
 from .errors import GroupSizeError, ShapeError
 
@@ -49,10 +49,6 @@ DEFAULT_T0 = 0.1
 
 #: Targets to non-targets in each epoch group, here and in the benchmark.
 TARGET_RATIO = (1, 5)
-
-#: Bytes of the buffers of one block of epochs, which :func:`generate_noise`
-#: draws, filters and mixes at once; a block holds at least one epoch.
-_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -182,14 +178,6 @@ def default_erp_spec(
     )
 
 
-def _block_epochs(n_sources: int, n_channels: int, n_times: int, fir_length: int) -> int:
-    """Epochs of one block of :func:`generate_noise`: at most ``_BLOCK_BYTES``
-    of its buffers and finiteness mask, or one epoch."""
-    width = n_times + fir_length - 1
-    per_epoch = 8 * (3 * n_sources * width + (n_sources + n_channels) * n_times)
-    return max(1, _BLOCK_BYTES // (per_epoch + n_channels * n_times))
-
-
 def generate_noise(
     model: NoiseModel,
     n_epochs: int,
@@ -200,11 +188,13 @@ def generate_noise(
 ) -> Epochs:
     """Draw unlabeled stationary noise epochs (bit-deterministic in seed).
 
-    The epochs are made in blocks of ``_block_epochs``, each drawn from its
-    own stream in the documented order.  Each run of consecutive sources
-    with the same taps (all sources, for the default model) is filtered
-    with one convolution over the block's draws of those sources laid end
-    to end, of which each epoch keeps its ``valid`` window: every output
+    The epochs are made in the blocks of ``blockmat._slices``, each of at
+    most ``blockmat._CHUNK_BYTES`` of buffers and finiteness mask, or one
+    epoch; each epoch is drawn from its own stream in the documented order.
+    Each run of consecutive sources with the same taps (all sources, for the
+    default model) is filtered with one convolution over the block's draws
+    of those sources laid end to end, of which each epoch keeps its
+    ``valid`` window: every output
     sample is the same dot product of the same taps and draws as a
     convolution of one source of one epoch.  One stacked product mixes the
     block into the output, which is checked for finiteness block by block
@@ -220,7 +210,10 @@ def generate_noise(
     ns, length = model.n_sources, model.fir_length
     width = nt + length - 1
     mix, fir, floor = model.spatial_mix, model.temporal_fir, model.noise_floor
-    block = min(n_epochs, _block_epochs(ns, nc, nt, length))
+    # An epoch's share of the block buffers below and of the finiteness mask.
+    per_epoch = 8 * (3 * ns * width + (ns + nc) * nt) + nc * nt
+    blocks = _slices(n_epochs, per_epoch, blockmat._CHUNK_BYTES)
+    block = blocks[0].stop
     # The first source of each run of sources with the same taps, and ns.
     edges = [s for s in range(ns) if not s or fir[s].tobytes() != fir[s - 1].tobytes()] + [ns]
     gens = rng.streams(seed, range(n_epochs))
@@ -234,8 +227,8 @@ def generate_noise(
     # of width per epoch.
     rows = np.zeros(ns * block * width + length - 1)
     filtered = np.empty((block, ns, nt))
-    for start in range(0, n_epochs, block):
-        size = min(block, n_epochs - start)
+    for part in blocks:
+        size = part.stop - part.start
         for b in range(size):
             gen = next(gens)
             gen.standard_normal(out=drawn[b])
@@ -247,7 +240,7 @@ def generate_noise(
             conv = np.convolve(rows[lo * span : hi * span + length - 1], fir[lo], mode="valid")
             filtered[:size, lo:hi] = conv.reshape(hi - lo, size, width)[..., :nt].transpose(1, 0, 2)
             del conv  # before the next block's convolution allocates its output
-        out = data[start : start + size]
+        out = data[part]
         np.matmul(mix, filtered[:size], out=out)
         if sensor is not None:
             out += np.multiply(floor, sensor[:size], out=sensor[:size])

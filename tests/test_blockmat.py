@@ -242,6 +242,24 @@ def test_finite_check_over_slices_finds_a_value_in_any_slice(layout, where, bad)
         blockmat._finite_array(view, (None,) * view.ndim, "x")
 
 
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(0, 300), item_bytes=st.integers(1, 1 << 12),
+       budget=st.none() | st.integers(1, 1 << 14))
+def test_slices_cover_the_range_in_bounded_contiguous_pieces(size, item_bytes, budget):
+    parts = blockmat._slices(size, item_bytes, budget)
+    most = max(1, (blockmat._SLICE_BYTES if budget is None else budget) // item_bytes)
+    stops = [0] + [part.stop for part in parts]
+    lengths = [part.stop - part.start for part in parts]
+    # Contiguous, in order, covering range(size), each of 1 to most items.
+    assert [part.start for part in parts] == stops[:-1] and stops[-1] == size
+    assert all(part.step is None for part in parts)
+    assert all(0 < n <= most for n in lengths)
+    if size:
+        assert lengths[0] == max(lengths)
+    else:
+        assert parts == []
+
+
 def test_to_dense_holds_one_dense_matrix():
     # At 8 x 128, D = 1024: one D x D float64 matrix is 8 MiB; the lag stack
     # the gather reads is 2 n_times blocks.

@@ -452,7 +452,7 @@ def small_chunks(monkeypatch, n_rows_or_epochs, n, d):
     Gram's rows), an epoch chunk that many epochs when ``n >= d``, and an
     FFT chunk that many epochs; the data is too large to be centred once.
     """
-    monkeypatch.setattr(covest, "_CHUNK_BYTES", 8 * min(n, d) * n_rows_or_epochs)
+    monkeypatch.setattr(blockmat, "_CHUNK_BYTES", 8 * min(n, d) * n_rows_or_epochs)
     monkeypatch.setattr(covest, "_FFT_EPOCHS", n_rows_or_epochs)
 
 
@@ -636,7 +636,7 @@ def test_long_window_toeplitz_fit_forms_no_dense_covariance():
 def test_toeplitz_fit_holds_little_beyond_its_data(nc, nt, n, bound):
     # The perfbench fit-paper and fit-long shapes, and a long window on few
     # epochs.  No D x N_e array is written: the passes over the data centre
-    # chunks of at most covest._CHUNK_BYTES, or of 32 epochs for the FFT.
+    # chunks of at most blockmat._CHUNK_BYTES, or of 32 epochs for the FFT.
     # Each spectral stage holds its one spectrum and slices of frequencies,
     # so the peak is the FFT chunk buffer or the PCG solve's spectra, plus
     # the lag blocks.

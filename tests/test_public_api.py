@@ -2,7 +2,8 @@
 
 Each one that a module of ``src/toeplitzlda`` defines at its top level is
 used by package code (the re-exports of ``__init__`` aside), is named by a
-per-layer row of BENCHMARK.json, or is on ``KEEP`` with its reason.
+per-layer row of BENCHMARK.json, or is on ``KEEP`` with its reason.  The
+byte budgets of the passes that work in bounded pieces live in one module.
 """
 
 import ast
@@ -67,3 +68,17 @@ def test_every_kept_name_is_public_and_otherwise_idle():
     used, rows = names_used(), benchmark_rows()
     assert set(KEEP) <= public_definitions()
     assert [name for name in KEEP if name.split(".")[1] in used or name in rows] == []
+
+
+def test_blockmat_is_the_one_home_of_the_byte_budgets():
+    # Every module reads a budget as ``blockmat.<name>`` at call time, so a
+    # test that patches one reaches every pass that works in pieces.
+    homes = sorted(
+        f"{path.stem}.{target.id}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.endswith("_BYTES")
+    )
+    assert homes and {name.split(".")[0] for name in homes} == {"blockmat"}, homes

@@ -1,10 +1,12 @@
 """Synthetic data generator: analytic covariance, determinism, labeling."""
 
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from toeplitzlda import rng, synth
+from toeplitzlda import blockmat, rng, synth
 from toeplitzlda.blockmat import BlockDims, to_dense
 from toeplitzlda.errors import DataFormatError, GroupSizeError, ShapeError
 from toeplitzlda.synth import ErpSpec, NoiseModel
@@ -195,6 +197,22 @@ def per_epoch_noise(model: NoiseModel, n_epochs: int, dims: BlockDims, seed: int
     return data
 
 
+def block_epochs(model, dims):
+    """Epochs in a full block of ``generate_noise``: the first slice that
+    ``_slices`` cuts with the epoch size and budget the generator hands it,
+    out of more epochs than the budget holds."""
+    calls = []
+
+    def spy(size, item_bytes, budget=None):
+        calls.append((item_bytes, budget))
+        return blockmat._slices(size, item_bytes, budget)
+
+    with mock.patch.object(synth, "_slices", spy):
+        synth.generate_noise(model, 1, dims, seed=0)
+    [(item_bytes, budget)] = calls
+    return blockmat._slices(budget // item_bytes + 1, item_bytes, budget)[0].stop
+
+
 @pytest.mark.parametrize("count", ["one", "block-1", "block+1"])
 @pytest.mark.parametrize("noise_floor", [0.0, 0.5])
 @pytest.mark.parametrize("fir_length", [1, 2, 8, 40])
@@ -211,7 +229,7 @@ def test_blocked_generator_equals_the_per_epoch_loop(taps, fir_length, noise_flo
         fir[1] = fir[0]
     model = NoiseModel(spatial_mix=draws.standard_normal((3, 3)) + 3 * np.eye(3),
                        temporal_fir=fir, noise_floor=noise_floor)
-    block = synth._block_epochs(3, 3, 5, fir_length)
+    block = block_epochs(model, dims)
     n_epochs = {"one": 1, "block-1": block - 1, "block+1": block + 1}[count]
     epochs = synth.generate_noise(model, n_epochs, dims, seed=11)
     assert epochs.data.tobytes() == per_epoch_noise(model, n_epochs, dims, seed=11).tobytes()
@@ -220,11 +238,11 @@ def test_blocked_generator_equals_the_per_epoch_loop(taps, fir_length, noise_flo
 def test_generator_holds_its_output_and_one_block():
     dims = BlockDims(8, 64)
     model = synth.default_noise_model(dims)
-    n_epochs = 4 * synth._block_epochs(8, 8, 64, model.fir_length) + 3
+    n_epochs = 4 * block_epochs(model, dims) + 3
     epochs, peak, _ = traced_peak(lambda: synth.generate_noise(model, n_epochs, dims, seed=1))
     extra = peak - epochs.data.nbytes
     # 64 KiB for the streams and the other small objects of a call.
-    assert extra <= synth._BLOCK_BYTES + (64 << 10), f"{extra / 2**20:.2f} MiB beyond the output"
+    assert extra <= blockmat._CHUNK_BYTES + (64 << 10), f"{extra / 2**20:.2f} MiB beyond the output"
 
 
 def test_non_finite_noise_and_injection_are_rejected():
