@@ -1,11 +1,19 @@
 """Linear solvers for block-Toeplitz systems.
 
 A fit solves its estimate through ``_fit_solve``, the one entry into the
-block-Toeplitz solve.  A dense estimate is the fit's own and is factored in
-place.  The compact :class:`BlockToeplitzCov` of a ``toeplitz`` fit takes
-one of two routes, by the size of the system (``blockmat._fft_pays``, the
-rule that also picks the lag-sum kernel of the estimate), and names it in
-``SolveReport.method``:
+solve, which names its route in ``SolveReport.method``.  An ``slda``
+estimate with fewer epochs than features (``N_e < D``) comes as
+``covest._GramCov``, ``a xc xc^T + r I`` held as the ``N_e``-square Gram
+``G = xc^T xc`` that the Ledoit-Wolf intensity sums, and takes the
+``"woodbury"`` route: ``w = (b - a xc (r I + a G)^-1 xc^T b) / r``, one
+Cholesky of ``r I + a G`` and two passes over the row chunks of the
+centered data, in ``O(N_e^2 D + N_e^3)`` time with nothing of size
+``D^2``.  Without shrinkage (``r = 0``) that system is singular and raises
+:class:`SolveError`, as the dense Cholesky of the same estimate does.  Any
+other dense estimate is the fit's own and is factored in place.  The
+compact :class:`BlockToeplitzCov` of a ``toeplitz`` fit takes one of two
+routes, by the size of the system (``blockmat._fft_pays``, the rule that
+also picks the lag-sum kernel of the estimate):
 
 * ``"dense"``, on small systems: ``blockmat.to_dense`` fills one ``D x D``
   buffer, which LAPACK Cholesky (``dpotrf``/``dpotrs``) factors in place,
@@ -15,7 +23,11 @@ rule that also picks the lag-sum kernel of the estimate), and names it in
   inverse is one ``n_channels``-square block per frequency.  Each iteration
   multiplies by ``T`` through the FFT of a block-circulant embedding of the
   lag blocks, so the solve costs ``O(iters n_channels^2 n_times log
-  n_times)`` time and never forms ``T``; ``iters`` is typically 10 to 30.
+  n_times)`` time and never forms ``T``.  ``iters`` was 22-23 on the
+  ``toeplitz`` fits of perfbench's fit-paper draws (31 x 100, ``N_e =
+  192``, seed 1, draws 0-5, γ near 0.7) and 14-15 on fit-long's (8 x 512,
+  ``N_e = 96``); on random-walk noise with less shrinkage, 35 at 8 x 512,
+  45 at 31 x 100 and 62-72 at 31 x 2000.
   Beyond the lag blocks it holds two spectra, each built one channel
   column at a time: the embedding's, about ``n_times`` complex blocks, and
   the inverse preconditioner's, about half as many, which is factored and
@@ -55,6 +67,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .blockmat import (BlockCov, BlockToeplitzCov, _embedding_length, _fft_pays, _finite_array,
                        _slices, to_dense)
+from .covest import _GramCov
 from .errors import SolveBreakdownError, SolveError
 
 
@@ -62,9 +75,9 @@ from .errors import SolveBreakdownError, SolveError
 class SolveReport:
     """Solution vector of one linear system and the route that produced it.
 
-    ``method`` names the solver: ``"dense"`` or ``"pcg"`` from a fit's
-    ``_fit_solve``, ``"dense"`` from :func:`dense_solve` and ``"levinson"``
-    from the reference :func:`block_levinson_solve`.
+    ``method`` names the solver: ``"woodbury"``, ``"dense"`` or ``"pcg"``
+    from a fit's ``_fit_solve``, ``"dense"`` from :func:`dense_solve` and
+    ``"levinson"`` from the reference :func:`block_levinson_solve`.
     ``well_conditioned`` is False when a positive definite factorization
     failed and an indefinite solve produced the solution.
     """
@@ -280,17 +293,44 @@ def _pcg_solve(btc: BlockToeplitzCov, b: np.ndarray) -> SolveReport:
     return SolveReport(x, "pcg", True)
 
 
+def _woodbury_solve(cov: _GramCov, b: np.ndarray) -> SolveReport:
+    """``(a xc xc^T + r I) w = b`` through the Gram ``G = xc^T xc``:
+    ``w = (b - a xc (r I + a G)^-1 xc^T b) / r`` (Woodbury), with one
+    Cholesky of the ``N_e``-square ``r I + a G``.  ``r = 0`` (no shrinkage)
+    leaves the rank-``N_e`` system singular and raises :class:`SolveError`,
+    as the dense route's Cholesky does."""
+    a, r = cov.scale, cov.ridge
+    if not r > 0.0:
+        raise SolveError(
+            f"the shrunk covariance is singular: gamma nu = {r:.3e} with fewer epochs "
+            f"({cov.gram.shape[0]}) than features ({cov.dims.size})"
+        )
+    # G is symmetric to rounding and LAPACK reads one triangle: its
+    # transpose is G in Fortran order, which it factors in place.
+    inner = cov.gram.T * a
+    inner.flat[:: len(inner) + 1] += r
+    u = _cholesky_solve(inner, cov.t_dot(b)).solution
+    w = b - a * cov.dot(u)
+    w /= r
+    if not np.isfinite(w).all():
+        raise SolveError("Woodbury solve gave a non-finite solution")
+    return SolveReport(w, "woodbury", True)
+
+
 def _fit_solve(
-    cov: BlockCov | BlockToeplitzCov, b: np.ndarray, maybe_indefinite: bool
+    cov: BlockCov | BlockToeplitzCov | _GramCov, b: np.ndarray, maybe_indefinite: bool
 ) -> SolveReport:
-    """Solve a fit's own estimate for the finite vector ``b``: a dense
-    ``cov``, read no more, is factored in place; a compact one takes the PCG
-    route where ``blockmat._fft_pays`` picks it, unless ``maybe_indefinite``
+    """Solve a fit's own estimate for the finite vector ``b``: an ``slda``
+    estimate held as its Gram takes the Woodbury route; a dense ``cov``,
+    read no more, is factored in place; a compact one takes the PCG route
+    where ``blockmat._fft_pays`` picks it, unless ``maybe_indefinite``
     (averaging without tapering), else the dense route on its expansion.
     With ``maybe_indefinite`` a failed Cholesky is not an error: a fresh
     expansion is solved by a symmetric indefinite factorization, and the
     report says so.  The lag blocks are finite; only solutions are scanned.
     """
+    if isinstance(cov, _GramCov):
+        return _woodbury_solve(cov, b)
     if not isinstance(cov, BlockToeplitzCov):
         return _solve_in_place(cov, b)
     if not maybe_indefinite and _fft_pays(cov.dims.n_channels, cov.dims.n_times):

@@ -5,8 +5,11 @@ column).  ``estimate_covariance`` turns centered data into the shrunk
 covariance (divisor ``N_e - 1``, analytic shrinkage toward the scaled
 identity) in the structure an estimator of ``ESTIMATORS`` names.  Only
 ``slda`` and ``toeplitz_a2_only`` form the dense ``D x D`` sample covariance,
-and they shrink (and taper) it in the buffer the product lands in;
-``toeplitz`` and ``toeplitz_a1_only`` build their lag blocks from the data:
+and they shrink (and taper) it in the buffer the product lands in; a fit's
+``slda`` forms it only at ``N_e >= D``, and below holds its estimate as
+γ's ``N_e``-square Gram (``_GramCov``), which ``btsolve`` solves by the
+Woodbury identity.  ``toeplitz`` and ``toeplitz_a1_only`` build their lag
+blocks from the data:
 one product per lag on short windows, a cross-spectrum summed over chunks
 of epochs on long ones (the size rule ``blockmat._fft_pays``), whose
 products are formed over slices of frequencies into one small buffer.  The
@@ -29,7 +32,8 @@ from one, and ``estimate_covariance`` and a lone fit are the case of one
 estimator.  Each kernel writes the centered, scaled values into its own
 buffer, laid out like the data: the chunks of ``blockmat._slices``, but for
 the one ``D x N_e`` buffer of the direct lag sums on short windows.  The
-dense estimators write one centered ``D x N_e`` copy.  The public
+dense estimators write one centered ``D x N_e`` copy; the Gram route of
+``slda`` reads the data by row chunks, as γ's Gram does.  The public
 functions check their input once and run the same code on data that is
 already centered; ``center`` takes the offsets of a fit.
 """
@@ -77,10 +81,11 @@ class ShrinkageResult:
     """Shrunk covariance with its intensity and ``nu = trace(S) / D``.
 
     ``matrix`` is the compact :class:`BlockToeplitzCov` for the averaged
-    estimators of :func:`estimate_covariance`, else a dense :class:`BlockCov`.
+    estimators of :func:`estimate_covariance`, else a dense :class:`BlockCov`;
+    a fit's ``slda`` estimate at ``N_e < D`` is a :class:`_GramCov`.
     """
 
-    matrix: BlockCov | BlockToeplitzCov
+    matrix: BlockCov | BlockToeplitzCov | _GramCov
     gamma: float
     nu: float
 
@@ -126,7 +131,8 @@ class _Centred:
         return out
 
     def chunks(self, axis: int):
-        """The centered data by ranges of rows (``axis`` 0) or of epochs (1).
+        """The centered data by ranges of rows (``axis`` 0) or of epochs (1),
+        as ``(range, chunk)`` pairs.
 
         The ranges are the ``blockmat._slices`` of ``blockmat._CHUNK_BYTES``.
         With nothing to subtract or scale the chunks are views of ``x``;
@@ -145,7 +151,37 @@ class _Centred:
             if buf is not None:
                 out = buf[: chunk.size].reshape(chunk.shape, order=order)
                 chunk = self.write(out, *index)
-            yield chunk
+            yield part, chunk
+
+
+@dataclass(frozen=True)
+class _GramCov:
+    """``scale * xc xc^T + ridge * I``, the ``slda`` estimate of a fit with
+    ``N_e < D``, held as the ``N_e``-square Gram ``gram = xc^T xc`` of the
+    ``D x N_e`` data ``xc`` that ``centred`` centers.
+
+    ``scale`` is ``(1 - gamma) / (N_e - 1)`` and ``ridge`` is ``gamma nu``.
+    ``btsolve._fit_solve`` solves it by the Woodbury identity through the
+    products :meth:`t_dot` and :meth:`dot`, each one pass over the row
+    chunks of ``centred``; no ``D x D`` array is formed.
+    """
+
+    dims: BlockDims
+    centred: _Centred
+    gram: np.ndarray
+    scale: float
+    ridge: float
+
+    def t_dot(self, v: np.ndarray) -> np.ndarray:
+        """``xc^T v`` for a length-``D`` vector ``v``."""
+        return sum(chunk.T @ v[rows] for rows, chunk in self.centred.chunks(0))
+
+    def dot(self, u: np.ndarray) -> np.ndarray:
+        """``xc u`` for a length-``N_e`` vector ``u``."""
+        out = np.empty(self.dims.size)
+        for rows, chunk in self.centred.chunks(0):
+            np.matmul(chunk, u, out=out[rows])
+        return out
 
 
 def _centring(
@@ -183,8 +219,9 @@ def _fit_estimate(
 
     Returns the :class:`_Estimates` of ``estimators``, the class means of
     ``labels`` (None without labels) and ``exp`` (see :func:`_centring`).
-    Each pass centers its own chunks; when a dense estimator, which writes a
-    centered copy anyway, is among ``estimators``, data of at most
+    Each pass centers its own chunks; when a dense estimator is among
+    ``estimators`` (it writes a centered copy, or, as ``slda`` at ``N_e <
+    D``, reads the data three times), data of at most
     ``blockmat._CHUNK_BYTES`` is centered once into a copy laid out like
     ``x`` instead.
     """
@@ -192,7 +229,7 @@ def _fit_estimate(
     exp = centred.exp
     if x.nbytes <= blockmat._CHUNK_BYTES and any(e in _DENSE for e in estimators):
         centred = _Centred(centred.write(np.empty_like(x)))
-    return _Estimates(centred, dims, estimators, gamma), stats, exp
+    return _Estimates(centred, dims, estimators, gamma, solve_only=True), stats, exp
 
 
 def _check_epochs(n_epochs: int) -> None:
@@ -206,8 +243,11 @@ def _check_estimator(estimator: str) -> None:
 
 
 def _covariance_data(centered, size: int | None) -> np.ndarray:
-    """``centered`` as a finite ``size x N_e`` matrix (any size if None), ``N_e >= 2``."""
+    """``centered`` as a finite ``size x N_e`` matrix (any size if None) with
+    at least one row and ``N_e >= 2``."""
     xc = _finite_array(centered, (size, None), "centered")
+    if not xc.shape[0]:
+        raise ShapeError("centered has 0 rows; a covariance needs at least 1 feature")
     _check_epochs(xc.shape[1])
     return xc
 
@@ -296,13 +336,31 @@ def ledoit_wolf_gamma(centered) -> float:
     1).  That leaves the scale-free ratio unchanged bit for bit, and makes it
     the same at every data scale at which ``M`` is finite.
     """
-    return _ledoit_wolf(_Centred(_covariance_data(centered, None)))
+    return _ledoit_wolf(_Centred(_covariance_data(centered, None)))[0]
 
 
-def _ledoit_wolf(centred: _Centred) -> float:
+def _ledoit_wolf(centred: _Centred) -> tuple[float, np.ndarray | None]:
+    """γ of the data ``centred`` centers and, at ``N_e < D``, the raw Gram
+    ``xc^T xc`` of :func:`_gram` it came from, which is kept (γ reads ``M``
+    from a copy) for a fit's ``slda`` to solve through; None at ``N_e >= D``."""
+    d, n = centred.x.shape
+    gram, norms = _gram(centred)
+    if n < d:
+        return _intensity(gram / n, norms, d, n), gram
+    gram /= n
+    return _intensity(gram, norms, d, n), None
+
+
+def _gram(centred: _Centred) -> tuple[np.ndarray, np.ndarray]:
+    """``n M`` of :func:`ledoit_wolf_gamma`, summed over the chunks of
+    ``centred``, and the squared norms ``||x_k||^2`` of the epochs.
+
+    Each chunk's product is let go once it is added, so the sum holds at
+    most two arrays of its size beside the chunk buffer.
+    """
     d, n = centred.x.shape
     gram, norms = None, []
-    for chunk in centred.chunks(0 if n < d else 1):
+    for _, chunk in centred.chunks(0 if n < d else 1):
         if n < d:
             part = chunk.T @ chunk
         else:
@@ -312,21 +370,26 @@ def _ledoit_wolf(centred: _Centred) -> float:
             gram = part
         else:
             gram += part
+        del part
     norms = gram.diagonal().copy() if n < d else np.concatenate(norms)
-    gram /= n
+    return gram, norms
+
+
+def _intensity(m: np.ndarray, norms: np.ndarray, d: int, n: int) -> float:
+    """The Ledoit-Wolf intensity of ``M`` (which it overwrites) and the norms."""
     # M is positive semidefinite, so its largest entry is on its diagonal,
     # which is at most trace(M) = mean_k ||x_k||^2 (or ||x_k||^2 / n itself).
     exponent = -math.frexp(norms.max())[1]
-    np.ldexp(gram, exponent, out=gram)
+    np.ldexp(m, exponent, out=m)
     np.ldexp(norms, exponent, out=norms)
-    m = gram.shape[0]
-    mu = np.trace(gram) / d
-    gram_sq = np.vdot(gram, gram)
-    gram.flat[:: m + 1] -= mu
-    delta = (np.vdot(gram, gram) + (d - m) * mu * mu) / d
+    size = m.shape[0]
+    mu = np.trace(m) / d
+    m_sq = np.vdot(m, m)
+    m.flat[:: size + 1] -= mu
+    delta = (np.vdot(m, m) + (d - size) * mu * mu) / d
     if delta <= 0.0:
         return 0.0
-    beta = (np.vdot(norms, norms) / n - gram_sq) / (d * n)
+    beta = (np.vdot(norms, norms) / n - m_sq) / (d * n)
     beta = min(max(beta, 0.0), delta)
     return float(beta / delta)
 
@@ -471,12 +534,27 @@ class _Estimates:
     that no two ``D x D`` arrays exist unless a caller keeps one estimate
     while it asks for the next.  The centered data and the lag sums are let
     go with the last estimator that reads them.
+
+    A fit's estimates are only solved (``solve_only``).  There, when ``slda``
+    is among ``estimators`` and ``N_e < D``, γ's raw ``N_e``-square Gram is
+    summed here (by the same code as γ, also when ``gamma`` is given) and
+    kept, and ``slda`` returns it as a :class:`_GramCov` with ``nu =
+    trace(G) / ((N_e - 1) D)``: the same estimator, solved in ``O(N_e^2 D +
+    N_e^3)`` time with nothing of size ``D^2``.  At ``N_e >= D``, and for
+    :func:`estimate_covariance`, ``slda`` forms its dense ``S``.
     """
 
-    def __init__(self, centred: _Centred, dims: BlockDims, estimators, gamma: float | None):
+    def __init__(self, centred: _Centred, dims: BlockDims, estimators, gamma: float | None,
+                 solve_only: bool = False):
         self._centred, self._dims = centred, dims
         self._pending = list(estimators)
-        self._gamma = _ledoit_wolf(centred) if gamma is None else gamma
+        keep = solve_only and "slda" in estimators
+        gram = None
+        if gamma is None:
+            gamma, gram = _ledoit_wolf(centred)
+        elif keep and centred.x.shape[1] < dims.size:
+            gram = _gram(centred)[0]
+        self._gamma, self._gram = gamma, gram if keep else None
         self._lags = None
 
     def __call__(self, estimator: str) -> ShrinkageResult:
@@ -486,6 +564,11 @@ class _Estimates:
             self._centred = None
         n = centred.x.shape[1]
         nc, nt = dims.n_channels, dims.n_times
+        if estimator == "slda" and self._gram is not None:
+            gram, self._gram = self._gram, None
+            nu = float(np.trace(gram) / (n - 1) / dims.size)
+            cov = _GramCov(dims, centred, gram, (1.0 - gamma) / (n - 1), gamma * nu)
+            return ShrinkageResult(cov, gamma, nu)
         if estimator in _DENSE:
             # The steps of sample_covariance, shrink and apply_taper_dense, in place.
             xc = centred.x

@@ -7,8 +7,10 @@ positive on the target side.
 
 ``estimator`` selects the structure of ``Sigma`` (see
 :func:`covest.estimate_covariance`): ``slda`` is the dense shrunk sample
-covariance, ``toeplitz`` averages its block diagonals and tapers them,
-``toeplitz_a1_only`` only averages (which may be indefinite: the solve then
+covariance (with fewer epochs than features, a fit solves it through the
+``N_e``-square Gram of the centered data and never forms it; the weights
+are the same to rounding), ``toeplitz`` averages its block diagonals and
+tapers them, ``toeplitz_a1_only`` only averages (which may be indefinite: the solve then
 falls back to a symmetric indefinite factorization and the model is flagged)
 and ``toeplitz_a2_only`` only tapers.  ``cov_mode`` selects the centering:
 'within' uses per-class means (needs labels), 'global' the overall mean,

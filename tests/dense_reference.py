@@ -1,8 +1,9 @@
 """Dense reference helpers that no fit, score, synth or bench run calls.
 
 The tests check the package's block layout and taper against these direct
-element-wise definitions, and the spectral stages of a ``toeplitz`` fit
-against whole-array versions of them.
+element-wise definitions, the spectral stages of a ``toeplitz`` fit
+against whole-array versions of them, and ``slda`` fits against the dense
+chain of public stages.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import scipy.fftpack
 
 from toeplitzlda import covest
 from toeplitzlda.blockmat import BlockCov, BlockDims, BlockToeplitzCov, _embedding_length
+from toeplitzlda.btsolve import dense_solve
 from toeplitzlda.errors import ShapeError, SolveError
 
 
@@ -29,6 +31,22 @@ def taper_weight(d: int, n_times: int) -> float:
     if abs(d) > n_times:
         raise ShapeError(f"lag {d} out of range for n_times={n_times}")
     return 1.0 - abs(d) / n_times
+
+
+def slda_estimate(x, labels, dims: BlockDims, cov_mode="within", gamma=None):
+    """The dense ``slda`` estimate, stage by stage: ``center -> sample_covariance
+    -> shrink``, centred by the class means of ``labels`` ('within') or by
+    the overall mean ('global')."""
+    xc = covest.center(x, labels=labels if cov_mode == "within" else None)
+    return covest.shrink(covest.sample_covariance(xc, dims), gamma, xc)
+
+
+def slda_weights(x, labels, dims: BlockDims, cov_mode="within", gamma=None, means=None):
+    """``dense_solve`` of :func:`slda_estimate` for the difference of the
+    class means ``means`` (a ``ClassStats``; by default those of ``x``)."""
+    means = covest.class_means(x, labels) if means is None else means
+    shrunk = slda_estimate(x, labels, dims, cov_mode, gamma).matrix
+    return dense_solve(shrunk, means.means[1] - means.means[0]).solution
 
 
 # The whole-array spectral stages of a toeplitz fit, which the fit computes

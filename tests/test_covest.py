@@ -301,6 +301,30 @@ def test_analytic_gamma_is_scale_free_over_the_float_range(shape):
         assert estimate_covariance(xc * 2.0**300, dims, estimator).gamma == gamma
 
 
+def test_zero_feature_rows_raise_shape_error():
+    # An empty Gram would give gamma = nan with RuntimeWarnings, which the
+    # test settings turn into errors: a ShapeError shows none escapes.
+    with pytest.raises(ShapeError, match="0 rows"):
+        ledoit_wolf_gamma(np.zeros((0, 5)))
+    s = BlockCov(dims=BlockDims(1, 2), data=np.eye(2))
+    with pytest.raises(ShapeError, match="0 rows"):
+        shrink(s, centered=np.zeros((0, 5)))
+
+
+def test_gamma_gram_holds_at_most_two_arrays_of_its_size(monkeypatch):
+    # N_e >= D: the Gram is D x D, summed over 5 chunks of 80 epochs.  Each
+    # chunk's product is let go once it is added, so the sum holds the
+    # running Gram and one product beside the chunk (here a view of x).
+    d, n, per_chunk = 300, 400, 80
+    xc = center(np.random.default_rng(0).standard_normal((d, n)))
+    monkeypatch.setattr(blockmat, "_CHUNK_BYTES", 8 * d * per_chunk)
+    assert len(blockmat._slices(n, 8 * d, blockmat._CHUNK_BYTES)) >= 3
+    gamma, peak, _ = traced_peak(lambda: ledoit_wolf_gamma(xc))
+    assert gamma == ledoit_wolf_gamma(xc)
+    bound = 1.05 * (2 * 8 * d * d + blockmat._CHUNK_BYTES)
+    assert peak <= bound, f"peak {peak / (8 * d * d):.2f} Grams"
+
+
 def test_analytic_gamma_grows_when_samples_shrink():
     # Anisotropic truth: with ample data the sample covariance is trusted
     # (small gamma); starved of data the intensity rises.

@@ -27,6 +27,7 @@ from toeplitzlda.errors import DataFormatError, ShapeError, SolveError
 from toeplitzlda.lda import LdaModel, decision_values, fit, load_model, save_model
 
 from conftest import traced_peak
+from dense_reference import slda_estimate, slda_weights
 
 
 def flatten_epochs(epochs):
@@ -88,13 +89,8 @@ def test_toeplitz_weights_solve_the_structured_system():
 def test_slda_weights_solve_the_shrunk_dense_system():
     x, labels, dims = labeled_features(2, 3, 48, seed=2)
     model = fit(x, labels, dims=dims, estimator="slda")
-    xc = covest.center(x, labels=labels)
-    shrunk = covest.shrink(covest.sample_covariance(xc, dims), None, xc)
-    stats = covest.class_means(x, labels)
-    delta = stats.means[1] - stats.means[0]
-    oracle = np.linalg.solve(shrunk.matrix.data, delta)
-    assert np.allclose(model.weights, oracle, atol=1e-10)
-    assert model.gamma == pytest.approx(shrunk.gamma, abs=1e-15)
+    assert np.allclose(model.weights, slda_weights(x, labels, dims), atol=1e-10)
+    assert model.gamma == pytest.approx(slda_estimate(x, labels, dims).gamma, abs=1e-15)
 
 
 def test_full_shrinkage_weights_are_proportional_to_mean_difference():
@@ -137,8 +133,7 @@ def test_estimators_agree_given_ample_stationary_data():
 
 def stage_by_stage_covariance(x, labels, dims, estimator, cov_mode):
     """Dense oracle: each stage of the estimator run by hand."""
-    xc = covest.center(x, labels=labels if cov_mode == "within" else None)
-    shrunk = covest.shrink(covest.sample_covariance(xc, dims), None, xc).matrix
+    shrunk = slda_estimate(x, labels, dims, cov_mode).matrix
     if estimator == "slda":
         return shrunk.data
     if estimator == "toeplitz_a2_only":
@@ -496,6 +491,88 @@ def test_multi_chunk_fit_matches_the_stage_by_stage_dense_oracle(
     assert cos >= 1.0 - 1e-10
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    nc=st.integers(1, 4),
+    nt=st.integers(1, 8),
+    n=st.integers(4, 40),
+    cov_mode=st.sampled_from(lda.COV_MODES),
+    override=st.booleans(),
+    gamma=st.one_of(st.none(), st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    layout=st.sampled_from([np.ascontiguousarray, np.asfortranarray]),
+    per_chunk=st.one_of(st.none(), st.integers(1, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nc=4, nt=8, n=12, cov_mode="within", override=False, gamma=None,
+         layout=np.ascontiguousarray, per_chunk=2, seed=0)  # the Gram route, chunked
+@example(nc=2, nt=3, n=40, cov_mode="global", override=True, gamma=1.0,
+         layout=np.asfortranarray, per_chunk=None, seed=1)  # the dense route
+def test_slda_fit_matches_the_dense_oracle_on_either_side_of_n_equals_d(
+    nc, nt, n, cov_mode, override, gamma, layout, per_chunk, seed
+):
+    # Below N_e = D the fit solves through gamma's N_e-square Gram (Woodbury),
+    # from N_e = D on it factors the dense S; the oracle always shrinks and
+    # solves the dense S.  per_chunk patches the chunk constants so that the
+    # Gram and the products with the centred data cross several row chunks.
+    dims = BlockDims(nc, nt)
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % 2
+    shift = np.outer(rng.standard_normal(dims.size), labels)
+    x = rng.standard_normal((dims.size, n)) + 0.5 * shift + rng.standard_normal((dims.size, 1))
+    stats = covest.class_means(x, labels)
+    if override:
+        stats = ClassStats(stats.means + 0.1 * rng.standard_normal(stats.means.shape))
+    cond = np.linalg.cond(slda_estimate(x, labels, dims, cov_mode, gamma).matrix.data)
+    assume(cond < 1e8)
+    oracle = slda_weights(x, labels, dims, cov_mode, gamma, stats)
+    fit_labels = None if override and cov_mode == "global" else labels
+    with pytest.MonkeyPatch.context() as patch:
+        if per_chunk is not None:
+            small_chunks(patch, per_chunk, n, dims.size)
+        w = fit(layout(x), fit_labels, dims=dims, estimator="slda", cov_mode=cov_mode,
+                mean_override=stats if override else None, gamma=gamma).weights
+    # Both routes are backward stable, so each is within about eps * cond of
+    # the exact weights, the oracle included: at cond 8.2e7 (gamma = 6e-8,
+    # N_e = 4 < D = 6) a 50-digit solve put the oracle 8.1e-10 and the fit
+    # 1.9e-9 from it.  So the bound is 1e-10 up to cond 1e5, and grows with
+    # cond beyond.
+    tol = max(1e-10, 1e-15 * cond)
+    assert np.linalg.norm(w - oracle) <= tol * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("cov_mode", lda.COV_MODES)
+@pytest.mark.parametrize(("nc", "nt", "n"), [(1, 8, 6), (2, 10, 12), (4, 10, 24), (8, 20, 96)])
+def test_unshrunk_slda_below_n_equals_d_raises_on_both_routes(nc, nt, n, cov_mode):
+    # With gamma = 0 and N_e < D the estimate has rank below D: the dense
+    # chain's Cholesky fails, and the Gram route has no ridge to divide by.
+    x, labels, dims = labeled_features(nc, nt, n, seed=n)
+    assert n < dims.size
+    with pytest.raises(SolveError):
+        slda_weights(x, labels, dims, cov_mode, gamma=0.0)
+    with pytest.raises(SolveError):
+        fit(x, labels, dims=dims, estimator="slda", cov_mode=cov_mode, gamma=0.0)
+
+
+@pytest.mark.parametrize("gamma", [None, 0.5])
+@pytest.mark.parametrize("n", [6, 42, 48, 54, 96])
+def test_slda_solves_through_the_gram_exactly_below_n_equals_d(monkeypatch, n, gamma):
+    # At 4 x 12, D = 48.  Only slda ever takes the Woodbury route.
+    routes = []
+    real = btsolve._fit_solve
+
+    def solve(*args):
+        report = real(*args)
+        routes.append(report.method)
+        return report
+
+    monkeypatch.setattr(btsolve, "_fit_solve", solve)
+    x, labels, dims = labeled_features(4, 12, n, seed=n)
+    for estimator in lda.ESTIMATORS:
+        fit(x, labels, dims=dims, estimator=estimator, gamma=gamma)
+    assert routes[0] == ("woodbury" if n < dims.size else "dense")
+    assert "woodbury" not in routes[1:]
+
+
 def test_global_and_within_agree_without_shrinkage():
     # With gamma pinned to zero the global-mean covariance differs from the
     # within-class one by a multiple of delta delta^T, which cannot rotate
@@ -651,18 +728,24 @@ def test_toeplitz_fit_holds_little_beyond_its_data(nc, nt, n, bound):
 
 
 @pytest.mark.parametrize("estimator", ["slda", "toeplitz_a2_only"])
-def test_dense_fit_holds_one_dense_covariance(estimator):
+def test_dense_fit_holds_one_dense_covariance(monkeypatch, estimator):
     # At 8 x 128, D = 1024: one D x D float64 matrix is 8 MiB, the D x N_e
-    # data 0.4 MiB.  The solve factors the fit's own estimate in place
-    # instead of a copy of it.
+    # data 0.4 MiB.  toeplitz_a2_only factors the fit's own estimate in
+    # place instead of a copy of it.  slda, with N_e < D, solves through
+    # gamma's 48-square Gram and forms no D x D array.  Data of one chunk is
+    # centred once into a copy; with four chunks, the Gram route centres
+    # each chunk in one buffer and holds less than the data.
     dims = BlockDims(8, 128)
     rng = np.random.default_rng(0)
     labels = np.arange(48) % 2
     x = rng.standard_normal((dims.size, 48)) + 0.5 * np.outer(
         rng.standard_normal(dims.size), labels
     )
+    if estimator == "slda":
+        monkeypatch.setattr(blockmat, "_CHUNK_BYTES", x.nbytes // 4)
     peak = traced_peak(lambda: fit(x, labels, dims=dims, estimator=estimator)).peak
-    assert peak < 1.25 * dims.size**2 * 8, f"peak {peak / 2**20:.1f} MiB"
+    bound = x.nbytes if estimator == "slda" else 1.25 * dims.size**2 * 8
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_indefinite_fallback_holds_one_dense_matrix_at_a_time():
@@ -758,32 +841,35 @@ def test_indefinite_fallback_rejects_a_non_finite_solution(monkeypatch):
 # ------------------------------------------------------ scale equivariance
 
 SCALE_DATA = labeled_features(4, 5, 60, seed=0)
+# N_e < D: slda solves through gamma's Gram.
+WIDE_SCALE_DATA = labeled_features(4, 10, 24, seed=0)
 
 
 @pytest.mark.parametrize("estimator", ["toeplitz", "slda"])
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(-600, 600))
 def test_power_of_two_scaling_scales_weights_exactly(estimator, k):
-    x, labels, dims = SCALE_DATA
     alpha = 2.0**k
-    base = fit(x, labels, dims=dims, estimator=estimator)
-    scaled = fit(alpha * x, labels, dims=dims, estimator=estimator)
-    assert np.array_equal(scaled.weights, base.weights / alpha)
-    assert scaled.bias == base.bias
-    assert scaled.gamma == base.gamma
+    for x, labels, dims in (SCALE_DATA, WIDE_SCALE_DATA):
+        base = fit(x, labels, dims=dims, estimator=estimator)
+        scaled = fit(alpha * x, labels, dims=dims, estimator=estimator)
+        assert np.array_equal(scaled.weights, base.weights / alpha)
+        assert scaled.bias == base.bias
+        assert scaled.gamma == base.gamma
 
 
 @pytest.mark.parametrize("use_fft", [False, True])
 @pytest.mark.parametrize("k", [-600, 600])
 def test_power_of_two_scaling_is_exact_across_chunks(monkeypatch, k, use_fft):
-    x, labels, dims = SCALE_DATA
-    small_chunks(monkeypatch, 3, x.shape[1], dims.size)
     monkeypatch.setattr(covest, "_fft_pays", lambda nc, nt: use_fft)
-    base = fit(x, labels, dims=dims)
-    scaled = fit(2.0**k * x, labels, dims=dims)
-    assert np.array_equal(scaled.weights, base.weights / 2.0**k)
-    assert scaled.bias == base.bias
-    assert scaled.gamma == base.gamma
+    for (x, labels, dims), estimator in ((SCALE_DATA, "toeplitz"), (WIDE_SCALE_DATA, "slda")):
+        with pytest.MonkeyPatch.context() as patch:
+            small_chunks(patch, 3, x.shape[1], dims.size)
+            base = fit(x, labels, dims=dims, estimator=estimator)
+            scaled = fit(2.0**k * x, labels, dims=dims, estimator=estimator)
+        assert np.array_equal(scaled.weights, base.weights / 2.0**k)
+        assert scaled.bias == base.bias
+        assert scaled.gamma == base.gamma
 
 
 @pytest.mark.parametrize("cov_mode", lda.COV_MODES)
