@@ -1,19 +1,20 @@
 """Linear solvers for block-Toeplitz systems.
 
 A fit solves its estimate through ``_fit_solve``, the one entry into the
-solve, which names its route in ``SolveReport.method``.  An ``slda``
-estimate with fewer epochs than features (``N_e < D``) comes as
-``covest._GramCov``, ``a xc xc^T + r I`` held as the ``N_e``-square Gram
-``G = xc^T xc`` that the Ledoit-Wolf intensity sums, and takes the
-``"woodbury"`` route: ``w = (b - a xc (r I + a G)^-1 xc^T b) / r``, one
-Cholesky of ``r I + a G`` and two passes over the row chunks of the
-centered data, in ``O(N_e^2 D + N_e^3)`` time with nothing of size
-``D^2``.  Without shrinkage (``r = 0``) that system is singular and raises
-:class:`SolveError`, as the dense Cholesky of the same estimate does.  Any
-other dense estimate is the fit's own and is factored in place.  The
-compact :class:`BlockToeplitzCov` of a ``toeplitz`` fit takes one of two
-routes, by the size of the system (``blockmat._fft_pays``, the rule that
-also picks the lag-sum kernel of the estimate):
+solve, which names its route in ``SolveReport.method``.  A fit's ``slda``
+estimate comes as ``covest._GramCov``, ``a xc xc^T + r I`` held as γ's Gram
+``G``, and is solved in the Gram's buffer on both sides of ``D``: from
+``N_e = D`` on ``G = xc xc^T``, and ``a G + r I`` is the dense estimate
+(route ``"dense"``); below, ``G = xc^T xc`` takes the ``"woodbury"`` route,
+``w = (b - a xc (r I + a G)^-1 xc^T b) / r``: one Cholesky of ``r I + a
+G`` and two passes over the row chunks of the centered data, in ``O(N_e^2
+D + N_e^3)`` time with nothing of size ``D^2``.  Without shrinkage (``r =
+0``) that system is singular and raises :class:`SolveError`, as the dense
+Cholesky of the same estimate does.  Any other dense estimate is the fit's
+own and is factored in place.  The compact :class:`BlockToeplitzCov` of a
+``toeplitz`` fit takes one of two routes, by the size of the system
+(``blockmat._fft_pays``, the rule that also picks the lag-sum kernel of the
+estimate):
 
 * ``"dense"``, on small systems: ``blockmat.to_dense`` fills one ``D x D``
   buffer, which LAPACK Cholesky (``dpotrf``/``dpotrs``) factors in place,
@@ -293,23 +294,23 @@ def _pcg_solve(btc: BlockToeplitzCov, b: np.ndarray) -> SolveReport:
     return SolveReport(x, "pcg", True)
 
 
-def _woodbury_solve(cov: _GramCov, b: np.ndarray) -> SolveReport:
-    """``(a xc xc^T + r I) w = b`` through the Gram ``G = xc^T xc``:
-    ``w = (b - a xc (r I + a G)^-1 xc^T b) / r`` (Woodbury), with one
-    Cholesky of the ``N_e``-square ``r I + a G``.  ``r = 0`` (no shrinkage)
-    leaves the rank-``N_e`` system singular and raises :class:`SolveError`,
-    as the dense route's Cholesky does."""
-    a, r = cov.scale, cov.ridge
-    if not r > 0.0:
+def _gram_solve(cov: _GramCov, b: np.ndarray) -> SolveReport:
+    """``(a xc xc^T + r I) w = b`` in γ's Gram ``G``, which ``a G + r I``
+    overwrites and LAPACK factors in place as its Fortran-ordered transpose:
+    a ``D``-square ``G`` is the estimate itself, an ``N_e``-square one the
+    Woodbury system, which ``r = 0`` leaves singular."""
+    a, r, gram = cov.scale, cov.ridge, cov.gram
+    woodbury = len(gram) < cov.dims.size
+    if woodbury and not r > 0.0:
         raise SolveError(
             f"the shrunk covariance is singular: gamma nu = {r:.3e} with fewer epochs "
-            f"({cov.gram.shape[0]}) than features ({cov.dims.size})"
+            f"({len(gram)}) than features ({cov.dims.size})"
         )
-    # G is symmetric to rounding and LAPACK reads one triangle: its
-    # transpose is G in Fortran order, which it factors in place.
-    inner = cov.gram.T * a
-    inner.flat[:: len(inner) + 1] += r
-    u = _cholesky_solve(inner, cov.t_dot(b)).solution
+    gram *= a
+    gram.flat[:: len(gram) + 1] += r
+    if not woodbury:
+        return _cholesky_solve(gram.T, b)
+    u = _cholesky_solve(gram.T, cov.t_dot(b)).solution
     w = b - a * cov.dot(u)
     w /= r
     if not np.isfinite(w).all():
@@ -321,7 +322,7 @@ def _fit_solve(
     cov: BlockCov | BlockToeplitzCov | _GramCov, b: np.ndarray, maybe_indefinite: bool
 ) -> SolveReport:
     """Solve a fit's own estimate for the finite vector ``b``: an ``slda``
-    estimate held as its Gram takes the Woodbury route; a dense ``cov``,
+    estimate, held as γ's Gram, is solved in it; a dense ``cov``,
     read no more, is factored in place; a compact one takes the PCG route
     where ``blockmat._fft_pays`` picks it, unless ``maybe_indefinite``
     (averaging without tapering), else the dense route on its expansion.
@@ -330,7 +331,7 @@ def _fit_solve(
     report says so.  The lag blocks are finite; only solutions are scanned.
     """
     if isinstance(cov, _GramCov):
-        return _woodbury_solve(cov, b)
+        return _gram_solve(cov, b)
     if not isinstance(cov, BlockToeplitzCov):
         return _solve_in_place(cov, b)
     if not maybe_indefinite and _fft_pays(cov.dims.n_channels, cov.dims.n_times):

@@ -5,11 +5,11 @@ column).  ``estimate_covariance`` turns centered data into the shrunk
 covariance (divisor ``N_e - 1``, analytic shrinkage toward the scaled
 identity) in the structure an estimator of ``ESTIMATORS`` names.  Only
 ``slda`` and ``toeplitz_a2_only`` form the dense ``D x D`` sample covariance,
-and they shrink (and taper) it in the buffer the product lands in; a fit's
-``slda`` forms it only at ``N_e >= D``, and below holds its estimate as
-γ's ``N_e``-square Gram (``_GramCov``), which ``btsolve`` solves by the
-Woodbury identity.  ``toeplitz`` and ``toeplitz_a1_only`` build their lag
-blocks from the data:
+and they shrink (and taper) it in the buffer the product lands in.  A fit's
+``slda`` forms no second product: on both sides of ``N_e = D`` it holds its
+estimate as γ's Gram (``_GramCov``), ``N_e``-square below ``D`` and
+``D``-square from ``D`` on, which ``btsolve`` solves in place.
+``toeplitz`` and ``toeplitz_a1_only`` build their lag blocks from the data:
 one product per lag on short windows, a cross-spectrum summed over chunks
 of epochs on long ones (the size rule ``blockmat._fft_pays``), whose
 products are formed over slices of frequencies into one small buffer.  The
@@ -31,9 +31,10 @@ estimate when asked for it: the benchmark fits all estimators of a draw
 from one, and ``estimate_covariance`` and a lone fit are the case of one
 estimator.  Each kernel writes the centered, scaled values into its own
 buffer, laid out like the data: the chunks of ``blockmat._slices``, but for
-the one ``D x N_e`` buffer of the direct lag sums on short windows.  The
-dense estimators write one centered ``D x N_e`` copy; the Gram route of
-``slda`` reads the data by row chunks, as γ's Gram does.  The public
+the one ``D x N_e`` buffer of the direct lag sums on short windows.  A
+fit's ``toeplitz_a2_only`` writes one centered ``D x N_e`` copy; its
+``slda`` reads the data by the chunks of γ's Gram, and at ``N_e < D`` twice
+more by row chunks.  The public
 functions check their input once and run the same code on data that is
 already centered; ``center`` takes the offsets of a fit.
 """
@@ -82,7 +83,7 @@ class ShrinkageResult:
 
     ``matrix`` is the compact :class:`BlockToeplitzCov` for the averaged
     estimators of :func:`estimate_covariance`, else a dense :class:`BlockCov`;
-    a fit's ``slda`` estimate at ``N_e < D`` is a :class:`_GramCov`.
+    a fit's ``slda`` estimate is a :class:`_GramCov` on both sides of ``D``.
     """
 
     matrix: BlockCov | BlockToeplitzCov | _GramCov
@@ -156,14 +157,15 @@ class _Centred:
 
 @dataclass(frozen=True)
 class _GramCov:
-    """``scale * xc xc^T + ridge * I``, the ``slda`` estimate of a fit with
-    ``N_e < D``, held as the ``N_e``-square Gram ``gram = xc^T xc`` of the
-    ``D x N_e`` data ``xc`` that ``centred`` centers.
+    """``scale * xc xc^T + ridge * I``, the ``slda`` estimate of a fit, held
+    as γ's Gram of the ``D x N_e`` data ``xc`` that ``centred`` centers:
+    ``gram = xc^T xc`` at ``N_e < D``, ``xc xc^T`` from ``N_e = D`` on.
 
     ``scale`` is ``(1 - gamma) / (N_e - 1)`` and ``ridge`` is ``gamma nu``.
-    ``btsolve._fit_solve`` solves it by the Woodbury identity through the
-    products :meth:`t_dot` and :meth:`dot`, each one pass over the row
-    chunks of ``centred``; no ``D x D`` array is formed.
+    ``btsolve._fit_solve`` solves it in the Gram's buffer: a ``D``-square
+    Gram as the estimate itself, an ``N_e``-square one by the Woodbury
+    identity through the products :meth:`t_dot` and :meth:`dot`, each one
+    pass over the row chunks of ``centred``, with no ``D x D`` array.
     """
 
     dims: BlockDims
@@ -220,8 +222,8 @@ def _fit_estimate(
     Returns the :class:`_Estimates` of ``estimators``, the class means of
     ``labels`` (None without labels) and ``exp`` (see :func:`_centring`).
     Each pass centers its own chunks; when a dense estimator is among
-    ``estimators`` (it writes a centered copy, or, as ``slda`` at ``N_e <
-    D``, reads the data three times), data of at most
+    ``estimators`` (``toeplitz_a2_only`` writes a centered copy, ``slda`` at
+    ``N_e < D`` reads the data three times), data of at most
     ``blockmat._CHUNK_BYTES`` is centered once into a copy laid out like
     ``x`` instead.
     """
@@ -339,16 +341,13 @@ def ledoit_wolf_gamma(centered) -> float:
     return _ledoit_wolf(_Centred(_covariance_data(centered, None)))[0]
 
 
-def _ledoit_wolf(centred: _Centred) -> tuple[float, np.ndarray | None]:
-    """γ of the data ``centred`` centers and, at ``N_e < D``, the raw Gram
-    ``xc^T xc`` of :func:`_gram` it came from, which is kept (γ reads ``M``
-    from a copy) for a fit's ``slda`` to solve through; None at ``N_e >= D``."""
+def _ledoit_wolf(centred: _Centred) -> tuple[float, np.ndarray]:
+    """γ of the data ``centred`` centers and the raw Gram of :func:`_gram` it
+    came from (γ reads ``M`` from a copy), for a fit's ``slda`` to solve
+    through: ``xc^T xc`` at ``N_e < D``, ``xc xc^T`` from ``N_e = D`` on."""
     d, n = centred.x.shape
     gram, norms = _gram(centred)
-    if n < d:
-        return _intensity(gram / n, norms, d, n), gram
-    gram /= n
-    return _intensity(gram, norms, d, n), None
+    return _intensity(gram / n, norms, d, n), gram
 
 
 def _gram(centred: _Centred) -> tuple[np.ndarray, np.ndarray]:
@@ -536,12 +535,12 @@ class _Estimates:
     go with the last estimator that reads them.
 
     A fit's estimates are only solved (``solve_only``).  There, when ``slda``
-    is among ``estimators`` and ``N_e < D``, γ's raw ``N_e``-square Gram is
-    summed here (by the same code as γ, also when ``gamma`` is given) and
-    kept, and ``slda`` returns it as a :class:`_GramCov` with ``nu =
-    trace(G) / ((N_e - 1) D)``: the same estimator, solved in ``O(N_e^2 D +
-    N_e^3)`` time with nothing of size ``D^2``.  At ``N_e >= D``, and for
-    :func:`estimate_covariance`, ``slda`` forms its dense ``S``.
+    is among ``estimators``, γ's raw Gram ``G`` is summed here (by the same
+    code as γ, also when ``gamma`` is given) and kept, and ``slda`` returns
+    it as a :class:`_GramCov` with ``nu = trace(G) / ((N_e - 1) D)``: the
+    same estimator on both sides of ``D`` with no second product of the data,
+    and below ``D`` nothing of size ``D^2``.  So only a fit's
+    ``toeplitz_a2_only``, and :func:`estimate_covariance`, form a dense ``S``.
     """
 
     def __init__(self, centred: _Centred, dims: BlockDims, estimators, gamma: float | None,
@@ -549,11 +548,10 @@ class _Estimates:
         self._centred, self._dims = centred, dims
         self._pending = list(estimators)
         keep = solve_only and "slda" in estimators
-        gram = None
         if gamma is None:
             gamma, gram = _ledoit_wolf(centred)
-        elif keep and centred.x.shape[1] < dims.size:
-            gram = _gram(centred)[0]
+        else:
+            gram = _gram(centred)[0] if keep else None
         self._gamma, self._gram = gamma, gram if keep else None
         self._lags = None
 

@@ -7,12 +7,13 @@ positive on the target side.
 
 ``estimator`` selects the structure of ``Sigma`` (see
 :func:`covest.estimate_covariance`): ``slda`` is the dense shrunk sample
-covariance (with fewer epochs than features, a fit solves it through the
-``N_e``-square Gram of the centered data and never forms it; the weights
-are the same to rounding), ``toeplitz`` averages its block diagonals and
-tapers them, ``toeplitz_a1_only`` only averages (which may be indefinite: the solve then
-falls back to a symmetric indefinite factorization and the model is flagged)
-and ``toeplitz_a2_only`` only tapers.  ``cov_mode`` selects the centering:
+covariance (a fit solves it through γ's Gram on both sides of ``N_e = D``:
+the ``N_e``-square Gram below, which never forms it, and the ``D``-square
+Gram from ``D`` on, shrunk in place; the weights are the same to rounding),
+``toeplitz`` averages its block diagonals and tapers them, ``toeplitz_a1_only``
+only averages (which may be indefinite: the solve then falls back to a
+symmetric indefinite factorization and the model is flagged) and
+``toeplitz_a2_only`` only tapers.  ``cov_mode`` selects the centering:
 'within' uses per-class means (needs labels), 'global' the overall mean,
 which needs no labels when the class means come via ``mean_override``.
 

@@ -288,8 +288,10 @@ def test_c6_global_and_within_weights_are_collinear():
 # BLAS speeds up the large dense factorizations more than the small ones,
 # which flattens the dense slope on a machine with few cores.  With one
 # thread the process CPU time is the solver's work, without the time the
-# process waits for a core on a shared host; the first call of a size runs
-# cold, so each size takes the minimum over several calls.
+# process waits for a core on a shared host.  The first call of a size runs
+# cold, and a busy host slows calls through the shared cache in phases, so
+# each size takes the minimum over 5 calls of each solver, block and dense in
+# turn.
 _C7_TIMINGS = """
 import json, sys, time
 import numpy as np
@@ -310,9 +312,10 @@ for nt in json.loads(sys.argv[1]):
     storage_ok &= bool(btc.lag_blocks.size == nt * nc * nc)
     b = np.random.default_rng(nt).standard_normal(dims.size)
     dense = to_dense(btc)
-    reps = 5 if nt <= 256 else 2
-    t_block.append(min(timed(lambda: _fit_solve(btc, b, False)) for _ in range(reps)))
-    t_dense.append(min(timed(lambda: dense_solve(dense, b)) for _ in range(reps)))
+    fastest = np.min([(timed(lambda: _fit_solve(btc, b, False)),
+                       timed(lambda: dense_solve(dense, b))) for _ in range(5)], axis=0)
+    t_block.append(float(fastest[0]))
+    t_dense.append(float(fastest[1]))
 print(json.dumps({"t_block": t_block, "t_dense": t_dense, "storage_ok": storage_ok}))
 """
 

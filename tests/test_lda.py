@@ -507,12 +507,14 @@ def test_multi_chunk_fit_matches_the_stage_by_stage_dense_oracle(
          layout=np.ascontiguousarray, per_chunk=2, seed=0)  # the Gram route, chunked
 @example(nc=2, nt=3, n=40, cov_mode="global", override=True, gamma=1.0,
          layout=np.asfortranarray, per_chunk=None, seed=1)  # the dense route
+@example(nc=2, nt=3, n=40, cov_mode="within", override=False, gamma=None,
+         layout=np.ascontiguousarray, per_chunk=2, seed=2)  # the D-square Gram, chunked
 def test_slda_fit_matches_the_dense_oracle_on_either_side_of_n_equals_d(
     nc, nt, n, cov_mode, override, gamma, layout, per_chunk, seed
 ):
-    # Below N_e = D the fit solves through gamma's N_e-square Gram (Woodbury),
-    # from N_e = D on it factors the dense S; the oracle always shrinks and
-    # solves the dense S.  per_chunk patches the chunk constants so that the
+    # The fit solves through gamma's Gram: N_e-square below N_e = D
+    # (Woodbury), D-square from D on (the estimate itself); the oracle always
+    # shrinks and solves the dense S.  per_chunk patches the chunk constants so that the
     # Gram and the products with the centred data cross several row chunks.
     dims = BlockDims(nc, nt)
     rng = np.random.default_rng(seed)
@@ -555,13 +557,16 @@ def test_unshrunk_slda_below_n_equals_d_raises_on_both_routes(nc, nt, n, cov_mod
 
 @pytest.mark.parametrize("gamma", [None, 0.5])
 @pytest.mark.parametrize("n", [6, 42, 48, 54, 96])
-def test_slda_solves_through_the_gram_exactly_below_n_equals_d(monkeypatch, n, gamma):
-    # At 4 x 12, D = 48.  Only slda ever takes the Woodbury route.
-    routes = []
+def test_slda_solves_through_the_gram_on_both_sides_of_n_equals_d(monkeypatch, n, gamma):
+    # At 4 x 12, D = 48.  slda's estimate is always gamma's Gram, solved by
+    # Woodbury below N_e = D and as the dense estimate itself from D on;
+    # only slda ever takes the Woodbury route.
+    routes, estimates = [], []
     real = btsolve._fit_solve
 
-    def solve(*args):
-        report = real(*args)
+    def solve(cov, *args):
+        estimates.append(cov)
+        report = real(cov, *args)
         routes.append(report.method)
         return report
 
@@ -569,8 +574,24 @@ def test_slda_solves_through_the_gram_exactly_below_n_equals_d(monkeypatch, n, g
     x, labels, dims = labeled_features(4, 12, n, seed=n)
     for estimator in lda.ESTIMATORS:
         fit(x, labels, dims=dims, estimator=estimator, gamma=gamma)
+    assert isinstance(estimates[0], covest._GramCov)
+    assert not any(isinstance(cov, covest._GramCov) for cov in estimates[1:])
     assert routes[0] == ("woodbury" if n < dims.size else "dense")
     assert "woodbury" not in routes[1:]
+
+
+def test_a_many_epoch_slda_fit_holds_less_than_its_data():
+    # At 8 x 8 with N_e = 4096 the data is 2 MiB, two 1 MiB epoch chunks:
+    # slda solves gamma's 64-square Gram in place and writes no centred copy.
+    dims = BlockDims(8, 8)
+    rng = np.random.default_rng(8)
+    labels = np.arange(4096) % 2
+    x = rng.standard_normal((dims.size, 4096)) + 0.5 * np.outer(
+        rng.standard_normal(dims.size), labels
+    )
+    assert x.nbytes == 2 * blockmat._CHUNK_BYTES
+    peak = traced_peak(lambda: fit(x, labels, dims=dims, estimator="slda")).peak
+    assert peak < x.nbytes, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_global_and_within_agree_without_shrinkage():
