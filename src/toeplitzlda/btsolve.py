@@ -1,20 +1,19 @@
 """Linear solvers for block-Toeplitz systems.
 
 A fit solves its estimate through ``_fit_solve``, the one entry into the
-solve, which names its route in ``SolveReport.method``.  A fit's ``slda``
-estimate comes as ``covest._GramCov``, ``a xc xc^T + r I`` held as γ's Gram
-``G``, and is solved in the Gram's buffer on both sides of ``D``: from
-``N_e = D`` on ``G = xc xc^T``, and ``a G + r I`` is the dense estimate
-(route ``"dense"``); below, ``G = xc^T xc`` takes the ``"woodbury"`` route,
-``w = (b - a xc (r I + a G)^-1 xc^T b) / r``: one Cholesky of ``r I + a
-G`` and two passes over the row chunks of the centered data, in ``O(N_e^2
-D + N_e^3)`` time with nothing of size ``D^2``.  Without shrinkage (``r =
-0``) that system is singular and raises :class:`SolveError`, as the dense
-Cholesky of the same estimate does.  Any other dense estimate is the fit's
-own and is factored in place.  The compact :class:`BlockToeplitzCov` of a
-``toeplitz`` fit takes one of two routes, by the size of the system
-(``blockmat._fft_pays``, the rule that also picks the lag-sum kernel of the
-estimate):
+solve, which names its route in ``SolveReport.method``.  Below ``N_e =
+D`` a fit's ``slda`` estimate comes as ``covest._GramCov``, ``a xc xc^T +
+r I`` held as γ's ``N_e``-square Gram ``G = xc^T xc``, and takes the
+``"woodbury"`` route in the Gram's buffer, ``w = (b - a xc (r I + a G)^-1
+xc^T b) / r``: one Cholesky of ``r I + a G`` and two passes over the row
+chunks of the centered data, in ``O(N_e^2 D + N_e^3)`` time with nothing
+of size ``D^2``; without shrinkage it raises :class:`SolveError`, as the
+dense Cholesky of the same estimate does.  Every dense estimate (``slda`` from ``N_e = D`` on and
+``toeplitz_a2_only``, cut from γ's Gram there) is the fit's own and is
+factored in place (route ``"dense"``).  The compact
+:class:`BlockToeplitzCov` of a ``toeplitz`` fit takes one of two routes,
+by the size of the system (``blockmat._fft_pays``, the rule that also
+picks the lag-sum kernel of the estimate):
 
 * ``"dense"``, on small systems: ``blockmat.to_dense`` fills one ``D x D``
   buffer, which LAPACK Cholesky (``dpotrf``/``dpotrs``) factors in place,
@@ -24,11 +23,7 @@ estimate):
   inverse is one ``n_channels``-square block per frequency.  Each iteration
   multiplies by ``T`` through the FFT of a block-circulant embedding of the
   lag blocks, so the solve costs ``O(iters n_channels^2 n_times log
-  n_times)`` time and never forms ``T``.  ``iters`` was 22-23 on the
-  ``toeplitz`` fits of perfbench's fit-paper draws (31 x 100, ``N_e =
-  192``, seed 1, draws 0-5, γ near 0.7) and 14-15 on fit-long's (8 x 512,
-  ``N_e = 96``); on random-walk noise with less shrinkage, 35 at 8 x 512,
-  45 at 31 x 100 and 62-72 at 31 x 2000.
+  n_times)`` time and never forms ``T`` (README step 4 gives ``iters``).
   Beyond the lag blocks it holds two spectra, each built one channel
   column at a time: the embedding's, about ``n_times`` complex blocks, and
   the inverse preconditioner's, about half as many, which is factored and
@@ -42,15 +37,11 @@ PCG stops on a small residual, which a consistent singular system admits:
 an unshrunk estimate with a duplicated channel can return weights on the
 PCG route where the dense route raises, or other weights.
 
-``block_toeplitz_matmul`` multiplies by the dense expansion with the same
-FFT product, in ``O(n_channels^2 n_times log n_times)``.  ``dense_solve``
-solves a dense symmetric positive definite system with the same LAPACK
-Cholesky, on a copy.  ``block_levinson_solve`` runs the multichannel
-Levinson–Whittle recursion (Whittle 1963; Akaike 1973) in ``O(n_times^2)``
-block operations, raising :class:`SolveBreakdownError` at the first leading
-block minor that is not positive definite; it is a reference that no fit
-calls.  Each of these three takes one finite length-``D`` vector, read by
-``blockmat._finite_array``.
+No fit calls the public ``block_toeplitz_matmul`` (the same FFT product),
+``dense_solve`` (the same Cholesky, on a copy) or ``block_levinson_solve``
+(the multichannel Levinson–Whittle recursion, Whittle 1963; Akaike 1973,
+in ``O(n_times^2)`` block operations); each reads one finite length-``D``
+vector with ``blockmat._finite_array``.
 
 Notation: ``L[d]`` is the lag-``d`` block, so the dense matrix has block
 ``(i, j)`` equal to ``L[j-i]`` above the diagonal and ``L[i-j]^T`` below.
@@ -294,22 +285,19 @@ def _pcg_solve(btc: BlockToeplitzCov, b: np.ndarray) -> SolveReport:
     return SolveReport(x, "pcg", True)
 
 
-def _gram_solve(cov: _GramCov, b: np.ndarray) -> SolveReport:
-    """``(a xc xc^T + r I) w = b`` in γ's Gram ``G``, which ``a G + r I``
-    overwrites and LAPACK factors in place as its Fortran-ordered transpose:
-    a ``D``-square ``G`` is the estimate itself, an ``N_e``-square one the
-    Woodbury system, which ``r = 0`` leaves singular."""
+def _woodbury_solve(cov: _GramCov, b: np.ndarray) -> SolveReport:
+    """``(a xc xc^T + r I) w = b`` by the Woodbury identity, in γ's
+    ``N_e``-square Gram ``G = xc^T xc``: ``a G + r I`` overwrites it and
+    LAPACK factors it in place as its Fortran-ordered transpose.  Without
+    shrinkage (``r = 0``) the system is singular."""
     a, r, gram = cov.scale, cov.ridge, cov.gram
-    woodbury = len(gram) < cov.dims.size
-    if woodbury and not r > 0.0:
+    if not r > 0.0:
         raise SolveError(
             f"the shrunk covariance is singular: gamma nu = {r:.3e} with fewer epochs "
             f"({len(gram)}) than features ({cov.dims.size})"
         )
     gram *= a
     gram.flat[:: len(gram) + 1] += r
-    if not woodbury:
-        return _cholesky_solve(gram.T, b)
     u = _cholesky_solve(gram.T, cov.t_dot(b)).solution
     w = b - a * cov.dot(u)
     w /= r
@@ -322,8 +310,8 @@ def _fit_solve(
     cov: BlockCov | BlockToeplitzCov | _GramCov, b: np.ndarray, maybe_indefinite: bool
 ) -> SolveReport:
     """Solve a fit's own estimate for the finite vector ``b``: an ``slda``
-    estimate, held as γ's Gram, is solved in it; a dense ``cov``,
-    read no more, is factored in place; a compact one takes the PCG route
+    estimate below ``D``, held as γ's Gram, is solved in it by Woodbury; a
+    dense ``cov``, read no more, is factored in place; a compact one takes the PCG route
     where ``blockmat._fft_pays`` picks it, unless ``maybe_indefinite``
     (averaging without tapering), else the dense route on its expansion.
     With ``maybe_indefinite`` a failed Cholesky is not an error: a fresh
@@ -331,7 +319,7 @@ def _fit_solve(
     report says so.  The lag blocks are finite; only solutions are scanned.
     """
     if isinstance(cov, _GramCov):
-        return _gram_solve(cov, b)
+        return _woodbury_solve(cov, b)
     if not isinstance(cov, BlockToeplitzCov):
         return _solve_in_place(cov, b)
     if not maybe_indefinite and _fft_pays(cov.dims.n_channels, cov.dims.n_times):

@@ -5,38 +5,32 @@ column).  ``estimate_covariance`` turns centered data into the shrunk
 covariance (divisor ``N_e - 1``, analytic shrinkage toward the scaled
 identity) in the structure an estimator of ``ESTIMATORS`` names.  Only
 ``slda`` and ``toeplitz_a2_only`` form the dense ``D x D`` sample covariance,
-and they shrink (and taper) it in the buffer the product lands in.  A fit's
-``slda`` forms no second product: on both sides of ``N_e = D`` it holds its
-estimate as γ's Gram (``_GramCov``), ``N_e``-square below ``D`` and
-``D``-square from ``D`` on, which ``btsolve`` solves in place.
-``toeplitz`` and ``toeplitz_a1_only`` build their lag blocks from the data:
-one product per lag on short windows, a cross-spectrum summed over chunks
-of epochs on long ones (the size rule ``blockmat._fft_pays``), whose
-products are formed over slices of frequencies into one small buffer.  The
-Ledoit-Wolf intensity sums the smaller of the ``D x D`` and ``N_e x N_e``
-products over chunks of the data.  ``sample_covariance`` and
-``shrink`` (then ``blockmat.apply_taper_dense``) run the dense estimate
-stage by stage, each stage on a fresh copy: no fit calls them, so they are
-its independent reference.
+and they shrink (and taper) it in the buffer the product lands in: in a
+fit from ``N_e = D`` on, γ's Gram.  Below ``D`` a fit's ``slda`` is γ's
+``N_e``-square Gram (``_GramCov``), solved by Woodbury.  ``toeplitz`` and
+``toeplitz_a1_only`` build their lag blocks from the data: one product per
+lag on short windows, a cross-spectrum summed over chunks of epochs on
+long ones (the size rule ``blockmat._fft_pays``), whose products are
+formed over slices of frequencies into one small buffer.  The Ledoit-Wolf
+intensity sums the smaller of the ``D x D`` and ``N_e x N_e`` products over
+chunks of the data.  ``sample_covariance`` and ``shrink`` (then
+``blockmat.apply_taper_dense``) run the dense estimate stage by stage, each
+stage on a fresh copy: no fit calls them, so they are its independent
+reference.
 
 ``lda.fit`` makes one call here, ``_fit_estimate``, which returns an
 ``_Estimates`` of a ``_Centred``: the data minus its class means or its
-overall mean, divided by a power of two.  ``_centring`` takes both for a
-fit, ``center`` and ``class_means`` alike: the power of two from the
-largest magnitude of the data, and every mean as one product of the data
-with an indicator matrix, summed under that power of two so that it does
-not overflow.  ``_Estimates`` runs the stages the estimators share once
-(γ, and the lag sums of the averaged ones) and forms each estimator's
-estimate when asked for it: the benchmark fits all estimators of a draw
-from one, and ``estimate_covariance`` and a lone fit are the case of one
-estimator.  Each kernel writes the centered, scaled values into its own
-buffer, laid out like the data: the chunks of ``blockmat._slices``, but for
-the one ``D x N_e`` buffer of the direct lag sums on short windows.  A
-fit's ``toeplitz_a2_only`` writes one centered ``D x N_e`` copy; its
-``slda`` reads the data by the chunks of γ's Gram, and at ``N_e < D`` twice
-more by row chunks.  The public
-functions check their input once and run the same code on data that is
-already centered; ``center`` takes the offsets of a fit.
+overall mean, divided by a power of two (``_centring``, which ``center``
+and ``class_means`` share).  ``_Estimates`` runs the stages the estimators
+share once (γ, and the lag sums of the averaged ones) and forms each
+estimator's estimate when asked for it: the benchmark fits all estimators
+of a draw from one.  Each kernel writes the centered, scaled values into
+its own buffer laid out like the data, the chunks of ``blockmat._slices``
+(but for the one ``D x N_e`` buffer of the direct lag sums); below ``N_e
+= D`` a fit's ``toeplitz_a2_only`` writes one centered copy and its
+``slda`` reads the data twice more by row chunks.  The public functions
+check their input once and run the same code on data that is already
+centered.
 """
 
 from __future__ import annotations
@@ -82,8 +76,8 @@ class ShrinkageResult:
     """Shrunk covariance with its intensity and ``nu = trace(S) / D``.
 
     ``matrix`` is the compact :class:`BlockToeplitzCov` for the averaged
-    estimators of :func:`estimate_covariance`, else a dense :class:`BlockCov`;
-    a fit's ``slda`` estimate is a :class:`_GramCov` on both sides of ``D``.
+    estimators, else a dense :class:`BlockCov` (in a fit from ``N_e = D`` on,
+    γ's Gram); a fit's ``slda`` estimate below ``D`` is a :class:`_GramCov`.
     """
 
     matrix: BlockCov | BlockToeplitzCov | _GramCov
@@ -157,16 +151,12 @@ class _Centred:
 
 @dataclass(frozen=True)
 class _GramCov:
-    """``scale * xc xc^T + ridge * I``, the ``slda`` estimate of a fit, held
-    as γ's Gram of the ``D x N_e`` data ``xc`` that ``centred`` centers:
-    ``gram = xc^T xc`` at ``N_e < D``, ``xc xc^T`` from ``N_e = D`` on.
-
-    ``scale`` is ``(1 - gamma) / (N_e - 1)`` and ``ridge`` is ``gamma nu``.
-    ``btsolve._fit_solve`` solves it in the Gram's buffer: a ``D``-square
-    Gram as the estimate itself, an ``N_e``-square one by the Woodbury
-    identity through the products :meth:`t_dot` and :meth:`dot`, each one
-    pass over the row chunks of ``centred``, with no ``D x D`` array.
-    """
+    """``scale * xc xc^T + ridge * I``, a fit's ``slda`` estimate at ``N_e <
+    D``, held as γ's Gram ``gram = xc^T xc`` of the data ``xc`` that
+    ``centred`` centers; ``scale`` is ``(1 - gamma) / (N_e - 1)`` and
+    ``ridge`` is ``gamma nu``.  ``btsolve._woodbury_solve`` solves it in the
+    Gram's buffer through :meth:`t_dot` and :meth:`dot`, each one pass over
+    the row chunks of ``centred``, with no ``D x D`` array."""
 
     dims: BlockDims
     centred: _Centred
@@ -222,8 +212,8 @@ def _fit_estimate(
     Returns the :class:`_Estimates` of ``estimators``, the class means of
     ``labels`` (None without labels) and ``exp`` (see :func:`_centring`).
     Each pass centers its own chunks; when a dense estimator is among
-    ``estimators`` (``toeplitz_a2_only`` writes a centered copy, ``slda`` at
-    ``N_e < D`` reads the data three times), data of at most
+    ``estimators`` (at ``N_e < D``, ``toeplitz_a2_only`` writes a centered
+    copy and ``slda`` reads the data three times), data of at most
     ``blockmat._CHUNK_BYTES`` is centered once into a copy laid out like
     ``x`` instead.
     """
@@ -343,8 +333,8 @@ def ledoit_wolf_gamma(centered) -> float:
 
 def _ledoit_wolf(centred: _Centred) -> tuple[float, np.ndarray]:
     """γ of the data ``centred`` centers and the raw Gram of :func:`_gram` it
-    came from (γ reads ``M`` from a copy), for a fit's ``slda`` to solve
-    through: ``xc^T xc`` at ``N_e < D``, ``xc xc^T`` from ``N_e = D`` on."""
+    came from (γ reads ``M`` from a copy), for a fit's dense estimators:
+    ``xc^T xc`` at ``N_e < D``, ``xc xc^T`` from ``N_e = D`` on."""
     d, n = centred.x.shape
     gram, norms = _gram(centred)
     return _intensity(gram / n, norms, d, n), gram
@@ -529,25 +519,25 @@ class _Estimates:
     ``gamma`` is None) here, and the lag sums at the first averaged
     estimator, kept while another is pending and handed out as a copy.
     Each estimator then takes only its own steps: the divisor and shrink of
-    the lag sums, or its own dense ``S`` formed from the centered data, so
-    that no two ``D x D`` arrays exist unless a caller keeps one estimate
-    while it asks for the next.  The centered data and the lag sums are let
+    the lag sums, or those of its dense ``S``, so that no two ``D x D``
+    arrays exist unless a caller keeps one estimate while it asks for the
+    next, or a fit's second dense estimator is pending.  The centered data and the lag sums are let
     go with the last estimator that reads them.
 
-    A fit's estimates are only solved (``solve_only``).  There, when ``slda``
-    is among ``estimators``, γ's raw Gram ``G`` is summed here (by the same
-    code as γ, also when ``gamma`` is given) and kept, and ``slda`` returns
-    it as a :class:`_GramCov` with ``nu = trace(G) / ((N_e - 1) D)``: the
-    same estimator on both sides of ``D`` with no second product of the data,
-    and below ``D`` nothing of size ``D^2``.  So only a fit's
-    ``toeplitz_a2_only``, and :func:`estimate_covariance`, form a dense ``S``.
+    A fit's estimates are only solved (``solve_only``).  There γ's raw Gram
+    ``G`` (summed by γ's code, also when ``gamma`` is given) is kept for the
+    dense estimators that read it.  From ``N_e = D`` on ``G = xc xc^T`` is
+    the ``S`` of both, the first asked taking a copy while the other is
+    pending.  Below ``D`` only ``slda`` reads ``G = xc^T xc``, as a
+    :class:`_GramCov` with ``nu = trace(G) / ((N_e - 1) D)``.
     """
 
     def __init__(self, centred: _Centred, dims: BlockDims, estimators, gamma: float | None,
                  solve_only: bool = False):
         self._centred, self._dims = centred, dims
         self._pending = list(estimators)
-        keep = solve_only and "slda" in estimators
+        readers = _DENSE if centred.x.shape[1] >= dims.size else ("slda",)
+        keep = solve_only and any(e in readers for e in estimators)
         if gamma is None:
             gamma, gram = _ledoit_wolf(centred)
         else:
@@ -562,17 +552,24 @@ class _Estimates:
             self._centred = None
         n = centred.x.shape[1]
         nc, nt = dims.n_channels, dims.n_times
-        if estimator == "slda" and self._gram is not None:
+        if estimator == "slda" and n < dims.size and self._gram is not None:
             gram, self._gram = self._gram, None
             nu = float(np.trace(gram) / (n - 1) / dims.size)
             cov = _GramCov(dims, centred, gram, (1.0 - gamma) / (n - 1), gamma * nu)
             return ShrinkageResult(cov, gamma, nu)
         if estimator in _DENSE:
-            # The steps of sample_covariance, shrink and apply_taper_dense, in place.
-            xc = centred.x
-            if not (centred.plain and (xc.flags.c_contiguous or xc.flags.f_contiguous)):
-                xc = centred.write(np.empty_like(xc))
-            s = xc @ xc.T
+            # The steps of sample_covariance, shrink and apply_taper_dense, in
+            # place on S = xc xc^T: a fit's Gram from D on, else a new product.
+            s = self._gram if n >= dims.size else None
+            if s is None:
+                xc = centred.x
+                if not (centred.plain and (xc.flags.c_contiguous or xc.flags.f_contiguous)):
+                    xc = centred.write(np.empty_like(xc))
+                s = xc @ xc.T
+            elif any(e in _DENSE for e in self._pending):
+                s = s.copy()
+            else:
+                self._gram = None
             s /= n - 1
             nu = float(np.trace(s) / dims.size)
             s *= 1.0 - gamma

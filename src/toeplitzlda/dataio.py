@@ -22,14 +22,15 @@ checks the means it computes; ``all_samples`` only moves checked values).
 The package's JSON files (``meta.json``, the model file, the means file of
 ``toeplitzlda fit`` and the benchmark's ``aggregate.json``) follow one set
 of rules, kept here.  ``_write_json`` writes sorted keys, a two-space indent
-and a final newline.  ``_json_object`` reads a file that must hold a JSON
-object, and ``_json_value`` checks one key's JSON type and range before any
-cast, so a bad value raises :class:`DataFormatError` naming the file and
-the key.
+and a final newline, and no NaN or infinity.  ``_json_object`` reads a file
+that must hold a JSON object, and ``_json_value`` checks one key's JSON
+type and range before any cast, so a bad value raises
+:class:`DataFormatError` naming the file and the key.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -120,7 +121,7 @@ def _owned_epochs(data: np.ndarray, sfreq: float, t0: float, channel_names,
 
 def _number(value) -> bool:
     """Whether ``value`` is a JSON number: json loads true and false as bool."""
-    return type(value) in (int, float)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _finite(value) -> bool:
@@ -156,12 +157,12 @@ def _json_value(payload: dict, key: str, kind: str, ok, what: str, default=None)
 
 
 def _write_json(path, payload) -> None:
-    """Write ``payload`` with sorted keys, a two-space indent and a final newline."""
+    """Write ``payload`` by the rules above; NaN or infinity raises ValueError."""
+    text = io.StringIO()
+    json.dump(payload, text, indent=2, sort_keys=True, allow_nan=False)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(text.getvalue() + "\n", encoding="utf-8")
 
 
 def _disk_layout(data: np.ndarray) -> np.ndarray:
@@ -270,14 +271,14 @@ class FeatureConfig:
         if self.kind == "all_samples":
             if self.window is None:
                 raise ValueError("all_samples features need a (start, stop) window")
-            window = (float(self.window[0]), float(self.window[1]))
+            window = _seconds(self.window[:2], "window")
             if window[1] <= window[0]:
                 raise ValueError(f"window must satisfy start < stop, got {window}")
             object.__setattr__(self, "window", window)
         elif self.kind == "interval_means":
             if self.boundaries is None or len(self.boundaries) < 2:
                 raise ValueError("interval_means features need >= 2 boundaries")
-            bounds = tuple(float(b) for b in self.boundaries)
+            bounds = _seconds(self.boundaries, "boundaries")
             if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
                 raise ValueError(f"boundaries must be strictly increasing: {bounds}")
             object.__setattr__(self, "boundaries", bounds)
@@ -286,6 +287,14 @@ class FeatureConfig:
                 f"unknown feature kind {self.kind!r}; "
                 "expected 'all_samples' or 'interval_means'"
             )
+
+
+def _seconds(values, name: str) -> tuple[float, ...]:
+    """``values`` as floats; a value that is not finite raises ValueError naming ``name``."""
+    seconds = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, seconds)):
+        raise ValueError(f"{name} must be finite seconds, got {seconds}")
+    return seconds
 
 
 def sample_index(seconds: float, sfreq: float, t0: float) -> int:
@@ -307,7 +316,7 @@ def interval_means(epochs: Epochs, boundaries) -> FeatureMatrix:
     ``boundaries`` has ``n + 1`` edges in seconds defining ``n`` intervals
     ``[b_i, b_{i+1})``; each interval must cover at least one sample.
     """
-    bounds = tuple(float(b) for b in boundaries)
+    bounds = _seconds(boundaries, "boundaries")
     if len(bounds) < 2:
         raise ShapeError("need at least two boundaries")
     idx = [sample_index(b, epochs.sfreq, epochs.t0) for b in bounds]
@@ -337,7 +346,7 @@ def all_samples(epochs: Epochs, window) -> FeatureMatrix:
 
     The number of selected samples is ``round((b - a) * sfreq)``.
     """
-    a, b = float(window[0]), float(window[1])
+    a, b = _seconds(window[:2], "window")
     if b <= a:
         raise ShapeError(f"window must satisfy start < stop, got ({a}, {b})")
     start = sample_index(a, epochs.sfreq, epochs.t0)

@@ -7,13 +7,13 @@ positive on the target side.
 
 ``estimator`` selects the structure of ``Sigma`` (see
 :func:`covest.estimate_covariance`): ``slda`` is the dense shrunk sample
-covariance (a fit solves it through γ's Gram on both sides of ``N_e = D``:
-the ``N_e``-square Gram below, which never forms it, and the ``D``-square
-Gram from ``D`` on, shrunk in place; the weights are the same to rounding),
+covariance (below ``N_e = D`` a fit solves it through γ's ``N_e``-square
+Gram, which never forms it; the weights are the same to rounding),
 ``toeplitz`` averages its block diagonals and tapers them, ``toeplitz_a1_only``
 only averages (which may be indefinite: the solve then falls back to a
 symmetric indefinite factorization and the model is flagged) and
-``toeplitz_a2_only`` only tapers.  ``cov_mode`` selects the centering:
+``toeplitz_a2_only`` only tapers (from ``N_e = D`` on both dense
+estimators shrink γ's ``D``-square Gram in place).  ``cov_mode`` selects the centering:
 'within' uses per-class means (needs labels), 'global' the overall mean,
 which needs no labels when the class means come via ``mean_override``.
 
@@ -23,10 +23,10 @@ which needs no labels when the class means come via ``mean_override``.
 labels with ``blockmat._check_labels``.  Through ``_fitter``, which checks
 nothing again, it makes one call to estimate, ``covest._fit_estimate``, and
 one to solve, ``btsolve._fit_solve``, and wraps what they return without
-reading it again.  The estimates come with the class
-means and the power of two ``2**exp`` the centered data was divided by; the
-fit keeps the LDA algebra: the mean difference, the degenerate case of
-identical means, the bias and the model.  Dividing by ``2**exp`` is exact,
+reading it again.  The estimates come with the class means and the power
+of two ``2**exp`` the centered data was divided by; the fit keeps the LDA
+algebra: the mean difference, the degenerate case of identical means, the
+bias and the model.  Dividing by ``2**exp`` is exact,
 so the fit is scale-equivariant: ``fit(a x)`` has weights ``w(x) / a``, bit
 for bit when ``a`` is a power of two.  ``fit`` is the one-estimator case of
 ``_fitter``, through which the benchmark fits every estimator of a draw.
@@ -43,7 +43,7 @@ from . import btsolve, covest
 from .blockmat import BlockDims, _check_labels, _finite_array, _owned
 from .covest import ESTIMATORS, ClassStats
 from .dataio import _finite, _json_object, _json_value, _number, _write_json
-from .errors import SolveError
+from .errors import DataFormatError, SolveError
 
 MODEL_FORMAT_VERSION = 1
 COV_MODES = ("within", "global")
@@ -53,8 +53,10 @@ COV_MODES = ("within", "global")
 class LdaModel:
     """Fitted discriminant: weights, bias, and fit metadata.
 
-    ``weights`` is read by ``blockmat._finite_array`` and copied; a fit
-    wraps the weights it solved for with ``blockmat._owned`` instead.
+    Every field is checked as :func:`load_model` checks it: ``weights`` is
+    read by ``blockmat._finite_array`` and copied, a non-finite ``bias``
+    raises :class:`DataFormatError` and any other bad field ValueError.  A
+    fit wraps what it made with ``blockmat._owned`` instead.
     """
 
     weights: np.ndarray
@@ -68,6 +70,15 @@ class LdaModel:
 
     def __post_init__(self):
         w = _finite_array(self.weights, (self.dims.size,), "weights").copy()
+        if not _finite(self.bias):
+            raise DataFormatError(f"bias must be a finite number, got {self.bias!r}")
+        covest._check_estimator(self.estimator)
+        _check_cov_mode(self.cov_mode)
+        if not (_number(self.gamma) and 0 <= self.gamma <= 1):
+            raise ValueError(f"gamma must be a number in [0, 1], got {self.gamma!r}")
+        if {type(self.well_conditioned), type(self.degenerate)} != {bool}:
+            raise ValueError("well_conditioned and degenerate must be bools, got "
+                             f"{self.well_conditioned!r} and {self.degenerate!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -194,7 +205,7 @@ def load_model(path) -> LdaModel:
     """Read a model written by :func:`save_model`.
 
     Each key must already hold the JSON type and range that
-    :func:`save_model` writes; nothing is cast into it.
+    :func:`save_model` writes (and :class:`LdaModel` checks); nothing is cast.
     """
     what = f"model file {path}"
     payload = _json_object(path, what)
@@ -209,18 +220,9 @@ def load_model(path) -> LdaModel:
         payload, "weights", f"a list of {dims.size} finite numbers",
         lambda v: type(v) is list and len(v) == dims.size and all(map(_finite, v)), what
     )
-    return LdaModel(
-        weights=np.array(weights, dtype=np.float64),
-        bias=float(_json_value(payload, "bias", "a finite number", _finite, what)),
-        dims=dims,
-        estimator=_json_value(payload, "estimator", f"one of {ESTIMATORS}",
-                              lambda v: v in ESTIMATORS, what),
-        cov_mode=_json_value(payload, "cov_mode", f"one of {COV_MODES}",
-                             lambda v: v in COV_MODES, what),
-        gamma=float(_json_value(payload, "gamma", "a number in [0, 1]",
-                                lambda v: _number(v) and 0 <= v <= 1, what)),
-        well_conditioned=_json_value(payload, "well_conditioned", "a JSON boolean",
-                                     lambda v: type(v) is bool, what, True),
-        degenerate=_json_value(payload, "degenerate", "a JSON boolean",
-                               lambda v: type(v) is bool, what, False),
-    )
+    try:
+        return LdaModel(np.array(weights, dtype=np.float64), payload.get("bias"), dims,
+                        payload.get("estimator"), payload.get("cov_mode"), payload.get("gamma"),
+                        payload.get("well_conditioned", True), payload.get("degenerate", False))
+    except ValueError as exc:  # the fields LdaModel checks
+        raise DataFormatError(f"malformed {what}: {exc}") from exc

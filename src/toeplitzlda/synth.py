@@ -37,7 +37,7 @@ import numpy as np
 from . import blockmat, rng
 from .blockmat import BlockDims, BlockToeplitzCov, _finite_array, _slices
 from .dataio import Epochs, _owned_epochs
-from .errors import GroupSizeError, ShapeError
+from .errors import DataFormatError, GroupSizeError, ShapeError
 
 #: Default scale of the class templates, tuned so that the shrinkage-only
 #: LDA baseline reaches roughly 0.75 validation AUC with 384 training
@@ -58,8 +58,9 @@ class NoiseModel:
     ``spatial_mix`` is (n_channels, n_sources); ``temporal_fir`` is
     (n_sources, fir_length), one FIR per source (a 1-D array is shared by
     all sources).  ``noise_floor`` scales additive white sensor noise; it
-    must be positive when the mixing matrix does not have full row rank,
-    otherwise the covariance would be singular.
+    must be finite (else :class:`DataFormatError`), and positive when the
+    mixing matrix does not have full row rank, otherwise the covariance
+    would be singular.
     """
 
     spatial_mix: np.ndarray
@@ -74,6 +75,8 @@ class NoiseModel:
         fir = _finite_array(fir, (mix.shape[1], None), "temporal_fir").copy()
         if fir.shape[1] < 1:
             raise ShapeError("temporal_fir needs at least one tap")
+        if not np.isfinite(self.noise_floor):
+            raise DataFormatError(f"noise_floor must be finite, got {self.noise_floor}")
         if self.noise_floor < 0:
             raise ShapeError(f"noise_floor must be >= 0, got {self.noise_floor}")
         if self.noise_floor == 0 and np.linalg.matrix_rank(mix) < mix.shape[0]:

@@ -650,6 +650,26 @@ def test_interval_means_requires_boundaries(dataset96, tmp_path, capsys):
     assert "boundaries" in stderr
 
 
+@pytest.mark.parametrize(
+    ("command", "flags", "named"),
+    [
+        ("bench", ("--window", "0.1", "inf"), "window"),
+        ("bench", ("--window", "nan", "0.6"), "window"),
+        ("fit", ("--feature", "interval_means", "--boundaries", "0.1", "inf"), "boundaries"),
+    ],
+    ids=["bench-infinite-stop", "bench-nan-start", "fit-infinite-boundary"],
+)
+def test_a_non_finite_feature_window_is_usage_error(
+    dataset96, tmp_path, capsys, command, flags, named
+):
+    out = (("--out-dir", str(tmp_path / "rep")) if command == "bench"
+           else ("--model-path", str(tmp_path / "m.json")))
+    code, stdout, stderr = run(capsys, command, "--dataset-dir", str(dataset96), *out, *flags)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith(f"error: {named} must be finite") and stderr.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
 # ------------------------------------------------------------- plumbing
 
 def test_help_exits_zero_everywhere(capsys):

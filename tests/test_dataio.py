@@ -387,6 +387,20 @@ def test_feature_config_validation():
         FeatureConfig(kind="interval_means", boundaries=(0.1, 0.1))
 
 
+@pytest.mark.parametrize("bad", [(0.1, np.inf), (np.nan, 0.3), (-np.inf, 0.3)])
+def test_non_finite_windows_and_boundaries_are_named(bad):
+    # Each raised OverflowError or an unnamed NaN conversion in sample_index.
+    epochs = small_epochs(nc=1, nt=20, sfreq=20.0, t0=0.0)
+    for call, name in [
+        (lambda: FeatureConfig("all_samples", window=bad), "window"),
+        (lambda: FeatureConfig("interval_means", boundaries=bad), "boundaries"),
+        (lambda: all_samples(epochs, bad), "window"),
+        (lambda: interval_means(epochs, bad), "boundaries"),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            call()
+
+
 # ------------------------------------------------------------ containers
 
 @pytest.mark.parametrize(
@@ -444,6 +458,15 @@ def _json_uses(tree):
                 yield name, "from json import"
             elif isinstance(node, ast.alias) and node.name == "json" and node.asname:
                 yield name, "import json as"
+
+
+def test_json_files_hold_no_non_finite_number(tmp_path):
+    # NaN and Infinity are not JSON: the writer refuses them and writes nothing.
+    path = tmp_path / "out.json"
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="JSON"):
+            dataio._write_json(path, {"value": bad})
+    assert not path.exists()
 
 
 def test_only_dataio_reads_or_writes_json():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from toeplitzlda import blockmat, btsolve, covest, lda, synth
 from toeplitzlda.blockmat import (
+    BlockCov,
     BlockDims,
     BlockToeplitzCov,
     apply_taper,
@@ -353,13 +354,14 @@ def fortran_column_strided(x):
 
 @pytest.mark.parametrize("chunked", [False, True])
 @pytest.mark.parametrize("far", [False, True])
-@pytest.mark.parametrize("use_fft", [False, True])
+@pytest.mark.parametrize(("estimator", "use_fft"), [("toeplitz", False), ("toeplitz", True),
+                                                    ("slda", False), ("toeplitz_a2_only", False)])
 @pytest.mark.parametrize("cov_mode", lda.COV_MODES)
 @pytest.mark.parametrize("flip", [False, True])
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray, column_strided,
                                     fortran_row_strided, fortran_column_strided])
 def test_fit_equals_the_estimate_and_solve_of_its_centred_data(
-    monkeypatch, layout, flip, cov_mode, use_fft, far, chunked
+    monkeypatch, layout, flip, cov_mode, estimator, use_fft, far, chunked
 ):
     # The fit never writes its centred data as a whole: each kernel centres
     # and prescales its own chunk, or, on data of one chunk, one copy.  The
@@ -369,6 +371,8 @@ def test_fit_equals_the_estimate_and_solve_of_its_centred_data(
     # on the same buffers, and gamma's Gram sums the same chunks: the fit's
     # copy and chunk buffers take the stride order of x, and so does the
     # array covest.center writes, whose views the reference's Gram takes.
+    # At N_e = 42 >= D = 15 the dense estimators' S is that Gram, which on
+    # data of one chunk is the reference's product of the whole array.
     # The fit prescales by 2 to 4 times max|x| instead, a power of two
     # apart, which is exact.  So gamma and the weights are equal bit for
     # bit, on every layout; with far-apart class means and per-row offsets
@@ -383,18 +387,23 @@ def test_fit_equals_the_estimate_and_solve_of_its_centred_data(
     if chunked:
         small_chunks(monkeypatch, 3, x.shape[1], dims.size)
     monkeypatch.setattr(covest, "_fft_pays", lambda nc, nt: use_fft)
-    model = fit(x, labels, dims=dims, estimator="toeplitz", cov_mode=cov_mode)
+    model = fit(x, labels, dims=dims, estimator=estimator, cov_mode=cov_mode)
 
     centred = covest.center(x, labels if cov_mode == "within" else None)
     exp = int(np.frexp(np.abs(centred).max())[1])
     if far:
         assert exp != int(np.frexp(np.abs(x).max())[1]) + 1
-    shrunk = covest.estimate_covariance(np.ldexp(centred, -exp), dims, "toeplitz")
+    shrunk = covest.estimate_covariance(np.ldexp(centred, -exp), dims, estimator)
     stats = covest.class_means(x, labels)
     delta = np.ldexp(stats.means[1] - stats.means[0], -exp)
     w = np.ldexp(btsolve._fit_solve(shrunk.matrix, delta, False).solution, -exp)
     assert model.gamma == shrunk.gamma
-    assert np.array_equal(model.weights, w)
+    if chunked and estimator in covest._DENSE:
+        # S is gamma's Gram summed over 14 chunks of 3 epochs, the
+        # reference's one product: 1.9e-14 apart at most, at cond 352.
+        assert np.linalg.norm(model.weights - w) <= 1e-12 * np.linalg.norm(w)
+    else:
+        assert np.array_equal(model.weights, w)
 
 
 @pytest.mark.parametrize("cov_mode", lda.COV_MODES)
@@ -558,26 +567,39 @@ def test_unshrunk_slda_below_n_equals_d_raises_on_both_routes(nc, nt, n, cov_mod
 @pytest.mark.parametrize("gamma", [None, 0.5])
 @pytest.mark.parametrize("n", [6, 42, 48, 54, 96])
 def test_slda_solves_through_the_gram_on_both_sides_of_n_equals_d(monkeypatch, n, gamma):
-    # At 4 x 12, D = 48.  slda's estimate is always gamma's Gram, solved by
-    # Woodbury below N_e = D and as the dense estimate itself from D on;
-    # only slda ever takes the Woodbury route.
-    routes, estimates = [], []
-    real = btsolve._fit_solve
+    # At 4 x 12, D = 48.  Below N_e = D slda's estimate is gamma's Gram,
+    # solved by Woodbury; from D on both dense estimators are BlockCovs cut
+    # from the Gram itself, which the dense route factors in place.  Only
+    # slda below D ever takes the Woodbury route.
+    solved, grams = {}, []
+    real_solve, real_gram = btsolve._fit_solve, covest._gram
+
+    def gram(centred):
+        result = real_gram(centred)
+        grams.append(result[0])
+        return result
 
     def solve(cov, *args):
-        estimates.append(cov)
-        report = real(cov, *args)
-        routes.append(report.method)
+        report = real_solve(cov, *args)
+        solved[estimator] = cov, report.method, list(grams)
         return report
 
+    monkeypatch.setattr(covest, "_gram", gram)
     monkeypatch.setattr(btsolve, "_fit_solve", solve)
     x, labels, dims = labeled_features(4, 12, n, seed=n)
     for estimator in lda.ESTIMATORS:
+        grams.clear()
         fit(x, labels, dims=dims, estimator=estimator, gamma=gamma)
-    assert isinstance(estimates[0], covest._GramCov)
-    assert not any(isinstance(cov, covest._GramCov) for cov in estimates[1:])
-    assert routes[0] == ("woodbury" if n < dims.size else "dense")
-    assert "woodbury" not in routes[1:]
+    below = n < dims.size
+    for estimator, (cov, route, _) in solved.items():
+        woodbury = estimator == "slda" and below
+        assert isinstance(cov, covest._GramCov) == woodbury
+        assert (route == "woodbury") == woodbury
+    if not below:
+        for estimator in ("slda", "toeplitz_a2_only"):
+            cov, route, (gram,) = solved[estimator]
+            assert type(cov) is BlockCov and route == "dense"
+            assert np.shares_memory(cov.data, gram)
 
 
 def test_a_many_epoch_slda_fit_holds_less_than_its_data():
@@ -992,6 +1014,30 @@ def test_load_rejects_bad_payloads(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(DataFormatError, match="estimator"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "error"),
+    [
+        ("bias", float("nan"), DataFormatError),
+        ("bias", float("inf"), DataFormatError),
+        ("bias", "0.25", DataFormatError),
+        ("estimator", "bogus", ValueError),
+        ("cov_mode", "x", ValueError),
+        ("gamma", 7.0, ValueError),
+        ("gamma", float("nan"), ValueError),
+        ("gamma", None, ValueError),
+        ("well_conditioned", "no", ValueError),
+        ("degenerate", 1, ValueError),
+    ],
+)
+def test_model_constructs_only_what_load_model_reads(field, value, error):
+    # save_model would write each of these, and load_model reject the file.
+    fields = dict(weights=np.zeros(4), bias=0.0, dims=BlockDims(2, 2), estimator="slda",
+                  cov_mode="within", gamma=0.5)
+    with pytest.raises(error, match=field):
+        LdaModel(**{**fields, field: value})
+    LdaModel(**fields)
 
 
 @pytest.mark.parametrize(

@@ -376,6 +376,13 @@ def test_model_rejects_bad_shapes():
                    noise_floor=-0.1)
 
 
+@pytest.mark.parametrize("floor", [np.nan, np.inf, -np.inf])
+def test_model_rejects_a_non_finite_noise_floor(floor):
+    # A NaN floor would drop the sensor noise (floor > 0 is False) unnoticed.
+    with pytest.raises(DataFormatError, match="noise_floor"):
+        NoiseModel(spatial_mix=np.eye(2), temporal_fir=np.array([1.0]), noise_floor=floor)
+
+
 def test_zero_floor_needs_full_row_rank_mixing():
     with pytest.raises(ShapeError):
         NoiseModel(spatial_mix=np.ones((2, 1)), temporal_fir=np.array([1.0]),
