@@ -71,10 +71,10 @@ def _fft_pays(n_channels: int, n_times: int) -> bool:
     * Lag sums (N_e 24 to 384): the FFT wins from about 100 samples at 2
       channels, 64 at 8, 32 at 16 and 16-20 at 31 or 64 channels.
     * Solve (min of 5-200 calls, ``toeplitz`` estimates of 96 noise epochs):
-      PCG takes 10-30 iterations and at least about 0.6 ms, the dense route
-      grows as ``D^3``.  Dense wins up to ``D = 384`` at 8 channels (1.2
-      against 1.4-2.1 ms) and PCG from ``D = 512`` (8 x 64: 2.3-2.8 against
-      1.4-2.0 ms); 16 x 32, 24 x 24 and 31 x 20 are about even.
+      PCG takes at least about 0.6 ms (14-72 iterations on the data of README
+      step 4), the dense route grows as ``D^3``.  Dense wins up to ``D = 384``
+      at 8 channels (1.2 against 1.4-2.1 ms) and PCG from ``D = 512`` (8 x 64:
+      2.3-2.8 against 1.4-2.0 ms); 16 x 32, 24 x 24 and 31 x 20 are about even.
 
     Below 16 samples the per-lag products always win, and so does the dense
     route, even at 128 x 8 (15 against 17-23 ms): there the

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, bench, lda, synth
 from .blockmat import BlockDims
-from .covest import ClassStats
+from .covest import ESTIMATORS, ClassStats
 from .dataio import (
     FeatureConfig,
     _disk_layout,
@@ -62,11 +62,10 @@ def _resolve_seed(args) -> int:
 
 
 def _feature_config(args) -> FeatureConfig:
-    if args.feature == "interval_means":
-        if args.boundaries is None:
-            raise _UsageError("--feature interval_means requires --boundaries")
-        return FeatureConfig("interval_means", boundaries=tuple(args.boundaries))
-    return FeatureConfig("all_samples", window=tuple(args.window))
+    if args.feature == "interval_means" and args.boundaries is None:
+        raise _UsageError("--feature interval_means requires --boundaries")
+    default = (0.1, 0.6) if args.feature == "all_samples" else None  # --window's default
+    return FeatureConfig(args.feature, window=args.window or default, boundaries=args.boundaries)
 
 
 def _add_feature_flags(parser) -> None:
@@ -80,7 +79,7 @@ def _add_feature_flags(parser) -> None:
         "--window",
         type=float,
         nargs=2,
-        default=(0.1, 0.6),
+        default=None,
         metavar=("START", "STOP"),
         help="half-open time window in seconds for all_samples (default: 0.1 0.6)",
     )
@@ -177,13 +176,12 @@ def _load_means_file(path) -> ClassStats:
 
 
 def cmd_fit(args) -> int:
+    config = _feature_config(args)  # a usage error before any file is read
     epochs = read_dataset(args.dataset_dir)
     labels = epochs.labels
     if labels is None and args.means_file is None:
-        raise DataFormatError(
-            "dataset has no labels; fit needs labels.bin or --means-file"
-        )
-    feats = extract_features(epochs, _feature_config(args))
+        raise DataFormatError("dataset has no labels; fit needs labels.bin or --means-file")
+    feats = extract_features(epochs, config)
     del epochs  # the fit reads only the features and the labels
     override = _load_means_file(args.means_file) if args.means_file else None
     model = lda.fit(
@@ -212,10 +210,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_score(args) -> int:
+    config = _feature_config(args)  # a usage error before any file is read
     model = lda.load_model(args.model_path)
     epochs = read_dataset(args.dataset_dir)
     labels = epochs.labels
-    feats = extract_features(epochs, _feature_config(args))
+    feats = extract_features(epochs, config)
     del epochs  # scoring reads only the features and the labels
     if feats.dims != model.dims:
         raise ShapeError(
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a model on a dataset and save it")
     p.add_argument("--dataset-dir", required=True)
     p.add_argument("--model-path", required=True)
-    p.add_argument("--estimator", choices=lda.ESTIMATORS, default="toeplitz")
+    p.add_argument("--estimator", choices=ESTIMATORS, default="toeplitz")
     p.add_argument("--cov-mode", choices=lda.COV_MODES, default="within")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument(

@@ -260,7 +260,7 @@ class FeatureConfig:
 
     ``kind`` is 'all_samples' (with ``window = (a, b)`` in seconds) or
     'interval_means' (with ``boundaries``, a strictly increasing sequence of
-    interval edges in seconds).
+    interval edges in seconds); the field of the other kind must be None.
     """
 
     kind: str
@@ -271,7 +271,7 @@ class FeatureConfig:
         if self.kind == "all_samples":
             if self.window is None:
                 raise ValueError("all_samples features need a (start, stop) window")
-            window = _seconds(self.window[:2], "window")
+            window = _seconds(self.window, "window", 2)
             if window[1] <= window[0]:
                 raise ValueError(f"window must satisfy start < stop, got {window}")
             object.__setattr__(self, "window", window)
@@ -283,15 +283,18 @@ class FeatureConfig:
                 raise ValueError(f"boundaries must be strictly increasing: {bounds}")
             object.__setattr__(self, "boundaries", bounds)
         else:
-            raise ValueError(
-                f"unknown feature kind {self.kind!r}; "
-                "expected 'all_samples' or 'interval_means'"
-            )
+            raise ValueError(f"unknown feature kind {self.kind!r}; "
+                             "expected 'all_samples' or 'interval_means'")
+        other = "boundaries" if self.kind == "all_samples" else "window"
+        if getattr(self, other) is not None:
+            raise ValueError(f"{self.kind} features take no {other}, got {getattr(self, other)}")
 
 
-def _seconds(values, name: str) -> tuple[float, ...]:
-    """``values`` as floats; a value that is not finite raises ValueError naming ``name``."""
+def _seconds(values, name: str, count: int | None = None) -> tuple[float, ...]:
+    """``values`` as finite floats, ``count`` of them if given; else ValueError naming ``name``."""
     seconds = tuple(float(v) for v in values)
+    if count is not None and len(seconds) != count:
+        raise ValueError(f"{name} must be {count} values, got {seconds}")
     if not all(map(math.isfinite, seconds)):
         raise ValueError(f"{name} must be finite seconds, got {seconds}")
     return seconds
@@ -346,7 +349,7 @@ def all_samples(epochs: Epochs, window) -> FeatureMatrix:
 
     The number of selected samples is ``round((b - a) * sfreq)``.
     """
-    a, b = _seconds(window[:2], "window")
+    a, b = _seconds(window, "window", 2)
     if b <= a:
         raise ShapeError(f"window must satisfy start < stop, got ({a}, {b})")
     start = sample_index(a, epochs.sfreq, epochs.t0)

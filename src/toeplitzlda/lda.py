@@ -41,7 +41,7 @@ import numpy as np
 
 from . import btsolve, covest
 from .blockmat import BlockDims, _check_labels, _finite_array, _owned
-from .covest import ESTIMATORS, ClassStats
+from .covest import ClassStats
 from .dataio import _finite, _json_object, _json_value, _number, _write_json
 from .errors import DataFormatError, SolveError
 

@@ -670,6 +670,31 @@ def test_a_non_finite_feature_window_is_usage_error(
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    ("command", "flags", "named"),
+    [
+        ("fit", ("--boundaries", "0.1", "0.2", "0.3"), "all_samples features take no boundaries"),
+        ("bench", ("--boundaries", "0.1", "0.2", "0.3"), "all_samples features take no boundaries"),
+        ("fit", ("--feature", "interval_means", "--boundaries", "0.1", "0.3",
+                 "--window", "0.5", "0.2"), "interval_means features take no window"),
+        ("score", ("--feature", "interval_means", "--boundaries", "0.1", "0.3",
+                   "--window", "0.1", "0.6"), "interval_means features take no window"),
+    ],
+    ids=["fit-boundaries", "bench-boundaries", "fit-reversed-window", "score-window"],
+)
+def test_a_feature_flag_of_the_other_kind_is_usage_error(
+    dataset96, tmp_path, capsys, command, flags, named
+):
+    # Each was ignored: the run used the other kind's features and exited 0.
+    out = {"bench": ("--out-dir", str(tmp_path / "rep")),
+           "fit": ("--model-path", str(tmp_path / "m.json")),
+           "score": ("--model-path", str(tmp_path / "m.json"))}[command]
+    code, stdout, stderr = run(capsys, command, "--dataset-dir", str(dataset96), *out, *flags)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith(f"error: {named}") and stderr.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
 # ------------------------------------------------------------- plumbing
 
 def test_help_exits_zero_everywhere(capsys):

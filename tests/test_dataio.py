@@ -401,6 +401,30 @@ def test_non_finite_windows_and_boundaries_are_named(bad):
             call()
 
 
+@pytest.mark.parametrize("window", [(0.1,), (0.1, 0.6, 99.0), ()])
+def test_a_window_is_exactly_two_values(window):
+    # Each was cut to its first two values, or raised IndexError or an
+    # unpacking error.
+    epochs = small_epochs(nc=1, nt=20, sfreq=20.0, t0=0.0)
+    with pytest.raises(ValueError, match="window must be 2 values"):
+        FeatureConfig("all_samples", window=window)
+    with pytest.raises(ValueError, match="window must be 2 values"):
+        all_samples(epochs, window)
+
+
+@pytest.mark.parametrize(
+    ("kind", "fields", "named"),
+    [
+        ("all_samples", {"window": (0.1, 0.6), "boundaries": (0.1, 0.2)}, "boundaries"),
+        ("interval_means", {"window": (9.0, 1.0), "boundaries": (0.1, 0.2)}, "window"),
+        ("interval_means", {"window": (0.1, 0.6), "boundaries": (0.1, 0.2)}, "window"),
+    ],
+)
+def test_a_feature_config_takes_no_field_of_the_other_kind(kind, fields, named):
+    with pytest.raises(ValueError, match=f"{kind} features take no {named}"):
+        FeatureConfig(kind, **fields)
+
+
 # ------------------------------------------------------------ containers
 
 @pytest.mark.parametrize(

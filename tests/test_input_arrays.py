@@ -7,32 +7,23 @@ other than 0 or 1 raises ``DataFormatError``, a wrong length ``ShapeError``."""
 import numpy as np
 import pytest
 
-from toeplitzlda import (
-    BlockCov,
-    BlockDims,
-    BlockToeplitzCov,
+from toeplitzlda.bench import auc, draw_subsets
+from toeplitzlda.blockmat import BlockCov, BlockDims, BlockToeplitzCov, to_dense
+from toeplitzlda.btsolve import block_levinson_solve, block_toeplitz_matmul, dense_solve
+from toeplitzlda.covest import (
+    ESTIMATORS,
     ClassStats,
-    Epochs,
-    ErpSpec,
-    FeatureMatrix,
-    LdaModel,
-    NoiseModel,
-    auc,
-    block_levinson_solve,
-    block_toeplitz_matmul,
+    center,
     class_means,
-    decision_values,
-    dense_solve,
     estimate_covariance,
-    fit,
     ledoit_wolf_gamma,
     sample_covariance,
     shrink,
-    to_dense,
 )
-from toeplitzlda.bench import draw_subsets
-from toeplitzlda.covest import ESTIMATORS, center
+from toeplitzlda.dataio import Epochs, FeatureMatrix
 from toeplitzlda.errors import DataFormatError, ShapeError
+from toeplitzlda.lda import LdaModel, decision_values, fit
+from toeplitzlda.synth import ErpSpec, NoiseModel
 
 DIMS = BlockDims(2, 3)
 X = np.random.default_rng(0).standard_normal((DIMS.size, 12))

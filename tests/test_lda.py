@@ -146,7 +146,7 @@ def stage_by_stage_covariance(x, labels, dims, estimator, cov_mode):
 
 
 @pytest.mark.parametrize("cov_mode", lda.COV_MODES)
-@pytest.mark.parametrize("estimator", lda.ESTIMATORS)
+@pytest.mark.parametrize("estimator", covest.ESTIMATORS)
 @settings(max_examples=25, deadline=None)
 @given(
     nc=st.integers(1, 3),
@@ -183,7 +183,7 @@ DENSE_REFERENCE = (
 
 
 @pytest.mark.parametrize("cov_mode", lda.COV_MODES)
-@pytest.mark.parametrize("estimator", lda.ESTIMATORS)
+@pytest.mark.parametrize("estimator", covest.ESTIMATORS)
 def test_fit_runs_none_of_the_dense_reference_stages(monkeypatch, estimator, cov_mode):
     # Those stages each return a fresh D x D; they are the oracle above, so a
     # fit that ran them would be checked against itself.  Nor does a fit
@@ -211,7 +211,7 @@ ROUTE_SIZES = {"dense": (3, 5), "pcg": (4, 128)}
 
 
 @pytest.mark.parametrize("route", sorted(ROUTE_SIZES))
-@pytest.mark.parametrize("estimator", lda.ESTIMATORS)
+@pytest.mark.parametrize("estimator", covest.ESTIMATORS)
 def test_no_fit_runs_the_levinson_recursion(monkeypatch, estimator, route):
     # block_levinson_solve remains only as a reference; the toeplitz
     # estimates take the route of _fit_solve that their size picks.
@@ -407,7 +407,7 @@ def test_fit_equals_the_estimate_and_solve_of_its_centred_data(
 
 
 @pytest.mark.parametrize("cov_mode", lda.COV_MODES)
-@pytest.mark.parametrize("estimator", lda.ESTIMATORS)
+@pytest.mark.parametrize("estimator", covest.ESTIMATORS)
 def test_fit_checks_its_data_once(monkeypatch, estimator, cov_mode):
     # fit reads x through _finite_array once and then calls covest's
     # unchecked cores, which scan neither x nor anything centred from it.
@@ -428,7 +428,7 @@ def test_fit_checks_its_data_once(monkeypatch, estimator, cov_mode):
 
 
 @pytest.mark.parametrize("route", sorted(ROUTE_SIZES))
-@pytest.mark.parametrize("estimator", lda.ESTIMATORS)
+@pytest.mark.parametrize("estimator", covest.ESTIMATORS)
 def test_fit_reads_no_array_it_made(monkeypatch, estimator, route):
     # The class means, lag blocks, right-hand side and weights a fit makes
     # are wrapped as made: the only arrays _finite_array reads are the
@@ -587,7 +587,7 @@ def test_slda_solves_through_the_gram_on_both_sides_of_n_equals_d(monkeypatch, n
     monkeypatch.setattr(covest, "_gram", gram)
     monkeypatch.setattr(btsolve, "_fit_solve", solve)
     x, labels, dims = labeled_features(4, 12, n, seed=n)
-    for estimator in lda.ESTIMATORS:
+    for estimator in covest.ESTIMATORS:
         grams.clear()
         fit(x, labels, dims=dims, estimator=estimator, gamma=gamma)
     below = n < dims.size
@@ -916,7 +916,7 @@ def test_power_of_two_scaling_is_exact_across_chunks(monkeypatch, k, use_fft):
 
 
 @pytest.mark.parametrize("cov_mode", lda.COV_MODES)
-@pytest.mark.parametrize("estimator", lda.ESTIMATORS)
+@pytest.mark.parametrize("estimator", covest.ESTIMATORS)
 @pytest.mark.parametrize("k", [1018, 1019])
 def test_power_of_two_scaling_is_exact_at_the_top_of_the_float_range(estimator, cov_mode, k):
     # Positive data: a row of the 40 epochs sums to about 2**6.3 times 2**k,

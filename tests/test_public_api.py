@@ -1,14 +1,21 @@
 """Every public function and class of the package earns its place.
 
 Each one that a module of ``src/toeplitzlda`` defines at its top level is
-used by package code (the re-exports of ``__init__`` aside), is named by a
-per-layer row of BENCHMARK.json, or is on ``KEEP`` with its reason.  The
-byte budgets of the passes that work in bounded pieces live in one module.
+used by package code, is named by a per-layer row of BENCHMARK.json, or is on
+``KEEP`` with its reason.  Each has one import path, its module: ``__init__``
+binds only ``__version__``, no module imports a package name that it does
+not use, and every module imports alone.  The byte budgets of the passes
+that work in bounded pieces live in one module.
 """
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import toeplitzlda
 
@@ -82,3 +89,42 @@ def test_blockmat_is_the_one_home_of_the_byte_budgets():
         if isinstance(target, ast.Name) and target.id.endswith("_BYTES")
     )
     assert homes and {name.split(".")[0] for name in homes} == {"blockmat"}, homes
+
+
+def test_the_package_binds_only_its_version():
+    bound = set()
+    for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(target.id for target in targets if isinstance(target, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    assert bound == {"__version__"}
+
+
+def test_no_module_imports_a_package_name_it_does_not_use():
+    # An unused import of a package name is only a second path to that name.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.stem}: {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+            if (alias.asname or alias.name) not in loaded
+        ]
+    assert unused == []
+
+
+@pytest.mark.parametrize("module", [path.stem for path in MODULES])
+def test_every_module_imports_alone_in_a_fresh_interpreter(module):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", f"import toeplitzlda.{module}"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
