@@ -380,12 +380,10 @@ def aggregate(report: BenchReport) -> dict:
     }
 
 
-def _fmt(value) -> str:
+def _fmt(value: bool | float) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value)
 
 
 def report_csv(report: BenchReport) -> str:

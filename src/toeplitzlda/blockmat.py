@@ -20,10 +20,11 @@ dtypes (bool, complex, str, object) before any cast, a shape that does not
 match, and NaN or +-inf.  ``BlockCov(dims, data)`` and
 ``BlockToeplitzCov(dims, lag_blocks)`` copy its result and also reject
 asymmetry.  An array the package builds itself is not read again: the
-function that builds it wraps it with ``_owned``, which makes it read-only
-in place, instead of calling the public constructor.  ``_owned_cov`` wraps
-a fresh, exactly symmetric ``D x D`` array and ``_owned_toeplitz`` fresh
-lag blocks, whose lag-0 block it symmetrizes as the constructor does.
+function that builds it wraps it with ``_owned`` instead of calling the
+public constructor; ``_owned_toeplitz`` wraps fresh lag blocks, whose lag-0
+block it symmetrizes as the constructor does.  Every record, built either
+way, freezes and sets its fields through ``_own``, which makes each array
+among them read-only in place.
 """
 
 from __future__ import annotations
@@ -174,10 +175,8 @@ def _check_symmetric(a: np.ndarray, what: str) -> None:
 class BlockCov:
     """Dense symmetric ``D x D`` covariance with block metadata.
 
-    ``data`` is read by ``_finite_array``, copied and made read-only;
-    symmetry is validated to ``SYMMETRY_RTOL``
-    (relative to the largest entry).  Package functions return instances
-    built by ``_owned_cov``, which skips the copy and both checks.
+    ``data`` is read by ``_finite_array`` and copied; symmetry is validated
+    to ``SYMMETRY_RTOL`` (relative to the largest entry).
     """
 
     dims: BlockDims
@@ -187,18 +186,12 @@ class BlockCov:
         d = self.dims.size
         a = _finite_array(self.data, (d, d), "covariance data").copy()
         _check_symmetric(a, "covariance data")
-        a.setflags(write=False)
-        object.__setattr__(self, "data", a)
+        _own(self, data=a)
 
 
-def _owned(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
-
-    For values built inside the package, which hands over every field: each
-    array among them is made read-only in place instead of being checked and
-    copied by the public constructor.
-    """
-    obj = object.__new__(cls)
+def _own(obj, **fields):
+    """Set ``fields`` on the frozen dataclass instance ``obj``, each array
+    among them made read-only in place; returns ``obj``."""
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
@@ -206,9 +199,11 @@ def _owned(cls, **fields):
     return obj
 
 
-def _owned_cov(dims: BlockDims, data: np.ndarray) -> BlockCov:
-    """Wrap a fresh, exactly symmetric ``(D, D)`` float64 array as a BlockCov."""
-    return _owned(BlockCov, dims=dims, data=data)
+def _owned(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
+    unchecked and uncopied: for values built inside the package, which hands
+    over every field."""
+    return _own(object.__new__(cls), **fields)
 
 
 @dataclass(frozen=True)
@@ -230,8 +225,7 @@ class BlockToeplitzCov:
         a = _finite_array(self.lag_blocks, (nt, nc, nc), "lag_blocks").copy()
         _check_symmetric(a[0], "lag-0 block")
         _symmetrize_lag0(a)
-        a.setflags(write=False)
-        object.__setattr__(self, "lag_blocks", a)
+        _own(self, lag_blocks=a)
 
 
 def _symmetrize_lag0(lags: np.ndarray) -> None:
@@ -290,7 +284,7 @@ def apply_taper_dense(cov: BlockCov) -> BlockCov:
     lag = np.abs(np.arange(nt)[:, None] - np.arange(nt)[None, :])
     weights = (1.0 - lag / nt)[:, None, :, None]
     tapered = cov.data.reshape(nt, nc, nt, nc) * weights
-    return _owned_cov(cov.dims, tapered.reshape(cov.dims.size, cov.dims.size))
+    return _owned(BlockCov, dims=cov.dims, data=tapered.reshape(cov.dims.size, cov.dims.size))
 
 
 def to_dense(btc: BlockToeplitzCov) -> BlockCov:
@@ -313,7 +307,7 @@ def to_dense(btc: BlockToeplitzCov) -> BlockCov:
     windows = np.lib.stride_tricks.sliding_window_view(rows.reshape(nc, -1), d, axis=1)
     out = np.empty((d, d))
     out.reshape(nt, nc, d)[...] = windows[:, ::-nc].transpose(1, 0, 2)
-    return _owned_cov(btc.dims, out)
+    return _owned(BlockCov, dims=btc.dims, data=out)
 
 
 def free_parameter_count(dims: BlockDims) -> tuple[int, int]:

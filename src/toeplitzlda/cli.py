@@ -40,15 +40,11 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports bad flags as exit code 1 instead of 2."""
 
     def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}")
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _resolve_seed(args) -> int:
@@ -58,12 +54,12 @@ def _resolve_seed(args) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise _UsageError(f"TOEPLITZLDA_SEED must be an integer, got {raw!r}")
+        raise ValueError(f"TOEPLITZLDA_SEED must be an integer, got {raw!r}")
 
 
 def _feature_config(args) -> FeatureConfig:
     if args.feature == "interval_means" and args.boundaries is None:
-        raise _UsageError("--feature interval_means requires --boundaries")
+        raise ValueError("--feature interval_means requires --boundaries")
     default = (0.1, 0.6) if args.feature == "all_samples" else None  # --window's default
     return FeatureConfig(args.feature, window=args.window or default, boundaries=args.boundaries)
 
@@ -305,12 +301,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # argparse --help/--version
+    except SystemExit as exc:  # argparse --help, --version and usage errors
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     except (DataFormatError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -43,7 +43,7 @@ import scipy.fftpack
 
 from . import blockmat
 from .blockmat import (BlockCov, BlockDims, BlockToeplitzCov, _check_labels, _embedding_length,
-                       _fft_pays, _finite_array, _owned, _owned_cov, _owned_toeplitz, _slices)
+                       _fft_pays, _finite_array, _own, _owned, _owned_toeplitz, _slices)
 from .errors import ShapeError
 
 ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
@@ -66,9 +66,7 @@ class ClassStats:
     means: np.ndarray
 
     def __post_init__(self):
-        means = _finite_array(self.means, (2, None), "class means").copy()
-        means.setflags(write=False)
-        object.__setattr__(self, "means", means)
+        _own(self, means=_finite_array(self.means, (2, None), "class means").copy())
 
 
 @dataclass(frozen=True)
@@ -303,7 +301,7 @@ def sample_covariance(centered, dims: BlockDims) -> BlockCov:
         xc = np.ascontiguousarray(xc)
     s = xc @ xc.T
     s /= xc.shape[1] - 1
-    return _owned_cov(dims, s)
+    return _owned(BlockCov, dims=dims, data=s)
 
 
 def ledoit_wolf_gamma(centered) -> float:
@@ -397,7 +395,7 @@ def shrink(s: BlockCov, gamma: float | None = None, centered=None) -> ShrinkageR
     nu = float(np.trace(s.data) / d)
     out = (1.0 - gamma) * s.data
     out.flat[:: d + 1] += gamma * nu
-    return ShrinkageResult(_owned_cov(s.dims, out), gamma, nu)
+    return ShrinkageResult(_owned(BlockCov, dims=s.dims, data=out), gamma, nu)
 
 
 def _lag_sums_direct(centred: _Centred, dims: BlockDims) -> np.ndarray:
@@ -578,7 +576,7 @@ class _Estimates:
                 lag = np.abs(np.arange(nt)[:, None] - np.arange(nt)[None, :])
                 grid = s.reshape(nt, nc, nt, nc)  # a view: block (i, j) is grid[i, :, j]
                 grid *= (1.0 - lag / nt)[:, None, :, None]
-            return ShrinkageResult(_owned_cov(dims, s), gamma, nu)
+            return ShrinkageResult(_owned(BlockCov, dims=dims, data=s), gamma, nu)
         lags = self._lags
         if lags is None:
             lags = (_lag_sums_fft if _fft_pays(nc, nt) else _lag_sums_direct)(centred, dims)

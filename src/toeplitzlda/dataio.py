@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockmat import BlockDims, _check_labels, _finite_array, _owned
+from .blockmat import BlockDims, _check_labels, _finite_array, _own, _owned
 from .errors import DataFormatError, ShapeError
 
 FORMAT_VERSION = 1
@@ -70,11 +70,7 @@ class Epochs:
         labels = self.labels
         if labels is not None:
             labels = _check_labels(labels, data.shape[0])
-            labels.setflags(write=False)
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "channel_names", names)
-        object.__setattr__(self, "labels", labels)
+        _own(self, data=data, channel_names=names, labels=labels)
 
     @property
     def n_epochs(self) -> int:
@@ -113,8 +109,8 @@ def _channel_names(sfreq: float, t0: float, channel_names, n_channels: int) -> t
 
 def _owned_epochs(data: np.ndarray, sfreq: float, t0: float, channel_names,
                   labels: np.ndarray | None = None) -> Epochs:
-    """Epochs of a fresh, finite float64 ``data`` and fresh uint8 0/1 ``labels``
-    of its length, made read-only in place; the metadata is checked."""
+    """Epochs owning a fresh, finite float64 ``data`` and fresh uint8 0/1
+    ``labels`` of its length; the metadata is checked."""
     names = _channel_names(sfreq, t0, channel_names, data.shape[1])
     return _owned(Epochs, data=data, sfreq=sfreq, t0=t0, channel_names=names, labels=labels)
 
@@ -245,9 +241,7 @@ class FeatureMatrix:
     dims: BlockDims
 
     def __post_init__(self):
-        data = _finite_array(self.data, (self.dims.size, None), "feature data").copy()
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        _own(self, data=_finite_array(self.data, (self.dims.size, None), "feature data").copy())
 
     @property
     def n_epochs(self) -> int:
@@ -268,31 +262,34 @@ class FeatureConfig:
     boundaries: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        window, bounds = self.window, self.boundaries
         if self.kind == "all_samples":
-            if self.window is None:
+            if window is None:
                 raise ValueError("all_samples features need a (start, stop) window")
-            window = _seconds(self.window, "window", 2)
+            window = _seconds(window, "window", 2)
             if window[1] <= window[0]:
                 raise ValueError(f"window must satisfy start < stop, got {window}")
-            object.__setattr__(self, "window", window)
         elif self.kind == "interval_means":
-            if self.boundaries is None or len(self.boundaries) < 2:
+            bounds = _seconds(() if bounds is None else bounds, "boundaries")
+            if len(bounds) < 2:
                 raise ValueError("interval_means features need >= 2 boundaries")
-            bounds = _seconds(self.boundaries, "boundaries")
             if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
                 raise ValueError(f"boundaries must be strictly increasing: {bounds}")
-            object.__setattr__(self, "boundaries", bounds)
         else:
             raise ValueError(f"unknown feature kind {self.kind!r}; "
                              "expected 'all_samples' or 'interval_means'")
         other = "boundaries" if self.kind == "all_samples" else "window"
         if getattr(self, other) is not None:
             raise ValueError(f"{self.kind} features take no {other}, got {getattr(self, other)}")
+        _own(self, window=window, boundaries=bounds)
 
 
 def _seconds(values, name: str, count: int | None = None) -> tuple[float, ...]:
     """``values`` as finite floats, ``count`` of them if given; else ValueError naming ``name``."""
-    seconds = tuple(float(v) for v in values)
+    try:
+        seconds = tuple(float(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a sequence of numbers, got {values!r}") from exc
     if count is not None and len(seconds) != count:
         raise ValueError(f"{name} must be {count} values, got {seconds}")
     if not all(map(math.isfinite, seconds)):

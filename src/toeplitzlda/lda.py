@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import btsolve, covest
-from .blockmat import BlockDims, _check_labels, _finite_array, _owned
+from .blockmat import BlockDims, _check_labels, _finite_array, _own, _owned
 from .covest import ClassStats
 from .dataio import _finite, _json_object, _json_value, _number, _write_json
 from .errors import DataFormatError, SolveError
@@ -79,8 +79,7 @@ class LdaModel:
         if {type(self.well_conditioned), type(self.degenerate)} != {bool}:
             raise ValueError("well_conditioned and degenerate must be bools, got "
                              f"{self.well_conditioned!r} and {self.degenerate!r}")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        _own(self, weights=w)
 
 
 def _check_cov_mode(cov_mode: str) -> None:

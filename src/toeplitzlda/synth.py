@@ -25,7 +25,7 @@ within an epoch: source white noise ``(n_sources, n_times + L - 1)``, then,
 only when ``noise_floor > 0``, sensor noise ``(n_channels, n_times)``.
 Both generators check the values they compute for finiteness and hand
 their fresh array to the returned :class:`~toeplitzlda.dataio.Epochs`,
-which owns it read-only, without a copy.
+which owns it without a copy.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blockmat, rng
-from .blockmat import BlockDims, BlockToeplitzCov, _finite_array, _slices
+from .blockmat import BlockDims, BlockToeplitzCov, _finite_array, _own, _slices
 from .dataio import Epochs, _owned_epochs
 from .errors import DataFormatError, GroupSizeError, ShapeError
 
@@ -84,10 +84,7 @@ class NoiseModel:
                 "with noise_floor=0 the mixing matrix must have full row rank, "
                 "otherwise the noise covariance is singular"
             )
-        mix.setflags(write=False)
-        fir.setflags(write=False)
-        object.__setattr__(self, "spatial_mix", mix)
-        object.__setattr__(self, "temporal_fir", fir)
+        _own(self, spatial_mix=mix, temporal_fir=fir)
 
     @property
     def n_channels(self) -> int:
@@ -112,10 +109,7 @@ class ErpSpec:
     def __post_init__(self):
         tgt = _finite_array(self.target_template, (None, None), "target_template").copy()
         non = _finite_array(self.nontarget_template, tgt.shape, "nontarget_template").copy()
-        tgt.setflags(write=False)
-        non.setflags(write=False)
-        object.__setattr__(self, "target_template", tgt)
-        object.__setattr__(self, "nontarget_template", non)
+        _own(self, target_template=tgt, nontarget_template=non)
 
 
 def _smooth_taps(width: int, length: int) -> np.ndarray:

@@ -304,11 +304,12 @@ def test_benchmark_rows_match_manual_pipeline(dataset_dir):
     # Every row, though the estimators of a draw share their common stages,
     # scores what a lone fit of its cell scores, bit for bit: with the
     # draw's own and with oracle class means, each with gamma fitted and fixed.
+    # Size 48 is at least D = 40, where the two dense estimators share the Gram.
     for oracle_means, gamma in itertools.product((False, True), (None, 0.25)):
         cfg = small_config(dataset_dir, estimators=ALL_ESTIMATORS, cov_modes=lda.COV_MODES,
-                           oracle_means=oracle_means, gamma=gamma)
+                           subset_sizes=(6, 12, 48), oracle_means=oracle_means, gamma=gamma)
         report = run_benchmark(cfg)
-        assert len(report.rows) == 4 * 2 * 2 * 2
+        assert len(report.rows) == 4 * 2 * 3 * 2
         for row in report.rows:
             expect, well_conditioned = lone_fit_auc(cfg, row)
             assert row.status == "ok"

@@ -45,11 +45,12 @@ def random_spd_block_toeplitz(rng, nc, nt, ridge=None):
 # ---------------------------------------------------------------- layout
 
 @pytest.mark.parametrize(
-    ("n_channels", "n_times"),
-    [(2.5, 3), (2, 3.0), (True, 3), (2, "3")],
+    ("n_channels", "n_times", "message"),
+    [(2.5, 3, "integers"), (2, 3.0, "integers"), (True, 3, "integers"), (2, "3", "integers"),
+     (0, 5, ">= 1")],
 )
-def test_block_dims_take_only_integers(n_channels, n_times):
-    with pytest.raises(ShapeError, match="integers"):
+def test_block_dims_take_only_integers(n_channels, n_times, message):
+    with pytest.raises(ShapeError, match=message):
         BlockDims(n_channels, n_times)
 
 

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toeplitzlda import blockmat, btsolve, covest, lda
-from toeplitzlda.blockmat import BlockCov, BlockDims, BlockToeplitzCov, _owned_cov, to_dense
+from toeplitzlda.blockmat import BlockCov, BlockDims, BlockToeplitzCov, _owned, to_dense
 from toeplitzlda.btsolve import (
     block_levinson_solve,
     block_toeplitz_matmul,
@@ -482,12 +482,12 @@ def test_dense_solve_indefinite_fallback_solves_and_flags():
 
 
 def test_dense_solve_rejects_non_finite_covariance():
-    # _owned_cov skips the finiteness check of the BlockCov constructor;
+    # _owned skips the finiteness check of the BlockCov constructor;
     # dpotrf can factor a NaN diagonal without error, so the solve must catch it.
     dims = BlockDims(2, 2)
     centered = np.random.default_rng(3).standard_normal((dims.size, 6))
     centered[1, 2] = np.nan
-    cov = _owned_cov(dims, centered @ centered.T / 5)
+    cov = _owned(BlockCov, dims=dims, data=centered @ centered.T / 5)
     with pytest.raises(SolveError):
         dense_solve(cov, np.ones(dims.size))
 

@@ -342,6 +342,8 @@ def test_shrink_rejects_gamma_outside_unit_interval():
         shrink(s, -0.1)
     with pytest.raises(ValueError):
         shrink(s, 1.5)
+    with pytest.raises(ValueError, match="either gamma or the centered data"):
+        shrink(s)
 
 
 # ------------------------------------------------------ internal producers

@@ -387,9 +387,15 @@ def test_feature_config_validation():
         FeatureConfig(kind="interval_means", boundaries=(0.1, 0.1))
 
 
-@pytest.mark.parametrize("bad", [(0.1, np.inf), (np.nan, 0.3), (-np.inf, 0.3)])
-def test_non_finite_windows_and_boundaries_are_named(bad):
-    # Each raised OverflowError or an unnamed NaN conversion in sample_index.
+@pytest.mark.parametrize(
+    ("bad", "problem"),
+    [((0.1, np.inf), "finite"), ((np.nan, 0.3), "finite"), ((-np.inf, 0.3), "finite"),
+     (0.5, "a sequence of numbers"), ("ab", "a sequence of numbers")],
+)
+def test_non_finite_windows_and_boundaries_are_named(bad, problem):
+    # Each non-finite value raised OverflowError or an unnamed NaN conversion
+    # in sample_index; a number raised TypeError, a string an unnamed
+    # conversion error.
     epochs = small_epochs(nc=1, nt=20, sfreq=20.0, t0=0.0)
     for call, name in [
         (lambda: FeatureConfig("all_samples", window=bad), "window"),
@@ -397,7 +403,7 @@ def test_non_finite_windows_and_boundaries_are_named(bad):
         (lambda: all_samples(epochs, bad), "window"),
         (lambda: interval_means(epochs, bad), "boundaries"),
     ]:
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=f"{name} must be {problem}"):
             call()
 
 

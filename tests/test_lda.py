@@ -1014,6 +1014,9 @@ def test_load_rejects_bad_payloads(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(DataFormatError, match="estimator"):
         load_model(path)
+    path.write_text("[1, 2]")
+    with pytest.raises(DataFormatError, match="not a JSON object"):
+        load_model(path)
 
 
 @pytest.mark.parametrize(

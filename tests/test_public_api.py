@@ -5,7 +5,8 @@ used by package code, is named by a per-layer row of BENCHMARK.json, or is on
 ``KEEP`` with its reason.  Each has one import path, its module: ``__init__``
 binds only ``__version__``, no module imports a package name that it does
 not use, and every module imports alone.  The byte budgets of the passes
-that work in bounded pieces live in one module.
+that work in bounded pieces live in one module, and one function freezes
+and sets the fields of every record.
 """
 
 import ast
@@ -89,6 +90,41 @@ def test_blockmat_is_the_one_home_of_the_byte_budgets():
         if isinstance(target, ast.Name) and target.id.endswith("_BYTES")
     )
     assert homes and {name.split(".")[0] for name in homes} == {"blockmat"}, homes
+
+
+def freezes_or_sets(node) -> bool:
+    """Whether ``node`` names ``__setattr__`` or calls ``setflags`` with ``write=False``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "__setattr__"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "setflags":
+        write = node.args[:1] + [k.value for k in node.keywords if k.arg == "write"]
+        return any(isinstance(w, ast.Constant) and w.value is False for w in write)
+    return False
+
+
+def owners(node, qualname: str):
+    """The qualified name of the innermost definition around each node below
+    ``node`` that :func:`freezes_or_sets`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from owners(child, f"{qualname}.{child.name}")
+        else:
+            if freezes_or_sets(child):
+                yield qualname
+            yield from owners(child, qualname)
+
+
+def test_blockmat_own_alone_freezes_and_sets_fields():
+    # Every record, whether its constructor checked and copied its fields or
+    # the package built them, makes its arrays read-only and sets its fields
+    # through one function.
+    found = [
+        owner
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner in owners(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert found and set(found) == {"blockmat._own"}, found
 
 
 def test_the_package_binds_only_its_version():

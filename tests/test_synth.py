@@ -371,6 +371,8 @@ def test_model_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         NoiseModel(spatial_mix=np.eye(2),
                    temporal_fir=np.ones((3, 2)))  # wrong source count
+    with pytest.raises(ShapeError, match="at least one tap"):
+        NoiseModel(spatial_mix=np.eye(2), temporal_fir=np.zeros((2, 0)))
     with pytest.raises(ShapeError):
         NoiseModel(spatial_mix=np.eye(2), temporal_fir=np.array([1.0]),
                    noise_floor=-0.1)
