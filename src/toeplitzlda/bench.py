@@ -262,8 +262,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     x_val = feats.data[:, val_idx]
     dims = feats.dims
     del feats  # the halves are copies
-    oracle = (covest._centring(x_train, y_train, within=True, scaled=False)[1]
-              if cfg.oracle_means else None)
+    oracle = covest._centring(x_train, y_train, within=True)[1] if cfg.oracle_means else None
 
     draws: dict[int, list[np.ndarray]] = {}
     for size in cfg.subset_sizes:

@@ -33,6 +33,9 @@ picks the lag-sum kernel of the estimate):
 always takes the dense route, with a symmetric indefinite fallback.  Any
 other system that a step of its route finds not positive definite, or that
 the iterations do not solve within a fixed cap, raises :class:`SolveError`.
+One function, ``_report``, checks the solution of every route and of
+``dense_solve``: a non-finite one raises :class:`SolveError` naming the
+route.
 PCG stops on a small residual, which a consistent singular system admits:
 an unshrunk estimate with a duplicated channel can return weights on the
 PCG route where the dense route raises, or other weights.
@@ -182,24 +185,33 @@ def block_levinson_solve(btc: BlockToeplitzCov, b) -> SolveReport:
     return SolveReport(x, "levinson", True)
 
 
-def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> SolveReport:
+def _report(solution: np.ndarray, method: str, well_conditioned: bool = True) -> SolveReport:
+    """The report of a finite ``solution``: the one exit of :func:`dense_solve`
+    and of every route of :func:`_fit_solve`, and the one place that scans a
+    solution.  A non-finite one raises :class:`SolveError` naming the route
+    (a NaN diagonal can factor without error, and a finite system can still
+    overflow its solution)."""
+    if not np.isfinite(solution).all():
+        route = method if well_conditioned else "symmetric indefinite"
+        raise SolveError(f"{route} solve gave a non-finite solution")
+    return SolveReport(solution, method, well_conditioned)
+
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cholesky solve of ``a x = b`` from the lower triangle of ``a``, which
     is factored in place when Fortran-ordered (f2py ignores the write flag)."""
     factor, info = dpotrf(a, lower=1, overwrite_a=1, clean=0)
     if info != 0:
         raise SolveError(f"dense Cholesky factorization failed (dpotrf info {info})")
-    solution = dpotrs(factor, b, lower=1)[0]
-    if not np.isfinite(solution).all():
-        raise SolveError("dense Cholesky solve gave a non-finite solution")
-    return SolveReport(solution, "dense", True)
+    return dpotrs(factor, b, lower=1)[0]
 
 
 def dense_solve(cov: BlockCov, b) -> SolveReport:
     """Cholesky solve of a dense symmetric positive definite system, on a
     copy of ``cov``.  Raises :class:`SolveError` when the matrix is not
-    positive definite or the solution is not finite (a NaN diagonal can
-    factor without error)."""
-    return _cholesky_solve(cov.data.copy(order="F"), _finite_array(b, (cov.dims.size,), "b"))
+    positive definite or the solution is not finite."""
+    b = _finite_array(b, (cov.dims.size,), "b")
+    return _report(_cholesky_solve(cov.data.copy(order="F"), b), "dense")
 
 
 def _solve_in_place(cov: BlockCov, b: np.ndarray) -> SolveReport:
@@ -207,7 +219,7 @@ def _solve_in_place(cov: BlockCov, b: np.ndarray) -> SolveReport:
     ``cov.data`` owns its memory and is exactly symmetric, so its transpose
     is the same matrix in Fortran order, which LAPACK factors in place."""
     cov.data.setflags(write=True)
-    return _cholesky_solve(cov.data.T, b)
+    return _report(_cholesky_solve(cov.data.T, b), "dense")
 
 
 #: The PCG solve stops at ``||r|| <= _PCG_RTOL ||b||``, or raises
@@ -279,10 +291,7 @@ def _pcg_solve(btc: BlockToeplitzCov, b: np.ndarray) -> SolveReport:
         x += alpha * p
         r -= alpha * q
         rz_old = rz
-    x = np.ldexp(x, exp).reshape(btc.dims.size)
-    if not np.isfinite(x).all():
-        raise SolveError("PCG gave a non-finite solution")
-    return SolveReport(x, "pcg", True)
+    return _report(np.ldexp(x, exp).reshape(btc.dims.size), "pcg")
 
 
 def _woodbury_solve(cov: _GramCov, b: np.ndarray) -> SolveReport:
@@ -298,12 +307,9 @@ def _woodbury_solve(cov: _GramCov, b: np.ndarray) -> SolveReport:
         )
     gram *= a
     gram.flat[:: len(gram) + 1] += r
-    u = _cholesky_solve(gram.T, cov.t_dot(b)).solution
-    w = b - a * cov.dot(u)
+    w = b - a * cov.dot(_cholesky_solve(gram.T, cov.t_dot(b)))
     w /= r
-    if not np.isfinite(w).all():
-        raise SolveError("Woodbury solve gave a non-finite solution")
-    return SolveReport(w, "woodbury", True)
+    return _report(w, "woodbury")
 
 
 def _fit_solve(
@@ -314,9 +320,11 @@ def _fit_solve(
     dense ``cov``, read no more, is factored in place; a compact one takes the PCG route
     where ``blockmat._fft_pays`` picks it, unless ``maybe_indefinite``
     (averaging without tapering), else the dense route on its expansion.
-    With ``maybe_indefinite`` a failed Cholesky is not an error: a fresh
-    expansion is solved by a symmetric indefinite factorization, and the
-    report says so.  The lag blocks are finite; only solutions are scanned.
+    With ``maybe_indefinite`` a failed Cholesky, or one whose solution is
+    not finite, is not an error: a fresh expansion is solved by a symmetric
+    indefinite factorization, and the report says so.  The lag blocks are
+    finite; every route returns through :func:`_report`, which scans its
+    solution.
     """
     if isinstance(cov, _GramCov):
         return _woodbury_solve(cov, b)
@@ -333,6 +341,4 @@ def _fit_solve(
         solution = scipy.linalg.solve(to_dense(cov).data, b, assume_a="sym", check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"symmetric indefinite solve failed: {exc}") from exc
-    if not np.isfinite(solution).all():
-        raise SolveError("symmetric indefinite solve gave a non-finite solution")
-    return SolveReport(solution, "dense", False)
+    return _report(solution, "dense", False)

@@ -11,6 +11,7 @@ error, 2 data/shape mismatch, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -45,6 +46,25 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _flag_type(convert, ok, rule: str):
+    """An argparse ``type=`` that reads a flag's text with ``convert`` and
+    refuses it, naming the flag, when that fails or ``ok`` rejects the value."""
+    def parse(text: str):
+        with contextlib.suppress(ValueError):
+            if ok(value := convert(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return parse
+
+
+#: argparse types of the flags that hold a count, a finite number or a rate.
+_COUNT = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
+_FINITE = _flag_type(float, np.isfinite, "a finite number")
+_RATE = _flag_type(float, lambda v: np.isfinite(v) and v > 0, "a finite number > 0")
+#: ``bench --sizes``, which BenchConfig checks as subset sizes.
+_SIZES = _flag_type(lambda t: tuple(int(s) for s in t.split(",")), bool, "comma-separated integers")
 
 
 def _resolve_seed(args) -> int:
@@ -130,7 +150,7 @@ def cmd_bench(args) -> int:
         dataset_dir=str(args.dataset_dir),
         estimators=tuple(args.estimators.split(",")),
         cov_modes=tuple(args.cov_modes.split(",")),
-        subset_sizes=tuple(int(s) for s in args.sizes.split(",")),
+        subset_sizes=args.sizes,
         n_draws=args.draws,
         oracle_means=args.oracle_means,
         feature=_feature_config(args),
@@ -242,12 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-epochs", type=int, default=768)
-    p.add_argument("--n-channels", type=int, default=8)
-    p.add_argument("--n-times", type=int, default=20)
-    p.add_argument("--sfreq", type=float, default=synth.DEFAULT_SFREQ)
-    p.add_argument("--t0", type=float, default=synth.DEFAULT_T0)
-    p.add_argument("--erp-scale", type=float, default=synth.DEFAULT_ERP_SCALE)
+    p.add_argument("--n-epochs", type=_COUNT, default=768)
+    p.add_argument("--n-channels", type=_COUNT, default=8)
+    p.add_argument("--n-times", type=_COUNT, default=20)
+    p.add_argument("--sfreq", type=_RATE, default=synth.DEFAULT_SFREQ)
+    p.add_argument("--t0", type=_FINITE, default=synth.DEFAULT_T0)
+    p.add_argument("--erp-scale", type=_FINITE, default=synth.DEFAULT_ERP_SCALE)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 
@@ -256,9 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--estimators", default="slda,toeplitz")
     p.add_argument("--cov-modes", default="within")
-    p.add_argument(
-        "--sizes", default=",".join(str(s) for s in bench.DEFAULT_SUBSET_SIZES)
-    )
+    p.add_argument("--sizes", type=_SIZES, default=bench.DEFAULT_SUBSET_SIZES)
     p.add_argument("--draws", type=int, default=7)
     p.add_argument("--oracle-means", action="store_true")
     p.add_argument("--gamma", type=float, default=None)

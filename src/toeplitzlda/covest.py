@@ -20,8 +20,8 @@ reference.
 
 ``lda.fit`` makes one call here, ``_fit_estimate``, which returns an
 ``_Estimates`` of a ``_Centred``: the data minus its class means or its
-overall mean, divided by a power of two (``_centring``, which ``center``
-and ``class_means`` share).  ``_Estimates`` runs the stages the estimators
+overall mean (``_centring``, which ``center`` and ``class_means`` share),
+divided by a power of two.  ``_Estimates`` runs the stages the estimators
 share once (γ, and the lag sums of the averaged ones) and forms each
 estimator's estimate when asked for it: the benchmark fits all estimators
 of a draw from one.  Each kernel writes the centered, scaled values into
@@ -36,7 +36,7 @@ centered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fftpack
@@ -107,17 +107,25 @@ class _Centred:
         """Whether there is nothing to subtract or scale."""
         return self.offsets is None and not self.exp
 
-    def write(self, out: np.ndarray, rows=slice(None), cols=slice(None), view=lambda a: a):
-        """The centered ``x[rows, cols]``, reshaped by ``view``, into ``out``."""
+    def write(self, out: np.ndarray, rows=slice(None), cols=slice(None)):
+        """The centered ``x[rows, cols]`` into ``out``, returned.
+
+        ``out`` has the shape of ``x[rows, cols]`` with its rows split into
+        leading axes, ``(n_times, n_channels, epochs)`` for a kernel that
+        walks the epochs by time: the rows of ``x`` are split to
+        ``out.shape`` and those of ``offsets`` to ``out.shape[:-1] + (-1,)``.
+        Splitting an axis is a view, so nothing is copied.
+        """
         # The element-wise steps walk out in its memory order: numpy makes a
         # full-size copy of an input that is also the output unless the output
         # is contiguous in the order it is walked.
         axes = sorted(range(out.ndim), key=out.strides.__getitem__, reverse=True)
-        x, walk = view(self.x[rows, cols]).transpose(axes), out.transpose(axes)
+        x, walk = self.x[rows, cols].reshape(out.shape).transpose(axes), out.transpose(axes)
         if self.offsets is None:
             np.copyto(walk, x)
         else:
-            np.matmul(view(self.offsets[rows]), self.indicator[:, cols], out=out)
+            offsets = self.offsets[rows].reshape(out.shape[:-1] + (-1,))
+            np.matmul(offsets, self.indicator[:, cols], out=out)
             np.subtract(x, walk, out=walk)
         if self.exp:
             np.ldexp(walk, -self.exp, out=walk)
@@ -174,17 +182,16 @@ class _GramCov:
         return out
 
 
-def _centring(
-    x: np.ndarray, labels, within: bool, scaled: bool
-) -> tuple[_Centred, ClassStats | None]:
+def _centring(x: np.ndarray, labels, within: bool) -> tuple[_Centred, ClassStats | None, int]:
     """Checked data minus its class means (``within``) or its overall mean.
 
-    Also returns the class means of the checked ``labels``, or None without.
-    ``exp`` is one more than the exponent of ``max|x|``, so ``2**exp``
+    Also returns the class means of the checked ``labels`` (None without)
+    and ``exp``, one more than the exponent of ``max|x|``, so ``2**exp``
     bounds every ``|x - mean|`` whatever offset a row has: the centered
     data times ``2**-exp`` lies within [-1, 1] and its squares stay in the
-    normal range, without a pass that centers it.  The centring is divided
-    by ``2**exp`` when ``scaled``.  Every mean is one product of
+    normal range, without a pass that centers it.  The centring itself is
+    not scaled; a fit divides it by ``2**exp`` (:func:`_fit_estimate`).
+    Every mean is one product of
     :func:`_class_means`, summed under ``2**-max(exp, 0)``, below which
     ``N_e`` values of ``x`` sum without overflow.
     """
@@ -199,7 +206,7 @@ def _centring(
     else:
         indicator = np.ones((1, x.shape[1]))
         offsets = _class_means(x, indicator, shift)
-    return _Centred(x, offsets, indicator, exp if scaled else 0), stats
+    return _Centred(x, offsets, indicator), stats, exp
 
 
 def _fit_estimate(
@@ -215,8 +222,8 @@ def _fit_estimate(
     ``blockmat._CHUNK_BYTES`` is centered once into a copy laid out like
     ``x`` instead.
     """
-    centred, stats = _centring(x, labels, within, scaled=True)
-    exp = centred.exp
+    centred, stats, exp = _centring(x, labels, within)
+    centred = replace(centred, exp=exp)
     if x.nbytes <= blockmat._CHUNK_BYTES and any(e in _DENSE for e in estimators):
         centred = _Centred(centred.write(np.empty_like(x)))
     return _Estimates(centred, dims, estimators, gamma, solve_only=True), stats, exp
@@ -273,7 +280,7 @@ def _class_means(x: np.ndarray, indicator: np.ndarray, shift: int) -> np.ndarray
 def class_means(x, labels) -> ClassStats:
     """Mean vector of each of the two classes."""
     x = _finite_array(x, (None, None), "x")
-    return _centring(x, _check_labels(labels, x.shape[1]), within=True, scaled=False)[1]
+    return _centring(x, _check_labels(labels, x.shape[1]), within=True)[1]
 
 
 def center(x, labels=None) -> np.ndarray:
@@ -288,8 +295,7 @@ def center(x, labels=None) -> np.ndarray:
         raise ShapeError("x has 0 epochs; a mean needs at least 1")
     if labels is not None:
         labels = _check_labels(labels, x.shape[1])
-    centred, _ = _centring(x, labels, within=labels is not None, scaled=False)
-    return centred.write(np.empty_like(x))
+    return _centring(x, labels, within=labels is not None)[0].write(np.empty_like(x))
 
 
 def sample_covariance(centered, dims: BlockDims) -> BlockCov:
@@ -408,7 +414,7 @@ def _lag_sums_direct(centred: _Centred, dims: BlockDims) -> np.ndarray:
     """
     nc, nt, n = dims.n_channels, dims.n_times, centred.x.shape[1]
     z = np.empty((nc, nt, n))
-    centred.write(z.transpose(1, 0, 2), view=lambda a: a.reshape(nt, nc, -1))
+    centred.write(z.transpose(1, 0, 2))
     z = z.reshape(nc, nt * n)
     sums = np.empty((nt, nc, nc))
     for d in range(nt):
@@ -450,8 +456,7 @@ def _lag_sums_fft(centred: _Centred, dims: BlockDims) -> np.ndarray:
     for cols in chunks:
         width = cols.stop - cols.start
         f = buf[: nfft * width * nc].reshape(nfft, width, nc)
-        centred.write(f[:nt].transpose(0, 2, 1), cols=cols,
-                      view=lambda a: a.reshape(nt, nc, -1))
+        centred.write(f[:nt].transpose(0, 2, 1), cols=cols)
         f[nt:] = 0.0
         f = scipy.fftpack.rfft(f, axis=0, overwrite_x=True)
         stacked = f[1:-1].reshape(half - 1, 2 * width, nc)  # [Re; Im] per k

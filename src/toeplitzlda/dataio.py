@@ -140,13 +140,13 @@ def _json_object(path, what: str) -> dict:
     return payload
 
 
-def _json_value(payload: dict, key: str, kind: str, ok, what: str, default=None):
-    """``payload[key]``, or ``default`` when absent, if ``ok`` accepts it.
+def _json_value(payload: dict, key: str, kind: str, ok, what: str):
+    """``payload[key]``, or None when absent, if ``ok`` accepts it.
 
     Anything else raises :class:`DataFormatError` naming ``what``, the key
     and ``kind``, the JSON type and range the key must hold.
     """
-    value = payload.get(key, default)
+    value = payload.get(key)
     if not ok(value):
         raise DataFormatError(f"malformed {what}: {key} must be {kind}, got {value!r:.60}")
     return value

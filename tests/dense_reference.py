@@ -68,8 +68,7 @@ def lag_sums_fft(centred: covest._Centred, dims: BlockDims) -> np.ndarray:
     for start in range(0, n, chunk):
         width = min(chunk, n - start)
         f = buf[: nfft * width * nc].reshape(nfft, width, nc)
-        centred.write(f[:nt].transpose(0, 2, 1), cols=slice(start, start + width),
-                      view=lambda a: a.reshape(nt, nc, -1))
+        centred.write(f[:nt].transpose(0, 2, 1), cols=slice(start, start + width))
         f[nt:] = 0.0
         f = scipy.fftpack.rfft(f, axis=0, overwrite_x=True)
         stacked = f[1:-1].reshape(half - 1, 2 * width, nc)

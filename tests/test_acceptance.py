@@ -289,9 +289,10 @@ def test_c6_global_and_within_weights_are_collinear():
 # which flattens the dense slope on a machine with few cores.  With one
 # thread the process CPU time is the solver's work, without the time the
 # process waits for a core on a shared host.  The first call of a size runs
-# cold, and a busy host slows calls through the shared cache in phases, so
-# each size takes the minimum over 5 calls of each solver, block and dense in
-# turn.
+# cold, and a busy host slows calls through the shared cache in phases that
+# can outlast all the calls of one size, so the sizes are timed round-robin:
+# each of 5 rounds times every size, block then dense, and each size keeps
+# its fastest call of each solver.
 _C7_TIMINGS = """
 import json, sys, time
 import numpy as np
@@ -305,17 +306,17 @@ def timed(fn):
     return time.process_time() - start
 
 nc = 8
-t_block, t_dense, storage_ok = [], [], True
+cases, storage_ok = [], True
 for nt in json.loads(sys.argv[1]):
     dims = BlockDims(nc, nt)
     btc = synth.true_covariance(synth.default_noise_model(dims), dims)
     storage_ok &= bool(btc.lag_blocks.size == nt * nc * nc)
-    b = np.random.default_rng(nt).standard_normal(dims.size)
-    dense = to_dense(btc)
-    fastest = np.min([(timed(lambda: _fit_solve(btc, b, False)),
-                       timed(lambda: dense_solve(dense, b))) for _ in range(5)], axis=0)
-    t_block.append(float(fastest[0]))
-    t_dense.append(float(fastest[1]))
+    cases.append((btc, np.random.default_rng(nt).standard_normal(dims.size), to_dense(btc)))
+t_block, t_dense = [float("inf")] * len(cases), [float("inf")] * len(cases)
+for _ in range(5):
+    for i, (btc, b, dense) in enumerate(cases):
+        t_block[i] = min(t_block[i], timed(lambda: _fit_solve(btc, b, False)))
+        t_dense[i] = min(t_dense[i], timed(lambda: dense_solve(dense, b)))
 print(json.dumps({"t_block": t_block, "t_dense": t_dense, "storage_ok": storage_ok}))
 """
 

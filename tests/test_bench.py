@@ -168,6 +168,11 @@ def test_draw_validation_errors():
         draw_subsets(lopsided, 12, 1, seed=0)  # needs 2 targets, pool has 1
 
 
+def test_a_uniform_draw_too_small_for_both_classes_raises():
+    with pytest.raises(ShapeError, match="could not draw a two-class subset of size 1"):
+        draw_subsets(group_labels(12), 1, 1, 0, stratified=False)
+
+
 # ------------------------------------------------------------ benchmark
 
 @pytest.fixture(scope="module")

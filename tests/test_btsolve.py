@@ -1,6 +1,8 @@
 """The block-Toeplitz solve of the fits, its dense and PCG routes, the
 reference block Levinson recursion and the dense reference solver."""
 
+import ast
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -208,6 +210,98 @@ def test_pcg_iteration_cap_raises_solve_error(monkeypatch):
     monkeypatch.setattr(btsolve, "_PCG_MAX_ITER", 2)
     with pytest.raises(SolveError, match="did not converge in 2 iterations"):
         btsolve._fit_solve(btc, b, False)
+
+
+# ---------------------------------------------------- one exit per solve
+
+#: Every way out of a solve: the routes of ``_fit_solve`` (a compact
+#: estimate's dense expansion, a fit's own dense estimate, PCG, Woodbury and
+#: the indefinite fallback) and ``dense_solve``, with the route the report
+#: names and whether it is well conditioned.
+EXITS = {
+    "dense": ("dense", True),
+    "dense-own": ("dense", True),
+    "pcg": ("pcg", True),
+    "woodbury": ("woodbury", True),
+    "fallback": ("dense", False),
+    "dense_solve": ("dense", True),
+}
+
+
+def solve_through(monkeypatch, exit_, tiny=False):
+    """Solve a small system that leaves through ``exit_``.  With ``tiny``
+    the system (for ``"woodbury"``, its ridge) is scaled by 2**-1000 and the
+    right-hand side by 2**1000, so that the solution overflows."""
+    small, big = (2.0**-1000, 2.0**1000) if tiny else (1.0, 1.0)
+    if exit_ == "woodbury":  # an slda estimate at N_e < D, as a fit holds it
+        dims = BlockDims(3, 4)
+        xc = np.random.default_rng(23).standard_normal((dims.size, 6))
+        cov = covest._GramCov(dims, covest._Centred(xc), xc.T @ xc, 0.2, 0.5 * small)
+    elif exit_ == "fallback":  # [[1, 2], [2, 1]] is indefinite
+        cov = scalar_toeplitz([small, 2.0 * small])
+    else:
+        btc = random_spd_block_toeplitz(np.random.default_rng(24), 2, 5)
+        cov = BlockToeplitzCov(btc.dims, btc.lag_blocks * small)
+        if exit_ in ("dense-own", "dense_solve"):
+            cov = to_dense(cov)
+    b = np.full(cov.dims.size, big)
+    on_route(monkeypatch, "pcg" if exit_ == "pcg" else "dense")
+    if exit_ == "dense_solve":
+        return dense_solve(cov, b)
+    return btsolve._fit_solve(cov, b, exit_ == "fallback")
+
+
+@pytest.mark.parametrize("exit_", EXITS)
+def test_every_solve_returns_through_one_check(monkeypatch, exit_):
+    reports = []
+    real = btsolve._report
+
+    def spy(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(btsolve, "_report", spy)
+    report = solve_through(monkeypatch, exit_)
+    assert len(reports) == 1 and reports[0] is report
+    assert (report.method, report.well_conditioned) == EXITS[exit_]
+
+
+@pytest.mark.parametrize(
+    ("exit_", "route"),
+    [("dense", "dense"), ("dense-own", "dense"), ("pcg", "pcg"), ("woodbury", "woodbury"),
+     ("fallback", "symmetric indefinite"), ("dense_solve", "dense")],
+)
+def test_a_non_finite_solution_raises_solve_error_naming_its_route(monkeypatch, exit_, route):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SolveError, match=f"^{route} solve gave a non-finite solution$"):
+        solve_through(monkeypatch, exit_, tiny=True)
+
+
+def test_a_non_finite_cholesky_solution_falls_back_when_maybe_indefinite(monkeypatch):
+    # The Cholesky of the positive definite expansion succeeds, but its
+    # solution overflows: that is not an error of a system that may be
+    # indefinite, which goes on to the symmetric indefinite solve.
+    btc = random_spd_block_toeplitz(np.random.default_rng(24), 2, 5)
+    tiny = BlockToeplitzCov(btc.dims, btc.lag_blocks * 2.0**-1000)
+    b = np.full(btc.dims.size, 2.0**1000)
+    on_route(monkeypatch, "dense")
+    with pytest.raises(SolveError, match="^dense solve gave a non-finite solution$"):
+        btsolve._fit_solve(tiny, b, False)
+    solved = []
+    monkeypatch.setattr(btsolve.scipy.linalg, "solve",
+                        lambda a, rhs, **kwargs: solved.append(a) or np.ones_like(rhs))
+    report = btsolve._fit_solve(tiny, b, True)
+    assert len(solved) == 1 and np.array_equal(report.solution, np.ones_like(b))
+    assert (report.method, report.well_conditioned) == ("dense", False)
+
+
+def test_only_the_exit_and_the_levinson_breakdown_test_scan_for_non_finite_values():
+    tree = ast.parse(Path(btsolve.__file__).read_text(encoding="utf-8"))
+    scanners = sorted(
+        node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Attribute) and n.attr == "isfinite" for n in ast.walk(node))
+    )
+    assert scanners == ["_cholesky", "_report"]
 
 
 @settings(max_examples=150, deadline=None)

@@ -118,6 +118,35 @@ def test_non_integer_environment_seed_is_a_usage_error(tmp_path, capsys, monkeyp
     assert stderr.startswith("error: TOEPLITZLDA_SEED must be an integer")
 
 
+@pytest.mark.parametrize(
+    ("command", "flag", "value", "rule"),
+    [
+        ("synth", "--n-epochs", "0", "an integer >= 1"),
+        ("synth", "--n-channels", "0", "an integer >= 1"),
+        ("synth", "--n-times", "0", "an integer >= 1"),
+        ("synth", "--sfreq", "0", "a finite number > 0"),
+        ("synth", "--sfreq", "nan", "a finite number > 0"),
+        ("synth", "--t0", "inf", "a finite number"),
+        ("synth", "--erp-scale", "nan", "a finite number"),
+        ("bench", "--sizes", "6,,12", "comma-separated integers"),
+    ],
+    ids=["n-epochs", "n-channels", "n-times", "zero-sfreq", "nan-sfreq", "t0", "erp-scale",
+         "sizes"],
+)
+def test_a_bad_flag_value_is_a_usage_error_naming_the_flag(
+    tmp_path, capsys, command, flag, value, rule
+):
+    # Each was read as given and failed later: a data error (exit 2), after
+    # numpy warnings for sfreq 0, or a message that did not name the flag.
+    extra = ("--dataset-dir", str(tmp_path / "ds")) if command == "bench" else ()
+    code, stdout, stderr = run(capsys, command, "--out-dir", str(tmp_path / "out"), *extra,
+                               flag, value)
+    assert code == 1 and stdout == ""
+    expected = f"toeplitzlda {command}: error: argument {flag}: must be {rule}, got {value!r}\n"
+    assert stderr == expected
+    assert not any(tmp_path.iterdir())
+
+
 # ----------------------------------------------------------------- bench
 
 def test_bench_writes_frozen_report(dataset96, tmp_path, capsys):

@@ -881,6 +881,37 @@ def test_indefinite_fallback_rejects_a_non_finite_solution(monkeypatch):
         fit(x, labels, dims=dims, estimator="toeplitz_a1_only")
 
 
+def fail_the_indefinite_solve(monkeypatch):
+    def solve(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(scipy.linalg, "solve", solve)
+    return "toeplitz_a1_only", 0
+
+
+def overflow_the_weights(monkeypatch):
+    # A finite solution of 2**1000 on data of 2**-60: undoing the prescale
+    # by 2**exp (exp about -57) leaves the float range.
+    def solve(cov, b, maybe_indefinite):
+        return btsolve.SolveReport(np.full_like(b, 2.0**1000), "dense", True)
+
+    monkeypatch.setattr(btsolve, "_fit_solve", solve)
+    return "toeplitz", -60
+
+
+@pytest.mark.parametrize(
+    ("inject", "message"),
+    [(fail_the_indefinite_solve, "^symmetric indefinite solve failed: injected$"),
+     (overflow_the_weights, "^the weights overflow at the scale of the data$")],
+    ids=["indefinite-solve-fails", "weights-overflow"],
+)
+def test_a_fit_reports_a_failed_solve_as_solve_error(monkeypatch, inject, message):
+    x, labels, dims = indefinite_fit_data()
+    estimator, log2_scale = inject(monkeypatch)
+    with np.errstate(over="ignore"), pytest.raises(SolveError, match=message):
+        fit(np.ldexp(x, log2_scale), labels, dims=dims, estimator=estimator)
+
+
 # ------------------------------------------------------ scale equivariance
 
 SCALE_DATA = labeled_features(4, 5, 60, seed=0)

@@ -156,6 +156,59 @@ def test_no_module_imports_a_package_name_it_does_not_use():
     assert unused == []
 
 
+def defaulted_parameters(node, qualname: str, in_class: bool = False):
+    """``(qualified name, name, parameter, position)`` of every parameter
+    with a default of a private function or method below ``node``.
+    ``position`` is its index among the arguments a call passes (a method's
+    ``self`` is not passed), or None when it is keyword-only."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from defaulted_parameters(child, f"{qualname}.{child.name}", True)
+        elif isinstance(child, ast.FunctionDef):
+            name = f"{qualname}.{child.name}"
+            if child.name.startswith("_") and not child.name.endswith("__"):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                for index in range(len(positional) - len(args.defaults), len(positional)):
+                    yield name, child.name, positional[index].arg, index - in_class
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield name, child.name, arg.arg, None
+            yield from defaulted_parameters(child, name)
+        else:
+            yield from defaulted_parameters(child, qualname, in_class)
+
+
+def passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """Whether ``call`` may pass ``parameter``, by name or at ``position``."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None or k.arg == parameter for k in call.keywords
+    ):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def test_every_private_default_is_set_by_some_call():
+    # A default that no call in the package overrides is a constant behind a
+    # switch that nobody throws: it belongs in the function's body.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = [
+        f"{qualname}({parameter})"
+        for module, tree in trees.items()
+        for qualname, name, parameter, position in defaulted_parameters(tree, module)
+        if not any(passes(call, parameter, position) for call in calls.get(name, []))
+    ]
+    assert unset == []
+
+
 @pytest.mark.parametrize("module", [path.stem for path in MODULES])
 def test_every_module_imports_alone_in_a_fresh_interpreter(module):
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
