@@ -10,24 +10,27 @@ chunks of the centered data, in ``O(N_e^2 D + N_e^3)`` time with nothing
 of size ``D^2``; without shrinkage it raises :class:`SolveError`, as the
 dense Cholesky of the same estimate does.  Every dense estimate (``slda`` from ``N_e = D`` on and
 ``toeplitz_a2_only``, cut from γ's Gram there) is the fit's own and is
-factored in place (route ``"dense"``).  The compact
-:class:`BlockToeplitzCov` of a ``toeplitz`` fit takes one of two routes,
-by the size of the system (``blockmat._fft_pays``, the rule that also
-picks the lag-sum kernel of the estimate):
+factored in place (route ``"dense"``).  A ``toeplitz`` estimate takes one
+of two routes, by the size of the system (``blockmat._fft_pays``, the rule
+that also picks the lag-sum kernel of the estimate):
 
 * ``"dense"``, on small systems: ``blockmat.to_dense`` fills one ``D x D``
   buffer, which LAPACK Cholesky (``dpotrf``/``dpotrs``) factors in place,
   in ``O(D^3)`` time.
-* ``"pcg"``, on large ones: conjugate gradients preconditioned by T. Chan's
-  optimal block circulant (T. Chan 1988; R. Chan and M. Ng 1996), whose
-  inverse is one ``n_channels``-square block per frequency.  Each iteration
-  multiplies by ``T`` through the FFT of a block-circulant embedding of the
-  lag blocks, so the solve costs ``O(iters n_channels^2 n_times log
-  n_times)`` time and never forms ``T`` (README step 4 gives ``iters``).
-  Beyond the lag blocks it holds two spectra, each built one channel
-  column at a time: the embedding's, about ``n_times`` complex blocks, and
-  the inverse preconditioner's, about half as many, which is factored and
-  inverted in place over slices of frequencies (``blockmat._slices``).
+* ``"pcg"``, on large ones: conjugate gradients on the spectrum of a
+  block-circulant embedding of ``T``, about ``n_times`` complex
+  ``n_channels``-square blocks.  Each iteration multiplies by ``T`` through
+  the FFT of that embedding, so the solve costs ``O(iters n_channels^2
+  n_times log n_times)`` time and never forms ``T`` (README step 4 gives
+  ``iters``).  A fit's ``toeplitz`` estimate comes as that spectrum
+  (``covest._SpectralCov``); any other compact estimate is transformed to
+  it one channel column at a time (``_lag_spectrum``).  The preconditioner
+  is the inverse of the circulant of the spectrum's even frequencies (R.
+  Chan's where the embedding has ``2 n_times`` blocks; R. Chan and M. Ng,
+  SIAM Review 38, 1996), half as many blocks, factored and inverted over
+  slices of frequencies (``blockmat._slices``).  Where one of its blocks
+  fails to factor, T. Chan's optimal block circulant (T. Chan 1988) stands
+  in, built from the inverse transform of the spectrum.
 
 ``toeplitz_a1_only`` (averaging without tapering) may be indefinite, so it
 always takes the dense route, with a symmetric indefinite fallback.  Any
@@ -62,7 +65,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .blockmat import (BlockCov, BlockToeplitzCov, _embedding_length, _fft_pays, _finite_array,
                        _slices, to_dense)
-from .covest import _GramCov
+from .covest import _GramCov, _SpectralCov
 from .errors import SolveBreakdownError, SolveError
 
 
@@ -84,7 +87,7 @@ class SolveReport:
 
 def _lag_spectrum(btc: BlockToeplitzCov) -> tuple[np.ndarray, int]:
     """Real FFT of the block circulant of length ``n =
-    blockmat._embedding_length(n_times)``, the FFT lag sums' length, whose
+    blockmat._embedding_length(n_times)``, the FFT cross-spectrum's length, whose
     first ``n_times`` block rows are the dense expansion of ``btc``: ``c[0] =
     L[0]``, ``c[d] = L[d]^T`` and ``c[n - d] = L[d]`` for ``1 <= d < n_times``,
     zero between.  Returns the ``(n // 2 + 1, n_channels, n_channels)``
@@ -228,45 +231,82 @@ _PCG_RTOL = 1e-12
 _PCG_MAX_ITER = 1000
 
 
-def _chan_preconditioner(btc: BlockToeplitzCov) -> np.ndarray:
-    """Inverse of T. Chan's optimal block circulant, one block per frequency.
+def _inverted(blocks: np.ndarray, out: np.ndarray, name: str) -> np.ndarray:
+    """``out``, holding the inverses of the Hermitian ``blocks`` (``out`` may be
+    ``blocks``).  Over slices of frequencies (``blockmat._slices``) each block
+    is Cholesky-factored as the test of positive definiteness and then
+    inverted; a block that fails either raises :class:`SolveError` naming
+    the preconditioner ``name`` (a nearly singular block can pass the
+    Cholesky and fail the inverse)."""
+    nc = blocks.shape[-1]
+    for freqs in _slices(len(blocks), 16 * nc * nc):
+        try:
+            np.linalg.cholesky(blocks[freqs])
+            out[freqs] = np.linalg.inv(blocks[freqs])
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(
+                f"{name} block circulant preconditioner is not positive definite: {exc}"
+            ) from exc
+    return out
+
+
+def _even_preconditioner(spec: np.ndarray) -> np.ndarray:
+    """Inverse of the block circulant ``C_m`` of length ``m = n / 2`` whose
+    spectrum is the even frequencies of the operator spectrum ``spec`` of
+    length ``n``, one block per frequency of ``C_m``.
+
+    Its first block column is ``c_j + c_{j + m}``, the embedding's column
+    aliased to length ``m``: ``L[j]^T + L[m - j]``, which at ``m = n_times``
+    is R. Chan's circulant (R. Chan and M. Ng, SIAM Review 38, 1996).  A
+    ``toeplitz`` estimate's spectrum is its scaled cross-spectrum plus
+    ``gamma nu I``, positive semidefinite at every frequency, so ``C_m`` is
+    positive definite whenever ``gamma nu > 0``.  The blocks are read from
+    ``spec`` and inverted into a new array (:func:`_inverted`).
+    """
+    even = spec[::2]
+    return _inverted(even, np.empty_like(even), "the even-frequency")
+
+
+def _chan_preconditioner(spec: np.ndarray, nt: int) -> np.ndarray:
+    """Inverse of T. Chan's optimal block circulant of the operator whose
+    embedding has the spectrum ``spec``, one block per frequency: the
+    fallback of :func:`_pcg_solve` when a block of
+    :func:`_even_preconditioner` fails to factor.
 
     Of all block circulants of ``n_times`` blocks, ``C_k = ((n_times - k)
     L[k]^T + k L[n_times - k]) / n_times`` (the first block column) is the
     nearest to ``T`` in the Frobenius norm; it is positive definite when
-    ``T`` is.  Its real FFT holds the Hermitian blocks it acts by at each
-    frequency; it is built one channel column at a time straight into that
-    spectrum.  Over slices of frequencies (``blockmat._slices``) each block
-    is Cholesky-factored as the test of positive definiteness and then
-    inverted in place; a block that fails either raises :class:`SolveError`
-    (a nearly singular block can pass the Cholesky and fail the inverse).
+    ``T`` is.  The lags come from the embedding's first block column ``c``,
+    the inverse transform of ``spec``: ``c[d] = L[d]^T`` and ``c[n - d] =
+    L[d]``.  The real FFT of ``C`` holds the Hermitian blocks it acts by at
+    each frequency, inverted in place (:func:`_inverted`).
     """
-    nc, nt = btc.dims.n_channels, btc.dims.n_times
-    lags = btc.lag_blocks
-    k = np.arange(nt)[:, None]
-    blocks = np.empty((nt // 2 + 1, nc, nc), dtype=complex)
-    col = np.empty((nt, nc))
-    for j in range(nc):
-        np.multiply(lags[:, j], nt - k, out=col)
-        col[1:] += lags[:0:-1, :, j] * k[1:]
-        col /= nt
-        blocks[:, :, j] = scipy.fft.rfft(col, axis=0)
-    for freqs in _slices(len(blocks), 16 * nc * nc):
-        try:
-            np.linalg.cholesky(blocks[freqs])
-            blocks[freqs] = np.linalg.inv(blocks[freqs])
-        except np.linalg.LinAlgError as exc:
-            raise SolveError(
-                f"block circulant preconditioner is not positive definite: {exc}"
-            ) from exc
-    return blocks
+    n = 2 * (len(spec) - 1)
+    c = scipy.fft.irfft(spec, n, axis=0)
+    k = np.arange(nt)[:, None, None]
+    col = c[:nt] * (nt - k)
+    col[1:] += c[n - nt + 1 :] * k[1:]
+    col /= nt
+    blocks = scipy.fft.rfft(col, axis=0)
+    return _inverted(blocks, blocks, "T. Chan's")
 
 
-def _pcg_solve(btc: BlockToeplitzCov, b: np.ndarray) -> SolveReport:
-    """Preconditioned conjugate gradients for ``T x = b``, from ``x = 0``."""
-    nc, nt = btc.dims.n_channels, btc.dims.n_times
-    spec, n = _lag_spectrum(btc)
-    pre = _chan_preconditioner(btc)
+def _pcg_solve(spec: np.ndarray, b: np.ndarray) -> SolveReport:
+    """Preconditioned conjugate gradients for ``T x = b``, from ``x = 0``,
+    with ``T`` the leading ``n_times`` blocks of the block circulant whose
+    spectrum ``spec`` is (``n = 2 (len(spec) - 1)``).
+
+    The preconditioner is ``P^T C_m^-1 P``: ``P`` pads ``n_times`` blocks
+    with zeros to the length ``m`` of :func:`_even_preconditioner`'s
+    circulant ``C_m``, so the preconditioner is a leading minor of ``C_m^-1``
+    and positive definite with it.  T. Chan's circulant (length ``n_times``,
+    :func:`_chan_preconditioner`) stands in when ``C_m`` fails to factor."""
+    nc = spec.shape[-1]
+    nt, n = len(b) // nc, 2 * (len(spec) - 1)
+    try:
+        pre, m = _even_preconditioner(spec), n // 2
+    except SolveError:
+        pre, m = _chan_preconditioner(spec, nt), nt
     # Dividing b by a power of two is exact and keeps the norms finite.
     exp = int(np.frexp(np.abs(b).max(initial=0.0))[1])
     r = np.ldexp(b, -exp).reshape(nt, nc)
@@ -277,7 +317,7 @@ def _pcg_solve(btc: BlockToeplitzCov, b: np.ndarray) -> SolveReport:
         if iterations == _PCG_MAX_ITER:
             raise SolveError(f"PCG did not converge in {_PCG_MAX_ITER} iterations")
         iterations += 1
-        z = _spectral_product(pre, nt, r)
+        z = _spectral_product(pre, m, r)
         rz = np.vdot(r, z)
         p = z if iterations == 1 else z + (rz / rz_old) * p
         q = _spectral_product(spec, n, p)
@@ -291,7 +331,10 @@ def _pcg_solve(btc: BlockToeplitzCov, b: np.ndarray) -> SolveReport:
         x += alpha * p
         r -= alpha * q
         rz_old = rz
-    return _report(np.ldexp(x, exp).reshape(btc.dims.size), "pcg")
+    # Undoing 2**-exp can overflow; _report raises on the result.
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x, exp)
+    return _report(x.reshape(len(b)), "pcg")
 
 
 def _woodbury_solve(cov: _GramCov, b: np.ndarray) -> SolveReport:
@@ -308,18 +351,22 @@ def _woodbury_solve(cov: _GramCov, b: np.ndarray) -> SolveReport:
     gram *= a
     gram.flat[:: len(gram) + 1] += r
     w = b - a * cov.dot(_cholesky_solve(gram.T, cov.t_dot(b)))
-    w /= r
+    with np.errstate(over="ignore"):  # _report raises on an overflow
+        w /= r
     return _report(w, "woodbury")
 
 
 def _fit_solve(
-    cov: BlockCov | BlockToeplitzCov | _GramCov, b: np.ndarray, maybe_indefinite: bool
+    cov: BlockCov | BlockToeplitzCov | _GramCov | _SpectralCov, b: np.ndarray,
+    maybe_indefinite: bool
 ) -> SolveReport:
     """Solve a fit's own estimate for the finite vector ``b``: an ``slda``
     estimate below ``D``, held as γ's Gram, is solved in it by Woodbury; a
-    dense ``cov``, read no more, is factored in place; a compact one takes the PCG route
-    where ``blockmat._fft_pays`` picks it, unless ``maybe_indefinite``
-    (averaging without tapering), else the dense route on its expansion.
+    ``toeplitz`` estimate held as its spectrum takes the PCG route; a dense
+    ``cov``, read no more, is factored in place; a compact one takes the PCG
+    route on its :func:`_lag_spectrum` where ``blockmat._fft_pays`` picks it,
+    unless ``maybe_indefinite`` (averaging without tapering), else the dense
+    route on its expansion.
     With ``maybe_indefinite`` a failed Cholesky, or one whose solution is
     not finite, is not an error: a fresh expansion is solved by a symmetric
     indefinite factorization, and the report says so.  The lag blocks are
@@ -328,10 +375,12 @@ def _fit_solve(
     """
     if isinstance(cov, _GramCov):
         return _woodbury_solve(cov, b)
+    if isinstance(cov, _SpectralCov):
+        return _pcg_solve(cov.spectrum, b)
     if not isinstance(cov, BlockToeplitzCov):
         return _solve_in_place(cov, b)
     if not maybe_indefinite and _fft_pays(cov.dims.n_channels, cov.dims.n_times):
-        return _pcg_solve(cov, b)
+        return _pcg_solve(_lag_spectrum(cov)[0], b)
     try:
         return _solve_in_place(to_dense(cov), b)
     except SolveError:

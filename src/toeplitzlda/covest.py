@@ -9,9 +9,13 @@ and they shrink (and taper) it in the buffer the product lands in: in a
 fit from ``N_e = D`` on, γ's Gram.  Below ``D`` a fit's ``slda`` is γ's
 ``N_e``-square Gram (``_GramCov``), solved by Woodbury.  ``toeplitz`` and
 ``toeplitz_a1_only`` build their lag blocks from the data: one product per
-lag on short windows, a cross-spectrum summed over chunks of epochs on
-long ones (the size rule ``blockmat._fft_pays``), whose products are
-formed over slices of frequencies into one small buffer.  The Ledoit-Wolf
+lag on short windows, and on long ones (the size rule
+``blockmat._fft_pays``) a Hermitian-packed cross-spectrum, one real
+product per frequency summed over chunks of epochs and formed over slices
+of frequencies in small buffers, then one inverse FFT.  A fit's
+``toeplitz`` on a long window skips that transform: its estimate is the
+operator spectrum built from the packed one (``_SpectralCov``), which the
+PCG solve takes as it is.  The Ledoit-Wolf
 intensity sums the smaller of the ``D x D`` and ``N_e x N_e`` products over
 chunks of the data.  ``sample_covariance`` and ``shrink`` (then
 ``blockmat.apply_taper_dense``) run the dense estimate stage by stage, each
@@ -22,7 +26,7 @@ reference.
 ``_Estimates`` of a ``_Centred``: the data minus its class means or its
 overall mean (``_centring``, which ``center`` and ``class_means`` share),
 divided by a power of two.  ``_Estimates`` runs the stages the estimators
-share once (γ, and the lag sums of the averaged ones) and forms each
+share once (γ, and the lag sums or cross-spectrum of the averaged ones) and forms each
 estimator's estimate when asked for it: the benchmark fits all estimators
 of a draw from one.  Each kernel writes the centered, scaled values into
 its own buffer laid out like the data, the chunks of ``blockmat._slices``
@@ -49,7 +53,7 @@ from .errors import ShapeError
 ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
 #: The estimators that form the dense sample covariance.
 _DENSE = ("slda", "toeplitz_a2_only")
-#: Most epochs in one chunk of the FFT lag sums.
+#: Most epochs in one chunk of the FFT cross-spectrum.
 _FFT_EPOCHS = 32
 
 
@@ -75,10 +79,11 @@ class ShrinkageResult:
 
     ``matrix`` is the compact :class:`BlockToeplitzCov` for the averaged
     estimators, else a dense :class:`BlockCov` (in a fit from ``N_e = D`` on,
-    γ's Gram); a fit's ``slda`` estimate below ``D`` is a :class:`_GramCov`.
+    γ's Gram); a fit's ``slda`` estimate below ``D`` is a :class:`_GramCov`,
+    and its ``toeplitz`` estimate on the PCG route a :class:`_SpectralCov`.
     """
 
-    matrix: BlockCov | BlockToeplitzCov | _GramCov
+    matrix: BlockCov | BlockToeplitzCov | _GramCov | _SpectralCov
     gamma: float
     nu: float
 
@@ -180,6 +185,20 @@ class _GramCov:
         for rows, chunk in self.centred.chunks(0):
             np.matmul(chunk, u, out=out[rows])
         return out
+
+
+@dataclass(frozen=True)
+class _SpectralCov:
+    """A fit's ``toeplitz`` estimate on the PCG route, held as the spectrum
+    of its block-circulant embedding of length
+    ``blockmat._embedding_length(n_times)``: ``spectrum[k]`` is the
+    Hermitian ``n_channels``-square block that the embedding acts by at
+    frequency ``k`` (``n / 2 + 1`` of them), ``btsolve._lag_spectrum`` of
+    the estimate's lag blocks.  ``btsolve._pcg_solve`` multiplies by it and
+    takes its preconditioner from its even frequencies."""
+
+    dims: BlockDims
+    spectrum: np.ndarray
 
 
 def _centring(x: np.ndarray, labels, within: bool) -> tuple[_Centred, ClassStats | None, int]:
@@ -422,37 +441,37 @@ def _lag_sums_direct(centred: _Centred, dims: BlockDims) -> np.ndarray:
     return sums
 
 
-def _lag_sums_fft(centred: _Centred, dims: BlockDims) -> np.ndarray:
-    """``(N_e - 1) R_d`` of the centered epochs by FFT.
+def _cross_spectrum(centred: _Centred, dims: BlockDims) -> np.ndarray:
+    """The cross-spectrum of the centered epochs, Hermitian-packed.
 
-    Wiener-Khinchin: with ``F_e(k)`` the real FFT of epoch ``e`` zero-padded
-    to the ``nfft = blockmat._embedding_length(nt)`` samples of every
-    block-circulant embedding (so no lag wraps), the inverse transform
-    of the cross-spectrum ``sum_e conj(F_e(k)) F_e(k)^T`` is
-    ``sum_e sum_t x_t x_{t+d}^T`` at ``d < nt``.  The ``blockmat._slices``
+    With ``F_e(k)`` the real FFT of epoch ``e`` zero-padded to the ``nfft =
+    blockmat._embedding_length(nt)`` samples of every block-circulant
+    embedding (so no lag wraps), the cross-spectrum ``sum_e conj(F_e(k))
+    F_e(k)^T = Re_k + i Im_k`` has a symmetric ``Re_k`` and an antisymmetric
+    ``Im_k``, so one real ``nc x nc`` block ``H_k = Re_k + Im_k`` holds both:
+    the result is ``(nfft / 2 + 1, nc, nc)``, and its inverse transform
+    (:func:`_spectrum_lags`) is ``(N_e - 1) R_d = sum_e sum_t x_t
+    x_{t+d}^T`` at ``d < nt`` (Wiener-Khinchin).  The ``blockmat._slices``
     of at most ``_FFT_EPOCHS`` epochs and a quarter of the data (so the
     chunk buffer stays below half the input's size) are centered into the
     chunk buffer and transformed there in FFTPACK's real layout, where the
-    real and imaginary parts of frequency ``k`` are adjacent
-    ``(epochs, nc)`` planes ``Re``, ``Im``.  The cross-spectrum is then
-    ``Re^T Re + Im^T Im + i (M - M^T)`` with ``M = Re^T Im``: two real
-    products per frequency and no complex copy, formed over slices of
-    frequencies (``blockmat._slices``) in one small buffer and added into
-    the spectrum.  Beyond the data the kernel holds the spectrum, the chunk
-    buffer and that slice buffer, then the spectrum and the ``nt`` lags.
-    ``O(N_e nc nt log nt + N_e nc^2 nt)`` time.
+    real and imaginary parts of frequency ``k`` are adjacent ``(epochs,
+    nc)`` planes ``Re``, ``Im``.  ``H_k`` is then one real product ``[Re;
+    Im]^T [Re + Im; Im - Re]``, formed over slices of frequencies
+    (``blockmat._slices``) in small buffers and added into the spectrum.
+    Beyond the data the kernel holds the spectrum, the chunk buffer and the
+    slice buffers.  ``O(N_e nc nt log nt + N_e nc^2 nt)`` time.
     """
     nc, nt, n = dims.n_channels, dims.n_times, centred.x.shape[1]
     nfft = _embedding_length(nt)
     half = nfft // 2
-    # The cross-spectrum in the same real layout: row 0 holds frequency 0,
-    # rows 2k - 1 and 2k the real and imaginary part of k, the last row nfft/2.
-    spec = np.zeros((nfft, nc, nc))
-    spec_re, spec_im = spec[1:-1:2], spec[2:-1:2]
-    freqs = _slices(half - 1, 8 * nc * nc)
-    prod = part = np.empty((freqs[0].stop if freqs else 0, nc, nc))
+    spec = np.zeros((half + 1, nc, nc))
     chunks = _slices(n, 1, min(_FFT_EPOCHS, n // 4))  # a budget of epochs
-    buf = np.empty(nfft * chunks[0].stop * nc)
+    most = chunks[0].stop
+    freqs = _slices(half - 1, 8 * nc * (nc + 2 * most))
+    step = freqs[0].stop if freqs else 0
+    prod, turned = np.empty((step, nc, nc)), np.empty(step * 2 * most * nc)
+    buf = np.empty(nfft * most * nc)
     for cols in chunks:
         width = cols.stop - cols.start
         f = buf[: nfft * width * nc].reshape(nfft, width, nc)
@@ -462,22 +481,55 @@ def _lag_sums_fft(centred: _Centred, dims: BlockDims) -> np.ndarray:
         stacked = f[1:-1].reshape(half - 1, 2 * width, nc)  # [Re; Im] per k
         re, im = f[1:-1:2], f[2:-1:2]
         for k in freqs:
-            part = prod[: k.stop - k.start]
-            np.matmul(stacked[k].transpose(0, 2, 1), stacked[k], out=part)
-            spec_re[k] += part
-            np.matmul(re[k].transpose(0, 2, 1), im[k], out=part)
-            spec_im[k] += part
+            size = k.stop - k.start
+            other = turned[: size * 2 * width * nc].reshape(size, 2 * width, nc)
+            np.add(re[k], im[k], out=other[:, :width])
+            np.subtract(im[k], re[k], out=other[:, width:])
+            np.matmul(stacked[k].transpose(0, 2, 1), other, out=prod[:size])
+            spec[k.start + 1 : k.stop + 1] += prod[:size]
         spec[0] += f[0].T @ f[0]
         spec[-1] += f[-1].T @ f[-1]
-    # The chunk buffer, its views and the products go before the inverse
-    # transform: on long windows the buffer is the estimate's peak.
-    del buf, f, stacked, re, im, prod, part
-    # By slices: numpy copies the overlapping transpose before it subtracts.
-    for k in freqs:
-        spec_im[k] -= spec_im[k].transpose(0, 2, 1)
-    # The transform runs in place in spec; a copy of the first nt lags lets
-    # the nfft lags go here.
-    return scipy.fftpack.irfft(spec, axis=0, overwrite_x=True)[:nt].copy()
+    return spec
+
+
+def _spectrum_lags(spec: np.ndarray, nt: int) -> np.ndarray:
+    """The lag sums ``(N_e - 1) R_d``, ``d < nt``, of the packed cross-spectrum
+    of :func:`_cross_spectrum`: ``Re_k`` and ``Im_k`` are the symmetric and
+    antisymmetric parts of ``H_k``, unpacked into FFTPACK's real layout for
+    one inverse FFT, which runs in place; a copy of the first ``nt`` lags
+    lets the ``nfft`` lags go."""
+    half, nc = len(spec) - 1, spec.shape[1]
+    full = np.empty((2 * half, nc, nc))
+    full[0], full[-1] = spec[0], spec[-1]
+    inner = spec[1:-1]
+    np.add(inner, inner.transpose(0, 2, 1), out=full[1:-1:2])
+    np.subtract(inner, inner.transpose(0, 2, 1), out=full[2:-1:2])
+    full[1:-1] *= 0.5
+    return scipy.fftpack.irfft(full, axis=0, overwrite_x=True)[:nt].copy()
+
+
+def _spectral_estimate(spec: np.ndarray, dims: BlockDims, n: int, gamma: float) -> ShrinkageResult:
+    """A fit's ``toeplitz`` estimate on the PCG route, from the packed
+    cross-spectrum ``spec`` of ``n`` epochs, as a :class:`_SpectralCov`.
+
+    The estimate's lag blocks ``(1 - gamma) R_d / ((n - 1) nt)``, plus
+    ``gamma nu I`` at lag 0, are the leading blocks of the block circulant
+    whose spectrum is that scale times ``conj(Re_k + i Im_k)``, plus ``gamma
+    nu I`` at every frequency.  ``nu`` is ``trace(R_0) / ((n - 1) D)``, and
+    ``trace(R_0)`` is the mean trace over the full spectrum.  No inverse
+    transform runs, and no lag block is formed.
+    """
+    nc, nt = dims.n_channels, dims.n_times
+    traces = np.einsum("kii->k", spec)
+    trace = (traces[0] + traces[-1] + 2.0 * traces[1:-1].sum()) / (2 * (len(spec) - 1))
+    nu = float(trace / (n - 1) / dims.size)
+    op = np.empty(spec.shape, dtype=complex)
+    turned = spec.transpose(0, 2, 1)
+    np.add(spec, turned, out=op.real)
+    np.subtract(turned, spec, out=op.imag)
+    op *= 0.5 * (1.0 - gamma) / ((n - 1) * nt)
+    op.reshape(len(op), -1)[:, :: nc + 1] += gamma * nu
+    return ShrinkageResult(_SpectralCov(dims, op), gamma, nu)
 
 
 def estimate_covariance(
@@ -502,9 +554,9 @@ def estimate_covariance(
     tapering it by ``1 - d / n_times`` makes ``n_d = n_times`` (``toeplitz``).
     Shrinking commutes with averaging, so these two build ``R_d`` from the
     data and never form ``S``: one product per lag on short windows, in
-    ``O(N_e D n_channels n_times)`` time, and from the cross-spectrum of
-    chunks of epochs on long ones, in ``O(N_e D (log n_times +
-    n_channels))``.  ``blockmat._fft_pays`` picks by ``(n_channels, n_times)``,
+    ``O(N_e D n_channels n_times)`` time, and on long ones from the packed
+    cross-spectrum of chunks of epochs, through one inverse FFT, in
+    ``O(N_e D (log n_times + n_channels))``.  ``blockmat._fft_pays`` picks by ``(n_channels, n_times)``,
     the same rule that picks the solve route of a fit (``btsolve._fit_solve``).
     """
     _check_estimator(estimator)
@@ -519,20 +571,24 @@ class _Estimates:
     Calling it with an estimator returns that estimator's estimate; each
     estimator of ``estimators`` is asked for once, in any order.  The stages
     the estimators share run once: γ (the Ledoit-Wolf intensity when
-    ``gamma`` is None) here, and the lag sums at the first averaged
-    estimator, kept while another is pending and handed out as a copy.
-    Each estimator then takes only its own steps: the divisor and shrink of
-    the lag sums, or those of its dense ``S``, so that no two ``D x D``
-    arrays exist unless a caller keeps one estimate while it asks for the
-    next, or a fit's second dense estimator is pending.  The centered data and the lag sums are let
-    go with the last estimator that reads them.
+    ``gamma`` is None) here, and at the first averaged estimator the direct
+    lag sums, kept while another is pending and handed out as a copy, or
+    the packed cross-spectrum, which no estimator writes.  Each estimator
+    then takes only its own steps: the inverse transform of the spectrum,
+    the divisor and shrink of the lag sums, or those of its dense ``S``, so
+    that no two ``D x D`` arrays exist unless a caller keeps one estimate
+    while it asks for the next, or a fit's second dense estimator is
+    pending.  The centered data and the shared sums are let go with the
+    last estimator that reads them.
 
     A fit's estimates are only solved (``solve_only``).  There γ's raw Gram
     ``G`` (summed by γ's code, also when ``gamma`` is given) is kept for the
     dense estimators that read it.  From ``N_e = D`` on ``G = xc xc^T`` is
     the ``S`` of both, the first asked taking a copy while the other is
     pending.  Below ``D`` only ``slda`` reads ``G = xc^T xc``, as a
-    :class:`_GramCov` with ``nu = trace(G) / ((N_e - 1) D)``.
+    :class:`_GramCov` with ``nu = trace(G) / ((N_e - 1) D)``.  Where the
+    spectrum is summed, a fit's ``toeplitz`` is the :class:`_SpectralCov`
+    of :func:`_spectral_estimate`, which the PCG route solves.
     """
 
     def __init__(self, centred: _Centred, dims: BlockDims, estimators, gamma: float | None,
@@ -546,7 +602,7 @@ class _Estimates:
         else:
             gram = _gram(centred)[0] if keep else None
         self._gamma, self._gram = gamma, gram if keep else None
-        self._lags = None
+        self._sums, self._solve_only = None, solve_only
 
     def __call__(self, estimator: str) -> ShrinkageResult:
         self._pending.remove(estimator)
@@ -582,13 +638,17 @@ class _Estimates:
                 grid = s.reshape(nt, nc, nt, nc)  # a view: block (i, j) is grid[i, :, j]
                 grid *= (1.0 - lag / nt)[:, None, :, None]
             return ShrinkageResult(_owned(BlockCov, dims=dims, data=s), gamma, nu)
-        lags = self._lags
-        if lags is None:
-            lags = (_lag_sums_fft if _fft_pays(nc, nt) else _lag_sums_direct)(centred, dims)
-        if any(e not in _DENSE for e in self._pending):
-            self._lags, lags = lags, lags.copy()
+        fft, sums = _fft_pays(nc, nt), self._sums
+        if sums is None:
+            sums = (_cross_spectrum if fft else _lag_sums_direct)(centred, dims)
+        pending = any(e not in _DENSE for e in self._pending)
+        self._sums = sums if pending else None
+        if fft and estimator == "toeplitz" and self._solve_only:
+            return _spectral_estimate(sums, dims, n, gamma)
+        if fft:
+            lags = _spectrum_lags(sums, nt)
         else:
-            self._lags = None
+            lags = sums.copy() if pending else sums
         nu = float(np.trace(lags[0]) / (n - 1) / dims.size)
         divisor = np.full(nt, nt) if estimator == "toeplitz" else np.arange(nt, 0, -1)
         lags *= ((1.0 - gamma) / ((n - 1) * divisor))[:, None, None]

@@ -154,7 +154,8 @@ def _fitter(x, labels, dims, estimators, cov_mode, mean_override, gamma):
             )
             # The solution is finite, but undoing 2**exp can overflow it when
             # the data is tiny and the estimate nearly singular.
-            w = np.ldexp(report.solution, -exp)
+            with np.errstate(over="ignore"):
+                w = np.ldexp(report.solution, -exp)
             if not np.isfinite(w).all():
                 raise SolveError("the weights overflow at the scale of the data")
             bias = float(-0.5 * (w @ (stats.means[0] + stats.means[1])))

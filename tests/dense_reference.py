@@ -54,14 +54,13 @@ def slda_weights(x, labels, dims: BlockDims, cov_mode="within", gamma=None, mean
 # spectra at once, and the fit's stages must equal them bit for bit.
 
 
-def lag_sums_fft(centred: covest._Centred, dims: BlockDims) -> np.ndarray:
-    """``covest._lag_sums_fft`` with a product buffer of all interior
-    frequencies at once."""
+def cross_spectrum(centred: covest._Centred, dims: BlockDims) -> np.ndarray:
+    """``covest._cross_spectrum`` with the product buffers of all interior
+    frequencies at once: ``H_k = [Re; Im]^T [Re + Im; Im - Re]``."""
     nc, nt, n = dims.n_channels, dims.n_times, centred.x.shape[1]
     nfft = _embedding_length(nt)
     half = nfft // 2
-    spec = np.zeros((nfft, nc, nc))
-    spec_re, spec_im = spec[1:-1:2], spec[2:-1:2]
+    spec = np.zeros((half + 1, nc, nc))
     prod = np.empty((half - 1, nc, nc))
     chunk = max(1, min(covest._FFT_EPOCHS, n // 4))
     buf = np.empty(nfft * chunk * nc)
@@ -71,15 +70,27 @@ def lag_sums_fft(centred: covest._Centred, dims: BlockDims) -> np.ndarray:
         centred.write(f[:nt].transpose(0, 2, 1), cols=slice(start, start + width))
         f[nt:] = 0.0
         f = scipy.fftpack.rfft(f, axis=0, overwrite_x=True)
+        re, im = f[1:-1:2], f[2:-1:2]
         stacked = f[1:-1].reshape(half - 1, 2 * width, nc)
-        np.matmul(stacked.transpose(0, 2, 1), stacked, out=prod)
-        spec_re += prod
-        np.matmul(f[1:-1:2].transpose(0, 2, 1), f[2:-1:2], out=prod)
-        spec_im += prod
+        turned = np.concatenate([re + im, im - re], axis=1)
+        np.matmul(stacked.transpose(0, 2, 1), turned, out=prod)
+        spec[1:-1] += prod
         spec[0] += f[0].T @ f[0]
         spec[-1] += f[-1].T @ f[-1]
-    spec_im -= spec_im.transpose(0, 2, 1)
-    return scipy.fftpack.irfft(spec, axis=0, overwrite_x=True)[:nt].copy()
+    return spec
+
+
+def lag_sums_fft(centred: covest._Centred, dims: BlockDims) -> np.ndarray:
+    """The lag sums of :func:`cross_spectrum`: its symmetric and antisymmetric
+    parts are the real and imaginary parts of the cross-spectrum, in
+    FFTPACK's real layout for one inverse FFT."""
+    spec = cross_spectrum(centred, dims)
+    inner = spec[1:-1]
+    full = np.empty((2 * len(spec) - 2,) + spec.shape[1:])
+    full[0], full[-1] = spec[0], spec[-1]
+    full[1:-1:2] = (inner + inner.transpose(0, 2, 1)) * 0.5
+    full[2:-1:2] = (inner - inner.transpose(0, 2, 1)) * 0.5
+    return scipy.fftpack.irfft(full, axis=0)[: dims.n_times]
 
 
 def lag_spectrum(btc: BlockToeplitzCov) -> tuple[np.ndarray, int]:
@@ -94,18 +105,33 @@ def lag_spectrum(btc: BlockToeplitzCov) -> tuple[np.ndarray, int]:
     return scipy.fft.rfft(c, axis=0), n
 
 
-def chan_preconditioner(btc: BlockToeplitzCov) -> np.ndarray:
-    """``btsolve._chan_preconditioner`` from the whole real circulant, its
-    Cholesky factors and its inverse at once."""
-    nt = btc.dims.n_times
-    lags = btc.lag_blocks
-    k = np.arange(nt)[:, None, None]
-    c = lags.transpose(0, 2, 1) * (nt - k)
-    c[1:] += lags[:0:-1] * k[1:]
-    c /= nt
-    blocks = scipy.fft.rfft(c, axis=0)
+def inverse_blocks(blocks: np.ndarray, name: str) -> np.ndarray:
+    """The Cholesky test and the inverse of all ``blocks`` at once."""
     try:
         np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError as exc:
-        raise SolveError(f"block circulant preconditioner is not positive definite: {exc}") from exc
+        raise SolveError(
+            f"{name} block circulant preconditioner is not positive definite: {exc}"
+        ) from exc
     return np.linalg.inv(blocks)
+
+
+def even_preconditioner(spec: np.ndarray) -> np.ndarray:
+    """``btsolve._even_preconditioner``: the even frequencies of the operator
+    spectrum, inverted at once."""
+    return inverse_blocks(spec[::2], "the even-frequency")
+
+
+def chan_preconditioner(spec: np.ndarray, nt: int) -> np.ndarray:
+    """``btsolve._chan_preconditioner`` from the lag blocks of the embedding
+    whose spectrum is ``spec``, one block column of T. Chan's circulant at a
+    time: ``C_k = ((nt - k) L[k]^T + k L[nt - k]) / nt``."""
+    n = 2 * (len(spec) - 1)
+    c = scipy.fft.irfft(spec, n, axis=0)
+    lags = c[:nt].transpose(0, 2, 1)  # c[d] = L[d]^T
+    col = np.empty_like(lags)
+    for k in range(nt):
+        col[k] = (nt - k) * lags[k].T
+        if k:
+            col[k] += k * c[n - nt + k]  # c[n - d] = L[d]
+    return inverse_blocks(scipy.fft.rfft(col / nt, axis=0), "T. Chan's")

@@ -19,7 +19,7 @@ from toeplitzlda.btsolve import (
 )
 from toeplitzlda.errors import ShapeError, SolveBreakdownError, SolveError
 
-from dense_reference import chan_preconditioner, lag_spectrum
+from dense_reference import chan_preconditioner, even_preconditioner, lag_spectrum
 
 
 def random_spd_block_toeplitz(rng, nc, nt, ridge=0.5):
@@ -135,6 +135,21 @@ def test_size_rule_picks_the_route(nc, nt, route):
     assert np.linalg.norm(report.solution - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
 
+@pytest.mark.parametrize(("nc", "nt"), [(8, 101), (16, 67), (31, 97)])
+def test_pcg_matches_dense_solve_where_the_even_circulant_is_longer(nc, nt):
+    # The embedding is longer than 2 n_times, so the even-frequency
+    # circulant has m > n_times blocks and the preconditioner reads its
+    # leading n_times blocks.
+    assert blockmat._embedding_length(nt) // 2 > nt
+    rng = np.random.default_rng(nt)
+    btc = random_spd_block_toeplitz(rng, nc, nt)
+    b = rng.standard_normal(btc.dims.size)
+    report = btsolve._fit_solve(btc, b, False)
+    oracle = dense_solve(to_dense(btc), b).solution
+    assert report.method == "pcg"
+    assert np.linalg.norm(report.solution - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+
 def test_zero_right_hand_side_gives_zero_on_both_routes(monkeypatch):
     btc = random_spd_block_toeplitz(np.random.default_rng(3), 3, 5)
     for route in ROUTES:
@@ -191,7 +206,6 @@ def test_singular_system_raises_solve_error(monkeypatch, route):
         btsolve._fit_solve(btc, np.ones(btc.dims.size), False)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("route", ROUTES)
 def test_overflowing_solution_raises_solve_error(monkeypatch, route):
     # A tiny system matrix and a huge right-hand side: the solution is beyond
@@ -272,8 +286,7 @@ def test_every_solve_returns_through_one_check(monkeypatch, exit_):
      ("fallback", "symmetric indefinite"), ("dense_solve", "dense")],
 )
 def test_a_non_finite_solution_raises_solve_error_naming_its_route(monkeypatch, exit_, route):
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(SolveError, match=f"^{route} solve gave a non-finite solution$"):
+    with pytest.raises(SolveError, match=f"^{route} solve gave a non-finite solution$"):
         solve_through(monkeypatch, exit_, tiny=True)
 
 
@@ -304,6 +317,14 @@ def test_only_the_exit_and_the_levinson_breakdown_test_scan_for_non_finite_value
     assert scanners == ["_cholesky", "_report"]
 
 
+def either(build, *args):
+    """``build(*args)``, or the message of the :class:`SolveError` it raised."""
+    try:
+        return build(*args)
+    except SolveError as exc:
+        return str(exc)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     nc=st.integers(1, 5),
@@ -315,30 +336,35 @@ def test_only_the_exit_and_the_levinson_breakdown_test_scan_for_non_finite_value
 @example(nc=1, nt=2, per_slice=1, seed=1)  # n = 4
 @example(nc=3, nt=5, per_slice=2, seed=2)  # odd n_times, 3 preconditioner frequencies
 @example(nc=4, nt=20, per_slice=3, seed=3)  # 11 preconditioner frequencies, slices of 3
+@example(nc=2, nt=17, per_slice=2, seed=4)  # m = 18 > n_times: 10 even frequencies
 def test_spectral_stages_equal_the_whole_spectrum_oracles(nc, nt, per_slice, seed):
-    # The embedding and the circulant are built one channel column at a
-    # time and the preconditioner blocks factored and inverted over slices
-    # of per_slice frequencies; the oracles transform and invert whole
-    # arrays.  The spectra, and so the PCG solution, are the same bits.
+    # The embedding is built one channel column at a time and the
+    # preconditioner blocks factored and inverted over slices of per_slice
+    # frequencies; the oracles transform and invert whole arrays.  The
+    # spectra, both preconditioners (or the errors they raise), and so the
+    # PCG solution, are the same bits.
     rng = np.random.default_rng(seed)
     btc = random_spd_block_toeplitz(rng, nc, nt)
     b = rng.standard_normal(btc.dims.size)
     with mock.patch.object(blockmat, "_SLICE_BYTES", per_slice * 16 * nc * nc):
         spec, n = btsolve._lag_spectrum(btc)
-        pre = btsolve._chan_preconditioner(btc)
-        solution = btsolve._pcg_solve(btc, b).solution
+        pres = [either(btsolve._even_preconditioner, spec),
+                either(btsolve._chan_preconditioner, spec, nt)]
+        solution = btsolve._pcg_solve(spec, b).solution
     spec_ref, n_ref = lag_spectrum(btc)
     assert n == n_ref and np.array_equal(spec, spec_ref)
-    assert np.array_equal(pre, chan_preconditioner(btc))
-    with mock.patch.object(btsolve, "_lag_spectrum", lag_spectrum), \
+    refs = [either(even_preconditioner, spec), either(chan_preconditioner, spec, nt)]
+    for pre, ref in zip(pres, refs):
+        assert type(pre) is type(ref) and np.array_equal(pre, ref)
+    with mock.patch.object(btsolve, "_even_preconditioner", even_preconditioner), \
             mock.patch.object(btsolve, "_chan_preconditioner", chan_preconditioner):
-        assert np.array_equal(solution, btsolve._pcg_solve(btc, b).solution)
+        assert np.array_equal(solution, btsolve._pcg_solve(spec_ref, b).solution)
 
 
 @pytest.mark.parametrize(("nt", "freq"), [(7, f) for f in range(4)] + [(10, f) for f in range(6)])
 def test_preconditioner_block_that_is_not_positive_definite_raises_in_any_slice(nt, freq):
-    # Lag blocks c_k A from a symmetric circulant c make Chan's circulant c
-    # itself, whose blocks are its spectrum times the SPD matrix A: 1 at
+    # Lag blocks c_k A from a symmetric circulant c make T. Chan's circulant
+    # c itself, whose blocks are its spectrum times the SPD matrix A: 1 at
     # every frequency but freq, -1 there.  Slices of two frequencies put
     # freq in each slice and position, the last slice of nt = 10 a short one.
     nc = 3
@@ -347,21 +373,42 @@ def test_preconditioner_block_that_is_not_positive_definite_raises_in_any_slice(
 
     def preconditioner(spectrum):
         lags = np.fft.irfft(spectrum, nt)[:, None, None] * a
+        spec = btsolve._lag_spectrum(BlockToeplitzCov(BlockDims(nc, nt), lags))[0]
         with mock.patch.object(blockmat, "_SLICE_BYTES", 2 * 16 * nc * nc):
-            return btsolve._chan_preconditioner(BlockToeplitzCov(BlockDims(nc, nt), lags))
+            return btsolve._chan_preconditioner(spec, nt)
 
     spectrum = np.ones(nt // 2 + 1)
     assert np.allclose(preconditioner(spectrum), np.linalg.inv(a))
     spectrum[freq] = -1.0
-    with pytest.raises(SolveError, match="preconditioner is not positive definite"):
+    with pytest.raises(SolveError, match="^T. Chan's block circulant preconditioner is not"):
         preconditioner(spectrum)
+
+
+@pytest.mark.parametrize(("half", "freq"), [(6, f) for f in range(4)] + [(10, f) for f in range(6)])
+def test_even_frequency_block_that_is_not_positive_definite_raises_in_any_slice(half, freq):
+    # An operator spectrum of half + 1 blocks A, but -A at the even frequency
+    # 2 freq: one block of the even-frequency circulant fails.  Slices of two
+    # of its half / 2 + 1 frequencies put that block in each slice and
+    # position.  The -A at the odd frequency 1 is not read.
+    nc = 3
+    mix = np.random.default_rng(half).standard_normal((nc, nc))
+    a = mix @ mix.T + np.eye(nc)
+    spec = np.ones((half + 1, 1, 1)) * a.astype(complex)
+    spec[1] *= -1.0
+    with mock.patch.object(blockmat, "_SLICE_BYTES", 2 * 16 * nc * nc):
+        assert np.allclose(btsolve._even_preconditioner(spec), np.linalg.inv(a))
+        spec[2 * freq] *= -1.0
+        with pytest.raises(SolveError, match="^the even-frequency block circulant preconditioner"):
+            btsolve._even_preconditioner(spec)
 
 
 @pytest.mark.parametrize("nt", range(1, 65))
 def test_lag_sums_and_operator_spectrum_share_one_embedding(monkeypatch, nt):
     # The FFT lag sums and the operator spectrum of the PCG solve embed the
     # lags at one length, at which the spectrum of a toeplitz estimate is
-    # its scaled cross-spectrum sum_e F_e F_e^H plus gamma nu I.
+    # its scaled cross-spectrum sum_e F_e F_e^H plus gamma nu I: the
+    # spectrum a fit builds from the packed cross-spectrum, with no inverse
+    # transform.
     nc, n_epochs, gamma = 2, 5, 0.25
     xc = np.random.default_rng(nt).standard_normal((nc * nt, n_epochs))
     lengths = []
@@ -380,12 +427,19 @@ def test_lag_sums_and_operator_spectrum_share_one_embedding(monkeypatch, nt):
     expected = np.einsum("kie,kje->kij", f, f.conj()) * (1.0 - gamma) / ((n_epochs - 1) * nt)
     expected += shrunk.gamma * shrunk.nu * np.eye(nc)
     assert np.abs(spec - expected).max() <= 1e-12 * np.abs(expected).max()
+    fitted = covest._Estimates(covest._Centred(xc), BlockDims(nc, nt), ("toeplitz",), gamma,
+                               solve_only=True)("toeplitz")
+    assert lengths == [n] and isinstance(fitted.matrix, covest._SpectralCov)
+    assert abs(fitted.nu - shrunk.nu) <= 1e-14 * shrunk.nu
+    assert np.abs(fitted.matrix.spectrum - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_a_preconditioner_block_that_fails_its_inverse_raises_solve_error(monkeypatch):
     # Channel 3 copies channel 0, so without shrinkage the lag-0 block, the
-    # one preconditioner block of n_times = 1, is singular.  Rounding lets
-    # the Cholesky test pass on some draws, and then the inverse fails.
+    # one block of either preconditioner at n_times = 1, is singular.
+    # Rounding lets the Cholesky test pass on some draws, and then the
+    # inverse fails: the even-frequency preconditioner falls back to T.
+    # Chan's, which fails in the same way.
     monkeypatch.setattr(covest, "_fft_pays", lambda nc, nt: True)
     monkeypatch.setattr(btsolve, "_fft_pays", lambda nc, nt: True)
     labels = (np.arange(53) % 6 == 0).astype(np.uint8)
@@ -398,7 +452,8 @@ def test_a_preconditioner_block_that_fails_its_inverse_raises_solve_error(monkey
             lda.fit(x, labels, dims=BlockDims(4, 1), gamma=0.0)
         except SolveError as exc:
             messages.append(str(exc))
-    assert "block circulant preconditioner is not positive definite: Singular matrix" in messages
+    assert "T. Chan's block circulant preconditioner is not positive definite: Singular matrix" \
+        in messages
 
 
 def test_fit_solve_is_deterministic():

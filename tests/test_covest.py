@@ -28,7 +28,7 @@ from toeplitzlda.covest import (
 from toeplitzlda.errors import DataFormatError, ShapeError
 
 from conftest import traced_peak
-from dense_reference import lag_sums_fft
+from dense_reference import cross_spectrum, lag_sums_fft
 
 
 def flatten_epochs(epochs):
@@ -631,8 +631,8 @@ def test_dense_estimate_holds_one_dense_matrix(estimator):
     ("nc", "nt", "kernel"),
     [
         (8, 20, "_lag_sums_direct"),  # perfbench sweep-cli
-        (31, 100, "_lag_sums_fft"),  # perfbench fit-paper
-        (8, 512, "_lag_sums_fft"),  # perfbench fit-long
+        (31, 100, "_cross_spectrum"),  # perfbench fit-paper
+        (8, 512, "_cross_spectrum"),  # perfbench fit-long
     ],
 )
 def test_lag_sum_kernel_follows_the_size_rule(nc, nt, kernel):
@@ -660,16 +660,41 @@ def test_lag_sum_kernel_follows_the_size_rule(nc, nt, kernel):
 def test_fft_lag_sums_equal_the_whole_spectrum_oracle(nc, nt, n, per_slice, within, seed):
     # The kernel forms the products over slices of per_slice frequencies;
     # the oracle forms them over all interior frequencies at once.  Every
-    # sum runs in the same order, so the lag sums are the same bits.
+    # sum runs in the same order, so the packed cross-spectrum and its lag
+    # sums are the same bits.
     dims = BlockDims(nc, nt)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((dims.size, n)) * rng.uniform(0.1, 5.0)
     labels = (np.arange(n) % 2).astype(np.uint8) if within else None
     centred, _, exp = covest._centring(x, labels, within)
     centred = covest._Centred(x, centred.offsets, centred.indicator, exp)  # as a fit scales it
-    with mock.patch.object(blockmat, "_SLICE_BYTES", per_slice * 8 * nc * nc):
-        sums = covest._lag_sums_fft(centred, dims)
-    assert np.array_equal(sums, lag_sums_fft(centred, dims))
+    most = max(1, min(covest._FFT_EPOCHS, n // 4))  # epochs of the widest chunk
+    with mock.patch.object(blockmat, "_SLICE_BYTES", per_slice * 8 * nc * (nc + 2 * most)):
+        spec = covest._cross_spectrum(centred, dims)
+    assert np.array_equal(spec, cross_spectrum(centred, dims))
+    assert np.array_equal(covest._spectrum_lags(spec, nt), lag_sums_fft(centred, dims))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    nc=st.integers(1, 5),
+    nt=st.integers(1, 40),
+    n=st.integers(2, 70),
+    log2_scale=st.sampled_from([-300, 0, 300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nc=3, nt=33, n=70, log2_scale=0, seed=0)  # 3 chunks, nfft = 72 > 2 nt
+@example(nc=1, nt=1, n=2, log2_scale=300, seed=1)
+def test_packed_lag_sums_match_time_domain_lag_sums(nc, nt, n, log2_scale, seed):
+    # The lag sums of the packed cross-spectrum against sum_e sum_t x_t
+    # x_{t+d}^T, summed in the time domain, lag by lag.
+    dims = BlockDims(nc, nt)
+    rng = np.random.default_rng(seed)
+    xc = center(rng.standard_normal((dims.size, n))) * 2.0**log2_scale
+    sums = covest._spectrum_lags(covest._cross_spectrum(covest._Centred(xc), dims), nt)
+    epochs = xc.reshape(nt, nc, n)
+    brute = np.stack([np.einsum("tie,tje->ij", epochs[: nt - d], epochs[d:]) for d in range(nt)])
+    assert np.abs(sums - brute).max() <= 1e-12 * np.abs(brute).max()
 
 
 @pytest.mark.parametrize(
