@@ -1,7 +1,8 @@
 """Linear solvers for block-Toeplitz systems.
 
 A fit solves its estimate through ``_fit_solve``, the one entry into the
-solve, which names its route in ``SolveReport.method``.  Below ``N_e =
+solve, which names its route in ``SolveReport.method`` and takes it from the
+type of the estimate: ``covest`` alone applies the size rule.  Below ``N_e =
 D`` a fit's ``slda`` estimate comes as ``covest._GramCov``, ``a xc xc^T +
 r I`` held as γ's ``N_e``-square Gram ``G = xc^T xc``, and takes the
 ``"woodbury"`` route in the Gram's buffer, ``w = (b - a xc (r I + a G)^-1
@@ -12,25 +13,28 @@ dense Cholesky of the same estimate does.  Every dense estimate (``slda`` from `
 ``toeplitz_a2_only``, cut from γ's Gram there) is the fit's own and is
 factored in place (route ``"dense"``).  A ``toeplitz`` estimate takes one
 of two routes, by the size of the system (``blockmat._fft_pays``, the rule
-that also picks the lag-sum kernel of the estimate):
+by which ``covest`` picks the lag-sum kernel and the form of the estimate):
 
-* ``"dense"``, on small systems: ``blockmat.to_dense`` fills one ``D x D``
-  buffer, which LAPACK Cholesky (``dpotrf``/``dpotrs``) factors in place,
-  in ``O(D^3)`` time.
-* ``"pcg"``, on large ones: conjugate gradients on the spectrum of a
-  block-circulant embedding of ``T``, about ``n_times`` complex
-  ``n_channels``-square blocks.  Each iteration multiplies by ``T`` through
-  the FFT of that embedding, so the solve costs ``O(iters n_channels^2
-  n_times log n_times)`` time and never forms ``T`` (README step 4 gives
-  ``iters``).  A fit's ``toeplitz`` estimate comes as that spectrum
-  (``covest._SpectralCov``); any other compact estimate is transformed to
-  it one channel column at a time (``_lag_spectrum``).  The preconditioner
-  is the inverse of the circulant of the spectrum's even frequencies (R.
-  Chan's where the embedding has ``2 n_times`` blocks; R. Chan and M. Ng,
-  SIAM Review 38, 1996), half as many blocks, factored and inverted over
-  slices of frequencies (``blockmat._slices``).  Where one of its blocks
-  fails to factor, T. Chan's optimal block circulant (T. Chan 1988) stands
-  in, built from the inverse transform of the spectrum.
+* ``"dense"``, on small systems, where the estimate is its lag blocks
+  (``BlockToeplitzCov``): ``blockmat.to_dense`` fills one ``D x D`` buffer,
+  which LAPACK Cholesky (``dpotrf``/``dpotrs``) factors in place, in
+  ``O(D^3)`` time.
+* ``"pcg"``, on large ones, where the estimate is the spectrum of a
+  block-circulant embedding of ``T`` (``covest._SpectralCov``), about
+  ``n_times`` complex ``n_channels``-square blocks: conjugate gradients
+  (``_pcg_solve``).  Each iteration multiplies by ``T`` through the FFT of
+  that embedding, so the solve costs ``O(iters n_channels^2 n_times log
+  n_times)`` time and never forms ``T`` (README step 4 gives ``iters``).
+  The preconditioner is the inverse of the circulant of the spectrum's even
+  frequencies (R. Chan's where the embedding has ``2 n_times`` blocks; R.
+  Chan and M. Ng, SIAM Review 38, 1996), half as many blocks, factored and
+  inverted over slices of frequencies (``blockmat._slices``).  Without
+  shrinkage (``gamma nu = 0``) those blocks can be exactly singular, so T.
+  Chan's optimal block circulant (T. Chan 1988), built from the inverse
+  transform of the spectrum, is taken instead; it also stands in where an
+  even-frequency block fails to factor.  Any other compact estimate is
+  transformed to its spectrum one channel column at a time by
+  ``_lag_spectrum``, which no fit calls, for ``_pcg_solve`` to solve.
 
 ``toeplitz_a1_only`` (averaging without tapering) may be indefinite, so it
 always takes the dense route, with a symmetric indefinite fallback.  Any
@@ -63,8 +67,8 @@ import scipy.linalg
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .blockmat import (BlockCov, BlockToeplitzCov, _embedding_length, _fft_pays, _finite_array,
-                       _slices, to_dense)
+from .blockmat import (BlockCov, BlockToeplitzCov, _embedding_length, _finite_array, _slices,
+                       to_dense)
 from .covest import _GramCov, _SpectralCov
 from .errors import SolveBreakdownError, SolveError
 
@@ -270,8 +274,8 @@ def _even_preconditioner(spec: np.ndarray) -> np.ndarray:
 def _chan_preconditioner(spec: np.ndarray, nt: int) -> np.ndarray:
     """Inverse of T. Chan's optimal block circulant of the operator whose
     embedding has the spectrum ``spec``, one block per frequency: the
-    fallback of :func:`_pcg_solve` when a block of
-    :func:`_even_preconditioner` fails to factor.
+    preconditioner of :func:`_pcg_solve` without shrinkage, and its
+    fallback when a block of :func:`_even_preconditioner` fails to factor.
 
     Of all block circulants of ``n_times`` blocks, ``C_k = ((n_times - k)
     L[k]^T + k L[n_times - k]) / n_times`` (the first block column) is the
@@ -291,21 +295,28 @@ def _chan_preconditioner(spec: np.ndarray, nt: int) -> np.ndarray:
     return _inverted(blocks, blocks, "T. Chan's")
 
 
-def _pcg_solve(spec: np.ndarray, b: np.ndarray) -> SolveReport:
+def _pcg_solve(spec: np.ndarray, b: np.ndarray, even: bool = True) -> SolveReport:
     """Preconditioned conjugate gradients for ``T x = b``, from ``x = 0``,
     with ``T`` the leading ``n_times`` blocks of the block circulant whose
     spectrum ``spec`` is (``n = 2 (len(spec) - 1)``).
 
-    The preconditioner is ``P^T C_m^-1 P``: ``P`` pads ``n_times`` blocks
-    with zeros to the length ``m`` of :func:`_even_preconditioner`'s
-    circulant ``C_m``, so the preconditioner is a leading minor of ``C_m^-1``
-    and positive definite with it.  T. Chan's circulant (length ``n_times``,
-    :func:`_chan_preconditioner`) stands in when ``C_m`` fails to factor."""
+    With ``even`` the preconditioner is ``P^T C_m^-1 P``: ``P`` pads
+    ``n_times`` blocks with zeros to the length ``m`` of
+    :func:`_even_preconditioner`'s circulant ``C_m``, so the preconditioner
+    is a leading minor of ``C_m^-1`` and positive definite with it.  T.
+    Chan's circulant (length ``n_times``, :func:`_chan_preconditioner`) is
+    the preconditioner without ``even`` (an unshrunk fit's spectrum, whose
+    even-frequency blocks can be singular however rounding lets them
+    factor) and stands in when ``C_m`` fails to factor."""
     nc = spec.shape[-1]
     nt, n = len(b) // nc, 2 * (len(spec) - 1)
-    try:
-        pre, m = _even_preconditioner(spec), n // 2
-    except SolveError:
+    pre = None
+    if even:
+        try:
+            pre, m = _even_preconditioner(spec), n // 2
+        except SolveError:
+            pass
+    if pre is None:
         pre, m = _chan_preconditioner(spec, nt), nt
     # Dividing b by a power of two is exact and keeps the norms finite.
     exp = int(np.frexp(np.abs(b).max(initial=0.0))[1])
@@ -362,11 +373,10 @@ def _fit_solve(
 ) -> SolveReport:
     """Solve a fit's own estimate for the finite vector ``b``: an ``slda``
     estimate below ``D``, held as γ's Gram, is solved in it by Woodbury; a
-    ``toeplitz`` estimate held as its spectrum takes the PCG route; a dense
-    ``cov``, read no more, is factored in place; a compact one takes the PCG
-    route on its :func:`_lag_spectrum` where ``blockmat._fft_pays`` picks it,
-    unless ``maybe_indefinite`` (averaging without tapering), else the dense
-    route on its expansion.
+    ``toeplitz`` estimate held as its spectrum takes the PCG route, with the
+    even-frequency preconditioner where it is shrunk; a dense ``cov``, read
+    no more, is factored in place; a compact one takes the dense route on
+    its expansion.
     With ``maybe_indefinite`` a failed Cholesky, or one whose solution is
     not finite, is not an error: a fresh expansion is solved by a symmetric
     indefinite factorization, and the report says so.  The lag blocks are
@@ -376,11 +386,9 @@ def _fit_solve(
     if isinstance(cov, _GramCov):
         return _woodbury_solve(cov, b)
     if isinstance(cov, _SpectralCov):
-        return _pcg_solve(cov.spectrum, b)
+        return _pcg_solve(cov.spectrum, b, cov.ridge > 0.0)
     if not isinstance(cov, BlockToeplitzCov):
         return _solve_in_place(cov, b)
-    if not maybe_indefinite and _fft_pays(cov.dims.n_channels, cov.dims.n_times):
-        return _pcg_solve(_lag_spectrum(cov)[0], b)
     try:
         return _solve_in_place(to_dense(cov), b)
     except SolveError:

@@ -194,10 +194,12 @@ class _SpectralCov:
     ``blockmat._embedding_length(n_times)``: ``spectrum[k]`` is the
     Hermitian ``n_channels``-square block that the embedding acts by at
     frequency ``k`` (``n / 2 + 1`` of them), ``btsolve._lag_spectrum`` of
-    the estimate's lag blocks.  ``btsolve._pcg_solve`` multiplies by it and
-    takes its preconditioner from its even frequencies."""
+    the estimate's lag blocks.  ``ridge`` is ``gamma nu``, the part of every
+    block that shrinkage adds.  ``btsolve._pcg_solve`` multiplies by the
+    spectrum and, where ``ridge > 0``, takes its preconditioner from its even
+    frequencies."""
 
-    dims: BlockDims
+    ridge: float
     spectrum: np.ndarray
 
 
@@ -529,7 +531,7 @@ def _spectral_estimate(spec: np.ndarray, dims: BlockDims, n: int, gamma: float) 
     np.subtract(turned, spec, out=op.imag)
     op *= 0.5 * (1.0 - gamma) / ((n - 1) * nt)
     op.reshape(len(op), -1)[:, :: nc + 1] += gamma * nu
-    return ShrinkageResult(_SpectralCov(dims, op), gamma, nu)
+    return ShrinkageResult(_SpectralCov(gamma * nu, op), gamma, nu)
 
 
 def estimate_covariance(

@@ -23,12 +23,13 @@ from toeplitzlda import bench, cli, covest, lda, synth
 from toeplitzlda.blockmat import (
     BlockCov,
     BlockDims,
+    _fft_pays,
     apply_taper,
     block_diagonal_average,
     free_parameter_count,
     to_dense,
 )
-from toeplitzlda.btsolve import _fit_solve, dense_solve
+from toeplitzlda.btsolve import _fit_solve, _lag_spectrum, _pcg_solve, dense_solve
 from toeplitzlda.covest import ClassStats
 from toeplitzlda.dataio import (
     Epochs,
@@ -119,8 +120,9 @@ def _subset_auc(run, estimator, size, n_draws, seed, mean_override=None):
 
 
 def test_c1_block_solver_matches_dense_reference():
-    # The grid spans both routes of the block-Toeplitz solve: 8 x 64 takes PCG,
-    # the smaller systems the dense Cholesky.
+    # The grid spans both routes of the block-Toeplitz solve: 8 x 64, on the
+    # FFT side of the size rule, takes PCG on the spectrum of its lag blocks,
+    # the smaller systems the dense Cholesky of _fit_solve.
     start = time.perf_counter()
     grid = [(nc, nt) for nc in (1, 2, 4, 8) for nt in (1, 2, 3, 8, 16, 64)]
     worst = 0.0
@@ -130,7 +132,10 @@ def test_c1_block_solver_matches_dense_reference():
         rng = np.random.default_rng(seed)
         btc = spd_block_toeplitz(rng, nc, nt)
         b = rng.standard_normal(btc.dims.size)
-        report = _fit_solve(btc, b, False)
+        if _fft_pays(nc, nt):
+            report = _pcg_solve(_lag_spectrum(btc)[0], b)
+        else:
+            report = _fit_solve(btc, b, False)
         routes.add(report.method)
         den = dense_solve(to_dense(btc), b)
         rel = np.linalg.norm(report.solution - den.solution) / np.linalg.norm(
@@ -284,7 +289,9 @@ def test_c6_global_and_within_weights_are_collinear():
     )
 
 
-# C7 times the solvers in a child process with one BLAS thread: threaded
+# C7 times the block-Toeplitz solve of lag blocks (PCG on their spectrum,
+# `_lag_spectrum`, transform included) against the dense Cholesky solve of
+# their expansion.  It runs in a child process with one BLAS thread: threaded
 # BLAS speeds up the large dense factorizations more than the small ones,
 # which flattens the dense slope on a machine with few cores.  With one
 # thread the process CPU time is the solver's work, without the time the
@@ -300,7 +307,7 @@ import json, sys, time
 import numpy as np
 from toeplitzlda import synth
 from toeplitzlda.blockmat import BlockDims, to_dense
-from toeplitzlda.btsolve import _fit_solve, dense_solve
+from toeplitzlda.btsolve import _lag_spectrum, _pcg_solve, dense_solve
 
 def timed(fn):
     start = time.process_time()
@@ -317,7 +324,7 @@ for nt in json.loads(sys.argv[1]):
 t_block, t_dense = [float("inf")] * len(cases), [float("inf")] * len(cases)
 for _ in range(5):
     for i, (btc, b, dense) in enumerate(cases):
-        t_block[i] = min(t_block[i], timed(lambda: _fit_solve(btc, b, False)))
+        t_block[i] = min(t_block[i], timed(lambda: _pcg_solve(_lag_spectrum(btc)[0], b)))
         t_dense[i] = min(t_dense[i], *(timed(lambda: dense_solve(dense, b)) for _ in range(2)))
 print(json.dumps({"t_block": t_block, "t_dense": t_dense, "storage_ok": storage_ok}))
 """

@@ -79,9 +79,12 @@ def test_matmul_matches_dense_product(nc, nt, log2_scale, seed):
 ROUTES = ("dense", "pcg")
 
 
-def on_route(monkeypatch, route):
-    """Send every block-Toeplitz solve down ``route``, whatever the size."""
-    monkeypatch.setattr(btsolve, "_fft_pays", lambda nc, nt: route == "pcg")
+def solve_on(route, btc, b):
+    """Solve ``btc x = b`` on ``route``: the dense route of ``_fit_solve``,
+    or PCG on the spectrum of the lag blocks."""
+    if route == "pcg":
+        return btsolve._pcg_solve(btsolve._lag_spectrum(btc)[0], b)
+    return btsolve._fit_solve(btc, b, False)
 
 
 def loaded_lags(rng, nc, nt):
@@ -112,25 +115,22 @@ def test_both_routes_match_dense_solve(route, nc, nt, lag_scale, rhs_scale, seed
     lags = loaded_lags(rng, nc, nt) * 2.0**lag_scale
     btc = BlockToeplitzCov(dims=BlockDims(nc, nt), lag_blocks=lags)
     b = rng.standard_normal(btc.dims.size) * 2.0**rhs_scale
-    with pytest.MonkeyPatch.context() as mp:
-        on_route(mp, route)
-        report = btsolve._fit_solve(btc, b, False)
+    report = solve_on(route, btc, b)
     oracle = dense_solve(to_dense(btc), b).solution
     assert report.method == route
     assert report.well_conditioned
     assert np.linalg.norm(report.solution - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
 
-@pytest.mark.parametrize(
-    ("nc", "nt", "route"),
-    [(8, 20, "dense"), (31, 16, "dense"), (64, 8, "dense"), (8, 64, "pcg"),
-     (2, 256, "pcg"), (16, 32, "pcg")],
-)
-def test_size_rule_picks_the_route(nc, nt, route):
+@pytest.mark.parametrize(("nc", "nt"), [(8, 20), (31, 16), (64, 8), (8, 64), (2, 256), (16, 32)])
+def test_lag_blocks_take_the_dense_route_at_every_size(nc, nt):
+    # The size rule is covest's: on the FFT side of it a fit's estimate is
+    # its spectrum, so lag blocks reach _fit_solve only on the dense side,
+    # or from a caller, and are expanded whatever their size.
     btc = random_spd_block_toeplitz(np.random.default_rng(nt), nc, nt)
     b = np.ones(btc.dims.size)
     report = btsolve._fit_solve(btc, b, False)
-    assert report.method == route
+    assert report.method == "dense"
     oracle = dense_solve(to_dense(btc), b).solution
     assert np.linalg.norm(report.solution - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
@@ -144,17 +144,16 @@ def test_pcg_matches_dense_solve_where_the_even_circulant_is_longer(nc, nt):
     rng = np.random.default_rng(nt)
     btc = random_spd_block_toeplitz(rng, nc, nt)
     b = rng.standard_normal(btc.dims.size)
-    report = btsolve._fit_solve(btc, b, False)
+    report = solve_on("pcg", btc, b)
     oracle = dense_solve(to_dense(btc), b).solution
     assert report.method == "pcg"
     assert np.linalg.norm(report.solution - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
 
-def test_zero_right_hand_side_gives_zero_on_both_routes(monkeypatch):
+def test_zero_right_hand_side_gives_zero_on_both_routes():
     btc = random_spd_block_toeplitz(np.random.default_rng(3), 3, 5)
     for route in ROUTES:
-        on_route(monkeypatch, route)
-        report = btsolve._fit_solve(btc, np.zeros(btc.dims.size), False)
+        report = solve_on(route, btc, np.zeros(btc.dims.size))
         assert np.array_equal(report.solution, np.zeros(btc.dims.size))
 
 
@@ -176,61 +175,58 @@ def test_dense_route_factors_its_gather_in_place(monkeypatch):
 
     monkeypatch.setattr(btsolve, "to_dense", gather)
     monkeypatch.setattr(btsolve, "dpotrf", factor)
-    on_route(monkeypatch, "dense")
     btsolve._fit_solve(btc, np.ones(btc.dims.size), False)
     [data], [a] = gathered, factored
     assert a.base is data and a.flags.f_contiguous
 
 
 @pytest.mark.parametrize("route", ROUTES)
-def test_indefinite_system_raises_solve_error(monkeypatch, route):
+def test_indefinite_system_raises_solve_error(route):
     # Its Chan preconditioner is positive definite, so the PCG route finds
     # the negative curvature; the dense route's Cholesky fails.
     btc = scalar_toeplitz([1.0, -0.5, 0.6, 0.1, -0.3, -0.1])
     assert np.linalg.eigvalsh(to_dense(btc).data)[0] < -0.2
-    on_route(monkeypatch, route)
     with pytest.raises(SolveError, match="curvature" if route == "pcg" else "Cholesky"):
-        btsolve._fit_solve(btc, np.ones(6), False)
+        solve_on(route, btc, np.ones(6))
 
 
 @pytest.mark.parametrize("route", ROUTES)
-def test_singular_system_raises_solve_error(monkeypatch, route):
+def test_singular_system_raises_solve_error(route):
     # Channel 1 has no variance: every lag block has a zero row and column,
     # and so has every preconditioner block.
     lags = random_spd_block_toeplitz(np.random.default_rng(5), 3, 6).lag_blocks.copy()
     lags[:, 1, :] = 0.0
     lags[:, :, 1] = 0.0
     btc = BlockToeplitzCov(dims=BlockDims(3, 6), lag_blocks=lags)
-    on_route(monkeypatch, route)
     with pytest.raises(SolveError, match="preconditioner" if route == "pcg" else "Cholesky"):
-        btsolve._fit_solve(btc, np.ones(btc.dims.size), False)
+        solve_on(route, btc, np.ones(btc.dims.size))
 
 
 @pytest.mark.parametrize("route", ROUTES)
-def test_overflowing_solution_raises_solve_error(monkeypatch, route):
+def test_overflowing_solution_raises_solve_error(route):
     # A tiny system matrix and a huge right-hand side: the solution is beyond
     # the float range, and neither route may return it.
     btc = random_spd_block_toeplitz(np.random.default_rng(6), 2, 5)
     small = BlockToeplitzCov(btc.dims, btc.lag_blocks * 2.0**-1000)
-    on_route(monkeypatch, route)
     with pytest.raises(SolveError):
-        btsolve._fit_solve(small, np.full(small.dims.size, 2.0**1000), False)
+        solve_on(route, small, np.full(small.dims.size, 2.0**1000))
 
 
 def test_pcg_iteration_cap_raises_solve_error(monkeypatch):
     btc = random_spd_block_toeplitz(np.random.default_rng(7), 8, 64)
     b = np.random.default_rng(8).standard_normal(btc.dims.size)
-    assert btsolve._fit_solve(btc, b, False).method == "pcg"
+    assert solve_on("pcg", btc, b).method == "pcg"
     monkeypatch.setattr(btsolve, "_PCG_MAX_ITER", 2)
     with pytest.raises(SolveError, match="did not converge in 2 iterations"):
-        btsolve._fit_solve(btc, b, False)
+        solve_on("pcg", btc, b)
 
 
 # ---------------------------------------------------- one exit per solve
 
 #: Every way out of a solve: the routes of ``_fit_solve`` (a compact
-#: estimate's dense expansion, a fit's own dense estimate, PCG, Woodbury and
-#: the indefinite fallback) and ``dense_solve``, with the route the report
+#: estimate's dense expansion, a fit's own dense estimate, Woodbury and the
+#: indefinite fallback), PCG on the spectrum of lag blocks and
+#: ``dense_solve``, with the route the report
 #: names and whether it is well conditioned.
 EXITS = {
     "dense": ("dense", True),
@@ -242,7 +238,7 @@ EXITS = {
 }
 
 
-def solve_through(monkeypatch, exit_, tiny=False):
+def solve_through(exit_, tiny=False):
     """Solve a small system that leaves through ``exit_``.  With ``tiny``
     the system (for ``"woodbury"``, its ridge) is scaled by 2**-1000 and the
     right-hand side by 2**1000, so that the solution overflows."""
@@ -259,9 +255,10 @@ def solve_through(monkeypatch, exit_, tiny=False):
         if exit_ in ("dense-own", "dense_solve"):
             cov = to_dense(cov)
     b = np.full(cov.dims.size, big)
-    on_route(monkeypatch, "pcg" if exit_ == "pcg" else "dense")
     if exit_ == "dense_solve":
         return dense_solve(cov, b)
+    if exit_ == "pcg":
+        return solve_on("pcg", cov, b)
     return btsolve._fit_solve(cov, b, exit_ == "fallback")
 
 
@@ -275,7 +272,7 @@ def test_every_solve_returns_through_one_check(monkeypatch, exit_):
         return reports[-1]
 
     monkeypatch.setattr(btsolve, "_report", spy)
-    report = solve_through(monkeypatch, exit_)
+    report = solve_through(exit_)
     assert len(reports) == 1 and reports[0] is report
     assert (report.method, report.well_conditioned) == EXITS[exit_]
 
@@ -285,9 +282,9 @@ def test_every_solve_returns_through_one_check(monkeypatch, exit_):
     [("dense", "dense"), ("dense-own", "dense"), ("pcg", "pcg"), ("woodbury", "woodbury"),
      ("fallback", "symmetric indefinite"), ("dense_solve", "dense")],
 )
-def test_a_non_finite_solution_raises_solve_error_naming_its_route(monkeypatch, exit_, route):
+def test_a_non_finite_solution_raises_solve_error_naming_its_route(exit_, route):
     with pytest.raises(SolveError, match=f"^{route} solve gave a non-finite solution$"):
-        solve_through(monkeypatch, exit_, tiny=True)
+        solve_through(exit_, tiny=True)
 
 
 def test_a_non_finite_cholesky_solution_falls_back_when_maybe_indefinite(monkeypatch):
@@ -297,7 +294,6 @@ def test_a_non_finite_cholesky_solution_falls_back_when_maybe_indefinite(monkeyp
     btc = random_spd_block_toeplitz(np.random.default_rng(24), 2, 5)
     tiny = BlockToeplitzCov(btc.dims, btc.lag_blocks * 2.0**-1000)
     b = np.full(btc.dims.size, 2.0**1000)
-    on_route(monkeypatch, "dense")
     with pytest.raises(SolveError, match="^dense solve gave a non-finite solution$"):
         btsolve._fit_solve(tiny, b, False)
     solved = []
@@ -436,12 +432,10 @@ def test_lag_sums_and_operator_spectrum_share_one_embedding(monkeypatch, nt):
 
 def test_a_preconditioner_block_that_fails_its_inverse_raises_solve_error(monkeypatch):
     # Channel 3 copies channel 0, so without shrinkage the lag-0 block, the
-    # one block of either preconditioner at n_times = 1, is singular.
+    # one block of T. Chan's preconditioner at n_times = 1, is singular.
     # Rounding lets the Cholesky test pass on some draws, and then the
-    # inverse fails: the even-frequency preconditioner falls back to T.
-    # Chan's, which fails in the same way.
+    # inverse fails.
     monkeypatch.setattr(covest, "_fft_pays", lambda nc, nt: True)
-    monkeypatch.setattr(btsolve, "_fft_pays", lambda nc, nt: True)
     labels = (np.arange(53) % 6 == 0).astype(np.uint8)
     messages = []
     for seed in range(20):
@@ -456,11 +450,10 @@ def test_a_preconditioner_block_that_fails_its_inverse_raises_solve_error(monkey
         in messages
 
 
-def test_fit_solve_is_deterministic():
+def test_pcg_solve_is_deterministic():
     btc = random_spd_block_toeplitz(np.random.default_rng(9), 8, 64)
     b = np.random.default_rng(10).standard_normal(btc.dims.size)
-    assert np.array_equal(btsolve._fit_solve(btc, b, False).solution,
-                          btsolve._fit_solve(btc, b, False).solution)
+    assert np.array_equal(solve_on("pcg", btc, b).solution, solve_on("pcg", btc, b).solution)
 
 
 # ------------------------------------------------------ levinson solve

@@ -300,8 +300,9 @@ def test_chan_preconditioner_solves_fits_of_a_rank_deficient_cross_spectrum(
 ):
     # Unshrunk, with N_e - 2 < n_channels: each frequency's cross-spectrum
     # has rank at most N_e - 2, so the circulant of the even frequencies of
-    # the operator spectrum (R. Chan's, at n = 2 n_times) is singular.  T.
-    # Chan's preconditioner still solves the fit on its natural PCG route.
+    # the operator spectrum (R. Chan's, at n = 2 n_times) is singular.  An
+    # unshrunk fit takes T. Chan's preconditioner, which still solves it on
+    # its natural PCG route.
     x, labels, dims = rank_deficient_features(nc, nt, n_epochs)
     assert blockmat._fft_pays(nc, nt)
     model = fit(x, labels, dims=dims, gamma=0.0)
@@ -309,7 +310,7 @@ def test_chan_preconditioner_solves_fits_of_a_rank_deficient_cross_spectrum(
     spec, n = btsolve._lag_spectrum(shrunk.matrix)
     eig = np.linalg.eigvalsh(spec[::2])
     assert n == 2 * nt and (eig[:, 0] <= 1e-12 * eig.max()).all()
-    monkeypatch.setattr(btsolve, "_fft_pays", lambda nc, nt: False)
+    monkeypatch.setattr(covest, "_fft_pays", lambda nc, nt: False)
     dense = fit(x, labels, dims=dims, gamma=0.0).weights
     assert np.linalg.norm(model.weights - dense) <= 1e-8 * np.linalg.norm(dense)
 
@@ -318,9 +319,9 @@ def test_chan_preconditioner_solves_fits_of_a_rank_deficient_cross_spectrum(
 def test_a_pcg_fit_solves_the_spectrum_of_its_cross_spectrum(monkeypatch, gamma):
     # A lone toeplitz fit on the PCG route hands the operator spectrum it
     # builds from the packed cross-spectrum to the solve: no inverse FFT,
-    # no lag blocks transformed again, and T. Chan's preconditioner only as
-    # the fallback, when the even-frequency blocks are singular (unshrunk,
-    # with N_e - 2 < n_channels).
+    # no lag blocks transformed again, and T. Chan's preconditioner only
+    # when unshrunk, where the even-frequency blocks can be singular (here
+    # N_e - 2 < n_channels).
     calls = []
 
     def spy(module, name):
@@ -339,6 +340,28 @@ def test_a_pcg_fit_solves_the_spectrum_of_its_cross_spectrum(monkeypatch, gamma)
     x, labels, dims = rank_deficient_features(8, 64, 9)
     fit(x, labels, dims=dims, gamma=gamma)
     assert calls == (["_pcg_solve"] if gamma is None else ["_pcg_solve", "_chan_preconditioner"])
+
+
+@pytest.mark.parametrize("n_epochs", [9, 48])
+def test_an_unshrunk_pcg_fit_takes_chan_preconditioner_whatever_the_rounding(
+    monkeypatch, n_epochs
+):
+    # At gamma = 0 the even-frequency blocks are singular where N_e - 2 <
+    # n_channels, and rounding decides whether they pass their Cholesky.  The
+    # fit does not try them: with every Cholesky passing, it still takes T.
+    # Chan's preconditioner, at either rank, and matches the dense route.
+    x, labels, dims = rank_deficient_features(8, 64, n_epochs)
+    evens = []
+    real = btsolve._even_preconditioner
+    monkeypatch.setattr(btsolve, "_even_preconditioner",
+                        lambda spec: evens.append(spec) or real(spec))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: a)
+    w = fit(x, labels, dims=dims, gamma=0.0).weights
+    monkeypatch.undo()
+    assert evens == []
+    monkeypatch.setattr(covest, "_fft_pays", lambda nc, nt: False)
+    dense = fit(x, labels, dims=dims, gamma=0.0).weights
+    assert np.linalg.norm(w - dense) <= 1e-8 * np.linalg.norm(dense)
 
 
 @pytest.mark.parametrize(("nc", "nt"), [(8, 101), (16, 67), (31, 97)])
@@ -361,8 +384,7 @@ def test_pcg_fit_matches_the_dense_route_where_the_even_circulant_is_longer(
 
     monkeypatch.setattr(btsolve, "_fit_solve", solve)
     w = fit(x, labels, dims=dims).weights
-    for module in (covest, btsolve):
-        monkeypatch.setattr(module, "_fft_pays", lambda nc, nt: False)
+    monkeypatch.setattr(covest, "_fft_pays", lambda nc, nt: False)
     dense = fit(x, labels, dims=dims).weights
     assert routes == ["pcg", "dense"]
     assert np.linalg.norm(w - dense) <= 1e-8 * np.linalg.norm(dense)
@@ -388,7 +410,7 @@ def test_a_lone_toeplitz_fit_holds_no_centred_copy(monkeypatch):
 @pytest.mark.parametrize("route", sorted(ROUTE_SIZES))
 def test_singular_unshrunk_toeplitz_fit_raises_solve_error(route):
     x, labels, dims = label_channel_features(*ROUTE_SIZES[route])
-    assert btsolve._fft_pays(dims.n_channels, dims.n_times) == (route == "pcg")
+    assert blockmat._fft_pays(dims.n_channels, dims.n_times) == (route == "pcg")
     with pytest.raises(SolveError):
         fit(x, labels, dims=dims, estimator="toeplitz", gamma=0.0)
     # With shrinkage the same data fits.
@@ -437,8 +459,9 @@ def test_fit_equals_the_estimate_and_solve_of_its_centred_data(
     # apart, which is exact.  So gamma is equal bit for bit, on every layout,
     # and so are the weights but on the FFT route, where the fit's toeplitz
     # estimate is the operator spectrum that PCG solves and the reference's
-    # the lag blocks of its inverse transform; with far-apart class means
-    # and per-row offsets the two exponents differ.
+    # the lag blocks of its inverse transform, which _fit_solve expands and
+    # factors; with far-apart class means and per-row offsets the two
+    # exponents differ.
     x, labels, dims = labeled_features(3, 5, 42, seed=21)
     if far:
         rng = np.random.default_rng(21)
@@ -448,8 +471,7 @@ def test_fit_equals_the_estimate_and_solve_of_its_centred_data(
     labels = 1 - labels if flip else labels
     if chunked:
         small_chunks(monkeypatch, 3, x.shape[1], dims.size)
-    for module in (covest, btsolve):
-        monkeypatch.setattr(module, "_fft_pays", lambda nc, nt: use_fft)
+    monkeypatch.setattr(covest, "_fft_pays", lambda nc, nt: use_fft)
     model = fit(x, labels, dims=dims, estimator=estimator, cov_mode=cov_mode)
 
     centred = covest.center(x, labels if cov_mode == "within" else None)
@@ -467,9 +489,9 @@ def test_fit_equals_the_estimate_and_solve_of_its_centred_data(
         assert np.linalg.norm(model.weights - w) <= 1e-12 * np.linalg.norm(w)
     elif use_fft:
         # PCG on the fit's operator spectrum, built from the packed
-        # cross-spectrum, against PCG on the spectrum of the estimate's lag
-        # blocks: the same system to rounding, each solved to a relative
-        # residual of 1e-12.
+        # cross-spectrum, to a relative residual of 1e-12, against the dense
+        # Cholesky solve of the estimate's lag blocks: the same system to
+        # rounding.
         assert np.linalg.norm(model.weights - w) <= 1e-10 * np.linalg.norm(w)
     else:
         assert np.array_equal(model.weights, w)

@@ -2,9 +2,9 @@
 
 Imports ``toeplitzlda`` from two ``src`` directories under the module names
 ``ab_parent`` and ``ab_change``, draws synthetic data shaped like a perfbench
-workload, and times ``lda.fit`` plus ``lda.decision_values`` of one
-estimator on each side in alternating rounds: each round times one call per
-side, and the side that runs first alternates.  Times are CPU times
+workload, and times ``lda.fit`` plus ``lda.decision_values`` of the
+``toeplitz`` estimator on each side in alternating rounds: each round times
+one call per side, and the side that runs first alternates.  Times are CPU times
 (``time.process_time``); run with ``OPENBLAS_NUM_THREADS=1``, as perfbench
 does.  Prints each side's quartiles and the number of rounds each side won
 (ties count for neither).  It is a report and gates nothing.
@@ -12,10 +12,10 @@ does.  Prints each side's quartiles and the number of rounds each side won
 The data is a random walk (steps N(0, 0.3^2)) plus N(0, 1) white noise, with
 every sixth epoch a target shifted by 0.5 over the third to the half of the
 window: ``N_e`` training epochs and 384 scored epochs, as perfbench scores
-its validation half.
+its validation half, drawn from one fixed seed.
 
     OPENBLAS_NUM_THREADS=1 python tools/ab_fit.py PARENT_SRC CHANGE_SRC \\
-        [--workload fit-paper] [--estimator toeplitz] [--rounds 30] [--seed 1]
+        [--workload fit-paper] [--rounds 30]
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 WORKLOADS = {"fit-paper": (31, 100, 192), "fit-long": (8, 512, 96), "sweep-cli": (8, 20, 96)}
 SIDES = ("parent", "change")
 N_SCORED = 384
+SEED = 1
 
 
 def load(src: Path, name: str):
@@ -68,12 +69,10 @@ def main(argv: list[str]) -> int:
     parser.add_argument("parent", type=Path, help="src directory of the parent tree")
     parser.add_argument("change", type=Path, help="src directory of the changed tree")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="fit-paper")
-    parser.add_argument("--estimator", default="toeplitz")
     parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     nc, nt, n = WORKLOADS[args.workload]
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(SEED)
     x, labels = epochs(nc, nt, n, rng)
     scored = epochs(nc, nt, N_SCORED, rng)[0]
     modules = {side: load(src.resolve(), f"ab_{side}")
@@ -82,7 +81,7 @@ def main(argv: list[str]) -> int:
     def fit_score(side: str) -> float:
         lda, blockmat = modules[side]
         start = time.process_time()
-        model = lda.fit(x, labels, dims=blockmat.BlockDims(nc, nt), estimator=args.estimator)
+        model = lda.fit(x, labels, dims=blockmat.BlockDims(nc, nt), estimator="toeplitz")
         lda.decision_values(model, scored)
         return time.process_time() - start
 
@@ -97,7 +96,7 @@ def main(argv: list[str]) -> int:
             times[side].append(pair[side])
         if pair["parent"] != pair["change"]:
             wins[min(pair, key=pair.get)] += 1
-    print(f"{args.workload} ({nc} x {nt}, N_e = {n}) {args.estimator}, "
+    print(f"{args.workload} ({nc} x {nt}, N_e = {n}) toeplitz, "
           f"{args.rounds} alternating rounds, CPU ms (q1 / median / q3):")
     for side in SIDES:
         q1, median, q3 = (1e3 * t for t in quartiles(times[side]))
