@@ -63,30 +63,6 @@ class BlockDims:
         return self.n_channels * self.n_times
 
 
-def _fft_pays(n_channels: int, n_times: int) -> bool:
-    """Whether FFT lag sums (``covest``) and the PCG solve (``btsolve``) pay here.
-
-    Below the rule a ``toeplitz`` fit takes one product per lag and one
-    dense Cholesky.  Crossovers measured with one BLAS thread, in CPU time:
-
-    * Lag sums (N_e 24 to 384): the FFT wins from about 100 samples at 2
-      channels, 64 at 8, 32 at 16 and 16-20 at 31 or 64 channels.
-    * Solve (min of 5-200 calls, ``toeplitz`` estimates of 96 noise epochs):
-      PCG takes at least about 0.6 ms (two spectral products per iteration,
-      15-72 iterations on the data of README step 4), the dense route grows
-      as ``D^3``.  Dense wins up to ``D = 384``
-      at 8 channels (1.2 against 1.4-2.1 ms) and PCG from ``D = 512`` (8 x 64:
-      2.3-2.8 against 1.4-2.0 ms); 16 x 32, 24 x 24 and 31 x 20 are about even.
-      These were measured with T. Chan's preconditioner built from the lag
-      blocks; a fit's PCG now also skips the inverse FFT of its lag sums.
-
-    Below 16 samples the per-lag products always win, and so does the dense
-    route, even at 128 x 8 (15 against 17-23 ms): there the
-    ``n_channels``-cubed preconditioner blocks dominate.
-    """
-    return n_times >= 16 and n_channels * n_times >= 512
-
-
 def _embedding_length(n_times: int) -> int:
     """Length of every block-circulant embedding of ``n_times`` lags (FFT lag
     sums, PCG operator): even, at least ``2 n_times``, half a fast FFT size."""
@@ -94,8 +70,8 @@ def _embedding_length(n_times: int) -> int:
 
 
 #: Bytes of the temporaries that the spectral stages of a ``toeplitz`` fit
-#: (``covest``'s FFT cross-spectrum, ``btsolve``'s preconditioners) compute over one
-#: slice of frequencies at a time.
+#: (``covest``'s FFT cross-spectrum, ``btsolve``'s preconditioner) compute over one
+#: slice of frequencies, or of channel rows, at a time.
 _SLICE_BYTES = 128 << 10
 #: Bytes of one chunk of ``covest``'s data passes (and of the most data a
 #: fit centers once) and of one block of ``synth.generate_noise``.

@@ -12,7 +12,7 @@ of size ``D^2``; without shrinkage it raises :class:`SolveError`, as the
 dense Cholesky of the same estimate does.  Every dense estimate (``slda`` from ``N_e = D`` on and
 ``toeplitz_a2_only``, cut from γ's Gram there) is the fit's own and is
 factored in place (route ``"dense"``).  A ``toeplitz`` estimate takes one
-of two routes, by the size of the system (``blockmat._fft_pays``, the rule
+of two routes, by the size of the system (``covest._fft_pays``, the rule
 by which ``covest`` picks the lag-sum kernel and the form of the estimate):
 
 * ``"dense"``, on small systems, where the estimate is its lag blocks
@@ -25,16 +25,13 @@ by which ``covest`` picks the lag-sum kernel and the form of the estimate):
   (``_pcg_solve``).  Each iteration multiplies by ``T`` through the FFT of
   that embedding, so the solve costs ``O(iters n_channels^2 n_times log
   n_times)`` time and never forms ``T`` (README step 4 gives ``iters``).
-  The preconditioner is the inverse of the circulant of the spectrum's even
-  frequencies (R. Chan's where the embedding has ``2 n_times`` blocks; R.
-  Chan and M. Ng, SIAM Review 38, 1996), half as many blocks, factored and
-  inverted over slices of frequencies (``blockmat._slices``).  Without
-  shrinkage (``gamma nu = 0``) those blocks can be exactly singular, so T.
-  Chan's optimal block circulant (T. Chan 1988), built from the inverse
-  transform of the spectrum, is taken instead; it also stands in where an
-  even-frequency block fails to factor.  Any other compact estimate is
-  transformed to its spectrum one channel column at a time by
-  ``_lag_spectrum``, which no fit calls, for ``_pcg_solve`` to solve.
+  The preconditioner is the inverse of T. Chan's optimal block circulant
+  (T. Chan 1988), positive definite whenever ``T`` is, built from the
+  inverse transform of the spectrum over slices of channel rows and
+  inverted over slices of frequencies (``blockmat._slices``).  Any other
+  compact estimate is transformed to its spectrum one channel column at a
+  time by ``_lag_spectrum``, which no fit calls, for ``_pcg_solve`` to
+  solve.
 
 ``toeplitz_a1_only`` (averaging without tapering) may be indefinite, so it
 always takes the dense route, with a symmetric indefinite fallback.  Any
@@ -235,89 +232,55 @@ _PCG_RTOL = 1e-12
 _PCG_MAX_ITER = 1000
 
 
-def _inverted(blocks: np.ndarray, out: np.ndarray, name: str) -> np.ndarray:
-    """``out``, holding the inverses of the Hermitian ``blocks`` (``out`` may be
-    ``blocks``).  Over slices of frequencies (``blockmat._slices``) each block
-    is Cholesky-factored as the test of positive definiteness and then
-    inverted; a block that fails either raises :class:`SolveError` naming
-    the preconditioner ``name`` (a nearly singular block can pass the
-    Cholesky and fail the inverse)."""
-    nc = blocks.shape[-1]
-    for freqs in _slices(len(blocks), 16 * nc * nc):
-        try:
-            np.linalg.cholesky(blocks[freqs])
-            out[freqs] = np.linalg.inv(blocks[freqs])
-        except np.linalg.LinAlgError as exc:
-            raise SolveError(
-                f"{name} block circulant preconditioner is not positive definite: {exc}"
-            ) from exc
-    return out
-
-
-def _even_preconditioner(spec: np.ndarray) -> np.ndarray:
-    """Inverse of the block circulant ``C_m`` of length ``m = n / 2`` whose
-    spectrum is the even frequencies of the operator spectrum ``spec`` of
-    length ``n``, one block per frequency of ``C_m``.
-
-    Its first block column is ``c_j + c_{j + m}``, the embedding's column
-    aliased to length ``m``: ``L[j]^T + L[m - j]``, which at ``m = n_times``
-    is R. Chan's circulant (R. Chan and M. Ng, SIAM Review 38, 1996).  A
-    ``toeplitz`` estimate's spectrum is its scaled cross-spectrum plus
-    ``gamma nu I``, positive semidefinite at every frequency, so ``C_m`` is
-    positive definite whenever ``gamma nu > 0``.  The blocks are read from
-    ``spec`` and inverted into a new array (:func:`_inverted`).
-    """
-    even = spec[::2]
-    return _inverted(even, np.empty_like(even), "the even-frequency")
-
-
 def _chan_preconditioner(spec: np.ndarray, nt: int) -> np.ndarray:
     """Inverse of T. Chan's optimal block circulant of the operator whose
     embedding has the spectrum ``spec``, one block per frequency: the
-    preconditioner of :func:`_pcg_solve` without shrinkage, and its
-    fallback when a block of :func:`_even_preconditioner` fails to factor.
+    preconditioner of :func:`_pcg_solve`.
 
     Of all block circulants of ``n_times`` blocks, ``C_k = ((n_times - k)
     L[k]^T + k L[n_times - k]) / n_times`` (the first block column) is the
     nearest to ``T`` in the Frobenius norm; it is positive definite when
-    ``T`` is.  The lags come from the embedding's first block column ``c``,
-    the inverse transform of ``spec``: ``c[d] = L[d]^T`` and ``c[n - d] =
-    L[d]``.  The real FFT of ``C`` holds the Hermitian blocks it acts by at
-    each frequency, inverted in place (:func:`_inverted`).
+    ``T`` is (T. Chan, SIAM J. Sci. Stat. Comput. 9, 1988).  The lags come
+    from the embedding's first block column ``c``, the inverse transform of
+    ``spec``: ``c[d] = L[d]^T`` and ``c[n - d] = L[d]``.  The real FFT of
+    ``C`` holds the Hermitian blocks it acts by at each frequency.  Both
+    transforms run over slices of channel rows, which are contiguous in
+    ``spec``, and the inverse over slices of frequencies
+    (``blockmat._slices``), so ``spec`` and the blocks are the only large
+    arrays.  Each block is Cholesky-factored as the test
+    of positive definiteness and then inverted in place; a block that fails
+    either raises :class:`SolveError` (a nearly singular block can pass the
+    Cholesky and fail the inverse).
     """
-    n = 2 * (len(spec) - 1)
-    c = scipy.fft.irfft(spec, n, axis=0)
+    n, nc = 2 * (len(spec) - 1), spec.shape[-1]
     k = np.arange(nt)[:, None, None]
-    col = c[:nt] * (nt - k)
-    col[1:] += c[n - nt + 1 :] * k[1:]
-    col /= nt
-    blocks = scipy.fft.rfft(col, axis=0)
-    return _inverted(blocks, blocks, "T. Chan's")
+    blocks = np.empty((nt // 2 + 1, nc, nc), dtype=complex)
+    for rows in _slices(nc, 8 * n * nc):
+        c = scipy.fft.irfft(spec[:, rows], n, axis=0)
+        col = c[:nt] * (nt - k)
+        col[1:] += c[n - nt + 1 :] * k[1:]
+        col /= nt
+        blocks[:, rows] = scipy.fft.rfft(col, axis=0)
+    for freqs in _slices(len(blocks), 16 * nc * nc):
+        try:
+            np.linalg.cholesky(blocks[freqs])
+            blocks[freqs] = np.linalg.inv(blocks[freqs])
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(
+                f"T. Chan's block circulant preconditioner is not positive definite: {exc}"
+            ) from exc
+    return blocks
 
 
-def _pcg_solve(spec: np.ndarray, b: np.ndarray, even: bool = True) -> SolveReport:
+def _pcg_solve(spec: np.ndarray, b: np.ndarray) -> SolveReport:
     """Preconditioned conjugate gradients for ``T x = b``, from ``x = 0``,
     with ``T`` the leading ``n_times`` blocks of the block circulant whose
-    spectrum ``spec`` is (``n = 2 (len(spec) - 1)``).
-
-    With ``even`` the preconditioner is ``P^T C_m^-1 P``: ``P`` pads
-    ``n_times`` blocks with zeros to the length ``m`` of
-    :func:`_even_preconditioner`'s circulant ``C_m``, so the preconditioner
-    is a leading minor of ``C_m^-1`` and positive definite with it.  T.
-    Chan's circulant (length ``n_times``, :func:`_chan_preconditioner`) is
-    the preconditioner without ``even`` (an unshrunk fit's spectrum, whose
-    even-frequency blocks can be singular however rounding lets them
-    factor) and stands in when ``C_m`` fails to factor."""
+    spectrum ``spec`` is (``n = 2 (len(spec) - 1)``), preconditioned by T.
+    Chan's circulant of ``n_times`` blocks (:func:`_chan_preconditioner`),
+    which is positive definite whenever ``T`` is."""
     nc = spec.shape[-1]
     nt, n = len(b) // nc, 2 * (len(spec) - 1)
-    pre = None
-    if even:
-        try:
-            pre, m = _even_preconditioner(spec), n // 2
-        except SolveError:
-            pass
-    if pre is None:
-        pre, m = _chan_preconditioner(spec, nt), nt
+    pre = _chan_preconditioner(spec, nt)
     # Dividing b by a power of two is exact and keeps the norms finite.
     exp = int(np.frexp(np.abs(b).max(initial=0.0))[1])
     r = np.ldexp(b, -exp).reshape(nt, nc)
@@ -328,7 +291,7 @@ def _pcg_solve(spec: np.ndarray, b: np.ndarray, even: bool = True) -> SolveRepor
         if iterations == _PCG_MAX_ITER:
             raise SolveError(f"PCG did not converge in {_PCG_MAX_ITER} iterations")
         iterations += 1
-        z = _spectral_product(pre, m, r)
+        z = _spectral_product(pre, nt, r)
         rz = np.vdot(r, z)
         p = z if iterations == 1 else z + (rz / rz_old) * p
         q = _spectral_product(spec, n, p)
@@ -373,10 +336,9 @@ def _fit_solve(
 ) -> SolveReport:
     """Solve a fit's own estimate for the finite vector ``b``: an ``slda``
     estimate below ``D``, held as γ's Gram, is solved in it by Woodbury; a
-    ``toeplitz`` estimate held as its spectrum takes the PCG route, with the
-    even-frequency preconditioner where it is shrunk; a dense ``cov``, read
-    no more, is factored in place; a compact one takes the dense route on
-    its expansion.
+    ``toeplitz`` estimate held as its spectrum takes the PCG route; a dense
+    ``cov``, read no more, is factored in place; a compact one takes the
+    dense route on its expansion.
     With ``maybe_indefinite`` a failed Cholesky, or one whose solution is
     not finite, is not an error: a fresh expansion is solved by a symmetric
     indefinite factorization, and the report says so.  The lag blocks are
@@ -386,7 +348,7 @@ def _fit_solve(
     if isinstance(cov, _GramCov):
         return _woodbury_solve(cov, b)
     if isinstance(cov, _SpectralCov):
-        return _pcg_solve(cov.spectrum, b, cov.ridge > 0.0)
+        return _pcg_solve(cov.spectrum, b)
     if not isinstance(cov, BlockToeplitzCov):
         return _solve_in_place(cov, b)
     try:

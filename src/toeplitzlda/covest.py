@@ -10,9 +10,9 @@ fit from ``N_e = D`` on, γ's Gram.  Below ``D`` a fit's ``slda`` is γ's
 ``N_e``-square Gram (``_GramCov``), solved by Woodbury.  ``toeplitz`` and
 ``toeplitz_a1_only`` build their lag blocks from the data: one product per
 lag on short windows, and on long ones (the size rule
-``blockmat._fft_pays``) a Hermitian-packed cross-spectrum, one real
-product per frequency summed over chunks of epochs and formed over slices
-of frequencies in small buffers, then one inverse FFT.  A fit's
+``covest._fft_pays``) a Hermitian-packed cross-spectrum, one real product
+per frequency summed over chunks of epochs and formed over slices of
+frequencies in small buffers, then one inverse FFT.  A fit's
 ``toeplitz`` on a long window skips that transform: its estimate is the
 operator spectrum built from the packed one (``_SpectralCov``), which the
 PCG solve takes as it is.  The Ledoit-Wolf
@@ -47,7 +47,7 @@ import scipy.fftpack
 
 from . import blockmat
 from .blockmat import (BlockCov, BlockDims, BlockToeplitzCov, _check_labels, _embedding_length,
-                       _fft_pays, _finite_array, _own, _owned, _owned_toeplitz, _slices)
+                       _finite_array, _own, _owned, _owned_toeplitz, _slices)
 from .errors import ShapeError
 
 ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
@@ -55,6 +55,28 @@ ESTIMATORS = ("slda", "toeplitz", "toeplitz_a1_only", "toeplitz_a2_only")
 _DENSE = ("slda", "toeplitz_a2_only")
 #: Most epochs in one chunk of the FFT cross-spectrum.
 _FFT_EPOCHS = 32
+
+
+def _fft_pays(n_channels: int, n_times: int) -> bool:
+    """Whether the FFT lag sums and the PCG solve (``btsolve``) pay here.
+
+    Below the rule a ``toeplitz`` fit takes one product per lag and one
+    dense Cholesky.  Crossovers measured with one BLAS thread, in CPU time:
+
+    * Lag sums (N_e 24 to 384): the FFT wins from about 100 samples at 2
+      channels, 64 at 8, 32 at 16 and 16-20 at 31 or 64 channels.
+    * Solve (min of 5-200 calls, ``toeplitz`` estimates of 96 noise epochs):
+      PCG takes at least about 0.6 ms (two spectral products per iteration,
+      15-72 iterations on the data of README step 4), the dense route grows
+      as ``D^3``.  Dense wins up to ``D = 384``
+      at 8 channels (1.2 against 1.4-2.1 ms) and PCG from ``D = 512`` (8 x 64:
+      2.3-2.8 against 1.4-2.0 ms); 16 x 32, 24 x 24 and 31 x 20 are about even.
+
+    Below 16 samples the per-lag products always win, and so does the dense
+    route, even at 128 x 8 (15 against 17-23 ms): there the
+    ``n_channels``-cubed preconditioner blocks dominate.
+    """
+    return n_times >= 16 and n_channels * n_times >= 512
 
 
 @dataclass(frozen=True)
@@ -194,12 +216,10 @@ class _SpectralCov:
     ``blockmat._embedding_length(n_times)``: ``spectrum[k]`` is the
     Hermitian ``n_channels``-square block that the embedding acts by at
     frequency ``k`` (``n / 2 + 1`` of them), ``btsolve._lag_spectrum`` of
-    the estimate's lag blocks.  ``ridge`` is ``gamma nu``, the part of every
-    block that shrinkage adds.  ``btsolve._pcg_solve`` multiplies by the
-    spectrum and, where ``ridge > 0``, takes its preconditioner from its even
-    frequencies."""
+    the estimate's lag blocks.  ``btsolve._pcg_solve`` multiplies by the
+    spectrum and builds T. Chan's preconditioner from its inverse
+    transform."""
 
-    ridge: float
     spectrum: np.ndarray
 
 
@@ -531,7 +551,7 @@ def _spectral_estimate(spec: np.ndarray, dims: BlockDims, n: int, gamma: float) 
     np.subtract(turned, spec, out=op.imag)
     op *= 0.5 * (1.0 - gamma) / ((n - 1) * nt)
     op.reshape(len(op), -1)[:, :: nc + 1] += gamma * nu
-    return ShrinkageResult(_SpectralCov(gamma * nu, op), gamma, nu)
+    return ShrinkageResult(_SpectralCov(op), gamma, nu)
 
 
 def estimate_covariance(
@@ -558,8 +578,9 @@ def estimate_covariance(
     data and never form ``S``: one product per lag on short windows, in
     ``O(N_e D n_channels n_times)`` time, and on long ones from the packed
     cross-spectrum of chunks of epochs, through one inverse FFT, in
-    ``O(N_e D (log n_times + n_channels))``.  ``blockmat._fft_pays`` picks by ``(n_channels, n_times)``,
-    the same rule that picks the solve route of a fit (``btsolve._fit_solve``).
+    ``O(N_e D (log n_times + n_channels))``.  :func:`_fft_pays` picks by
+    ``(n_channels, n_times)``, the same rule that picks the solve route of a
+    fit (``btsolve._fit_solve``).
     """
     _check_estimator(estimator)
     centred = _Centred(_covariance_data(centered, dims.size))

@@ -6,7 +6,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from toeplitzlda import bench, dataio, synth
-from toeplitzlda.blockmat import BlockDims
+from toeplitzlda.blockmat import BlockDims, BlockToeplitzCov
 
 
 class Traced(NamedTuple):
@@ -15,6 +15,20 @@ class Traced(NamedTuple):
     result: Any
     peak: int  # bytes traced at the peak of the call
     held: int  # bytes still traced when it returned
+
+
+def random_spd_block_toeplitz(rng, nc, nt) -> BlockToeplitzCov:
+    """SPD block-Toeplitz matrix built from a random stationary process: an
+    FIR autocorrelation times one random SPD channel mixing, plus 0.5 I at
+    lag 0."""
+    mix = rng.standard_normal((nc, nc))
+    fir = rng.standard_normal(3)
+    r = np.correlate(fir, fir, mode="full")[len(fir) - 1:]
+    lags = np.zeros((nt, nc, nc))
+    for d in range(min(nt, len(r))):
+        lags[d] = r[d] * (mix @ mix.T)
+    lags[0] += 0.5 * np.eye(nc)
+    return BlockToeplitzCov(dims=BlockDims(nc, nt), lag_blocks=lags)
 
 
 def traced_peak(call) -> Traced:

@@ -50,7 +50,7 @@ def slda_weights(x, labels, dims: BlockDims, cov_mode="within", gamma=None, mean
 
 
 # The whole-array spectral stages of a toeplitz fit, which the fit computes
-# by channel columns and slices of frequencies: each allocates its full
+# by channel columns or rows and slices of frequencies: each allocates its full
 # spectra at once, and the fit's stages must equal them bit for bit.
 
 
@@ -105,27 +105,11 @@ def lag_spectrum(btc: BlockToeplitzCov) -> tuple[np.ndarray, int]:
     return scipy.fft.rfft(c, axis=0), n
 
 
-def inverse_blocks(blocks: np.ndarray, name: str) -> np.ndarray:
-    """The Cholesky test and the inverse of all ``blocks`` at once."""
-    try:
-        np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError as exc:
-        raise SolveError(
-            f"{name} block circulant preconditioner is not positive definite: {exc}"
-        ) from exc
-    return np.linalg.inv(blocks)
-
-
-def even_preconditioner(spec: np.ndarray) -> np.ndarray:
-    """``btsolve._even_preconditioner``: the even frequencies of the operator
-    spectrum, inverted at once."""
-    return inverse_blocks(spec[::2], "the even-frequency")
-
-
 def chan_preconditioner(spec: np.ndarray, nt: int) -> np.ndarray:
-    """``btsolve._chan_preconditioner`` from the lag blocks of the embedding
-    whose spectrum is ``spec``, one block column of T. Chan's circulant at a
-    time: ``C_k = ((nt - k) L[k]^T + k L[nt - k]) / nt``."""
+    """``btsolve._chan_preconditioner`` from the whole inverse transform of
+    ``spec``, one block column of T. Chan's circulant at a time: ``C_k =
+    ((nt - k) L[k]^T + k L[nt - k]) / nt``; its blocks are Cholesky-tested
+    and inverted at once."""
     n = 2 * (len(spec) - 1)
     c = scipy.fft.irfft(spec, n, axis=0)
     lags = c[:nt].transpose(0, 2, 1)  # c[d] = L[d]^T
@@ -134,4 +118,11 @@ def chan_preconditioner(spec: np.ndarray, nt: int) -> np.ndarray:
         col[k] = (nt - k) * lags[k].T
         if k:
             col[k] += k * c[n - nt + k]  # c[n - d] = L[d]
-    return inverse_blocks(scipy.fft.rfft(col / nt, axis=0), "T. Chan's")
+    blocks = scipy.fft.rfft(col / nt, axis=0)
+    try:
+        np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError as exc:
+        raise SolveError(
+            f"T. Chan's block circulant preconditioner is not positive definite: {exc}"
+        ) from exc
+    return np.linalg.inv(blocks)

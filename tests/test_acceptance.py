@@ -23,14 +23,13 @@ from toeplitzlda import bench, cli, covest, lda, synth
 from toeplitzlda.blockmat import (
     BlockCov,
     BlockDims,
-    _fft_pays,
     apply_taper,
     block_diagonal_average,
     free_parameter_count,
     to_dense,
 )
 from toeplitzlda.btsolve import _fit_solve, _lag_spectrum, _pcg_solve, dense_solve
-from toeplitzlda.covest import ClassStats
+from toeplitzlda.covest import ClassStats, _fft_pays
 from toeplitzlda.dataio import (
     Epochs,
     FeatureConfig,
@@ -39,6 +38,7 @@ from toeplitzlda.dataio import (
     write_dataset,
 )
 
+from conftest import random_spd_block_toeplitz
 from dense_reference import block_at
 
 _CAPTURE = [None]
@@ -61,21 +61,6 @@ def _report(cid: str, passed: bool, detail: str) -> None:
     else:
         print(line, flush=True)
     assert passed, f"{cid}: {detail}"
-
-
-def spd_block_toeplitz(rng, nc, nt, ridge=0.5):
-    """SPD block-Toeplitz matrix from a random stationary process."""
-    dims = BlockDims(nc, nt)
-    mix = rng.standard_normal((nc, nc))
-    fir = rng.standard_normal(3)
-    r = np.correlate(fir, fir, mode="full")[len(fir) - 1:]
-    lags = np.zeros((nt, nc, nc))
-    for d in range(min(nt, len(r))):
-        lags[d] = r[d] * (mix @ mix.T)
-    lags[0] += ridge * np.eye(nc)
-    from toeplitzlda.blockmat import BlockToeplitzCov
-
-    return BlockToeplitzCov(dims=dims, lag_blocks=lags)
 
 
 N_SEEDS = 20
@@ -130,7 +115,7 @@ def test_c1_block_solver_matches_dense_reference():
     for seed in range(50):
         nc, nt = grid[seed % len(grid)]
         rng = np.random.default_rng(seed)
-        btc = spd_block_toeplitz(rng, nc, nt)
+        btc = random_spd_block_toeplitz(rng, nc, nt)
         b = rng.standard_normal(btc.dims.size)
         if _fft_pays(nc, nt):
             report = _pcg_solve(_lag_spectrum(btc)[0], b)
@@ -168,7 +153,7 @@ def test_c2_average_then_taper_composition_and_idempotence():
             worst = max(worst, np.abs(tapered.lag_blocks[d] - direct).max())
     idempotent = True
     for seed in range(5):
-        btc = spd_block_toeplitz(np.random.default_rng(100 + seed), 3, 6)
+        btc = random_spd_block_toeplitz(np.random.default_rng(100 + seed), 3, 6)
         again = block_diagonal_average(to_dense(btc))
         idempotent &= np.array_equal(again.lag_blocks, btc.lag_blocks)
     _report(
@@ -361,7 +346,7 @@ def test_c7_solver_scaling_and_compact_storage():
 
 
 # C11 times the structured estimate the same way.  At 8 channels every size
-# from 128 samples up is on the FFT side of `blockmat._fft_pays`, whose lag
+# from 128 samples up is on the FFT side of `covest._fft_pays`, whose lag
 # sums cost O(n_times log n_times); per-lag products would give a slope of 2.
 _C11_TIMINGS = """
 import json, sys, time

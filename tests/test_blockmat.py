@@ -20,26 +20,13 @@ from toeplitzlda.blockmat import (
 from toeplitzlda.dataio import Epochs, all_samples
 from toeplitzlda.errors import DataFormatError, ShapeError
 
-from conftest import traced_peak
+from conftest import random_spd_block_toeplitz, traced_peak
 from dense_reference import block_at, taper_weight
 
 
 def random_symmetric(rng, d):
     a = rng.standard_normal((d, d))
     return (a + a.T) / 2.0
-
-
-def random_spd_block_toeplitz(rng, nc, nt, ridge=None):
-    """SPD block-Toeplitz matrix built from a random stationary process."""
-    dims = BlockDims(nc, nt)
-    mix = rng.standard_normal((nc, nc))
-    fir = rng.standard_normal(3)
-    r = np.correlate(fir, fir, mode="full")[len(fir) - 1:]
-    lags = np.zeros((nt, nc, nc))
-    for d in range(min(nt, len(r))):
-        lags[d] = r[d] * (mix @ mix.T)
-    lags[0] += (ridge if ridge is not None else 0.5) * np.eye(nc)
-    return BlockToeplitzCov(dims=dims, lag_blocks=lags)
 
 
 # ---------------------------------------------------------------- layout

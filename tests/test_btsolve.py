@@ -19,20 +19,8 @@ from toeplitzlda.btsolve import (
 )
 from toeplitzlda.errors import ShapeError, SolveBreakdownError, SolveError
 
-from dense_reference import chan_preconditioner, even_preconditioner, lag_spectrum
-
-
-def random_spd_block_toeplitz(rng, nc, nt, ridge=0.5):
-    """SPD block-Toeplitz matrix built from a random stationary process."""
-    dims = BlockDims(nc, nt)
-    mix = rng.standard_normal((nc, nc))
-    fir = rng.standard_normal(3)
-    r = np.correlate(fir, fir, mode="full")[len(fir) - 1:]
-    lags = np.zeros((nt, nc, nc))
-    for d in range(min(nt, len(r))):
-        lags[d] = r[d] * (mix @ mix.T)
-    lags[0] += ridge * np.eye(nc)
-    return BlockToeplitzCov(dims=dims, lag_blocks=lags)
+from conftest import random_spd_block_toeplitz
+from dense_reference import chan_preconditioner, lag_spectrum
 
 
 def random_lags(rng, nc, nt):
@@ -136,10 +124,10 @@ def test_lag_blocks_take_the_dense_route_at_every_size(nc, nt):
 
 
 @pytest.mark.parametrize(("nc", "nt"), [(8, 101), (16, 67), (31, 97)])
-def test_pcg_matches_dense_solve_where_the_even_circulant_is_longer(nc, nt):
-    # The embedding is longer than 2 n_times, so the even-frequency
-    # circulant has m > n_times blocks and the preconditioner reads its
-    # leading n_times blocks.
+def test_pcg_matches_dense_solve_where_the_embedding_is_padded(nc, nt):
+    # The embedding is longer than 2 n_times, so zero blocks lie between
+    # the lags and their transposes, and T. Chan's circulant (n_times
+    # blocks) is built from an inverse transform of another length.
     assert blockmat._embedding_length(nt) // 2 > nt
     rng = np.random.default_rng(nt)
     btc = random_spd_block_toeplitz(rng, nc, nt)
@@ -332,29 +320,61 @@ def either(build, *args):
 @example(nc=1, nt=2, per_slice=1, seed=1)  # n = 4
 @example(nc=3, nt=5, per_slice=2, seed=2)  # odd n_times, 3 preconditioner frequencies
 @example(nc=4, nt=20, per_slice=3, seed=3)  # 11 preconditioner frequencies, slices of 3
-@example(nc=2, nt=17, per_slice=2, seed=4)  # m = 18 > n_times: 10 even frequencies
+@example(nc=2, nt=17, per_slice=2, seed=4)  # n = 36 > 2 n_times
+@example(nc=5, nt=4, per_slice=3, seed=5)  # channel rows in slices of 3 and 2
 def test_spectral_stages_equal_the_whole_spectrum_oracles(nc, nt, per_slice, seed):
-    # The embedding is built one channel column at a time and the
-    # preconditioner blocks factored and inverted over slices of per_slice
-    # frequencies; the oracles transform and invert whole arrays.  The
-    # spectra, both preconditioners (or the errors they raise), and so the
+    # The embedding is built one channel column at a time, T. Chan's
+    # circulant transformed over slices of channel rows and its blocks
+    # factored and inverted over slices of per_slice frequencies, all cut by
+    # the one patched budget; the oracles transform and invert whole arrays.
+    # The spectra, the preconditioner (or the error it raises), and so the
     # PCG solution, are the same bits.
     rng = np.random.default_rng(seed)
     btc = random_spd_block_toeplitz(rng, nc, nt)
     b = rng.standard_normal(btc.dims.size)
+    widths = []
+    real_irfft = btsolve.scipy.fft.irfft
+
+    def irfft(a, *args, **kwargs):
+        widths.append(a.shape[1])
+        return real_irfft(a, *args, **kwargs)
+
     with mock.patch.object(blockmat, "_SLICE_BYTES", per_slice * 16 * nc * nc):
         spec, n = btsolve._lag_spectrum(btc)
-        pres = [either(btsolve._even_preconditioner, spec),
-                either(btsolve._chan_preconditioner, spec, nt)]
+        rows = blockmat._slices(nc, 8 * n * nc)
+        with mock.patch.object(btsolve.scipy.fft, "irfft", irfft):
+            pre = either(btsolve._chan_preconditioner, spec, nt)
         solution = btsolve._pcg_solve(spec, b).solution
+    assert widths == [part.stop - part.start for part in rows]
     spec_ref, n_ref = lag_spectrum(btc)
     assert n == n_ref and np.array_equal(spec, spec_ref)
-    refs = [either(even_preconditioner, spec), either(chan_preconditioner, spec, nt)]
-    for pre, ref in zip(pres, refs):
-        assert type(pre) is type(ref) and np.array_equal(pre, ref)
-    with mock.patch.object(btsolve, "_even_preconditioner", even_preconditioner), \
-            mock.patch.object(btsolve, "_chan_preconditioner", chan_preconditioner):
+    ref = either(chan_preconditioner, spec, nt)
+    assert type(pre) is type(ref) and np.array_equal(pre, ref)
+    with mock.patch.object(btsolve, "_chan_preconditioner", chan_preconditioner):
         assert np.array_equal(solution, btsolve._pcg_solve(spec_ref, b).solution)
+
+
+@pytest.mark.parametrize("per", range(1, 6))
+def test_chan_preconditioner_over_any_slicing_of_channel_rows_equals_the_whole_array_build(per):
+    # T. Chan's circulant is transformed over slices of per channel rows of
+    # the operator spectrum, 5 // per of them and a short last one where per
+    # does not divide 5; the oracle transforms the whole array.  The blocks
+    # are the same bits.
+    nc, nt = 5, 13
+    btc = random_spd_block_toeplitz(np.random.default_rng(per), nc, nt)
+    spec, n = btsolve._lag_spectrum(btc)
+    widths = []
+    real_irfft = btsolve.scipy.fft.irfft
+
+    def irfft(a, *args, **kwargs):
+        widths.append(a.shape[1])
+        return real_irfft(a, *args, **kwargs)
+
+    with mock.patch.object(blockmat, "_SLICE_BYTES", per * 8 * n * nc), \
+            mock.patch.object(btsolve.scipy.fft, "irfft", irfft):
+        pre = btsolve._chan_preconditioner(spec, nt)
+    assert widths == [per] * (nc // per) + ([nc % per] if nc % per else [])
+    assert np.array_equal(pre, chan_preconditioner(spec, nt))
 
 
 @pytest.mark.parametrize(("nt", "freq"), [(7, f) for f in range(4)] + [(10, f) for f in range(6)])
@@ -378,24 +398,6 @@ def test_preconditioner_block_that_is_not_positive_definite_raises_in_any_slice(
     spectrum[freq] = -1.0
     with pytest.raises(SolveError, match="^T. Chan's block circulant preconditioner is not"):
         preconditioner(spectrum)
-
-
-@pytest.mark.parametrize(("half", "freq"), [(6, f) for f in range(4)] + [(10, f) for f in range(6)])
-def test_even_frequency_block_that_is_not_positive_definite_raises_in_any_slice(half, freq):
-    # An operator spectrum of half + 1 blocks A, but -A at the even frequency
-    # 2 freq: one block of the even-frequency circulant fails.  Slices of two
-    # of its half / 2 + 1 frequencies put that block in each slice and
-    # position.  The -A at the odd frequency 1 is not read.
-    nc = 3
-    mix = np.random.default_rng(half).standard_normal((nc, nc))
-    a = mix @ mix.T + np.eye(nc)
-    spec = np.ones((half + 1, 1, 1)) * a.astype(complex)
-    spec[1] *= -1.0
-    with mock.patch.object(blockmat, "_SLICE_BYTES", 2 * 16 * nc * nc):
-        assert np.allclose(btsolve._even_preconditioner(spec), np.linalg.inv(a))
-        spec[2 * freq] *= -1.0
-        with pytest.raises(SolveError, match="^the even-frequency block circulant preconditioner"):
-            btsolve._even_preconditioner(spec)
 
 
 @pytest.mark.parametrize("nt", range(1, 65))

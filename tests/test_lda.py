@@ -238,7 +238,7 @@ def test_no_fit_runs_the_levinson_recursion(monkeypatch, estimator, route):
     assert routes == ([route] if estimator == "toeplitz" else [])
 
 
-# (n_channels, n_times) close to the size rule blockmat._fft_pays, on each side.
+# (n_channels, n_times) close to the size rule covest._fft_pays, on each side.
 RULE_SIZES = {
     "dense": [(8, 20), (31, 15), (16, 31), (64, 8)],
     "pcg": [(8, 64), (16, 32), (2, 256), (4, 128)],
@@ -300,11 +300,11 @@ def test_chan_preconditioner_solves_fits_of_a_rank_deficient_cross_spectrum(
 ):
     # Unshrunk, with N_e - 2 < n_channels: each frequency's cross-spectrum
     # has rank at most N_e - 2, so the circulant of the even frequencies of
-    # the operator spectrum (R. Chan's, at n = 2 n_times) is singular.  An
-    # unshrunk fit takes T. Chan's preconditioner, which still solves it on
+    # the operator spectrum (R. Chan's, at n = 2 n_times) is singular.  T.
+    # Chan's preconditioner, positive definite with T, still solves it on
     # its natural PCG route.
     x, labels, dims = rank_deficient_features(nc, nt, n_epochs)
-    assert blockmat._fft_pays(nc, nt)
+    assert covest._fft_pays(nc, nt)
     model = fit(x, labels, dims=dims, gamma=0.0)
     shrunk = covest.estimate_covariance(covest.center(x, labels), dims, "toeplitz", gamma=0.0)
     spec, n = btsolve._lag_spectrum(shrunk.matrix)
@@ -318,10 +318,9 @@ def test_chan_preconditioner_solves_fits_of_a_rank_deficient_cross_spectrum(
 @pytest.mark.parametrize("gamma", [None, 0.0])
 def test_a_pcg_fit_solves_the_spectrum_of_its_cross_spectrum(monkeypatch, gamma):
     # A lone toeplitz fit on the PCG route hands the operator spectrum it
-    # builds from the packed cross-spectrum to the solve: no inverse FFT,
-    # no lag blocks transformed again, and T. Chan's preconditioner only
-    # when unshrunk, where the even-frequency blocks can be singular (here
-    # N_e - 2 < n_channels).
+    # builds from the packed cross-spectrum to the solve: no inverse FFT of
+    # the cross-spectrum, no lag blocks transformed again, and T. Chan's
+    # preconditioner, shrunk or not.
     calls = []
 
     def spy(module, name):
@@ -339,39 +338,38 @@ def test_a_pcg_fit_solves_the_spectrum_of_its_cross_spectrum(monkeypatch, gamma)
     spy(btsolve, "_pcg_solve")
     x, labels, dims = rank_deficient_features(8, 64, 9)
     fit(x, labels, dims=dims, gamma=gamma)
-    assert calls == (["_pcg_solve"] if gamma is None else ["_pcg_solve", "_chan_preconditioner"])
+    assert calls == ["_pcg_solve", "_chan_preconditioner"]
 
 
-@pytest.mark.parametrize("n_epochs", [9, 48])
-def test_an_unshrunk_pcg_fit_takes_chan_preconditioner_whatever_the_rounding(
-    monkeypatch, n_epochs
+@pytest.mark.parametrize(
+    ("nc", "nt", "n_epochs", "gamma"),
+    [
+        (8, 64, 9, 1e-6), (16, 64, 12, 1e-6), (31, 32, 32, 1e-6), (31, 100, 24, 1e-4),
+        (8, 64, 9, 1e-3), (31, 100, 24, 1e-3), (8, 64, 48, 0.0),
+    ],
+)
+def test_a_pcg_fit_with_few_epochs_and_little_shrinkage_matches_the_dense_route(
+    monkeypatch, nc, nt, n_epochs, gamma
 ):
-    # At gamma = 0 the even-frequency blocks are singular where N_e - 2 <
-    # n_channels, and rounding decides whether they pass their Cholesky.  The
-    # fit does not try them: with every Cholesky passing, it still takes T.
-    # Chan's preconditioner, at either rank, and matches the dense route.
-    x, labels, dims = rank_deficient_features(8, 64, n_epochs)
-    evens = []
-    real = btsolve._even_preconditioner
-    monkeypatch.setattr(btsolve, "_even_preconditioner",
-                        lambda spec: evens.append(spec) or real(spec))
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: a)
-    w = fit(x, labels, dims=dims, gamma=0.0).weights
-    monkeypatch.undo()
-    assert evens == []
+    # With N_e - 2 < n_channels and a small given gamma the circulant of the
+    # operator spectrum's even frequencies is nearly singular, and PCG
+    # preconditioned by it does not converge in 1000 iterations on the
+    # first four, and takes 279 and 904 on the next two.  T. Chan's circulant
+    # is positive definite with T.  The last case is unshrunk at full rank.
+    # A relative error of 1e-8 is C1's bound.
+    x, labels, dims = rank_deficient_features(nc, nt, n_epochs)
+    assert covest._fft_pays(nc, nt)
+    w = fit(x, labels, dims=dims, gamma=gamma).weights
     monkeypatch.setattr(covest, "_fft_pays", lambda nc, nt: False)
-    dense = fit(x, labels, dims=dims, gamma=0.0).weights
+    dense = fit(x, labels, dims=dims, gamma=gamma).weights
     assert np.linalg.norm(w - dense) <= 1e-8 * np.linalg.norm(dense)
 
 
 @pytest.mark.parametrize(("nc", "nt"), [(8, 101), (16, 67), (31, 97)])
-def test_pcg_fit_matches_the_dense_route_where_the_even_circulant_is_longer(
-    monkeypatch, nc, nt
-):
-    # At these n_times the embedding is longer than 2 n_times, so the
-    # even-frequency circulant has m > n_times blocks and the preconditioner
-    # reads its leading n_times blocks.  A relative error of 1e-8 is C1's
-    # bound.
+def test_pcg_fit_matches_the_dense_route_where_the_embedding_is_padded(monkeypatch, nc, nt):
+    # At these n_times the embedding is longer than 2 n_times, so zero
+    # blocks lie between the lags and their transposes in the operator
+    # spectrum.  A relative error of 1e-8 is C1's bound.
     assert blockmat._embedding_length(nt) // 2 > nt
     x, labels, dims = labeled_features(nc, nt, 48, seed=nt)
     routes = []
@@ -410,7 +408,7 @@ def test_a_lone_toeplitz_fit_holds_no_centred_copy(monkeypatch):
 @pytest.mark.parametrize("route", sorted(ROUTE_SIZES))
 def test_singular_unshrunk_toeplitz_fit_raises_solve_error(route):
     x, labels, dims = label_channel_features(*ROUTE_SIZES[route])
-    assert blockmat._fft_pays(dims.n_channels, dims.n_times) == (route == "pcg")
+    assert covest._fft_pays(dims.n_channels, dims.n_times) == (route == "pcg")
     with pytest.raises(SolveError):
         fit(x, labels, dims=dims, estimator="toeplitz", gamma=0.0)
     # With shrinkage the same data fits.
@@ -839,27 +837,30 @@ def test_long_window_toeplitz_fit_forms_no_dense_covariance():
         assert scores[labels == 1].mean() > scores[labels == 0].mean()
 
 
+@pytest.mark.parametrize("gamma", [None, 0.0])
 @pytest.mark.parametrize(
     ("nc", "nt", "n", "bound"),
     [(31, 100, 192, 0.6), (8, 512, 96, 1.25), (31, 1000, 96, 1.5)],
     ids=["31-100-192", "8-512-96", "31-1000-96"],
 )
-def test_toeplitz_fit_holds_little_beyond_its_data(nc, nt, n, bound):
+def test_toeplitz_fit_holds_little_beyond_its_data(nc, nt, n, bound, gamma):
     # The perfbench fit-paper and fit-long shapes, and a long window on few
-    # epochs.  No D x N_e array is written: the passes over the data centre
-    # chunks of at most blockmat._CHUNK_BYTES, or of 32 epochs for the FFT.
-    # No lag block is formed: the peak is the packed cross-spectrum beside
-    # the FFT chunk buffer and slices of frequencies, or the operator
-    # spectrum beside the even-frequency preconditioner of half its size.
-    # At 31 x 100 the peak read 0.560 x the data (2.55 MiB), the bound
-    # leaves 7% over it.
+    # epochs, shrunk by the Ledoit-Wolf gamma and unshrunk.  No D x N_e
+    # array is written: the passes over the data centre chunks of at most
+    # blockmat._CHUNK_BYTES, or of 32 epochs for the FFT.  No lag block is
+    # formed: the peak is the packed cross-spectrum beside the FFT chunk
+    # buffer and slices of frequencies, or the operator spectrum beside T.
+    # Chan's preconditioner of half its size, built over slices of channel
+    # rows.  At 31 x 100 the peak read 0.560 x the data (2.55 MiB) at
+    # either gamma; the bound leaves 7% over it.
     dims = BlockDims(nc, nt)
     rng = np.random.default_rng(0)
     labels = np.arange(n) % 6 == 0
     x = rng.standard_normal((dims.size, n)) + 0.5 * np.outer(
         rng.standard_normal(dims.size), labels
     )
-    peak = traced_peak(lambda: fit(x, labels.astype(int), dims=dims, estimator="toeplitz")).peak
+    peak = traced_peak(
+        lambda: fit(x, labels.astype(int), dims=dims, estimator="toeplitz", gamma=gamma)).peak
     assert peak <= bound * x.nbytes, f"peak {peak / x.nbytes:.2f} x the data"
 
 
