@@ -6,9 +6,10 @@ The protocol mirrors a transfer-style evaluation on a labeled dataset:
    epoch-group level: one group is six consecutive epochs with one target,
    the fixed 1:5 ratio ``synth.TARGET_RATIO``, so the config echo in
    ``aggregate.json`` has no group size.
-2. For each subset size and draw, sample a training subset (stratified to
-   preserve the 1:5 target ratio by default), fit every configured
-   estimator on it, and score the full validation half by AUC.
+2. For each subset size and draw, sample a training subset that keeps
+   the 1:5 target ratio exactly (so every size is a positive multiple of
+   the group size), fit every configured estimator on it, and score the
+   full validation half by AUC.
 3. Aggregate mean and standard deviation over draws per cell.
 
 ``BenchConfig`` checks the settings, ``run_benchmark`` the split (both
@@ -112,21 +113,14 @@ def split_train_val(n_epochs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return expand(perm[:half]), expand(perm[half:])
 
 
-def draw_subsets(
-    labels,
-    size: int,
-    n_draws: int,
-    seed: int,
-    stratified: bool = True,
-) -> list[np.ndarray]:
+def draw_subsets(labels, size: int, n_draws: int, seed: int) -> list[np.ndarray]:
     """Deterministic training subset draws (indices into ``labels``).
 
-    Stratified mode keeps the target ratio ``TARGET_RATIO`` exact, so
-    ``size`` must be a multiple of the group size; plain uniform mode
-    redraws until both classes are present.  Draw ``k`` for a given size
-    depends only on ``(seed, size, k)``.  A size out of range or, in
-    stratified mode, off the group grid or beyond a class pool raises
-    :class:`ShapeError` before the first draw.
+    Every draw keeps the target ratio ``TARGET_RATIO`` exact, so ``size``
+    must be a multiple of the group size.  Draw ``k`` for a given size
+    depends only on ``(seed, size, k)``.  A size out of range, off the group
+    grid or beyond a class pool raises :class:`ShapeError` before the first
+    draw.
     """
     labels = _check_labels(labels, np.size(labels))
     n = labels.size
@@ -135,45 +129,35 @@ def draw_subsets(
     targets = np.flatnonzero(labels == 1)
     nontargets = np.flatnonzero(labels == 0)
     group = sum(TARGET_RATIO)
-    if stratified:
-        if size % group != 0:
-            raise ShapeError(
-                f"stratified subset size {size} must be a multiple of the "
-                f"group size {group}"
-            )
-        n_t = size // group * TARGET_RATIO[0]
-        n_n = size - n_t
-        if n_t > targets.size or n_n > nontargets.size:
-            raise ShapeError(
-                f"cannot draw {n_t} targets / {n_n} non-targets from pools "
-                f"of {targets.size} / {nontargets.size}"
-            )
+    if size % group != 0:
+        raise ShapeError(f"subset size {size} must be a multiple of the group size {group}")
+    n_t = size // group * TARGET_RATIO[0]
+    n_n = size - n_t
+    if n_t > targets.size or n_n > nontargets.size:
+        raise ShapeError(
+            f"cannot draw {n_t} targets / {n_n} non-targets from pools "
+            f"of {targets.size} / {nontargets.size}"
+        )
     draws = []
     for k in range(n_draws):
         gen = rng.stream(seed, rng.DRAW_STREAM_BASE + size * (1 << 20) + k)
-        if stratified:
-            idx = np.concatenate(
-                [
-                    gen.choice(targets, n_t, replace=False),
-                    gen.choice(nontargets, n_n, replace=False),
-                ]
-            )
-        else:
-            for _ in range(1000):
-                idx = gen.choice(n, size, replace=False)
-                if 0 < labels[idx].sum() < size:
-                    break
-            else:
-                raise ShapeError(
-                    f"could not draw a two-class subset of size {size}"
-                )
+        idx = np.concatenate(
+            [
+                gen.choice(targets, n_t, replace=False),
+                gen.choice(nontargets, n_n, replace=False),
+            ]
+        )
         draws.append(np.sort(idx))
     return draws
 
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Everything a benchmark run depends on."""
+    """Everything a benchmark run depends on.
+
+    Every draw keeps the 1:5 target ratio, so each subset size is a
+    positive multiple of the group size.
+    """
 
     dataset_dir: str
     estimators: tuple[str, ...] = ("slda", "toeplitz")
@@ -186,7 +170,6 @@ class BenchConfig:
     )
     seed: int = 0
     gamma: float | None = None
-    stratified: bool = True
     jobs: int = 1
     record_timing: bool = False
 
@@ -205,13 +188,13 @@ class BenchConfig:
             raise ValueError(
                 f"n_draws and jobs must be at least 1, got {self.n_draws} and {self.jobs}"
             )
-        # A draw needs both classes, so one epoch is never enough.
+        # Every draw keeps the 1:5 ratio, so it takes whole groups.
         group = sum(TARGET_RATIO)
         for size in self.subset_sizes:
-            if size < 2 or (self.stratified and size % group != 0):
+            if size < 1 or size % group != 0:
                 raise ValueError(
-                    f"subset_sizes must be at least 2, and multiples of the group "
-                    f"size {group} with stratified draws, got {size}"
+                    f"subset_sizes must be positive multiples of the group size "
+                    f"{group}, got {size}"
                 )
 
 
@@ -267,9 +250,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     draws: dict[int, list[np.ndarray]] = {}
     for size in cfg.subset_sizes:
         if size <= train_idx.size:
-            draws[size] = draw_subsets(
-                y_train, size, cfg.n_draws, cfg.seed, cfg.stratified
-            )
+            draws[size] = draw_subsets(y_train, size, cfg.n_draws, cfg.seed)
         else:
             logger.warning(
                 "subset size %d exceeds the training split (%d epochs); skipped",

@@ -4,8 +4,8 @@ stdout carries machine-readable output only (JSON, or CSV for ``score``);
 progress and diagnostics go to stderr.  Exit codes: 0 success, 1 usage
 error, 2 data/shape mismatch, 3 numerical failure.
 
-``synth`` and ``bench`` take the run seed from ``--seed``, else from the
-``TOEPLITZLDA_SEED`` environment variable, else 0; ``fit`` and ``score`` take none.
+``synth`` and ``bench`` take the run seed from ``--seed`` (default 0);
+``fit`` and ``score`` take none.
 """
 
 from __future__ import annotations
@@ -67,16 +67,6 @@ _RATE = _flag_type(float, lambda v: np.isfinite(v) and v > 0, "a finite number >
 _SIZES = _flag_type(lambda t: tuple(int(s) for s in t.split(",")), bool, "comma-separated integers")
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("TOEPLITZLDA_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"TOEPLITZLDA_SEED must be an integer, got {raw!r}")
-
-
 def _feature_config(args) -> FeatureConfig:
     if args.feature == "interval_means" and args.boundaries is None:
         raise ValueError("--feature interval_means requires --boundaries")
@@ -114,16 +104,15 @@ def _emit(obj) -> None:
 
 
 def cmd_synth(args) -> int:
-    seed = _resolve_seed(args)
     dims = BlockDims(args.n_channels, args.n_times)
     model = synth.default_noise_model(dims)
     spec = synth.default_erp_spec(
         dims, sfreq=args.sfreq, t0=args.t0, scale=args.erp_scale
     )
     epochs = synth.generate_noise(
-        model, args.n_epochs, dims, seed, sfreq=args.sfreq, t0=args.t0
+        model, args.n_epochs, dims, args.seed, sfreq=args.sfreq, t0=args.t0
     )
-    epochs = synth.inject_erp(epochs, spec, seed)
+    epochs = synth.inject_erp(epochs, spec, args.seed)
     out_dir = Path(args.out_dir)
     write_dataset(epochs, out_dir)
     digest = hashlib.sha256(_disk_layout(epochs.data)).hexdigest()  # the bytes written
@@ -131,7 +120,7 @@ def cmd_synth(args) -> int:
     _emit(
         {
             "out_dir": str(out_dir),
-            "seed": seed,
+            "seed": args.seed,
             "n_epochs": epochs.n_epochs,
             "n_channels": epochs.n_channels,
             "n_times": epochs.n_times,
@@ -145,7 +134,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    seed = _resolve_seed(args)
     cfg = bench.BenchConfig(
         dataset_dir=str(args.dataset_dir),
         estimators=tuple(args.estimators.split(",")),
@@ -154,9 +142,8 @@ def cmd_bench(args) -> int:
         n_draws=args.draws,
         oracle_means=args.oracle_means,
         feature=_feature_config(args),
-        seed=seed,
+        seed=args.seed,
         gamma=args.gamma,
-        stratified=not args.uniform_draws,
         jobs=args.jobs,
         record_timing=args.timing,
     )
@@ -268,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sfreq", type=_RATE, default=synth.DEFAULT_SFREQ)
     p.add_argument("--t0", type=_FINITE, default=synth.DEFAULT_T0)
     p.add_argument("--erp-scale", type=_FINITE, default=synth.DEFAULT_ERP_SCALE)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="run the subset-size benchmark")
@@ -280,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=int, default=7)
     p.add_argument("--oracle-means", action="store_true")
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--uniform-draws", action="store_true")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument(
         "--timing",
@@ -288,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="record fit times in the CSV (breaks byte-reproducibility)",
     )
     _add_feature_flags(p)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("fit", help="fit a model on a dataset and save it")

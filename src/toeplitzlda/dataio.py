@@ -88,11 +88,6 @@ class Epochs:
     def dims(self) -> BlockDims:
         return BlockDims(self.n_channels, self.n_times)
 
-    @property
-    def times(self) -> np.ndarray:
-        """Sample times in seconds."""
-        return self.t0 + np.arange(self.n_times) / self.sfreq
-
 
 def _channel_names(sfreq: float, t0: float, channel_names, n_channels: int) -> tuple[str, ...]:
     """The names of ``n_channels`` channels as strings, after checking them,

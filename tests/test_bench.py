@@ -146,12 +146,6 @@ def test_draw_k_depends_only_on_seed_size_and_k():
     assert not np.array_equal(three[0], other_seed[0])
 
 
-def test_uniform_draws_contain_both_classes():
-    labels = group_labels(48)
-    for idx in draw_subsets(labels, 5, 8, seed=4, stratified=False):
-        assert 0 < labels[idx].sum() < idx.size
-
-
 def test_draw_validation_errors():
     labels = group_labels(12)
     with pytest.raises(ShapeError):
@@ -166,11 +160,6 @@ def test_draw_validation_errors():
     lopsided[0] = 1
     with pytest.raises(ShapeError):
         draw_subsets(lopsided, 12, 1, seed=0)  # needs 2 targets, pool has 1
-
-
-def test_a_uniform_draw_too_small_for_both_classes_raises():
-    with pytest.raises(ShapeError, match="could not draw a two-class subset of size 1"):
-        draw_subsets(group_labels(12), 1, 1, 0, stratified=False)
 
 
 # ------------------------------------------------------------ benchmark
@@ -214,19 +203,14 @@ def small_config(dataset_dir, **kwargs):
 
 
 @pytest.mark.parametrize(
-    ("sizes", "stratified"),
-    [((0,), True), ((-6,), True), ((6, 5), True), ((1,), False)],
+    "sizes",
+    [(0,), (-6,), (6, 5), (1,)],
     ids=["zero", "negative", "partial-group", "one-epoch"],
 )
-def test_config_rejects_sizes_no_draw_can_take(sizes, stratified):
+def test_config_rejects_sizes_no_draw_can_take(sizes):
     with pytest.raises(ValueError, match="subset_sizes") as exc:
-        BenchConfig(dataset_dir="unused", subset_sizes=sizes, stratified=stratified)
+        BenchConfig(dataset_dir="unused", subset_sizes=sizes)
     assert type(exc.value) is ValueError  # a usage error, not a data error
-
-
-def test_uniform_draws_take_sizes_off_the_group_grid():
-    assert BenchConfig(dataset_dir="unused", subset_sizes=(2, 5),
-                       stratified=False).subset_sizes == (2, 5)
 
 
 def test_grid_produces_one_row_per_cell(dataset_dir):
@@ -356,6 +340,46 @@ def test_estimators_of_a_draw_share_their_common_stages(monkeypatch, dataset_dir
     for name in ("_ledoit_wolf", "_class_means", "_lag_sums_direct"):
         assert calls.count(name) == 8, name
     assert calls.count("_finite_array") == 0
+
+
+@pytest.fixture(scope="module")
+def fft_dataset_dir(tmp_path_factory):
+    """96 epochs whose all_samples features are 8 x 64, past the FFT size rule."""
+    dims = BlockDims(8, 64)
+    noise = synth.generate_noise(synth.default_noise_model(dims), 96, dims, seed=3,
+                                 sfreq=128.0, t0=0.0)
+    epochs = synth.inject_erp(noise, synth.default_erp_spec(dims, sfreq=128.0, t0=0.0),
+                              seed=3)
+    path = tmp_path_factory.mktemp("fft_ds")
+    write_dataset(epochs, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("gamma", [None, 0.25], ids=["gamma-fitted", "gamma-fixed"])
+@pytest.mark.parametrize("oracle_means", [False, True])
+@pytest.mark.parametrize("estimators", [("toeplitz", "toeplitz_a1_only"),
+                                        ("toeplitz_a1_only", "toeplitz")])
+def test_estimators_of_a_draw_share_the_cross_spectrum_on_the_fft_route(
+    monkeypatch, fft_dataset_dir, estimators, oracle_means, gamma
+):
+    # 2 cov modes x 2 sizes x 2 draws: 8 groups, each of whose estimators
+    # reads the draw's one packed cross-spectrum, and every row still scores
+    # what a lone fit of its cell scores, bit for bit, in either order.
+    cfg = BenchConfig(dataset_dir=fft_dataset_dir, estimators=estimators,
+                      cov_modes=lda.COV_MODES, subset_sizes=(12, 24), n_draws=2, seed=5,
+                      oracle_means=oracle_means, gamma=gamma,
+                      feature=dataio.FeatureConfig("all_samples", window=(0.0, 0.5)))
+    assert covest._fft_pays(8, 64)
+    calls = []
+    spy_on(monkeypatch, covest, "_cross_spectrum", calls)
+    report = run_benchmark(cfg)
+    assert calls.count("_cross_spectrum") == 8
+    assert len(report.rows) == 2 * 2 * 2 * 2
+    for row in report.rows:
+        expect, well_conditioned = lone_fit_auc(cfg, row)
+        assert row.status == "ok"
+        assert row.auc == expect
+        assert row.well_conditioned == well_conditioned
 
 
 @pytest.mark.parametrize("oracle_means", [False, True])

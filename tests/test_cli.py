@@ -22,7 +22,7 @@ SHA_REPORT_CSV = "6753283aea8351c7af6ea14deeba0983071fd06bce20d9e644ab2ea87bffdc
 SHA_META_48_SEED0 = "1efcc6c4998b7ba3b4b4ee727dcc882ea1df805ac96d481c47001b5e9184bc83"
 # aggregate.json of the SHA_REPORT_CSV run, with the dataset at the relative
 # path "ds" (the config echo holds the dataset path).
-SHA_AGGREGATE_JSON = "a28eca6f7d727002448f73b2e9e9a4765c7369349df8b6c4d71a73bb5ac777d8"
+SHA_AGGREGATE_JSON = "bcd07112b8d58d4f02273eefbb4d6ba1b8c39182703fb149107c066370b6d7e5"
 
 
 def sha256(path):
@@ -96,26 +96,6 @@ def test_synth_writes_only_into_out_dir(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in (tmp_path / "sub" / "ds").iterdir()) == [
         "data.bin", "labels.bin", "meta.json",
     ]
-
-
-def test_seed_falls_back_to_environment(tmp_path, capsys, monkeypatch):
-    flagged, from_env = tmp_path / "flagged", tmp_path / "env"
-    run(capsys, "synth", "--out-dir", str(flagged), "--n-epochs", "12",
-        "--seed", "11")
-    monkeypatch.setenv("TOEPLITZLDA_SEED", "11")
-    code, stdout, _ = run(capsys, "synth", "--out-dir", str(from_env),
-                          "--n-epochs", "12")
-    assert code == 0
-    assert last_json(stdout)["seed"] == 11
-    assert (flagged / "data.bin").read_bytes() == (from_env / "data.bin").read_bytes()
-
-
-def test_non_integer_environment_seed_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TOEPLITZLDA_SEED", "lots")
-    code, _, stderr = run(capsys, "synth", "--out-dir", str(tmp_path / "x"),
-                          "--n-epochs", "6")
-    assert code == 1
-    assert stderr.startswith("error: TOEPLITZLDA_SEED must be an integer")
 
 
 @pytest.mark.parametrize(
@@ -200,7 +180,7 @@ def test_bench_writes_frozen_aggregate(dataset96, tmp_path, capsys, monkeypatch)
         ("--sizes", "5", "subset_sizes"),
         ("--sizes", "0", "subset_sizes"),
         ("--sizes", "-6", "subset_sizes"),
-        ("--uniform-draws", "--sizes=1", "subset_sizes"),
+        ("--sizes", "1", "subset_sizes"),
         ("--gamma", "2", "gamma"),
         ("--gamma=-0.5", "--sizes=6", "gamma"),
         ("--gamma", "nan", "gamma"),

@@ -461,11 +461,6 @@ def test_epochs_validation():
                labels=np.array([0, 2]))
 
 
-def test_epoch_times_axis():
-    epochs = small_epochs(nc=1, nt=4, sfreq=20.0, t0=0.1)
-    assert np.allclose(epochs.times, [0.1, 0.15, 0.2, 0.25], atol=1e-15)
-
-
 def test_feature_matrix_validates_row_count():
     with pytest.raises(ShapeError):
         FeatureMatrix(data=np.zeros((5, 3)), dims=BlockDims(2, 3))

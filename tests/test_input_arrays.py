@@ -112,7 +112,7 @@ LABEL_READERS = [
     ("class_means", lambda y: class_means(X, y)),
     ("center", lambda y: center(X, y)),
     ("auc", lambda y: auc(np.arange(12.0), y)),
-    ("draw_subsets", lambda y: draw_subsets(y, 2, 1, seed=0, stratified=False)),
+    ("draw_subsets", lambda y: draw_subsets(y, 6, 1, seed=0)),
 ]
 
 
