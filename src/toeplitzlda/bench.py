@@ -46,7 +46,7 @@ import numpy as np
 
 from . import covest, lda, rng
 from .blockmat import _check_labels, _finite_array
-from .dataio import FeatureConfig, _write_json, extract_features, read_dataset
+from .dataio import DEFAULT_WINDOW, FeatureConfig, _write_json, extract_features, read_dataset
 from .errors import DataFormatError, GroupSizeError, ShapeError, ToeplitzLdaError
 from .synth import TARGET_RATIO
 
@@ -60,8 +60,9 @@ CSV_HEADER = "estimator,cov_mode,oracle_means,subset_size,draw,auc,fit_ms,n_trai
 def auc(scores, labels) -> float:
     """Area under the ROC curve, exact, with half credit for ties.
 
-    Computed from mid-ranks, which equals the exhaustive pairwise
-    comparison count ``(#(target > non-target) + 0.5 #(ties)) / (n_t n_n)``
+    The pair count ``(#(target > non-target) + 0.5 #(ties)) / (n_t n_n)``,
+    taken by binary search in the sorted non-target scores; both counts are
+    integers, so the value equals the exhaustive pairwise comparison's
     exactly, including in floating point.
     """
     scores = _finite_array(scores, (None,), "scores")
@@ -75,24 +76,15 @@ def _auc(scores: np.ndarray, pos: np.ndarray) -> float:
     """:func:`auc` of finite float64 ``scores`` and the target mask ``pos``
     of checked labels, which holds both classes.
 
-    One stable sort gives the runs of tied scores; each score takes the
-    mid-rank of its run, and the target ranks are summed in the order of
-    ``scores``.
+    Each target's non-targets below it are the left insertion point of its
+    score in the sorted non-target scores, and its ties the distance from
+    there to the right one.
     """
-    n_t = int(np.count_nonzero(pos))
-    n_n = pos.size - n_t
-    order = np.argsort(scores, kind="stable")
-    ordered = scores[order]
-    new_run = np.empty(scores.size, dtype=bool)
-    new_run[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    ends = np.append(starts[1:], scores.size)
-    midranks = (starts + 1 + ends) / 2.0
-    ranks = np.empty(scores.size)
-    ranks[order] = midranks[np.cumsum(new_run) - 1]
-    u = ranks[pos].sum() - n_t * (n_t + 1) / 2.0
-    return float(u / (n_t * n_n))
+    neg = np.sort(scores[~pos])
+    targets = scores[pos]
+    below = np.searchsorted(neg, targets, "left")
+    ties = np.searchsorted(neg, targets, "right") - below
+    return float((below.sum() + 0.5 * ties.sum()) / (targets.size * neg.size))
 
 
 def split_train_val(n_epochs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +158,7 @@ class BenchConfig:
     n_draws: int = 7
     oracle_means: bool = False
     feature: FeatureConfig = field(
-        default_factory=lambda: FeatureConfig("all_samples", window=(0.1, 0.6))
+        default_factory=lambda: FeatureConfig("all_samples", window=DEFAULT_WINDOW)
     )
     seed: int = 0
     gamma: float | None = None
@@ -180,6 +172,7 @@ class BenchConfig:
         for mode in self.cov_modes:
             lda._check_cov_mode(mode)
         covest._unit_gamma(self.gamma)
+        rng._key_word(self.seed, "seed")
         for name in ("estimators", "cov_modes", "subset_sizes"):
             values = getattr(self, name)
             if len(set(values)) != len(values):

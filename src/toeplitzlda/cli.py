@@ -24,6 +24,7 @@ from . import __version__, bench, lda, synth
 from .blockmat import BlockDims
 from .covest import ESTIMATORS, ClassStats
 from .dataio import (
+    DEFAULT_WINDOW,
     FeatureConfig,
     _disk_layout,
     _json_object,
@@ -70,7 +71,7 @@ _SIZES = _flag_type(lambda t: tuple(int(s) for s in t.split(",")), bool, "comma-
 def _feature_config(args) -> FeatureConfig:
     if args.feature == "interval_means" and args.boundaries is None:
         raise ValueError("--feature interval_means requires --boundaries")
-    default = (0.1, 0.6) if args.feature == "all_samples" else None  # --window's default
+    default = DEFAULT_WINDOW if args.feature == "all_samples" else None  # --window's default
     return FeatureConfig(args.feature, window=args.window or default, boundaries=args.boundaries)
 
 
@@ -87,7 +88,8 @@ def _add_feature_flags(parser) -> None:
         nargs=2,
         default=None,
         metavar=("START", "STOP"),
-        help="half-open time window in seconds for all_samples (default: 0.1 0.6)",
+        help="half-open time window in seconds for all_samples "
+        f"(default: {DEFAULT_WINDOW[0]} {DEFAULT_WINDOW[1]})",
     )
     parser.add_argument(
         "--boundaries",

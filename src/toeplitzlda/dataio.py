@@ -44,6 +44,8 @@ from .blockmat import BlockDims, _check_labels, _finite_array, _own, _owned
 from .errors import DataFormatError, ShapeError
 
 FORMAT_VERSION = 1
+#: The ``all_samples`` window in seconds of ``bench`` and of the CLI's ``--window``.
+DEFAULT_WINDOW = (0.1, 0.6)
 
 
 @dataclass(frozen=True)

@@ -17,23 +17,36 @@ format of generated datasets is fully specified):
 * ``DRAW_STREAM_BASE + subset_size * 2**20 + draw_index`` -- training
   subset draws.
 
+Seeds and substreams are integers in [0, 2**64); one outside raises
+:class:`ValueError`, and a non-integer :class:`TypeError`, instead of
+wrapping or truncating onto the stream of another.
+
 :func:`streams` gives the generators of :func:`stream` for a sequence of
 substreams from one bit generator, re-keyed for each.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import operator
 
-_MASK64 = (1 << 64) - 1
+import numpy as np
 
 LABEL_STREAM = 1 << 40
 SPLIT_STREAM = 1 << 41
 DRAW_STREAM_BASE = 1 << 42
 
 
+def _key_word(value: int, name: str) -> int:
+    """``value``, one 64-bit word of a stream key; outside [0, 2**64) it
+    raises, so that no two seeds or substreams share a stream."""
+    # operator.index refuses a float, which uint64 would truncate onto an integer's stream.
+    if not 0 <= operator.index(value) < 1 << 64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+    return value
+
+
 def _key(seed: int, substream: int) -> np.ndarray:
-    return np.array([seed & _MASK64, substream & _MASK64], dtype=np.uint64)
+    return np.array([_key_word(seed, "seed"), _key_word(substream, "substream")], dtype=np.uint64)
 
 
 def stream(seed: int, substream: int) -> np.random.Generator:

@@ -54,6 +54,22 @@ def test_auc_matches_exhaustive_pairwise_count():
         # Coarse scores force plenty of ties.
         scores = np.round(rng.standard_normal(m), 1)
         assert auc(scores, labels) == pairwise_auc(scores, labels)
+    # Tie-heavy inputs at a bench-like size: scores to one decimal, all
+    # scores equal, and one target or one non-target among many.
+    one = np.zeros(60, dtype=int)
+    one[17] = 1
+    coarse = np.round(rng.standard_normal(60), 1)
+    for scores, labels in [
+        (coarse, np.arange(60) % 6 == 0),
+        (np.full(60, 0.3), np.arange(60) % 6 == 0),
+        (np.full(60, -1.5), one),
+        (np.full(60, -1.5), 1 - one),
+        (coarse, one),
+        (coarse, 1 - one),
+        (np.round(rng.standard_normal(60), 1), rng.permutation(one)),
+    ]:
+        labels = np.asarray(labels, dtype=int)
+        assert auc(scores, labels) == pairwise_auc(scores, labels)
 
 
 def test_run_checks_the_labels_once_whatever_its_rows(monkeypatch, dataset_dir):
@@ -518,6 +534,18 @@ def test_write_report_emits_csv_and_json(dataset_dir, tmp_path):
     assert payload["config"]["seed"] == 5
     # The 1:5 epoch group is fixed by synth.TARGET_RATIO, not configured.
     assert "group_size" not in payload["config"]
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_config_refuses_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=f"seed must be in .*, got {seed}$") as exc:
+        BenchConfig(dataset_dir="unused", seed=seed)
+    assert type(exc.value) is ValueError  # a usage error, not a data error
+
+
+def test_config_takes_the_seeds_at_the_ends_of_the_range():
+    for seed in (0, (1 << 64) - 1):
+        assert BenchConfig(dataset_dir="unused", seed=seed).seed == seed
 
 
 def test_config_validates_names(dataset_dir):

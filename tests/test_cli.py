@@ -20,6 +20,8 @@ SHA_DATA_48_SEED0 = "5beeb9ae0847d893f04ebcf6f5dbe3efd182ef2e3b2685aa77789df05c4
 SHA_LABELS_48_SEED0 = "53ba78be6d6b6b15321560353ce8c895f48774e470aa8b5d8d675d7bcb7bae55"
 SHA_REPORT_CSV = "6753283aea8351c7af6ea14deeba0983071fd06bce20d9e644ab2ea87bffdcb0"
 SHA_META_48_SEED0 = "1efcc6c4998b7ba3b4b4ee727dcc882ea1df805ac96d481c47001b5e9184bc83"
+# data.bin of 6 epochs at the largest seed, 2**64 - 1.
+SHA_DATA_6_SEED_MAX = "3e063bd306db88485d86c45d16f6005e0a81caec6e15d9ac3c3eecdae3caf5d8"
 # aggregate.json of the SHA_REPORT_CSV run, with the dataset at the relative
 # path "ds" (the config echo holds the dataset path).
 SHA_AGGREGATE_JSON = "bcd07112b8d58d4f02273eefbb4d6ba1b8c39182703fb149107c066370b6d7e5"
@@ -87,6 +89,28 @@ def test_synth_rejects_partial_groups(tmp_path, capsys):
     )
     assert code == 1
     assert "group size" in stderr
+
+
+def test_synth_keeps_the_bytes_of_the_largest_seed(tmp_path, capsys):
+    # Seed 0, the other end of the range, is pinned by the frozen dataset.
+    seed = (1 << 64) - 1
+    code, stdout, _ = run(capsys, "synth", "--out-dir", str(tmp_path / "ds"),
+                          "--n-epochs", "6", "--seed", str(seed))
+    assert code == 0
+    assert sha256(tmp_path / "ds" / "data.bin") == SHA_DATA_6_SEED_MAX
+    assert last_json(stdout)["seed"] == seed
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_synth_refuses_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    # Masked to 64 bits, -1 would write the dataset of 2**64 - 1, and 2**64
+    # that of 0.
+    code, stdout, stderr = run(capsys, "synth", "--out-dir", str(tmp_path / "ds"),
+                               "--n-epochs", "6", "--seed", seed)
+    assert code == 1
+    assert f"seed must be in [0, 2**64), got {seed}" in stderr
+    assert stdout == ""
+    assert not (tmp_path / "ds").exists()
 
 
 def test_synth_writes_only_into_out_dir(tmp_path, capsys, monkeypatch):
@@ -226,6 +250,19 @@ def test_bench_checks_gamma_before_reading_the_dataset(tmp_path, capsys):
     )
     assert code == 1
     assert "gamma" in stderr and "meta.json" not in stderr
+    assert stdout == ""
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_bench_checks_the_seed_before_reading_the_dataset(tmp_path, capsys, seed):
+    code, stdout, stderr = run(
+        capsys, "bench", "--dataset-dir", str(tmp_path / "nope"),
+        "--out-dir", str(tmp_path / "rep"), "--seed", seed
+    )
+    assert code == 1
+    assert f"seed must be in [0, 2**64), got {seed}" in stderr
+    assert "meta.json" not in stderr
     assert stdout == ""
     assert not (tmp_path / "rep").exists()
 

@@ -1,6 +1,7 @@
 """Counter-based random streams: keying and reproducibility."""
 
 import numpy as np
+import pytest
 
 from toeplitzlda import rng
 
@@ -44,11 +45,30 @@ def test_draws_do_not_depend_on_request_chunking():
     assert np.array_equal(whole, split)
 
 
-def test_negative_and_large_keys_are_accepted():
-    a = rng.stream(-1, 0).standard_normal(4)
-    b = rng.stream((1 << 64) - 1, 0).standard_normal(4)
-    # -1 and 2**64 - 1 are congruent modulo 2**64, so the streams agree.
-    assert np.array_equal(a, b)
+def test_the_largest_keys_keep_their_streams():
+    # Golden values of the top of the key range, as drawn before keys were
+    # range-checked.
+    top = (1 << 64) - 1
+    assert rng.stream(top, 0).standard_normal(4).tolist() == [
+        -2.7686715823603945, 1.6779206516595908, -0.45223270389849135, 2.5150349369881924,
+    ]
+    assert rng.stream(top, top).standard_normal(4).tolist() == [
+        0.6313842391058808, -1.1589078121430747, -1.4343318739191726, 1.0477275891445663,
+    ]
+
+
+@pytest.mark.parametrize("value", [-1, 1 << 64, -(1 << 64), (1 << 64) + 5])
+def test_keys_outside_64_bits_are_refused(value):
+    # Masking to 64 bits would give -1 the stream of 2**64 - 1, and 2**64
+    # that of 0; each word of the key is refused instead, naming the value.
+    with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {value}$"):
+        rng.stream(value, 0)
+    with pytest.raises(ValueError, match=rf"substream must be in .*, got {value}$"):
+        rng.stream(0, value)
+    with pytest.raises(ValueError, match=f"seed .* got {value}$"):
+        next(rng.streams(value, [0]))
+    with pytest.raises(ValueError, match=f"substream .* got {value}$"):
+        list(rng.streams(0, [1, value]))
 
 
 def test_streams_equal_a_new_stream_per_substream():
@@ -59,3 +79,13 @@ def test_streams_equal_a_new_stream_per_substream():
         head = gen.standard_normal(size)
         assert np.array_equal(head, rng.stream(7, sub).standard_normal(size))
         gen.standard_normal(3)  # left over for the next substream
+
+
+def test_a_key_that_is_not_an_integer_is_refused():
+    # Cast to uint64, 1.5 would draw the stream of 1.
+    with pytest.raises(TypeError):
+        rng.stream(1.5, 0)
+    with pytest.raises(TypeError):
+        rng.stream(0, 1.0)
+    assert np.array_equal(rng.stream(np.uint64(3), np.int64(4)).standard_normal(4),
+                          rng.stream(3, 4).standard_normal(4))
